@@ -32,11 +32,9 @@ from .errors import (
 )
 from .field_arith import (
     ExtensionField,
-    ExtFieldElement,
     FieldElement,
     PrimeModulus,
     build_extension,
-    ext_is_square,
     is_prime,
     legendre_symbol,
     prime_modulus,
@@ -63,6 +61,7 @@ from .howe_factory import (
     SplitData,
     ValidationResult,
     decompose_genus5,
+    direct_counts,
     genus_of_howe,
     howe_counts,
     howe_models,

@@ -14,16 +14,12 @@ from typing import Optional, Sequence
 from . import tables
 from .curve_models import COUNT_CAP, HyperellipticModel, count_points
 from .errors import CapExceeded, Howe5Error
-from .hasse_serre import (
-    LegendreCurve,
-    legendre_count_fp,
-    serre_bound,
-    zeta_lift,
-)
+from .hasse_serre import LegendreCurve, serre_bound, zeta_lift
 from .howe_factory import (
     DecompositionReport,
     HoweParams,
     decompose_genus5,
+    direct_counts,
     howe_counts,
     params_from_json_dict,
     serre_verdicts,
@@ -87,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--data", metavar="PATH", help="read rows from this CSV instead")
     p_ver.add_argument(
         "--deep", action="store_true",
-        help=f"direct cubic-extension counts up to q={COUNT_CAP} instead of {SHALLOW_DIRECT_LIMIT}",
+        help=f"direct extension-field counts up to q={COUNT_CAP} instead of {SHALLOW_DIRECT_LIMIT}",
     )
 
     p_dec = sub.add_parser("decompose", help="split one genus-5 curve and report verdicts")
@@ -142,55 +138,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _verify_row(params: HoweParams, table: int, deep: bool, out) -> bool:
+    """Table 1 checks the count over F_p.  Tables 2 and 3 check the count
+    lifted to F_{p^j}, and also the direct oracle count where p^j is within
+    the direct-count limit."""
     p = params.mod.p
     vr = validate(params)
     if not vr.ok:
         out(f"  p={p}: FAIL invalid ({'; '.join(v.code for v in vr.violations)})")
         return False
-    _, curves = decompose_genus5(params)
-    verdicts = serre_verdicts(params)
-    notes = []
-    if vr.info.get("square_variants_disagree"):
-        notes.append("variant-note")
     try:
+        _, curves = decompose_genus5(params, vr)
+        base = howe_counts(params, 1, curves)
+        verdicts = serre_verdicts(params, curves, base)
         if table == 1:
             if verdicts.serre_fp is not True:
                 out(f"  p={p}: FAIL bound predicate over F_p")
                 return False
-            total = howe_counts(params, 1).total
             want = serre_bound(p, 5)
-            ok = total == want
-            out(f"  p={p}: #C(F_p) = {total}, bound = {want} -> {'PASS' if ok else 'FAIL'}")
+            ok = base.total == want
+            out(f"  p={p}: #C(F_p) = {base.total}, bound = {want} -> {'PASS' if ok else 'FAIL'}")
             return ok
         if table == 2:
-            if verdicts.maximal_fp2 is not True:
-                out(f"  p={p}: FAIL quadratic maximality predicate")
-                return False
-            total = howe_counts(params, 2).total
-            want = p * p + 1 + 10 * p
-            lifted = sum(zeta_lift(legendre_count_fp(e), p, 2) for e in curves) - 4 * p * p - 4
-            ok = total == want and lifted == want
-            tag = "".join(f" [{n}]" for n in notes)
-            out(
-                f"  p={p}: #C(F_p^2) = {total}, lifted = {lifted}, "
-                f"maximal = {want}{tag} -> {'PASS' if ok else 'FAIL'}"
-            )
-            return ok
-        if verdicts.serre_fp3 is not True:
-            out(f"  p={p}: FAIL bound predicate over F_p^3")
-            return False
-        q3 = p ** 3
-        lifted = sum(zeta_lift(legendre_count_fp(e), p, 3) for e in curves) - 4 * q3 - 4
-        want = serre_bound(q3, 5)
-        ok = lifted == want
-        limit = COUNT_CAP if deep else SHALLOW_DIRECT_LIMIT
-        if ok and q3 <= limit:
-            direct = howe_counts(params, 3).total
-            ok = direct == want
-            out(f"  p={p}: lifted = {lifted}, direct = {direct}, bound = {want} -> "
-                f"{'PASS' if ok else 'FAIL'}")
+            j, holds, want, label = 2, verdicts.maximal_fp2, p * p + 1 + 10 * p, "maximal"
         else:
-            out(f"  p={p}: lifted = {lifted}, bound = {want} -> {'PASS' if ok else 'FAIL'}")
+            j, holds, want, label = 3, verdicts.serre_fp3, serre_bound(p ** 3, 5), "bound"
+        if holds is not True:
+            out(f"  p={p}: FAIL {label} predicate over F_p^{j}")
+            return False
+        lifted = base.lift(j).total
+        ok = lifted == want
+        line = f"  p={p}: #C(F_p^{j}) lifted = {lifted}"
+        if p ** j <= (COUNT_CAP if deep else SHALLOW_DIRECT_LIMIT):
+            direct = direct_counts(params, j)[3]
+            ok = ok and direct == want
+            line += f", direct = {direct}"
+        out(f"{line}, {label} = {want} -> {'PASS' if ok else 'FAIL'}")
         return ok
     except Howe5Error as exc:
         out(f"  p={p}: FAIL {exc}")
@@ -388,9 +370,7 @@ def cmd_selftest(ns) -> int:
 
     print("worked example, p = 37:")
     params = HoweParams.from_ints(37, 17, 6, (0, 1, 3, 31, 34, 13), (29, 30))
-    _, curves = decompose_genus5(params)
-    lifted = sum(zeta_lift(legendre_count_fp(e), 37, 3) for e in curves) - 4 * 37 ** 3 - 4
-    ok &= check("#C(F_37^3) from traces", lifted, serre_bound(37 ** 3, 5))
+    ok &= check("#C(F_37^3) from traces", howe_counts(params, 3).total, serre_bound(37 ** 3, 5))
     ok &= check("cubic bound predicate", serre_verdicts(params).serre_fp3, True)
 
     print(f"{checks} checks {'passed' if ok else 'FAILED'}")

@@ -3,6 +3,8 @@
 Counts are for the smooth projective model: one point at infinity for odd
 degree, two or zero for even degree depending on whether alpha is a square
 in the counting field.  Direct counting is capped at 10^7 field elements.
+Over F_p it is the production count; over F_{p^2} and F_{p^3} it is the
+oracle that lifted counts are checked against.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, HasseViolation
 from .field_arith import (
     FieldElement,
     PrimeModulus,
     build_extension,
-    ext_is_square,
     legendre_symbol,
     prime_modulus,
 )
@@ -36,8 +37,8 @@ class CountMethod(Enum):
 
 @dataclass(frozen=True)
 class PointCount:
-    """A point count over F_q, checked against the Weil interval when the
-    genus is known."""
+    """A point count over F_q, checked against the Hasse-Weil interval when
+    the genus is known."""
 
     q: int
     count: int
@@ -48,8 +49,8 @@ class PointCount:
         if self.genus is not None:
             t = self.q + 1 - self.count
             if t * t > 4 * self.genus * self.genus * self.q:
-                raise ValueError(
-                    f"count {self.count} outside the Weil interval for "
+                raise HasseViolation(
+                    f"count {self.count} outside the Hasse-Weil interval for "
                     f"q={self.q}, genus {self.genus}"
                 )
 
@@ -191,12 +192,15 @@ def _affine_char_sum_ext(model: HyperellipticModel, j: int) -> int:
 
 
 def _points_at_infinity(model: HyperellipticModel, j: int) -> int:
+    """Even degree: two points iff alpha is a square in F_{p^j}.  Every
+    alpha in F_p* is a square in F_{p^2}; for odd j, (p^j - 1)/2 is
+    (p - 1)/2 times the odd number 1 + p + .. + p^(j-1), so alpha is a
+    square in F_{p^j} iff it is one in F_p."""
     if model.degree % 2 == 1:
         return 1
-    if j == 1:
-        return 2 if legendre_symbol(model.alpha) == 1 else 0
-    field = build_extension(model.mod, j)
-    return 2 if ext_is_square(field.element(model.alpha)) else 0
+    if j % 2 == 0 or legendre_symbol(model.alpha) == 1:
+        return 2
+    return 0
 
 
 def count_points(model: HyperellipticModel, j: int = 1) -> PointCount:

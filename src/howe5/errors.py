@@ -18,7 +18,8 @@ class HypothesisViolated(Howe5Error):
 
 
 class HasseViolation(Howe5Error):
-    """A claimed elliptic point count lies outside the Hasse interval."""
+    """A point count lies outside the Hasse-Weil interval for its genus
+    (the Hasse interval for an elliptic curve)."""
 
 
 class ValidationError(Howe5Error):

@@ -1,4 +1,4 @@
-"""Prime fields F_p and their small extensions F_{p^2}, F_{p^3}.
+"""Prime fields F_p, and the defining polynomials of F_{p^2} and F_{p^3}.
 
 All arithmetic is exact integer arithmetic on canonical residues.  Moduli are
 capped at 2**20 so that every intermediate value used by the bulk counting
@@ -249,7 +249,9 @@ class ExtensionField:
 
     poly holds the low-order coefficients (c_0, .., c_{k-1}) of the modulus
     x^k + c_{k-1} x^{k-1} + .. + c_0, chosen deterministically, so two builds
-    of the same field agree.
+    of the same field agree.  Elements are coefficient vectors; the only
+    arithmetic on them is the vectorised kernel of the direct counting oracle
+    in curve_models.
     """
 
     base: PrimeModulus
@@ -259,222 +261,6 @@ class ExtensionField:
     @property
     def q(self) -> int:
         return self.base.p ** self.k
-
-    def element(self, coeffs) -> "ExtFieldElement":
-        p = self.base.p
-        if isinstance(coeffs, ExtFieldElement):
-            return coeffs
-        if isinstance(coeffs, FieldElement):
-            coeffs = coeffs.value
-        if isinstance(coeffs, int):
-            vec = (coeffs % p,) + (0,) * (self.k - 1)
-            return ExtFieldElement(vec, self)
-        vec = tuple(c % p for c in coeffs)
-        if len(vec) != self.k:
-            raise ValueError(f"need {self.k} coefficients")
-        return ExtFieldElement(vec, self)
-
-    def zero(self) -> "ExtFieldElement":
-        return self.element(0)
-
-    def one(self) -> "ExtFieldElement":
-        return self.element(1)
-
-    def gen(self) -> "ExtFieldElement":
-        return self.element((0, 1) + (0,) * (self.k - 2))
-
-    def iter_elements(self) -> Iterator["ExtFieldElement"]:
-        """All q elements; coefficient c_0 varies fastest."""
-        p = self.base.p
-        for idx in range(self.q):
-            vec = []
-            n = idx
-            for _ in range(self.k):
-                vec.append(n % p)
-                n //= p
-            yield ExtFieldElement(tuple(vec), self)
-
-    def _reduce(self, cs: list[int]) -> tuple[int, ...]:
-        """Reduce a coefficient list (low order first) by the modulus poly."""
-        p = self.base.p
-        k = self.k
-        for deg in range(len(cs) - 1, k - 1, -1):
-            lead = cs[deg] % p
-            if lead:
-                for i, c in enumerate(self.poly):
-                    cs[deg - k + i] = (cs[deg - k + i] - lead * c) % p
-            cs[deg] = 0
-        return tuple(c % p for c in cs[:k])
-
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        k = self.k
-        p = self.base.p
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        return self._reduce(prod)
-
-    def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        """Inverse via extended Euclid in F_p[x]."""
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("0 has no inverse")
-        p = self.base.p
-        modulus = list(self.poly) + [1]
-        r0, r1 = modulus, [c % p for c in a]
-        s0, s1 = [0], [1]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        # r0 is now a nonzero constant gcd and deg(s0) < k
-        c_inv = pow(r0[0], p - 2, p)
-        out = [(c * c_inv) % p for c in s0]
-        out += [0] * (self.k - len(out))
-        return tuple(out[: self.k])
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        av = a[i] if i < len(a) else 0
-        bv = b[i] if i < len(b) else 0
-        out[i] = (av - bv) % p
-    return _poly_trim(out)
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [c % p for c in a]
-    b = _poly_trim([c % p for c in b])
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(1, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    r = list(a)
-    while len(_poly_trim(list(r))) >= len(b) and any(r):
-        r = _poly_trim(r)
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        factor = (r[-1] * inv_lead) % p
-        if factor == 0:
-            r.pop()
-            continue
-        q[shift] = (q[shift] + factor) % p
-        for i, bc in enumerate(b):
-            r[shift + i] = (r[shift + i] - factor * bc) % p
-    return _poly_trim(q), _poly_trim(r)
-
-
-class ExtFieldElement:
-    """An element of an ExtensionField, stored as a coefficient tuple."""
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs: tuple[int, ...], field: ExtensionField) -> None:
-        self.coeffs = coeffs
-        self.field = field
-
-    def _coerce(self, other):
-        if isinstance(other, ExtFieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed fields")
-            return other
-        if isinstance(other, (int, FieldElement)):
-            return self.field.element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.field.base.p
-        return ExtFieldElement(
-            tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)), self.field
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.field.base.p
-        return ExtFieldElement(
-            tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)), self.field
-        )
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ExtFieldElement(self.field.mul(self.coeffs, o.coeffs), self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        p = self.field.base.p
-        return ExtFieldElement(tuple((-a) % p for a in self.coeffs), self.field)
-
-    def inverse(self) -> "ExtFieldElement":
-        return ExtFieldElement(self.field.inv(self.coeffs), self.field)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, e: int) -> "ExtFieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, FieldElement)):
-            other = self.field.element(other)
-        if isinstance(other, ExtFieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.field.base.p, self.field.k))
-
-    def __repr__(self) -> str:
-        return f"Ext{list(self.coeffs)} over F_{self.field.base.p}^{self.field.k}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -490,11 +276,3 @@ def build_extension(mod: Union[PrimeModulus, int], k: int) -> ExtensionField:
         raise ValueError(f"extension degree must be 2 or 3, got {k}")
     p = mod.p if isinstance(mod, PrimeModulus) else int(mod)
     return _build_extension_cached(p, k)
-
-
-def ext_is_square(a: ExtFieldElement) -> bool:
-    """True iff a is a square in its extension field (0 counts as a square)."""
-    if a.is_zero():
-        return True
-    e = (a.field.q - 1) // 2
-    return (a ** e) == 1

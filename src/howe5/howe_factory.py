@@ -31,7 +31,7 @@ from .errors import (
     HypothesisViolated,
 )
 from .field_arith import FieldElement, PrimeModulus, legendre_symbol, prime_modulus, sqrt_mod_p
-from .hasse_serre import LegendreCurve
+from .hasse_serre import LegendreCurve, TraceSequence
 
 
 def genus_of_howe(g1: int, g2: int, r: int) -> int:
@@ -128,9 +128,13 @@ _VIOLATION_CLASSES = {
 
 @dataclass
 class ValidationResult:
+    """Every violation found, square-class diagnostics, and, once the
+    distinctness and square conditions hold, the split data."""
+
     params: HoweParams
     violations: list[Violation] = field(default_factory=list)
     info: dict = field(default_factory=dict)
+    split: SplitData | None = None
 
     @property
     def ok(self) -> bool:
@@ -245,12 +249,11 @@ def validate(params: HoweParams) -> ValidationResult:
     chi_ab = legendre_symbol(a * (a - b))
     chi_ac = legendre_symbol(a * (a - c))
 
-    # Square certificates.  The a4/b5 and a5/b5 quartets decide the same
-    # conditions in two printed variants; they can disagree on a given tuple,
-    # so both are reported.
+    # Square certificates in root form: for any distinct points, a(a - b)
+    # is the quartet a1a2a4a5 times a square, and a(a - c) the quartet
+    # a1a2a4b5 times a square.
     p45 = _quartet(a1, a2, a4, a5)
     p4b5 = _quartet(a1, a2, a4, b5)
-    p5b5 = _quartet(a1, a2, a5, b5)
     res.info = {
         "chi_a_ab": chi_ab,
         "chi_a_ac": chi_ac,
@@ -258,9 +261,6 @@ def validate(params: HoweParams) -> ValidationResult:
         "chi_product_a4_a5": legendre_symbol(p45),
         "product_a4_b5": p4b5.value,
         "chi_product_a4_b5": legendre_symbol(p4b5),
-        "product_a5_b5": p5b5.value,
-        "chi_product_a5_b5": legendre_symbol(p5b5),
-        "square_variants_disagree": legendre_symbol(p4b5) != legendre_symbol(p5b5),
     }
 
     if chi_ab != 1:
@@ -280,7 +280,7 @@ def validate(params: HoweParams) -> ValidationResult:
     if not res.ok:
         return res
 
-    split = _split_data(params)
+    res.split = split = _split_data(params)
     for i, (th, lm) in enumerate(zip(split.theta, split.lam), start=1):
         if th.value == 0:
             res.violations.append(Violation("DegenerateLambda", f"theta_{i} = 0"))
@@ -315,11 +315,16 @@ def _split_data(params: HoweParams) -> SplitData:
     )
 
 
-def decompose_genus5(params: HoweParams) -> tuple[SplitData, tuple[LegendreCurve, ...]]:
+def decompose_genus5(
+    params: HoweParams, validation: ValidationResult | None = None
+) -> tuple[SplitData, tuple[LegendreCurve, ...]]:
     """Validate and split; the five factors come back in pair order, with the
-    canonical-root branch first within each pair."""
-    validate(params).raise_if_invalid()
-    split = _split_data(params)
+    canonical-root branch first within each pair.  A caller that already
+    holds validate(params) passes it to skip validating again."""
+    if validation is None:
+        validation = validate(params)
+    validation.raise_if_invalid()
+    split = validation.split
     curves = tuple(
         LegendreCurve(params.mod, th, lm) for th, lm in zip(split.theta, split.lam)
     )
@@ -338,6 +343,15 @@ def howe_models(params: HoweParams) -> tuple[HyperellipticModel, ...]:
     return c1, c2, c3
 
 
+def direct_counts(params: HoweParams, j: int) -> tuple[int, int, int, int]:
+    """Oracle: (#C1, #C2, #C3, #C) over F_{p^j} from brute-force counts of
+    the three quotient models, using neither the factors nor a lift.  Subject
+    to the direct-counting cap."""
+    q = params.mod.p ** j
+    c1, c2, c3 = (curve_models.count_points(m, j).count for m in howe_models(params))
+    return c1, c2, c3, c1 + c2 + c3 - 2 * q - 2
+
+
 @dataclass(frozen=True)
 class HoweCounts:
     """Counts of the quotients, the factors, and the genus-5 curve over F_q."""
@@ -350,25 +364,46 @@ class HoweCounts:
     e: tuple[int, int, int, int, int]
     total: int
 
-
-def howe_counts(params: HoweParams, j: int = 1) -> HoweCounts:
-    """Count everything over F_{p^j} and cross-check the two formulas for
-    #C; they must agree or something is deeply wrong."""
-    _, curves = decompose_genus5(params)
-    c1_model, c2_model, c3_model = howe_models(params)
-    q = params.mod.p ** j
-    n_c1 = curve_models.count_points(c1_model, j).count
-    n_c2 = curve_models.count_points(c2_model, j).count
-    n_c3 = curve_models.count_points(c3_model, j).count
-    n_e = tuple(curve_models.count_points(E.model(), j).count for E in curves)
-    total_quot = n_c1 + n_c2 + n_c3 - 2 * q - 2
-    total_fact = sum(n_e) - 4 * q - 4
-    if total_quot != total_fact:
-        raise DecompositionMismatch(
-            f"quotient formula gives {total_quot}, factor formula {total_fact} "
-            f"over F_{q}"
+    def lift(self, j: int) -> "HoweCounts":
+        """The counts over F_{p^j} implied by these counts over F_p.  The
+        Jacobian of C_i is isogenous over F_p to the product of its factors,
+        so every quotient count follows from the factors' traces."""
+        if self.j != 1:
+            raise ValueError("only counts over F_p can be lifted")
+        q = self.q ** j
+        e = tuple(TraceSequence.from_count(self.q, n).count(j) for n in self.e)
+        return HoweCounts(
+            q=q,
+            j=j,
+            c1=e[0] + e[1] - q - 1,
+            c2=e[2] + e[3] - q - 1,
+            c3=e[4],
+            e=e,
+            total=sum(e) - 4 * q - 4,
         )
-    return HoweCounts(q=q, j=j, c1=n_c1, c2=n_c2, c3=n_c3, e=n_e, total=total_quot)
+
+
+def howe_counts(
+    params: HoweParams, j: int = 1, curves: tuple[LegendreCurve, ...] | None = None
+) -> HoweCounts:
+    """Counts over F_{p^j}.  The three quotients and five factors are counted
+    over F_p, each quotient is checked against its factors, and the counts
+    over F_{p^j} are lifted from the factors' traces.  curves, the factors
+    from decompose_genus5(params), skips decomposing again."""
+    if curves is None:
+        _, curves = decompose_genus5(params)
+    p = params.mod.p
+    n_c = tuple(curve_models.count_points(m, 1).count for m in howe_models(params))
+    n_e = tuple(curve_models.count_points(E.model(), 1).count for E in curves)
+    from_factors = (n_e[0] + n_e[1] - p - 1, n_e[2] + n_e[3] - p - 1, n_e[4])
+    if n_c != from_factors:
+        raise DecompositionMismatch(
+            f"quotient counts {n_c} over F_{p} disagree with the factor "
+            f"counts {from_factors}"
+        )
+    c1, c2, c3 = n_c
+    base = HoweCounts(q=p, j=1, c1=c1, c2=c2, c3=c3, e=n_e, total=c1 + c2 + c3 - 2 * p - 2)
+    return base if j == 1 else base.lift(j)
 
 
 def howe_point_count(params: HoweParams, j: int = 1) -> PointCount:
@@ -403,10 +438,18 @@ class VerdictRecord:
         }
 
 
-def serre_verdicts(params: HoweParams) -> VerdictRecord:
+def serre_verdicts(
+    params: HoweParams,
+    curves: tuple[LegendreCurve, ...] | None = None,
+    counts: HoweCounts | None = None,
+) -> VerdictRecord:
     """Congruence verdicts for all five factors, plus the mandatory mod-4
-    sanity of the genus-5 count over F_p."""
-    _, curves = decompose_genus5(params)
+    sanity of the genus-5 count over F_p.  curves and counts, the factors and
+    howe_counts(params, 1), skip validating and counting again."""
+    if curves is None:
+        _, curves = decompose_genus5(params)
+    if counts is None:
+        counts = howe_counts(params, 1, curves)
     p = params.mod.p
 
     if p >= hasse_serre.SERRE_FP_MIN_PRIME:
@@ -421,7 +464,6 @@ def serre_verdicts(params: HoweParams) -> VerdictRecord:
     else:
         fp3_each, fp3 = None, None
 
-    total = howe_counts(params, 1).total
     return VerdictRecord(
         serre_fp=fp,
         maximal_fp2=all(fp2_each),
@@ -429,7 +471,7 @@ def serre_verdicts(params: HoweParams) -> VerdictRecord:
         serre_fp_each=fp_each,
         maximal_fp2_each=fp2_each,
         serre_fp3_each=fp3_each,
-        count_mod4_ok=total % 4 == 0,
+        count_mod4_ok=counts.total % 4 == 0,
         p_mod4=p % 4,
     )
 
@@ -446,15 +488,14 @@ class DecompositionReport:
     @classmethod
     def build(cls, params: HoweParams, exts: tuple[int, ...] = (1,)) -> "DecompositionReport":
         vr = validate(params)
-        vr.raise_if_invalid()
-        split, curves = decompose_genus5(params)
-        counts = {j: howe_counts(params, j) for j in exts}
+        split, curves = decompose_genus5(params, vr)
+        base = howe_counts(params, 1, curves)
         return cls(
             params=params,
             split=split,
             factors=curves,
-            counts=counts,
-            verdicts=serre_verdicts(params),
+            counts={j: base.lift(j) for j in exts},
+            verdicts=serre_verdicts(params, curves, base),
             validation=vr,
         )
 

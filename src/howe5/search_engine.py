@@ -7,8 +7,8 @@ missing root.  Cheap congruence filters run first: the Legendre parameters
 of a candidate depend only on the roots, and the bound predicates depend on
 the twist scalars only through their square class, so each passing root
 tuple is emitted with canonical twist representatives for each admissible
-class pair.  Every hit is confirmed against the counting oracle before it
-is emitted.
+class pair.  Every hit is confirmed by exact point counts before it is
+emitted.
 
 Work is partitioned into one chunk per a1-value; the chunk list and the
 order inside each chunk never depend on the worker count, so for a fixed
@@ -31,7 +31,6 @@ from enum import Enum
 from typing import IO, Iterator, Optional, Union
 
 from . import hasse_serre, howe_factory
-from .errors import CapExceeded
 from .field_arith import FieldElement, is_prime
 from .hasse_serre import floor_two_sqrt, hasse_poly_table, serre_bound
 from .howe_factory import HoweParams
@@ -92,13 +91,11 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchHit:
     """A confirmed parameter tuple.  index is the enumeration position
-    (prime, chunk, sequence inside the chunk); wall_time is seconds since
-    the search started and is never serialized."""
+    (prime, chunk, sequence inside the chunk)."""
 
     params: HoweParams
     target: Target
     counts: dict
-    wall_time: float
     index: tuple[int, int, int]
 
     def row(self) -> tuple[int, ...]:
@@ -236,38 +233,29 @@ def _target_predicate(target: Target):
     return hasse_serre.attains_serre_fp3
 
 
-def _lift_total(curves, p: int, j: int) -> int:
-    n1s = [hasse_serre.legendre_count_fp(E) for E in curves]
-    return sum(hasse_serre.zeta_lift(n, p, j) for n in n1s) - 4 * p ** j - 4
-
-
 def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
-    """Recheck predicates honestly and confirm with the counting oracle.
+    """Recheck predicates honestly and confirm with exact point counts.
     Returns the counts to attach to the hit, or None on any disagreement."""
     p = params.mod.p
     vr = howe_factory.validate(params)
     if not vr.ok:
         return None
-    _, curves = howe_factory.decompose_genus5(params)
+    _, curves = howe_factory.decompose_genus5(params, vr)
     pred = _target_predicate(target)
     if not all(pred(E) for E in curves):
         return None
-    counts = {1: howe_factory.howe_counts(params, 1).total}
+    base = howe_factory.howe_counts(params, 1, curves)
+    counts = {1: base.total}
     if target is Target.SERRE_FP:
         if counts[1] != serre_bound(p, 5):
             return None
     elif target is Target.MAXIMAL_FP2:
-        try:
-            total2 = howe_factory.howe_counts(params, 2).total
-        except CapExceeded:
-            total2 = _lift_total(curves, p, 2)
-        counts[2] = total2
-        if total2 != p * p + 1 + 10 * p:
+        counts[2] = base.lift(2).total
+        if counts[2] != p * p + 1 + 10 * p:
             return None
     else:
-        total3 = _lift_total(curves, p, 3)
-        counts[3] = total3
-        if total3 != serre_bound(p ** 3, 5):
+        counts[3] = base.lift(3).total
+        if counts[3] != serre_bound(p ** 3, 5):
             return None
     return counts
 
@@ -488,7 +476,6 @@ def run_search(config: SearchConfig) -> tuple[list[SearchHit], SearchStats]:
                         params=HoweParams.from_row(row),
                         target=config.target,
                         counts=counts,
-                        wall_time=time.monotonic() - t0,
                         index=(p, chunk_pos, seq),
                     )
                 )

@@ -38,6 +38,18 @@ class TestVerifyTables:
         assert out.count("PASS") >= 25
         assert "FAIL" not in out
 
+    def test_direct_oracle_rows(self, capsys):
+        """Every table-2 row and the p = 37 table-3 row are small enough for
+        a direct count next to the lifted one."""
+        assert main(["verify-tables", "2"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  p=")]
+        assert len(rows) == 19
+        assert all("direct = " in l for l in rows)
+        assert main(["verify-tables", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [l for l in rows if "direct = " in l] == [
+            "  p=37: #C(F_p^3) lifted = 52904, direct = 52904, bound = 52904 -> PASS"]
+
     def test_single_table(self, capsys):
         assert main(["verify-tables", "1"]) == 0
         out = capsys.readouterr().out
@@ -91,6 +103,14 @@ class TestDecompose:
                    "--a", "0,1,2,3,5,6", "--b", "8,9"])
         assert rc == 1
         assert "not a nonzero square" in capsys.readouterr().err
+
+    def test_cubic_extension_past_the_cap(self, capsys):
+        # 499^3 is over the direct-count cap; the counts are lifted
+        argv = ["decompose", "--p", "499", "--alpha1", "47", "--alpha2", "436",
+                "--a", "2,1,10,55,92,84", "--b", "36,275", "--json", "--ext", "3"]
+        assert main(argv) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["counts"]["3"]["q"] == 499 ** 3
 
     def test_missing_flags_usage_error(self, capsys):
         rc = main(["decompose", "--p", "11"])

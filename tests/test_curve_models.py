@@ -8,12 +8,14 @@ import pytest
 from conftest import naive_count_ext, naive_count_fp
 from howe5.curve_models import (
     COUNT_CAP,
+    CountMethod,
     HyperellipticModel,
+    PointCount,
     count_points,
     curve_trace,
     weil_interval,
 )
-from howe5.errors import CapExceeded
+from howe5.errors import CapExceeded, HasseViolation, Howe5Error
 
 
 class TestModelConstruction:
@@ -101,6 +103,14 @@ class TestCapAndErrors:
         m = HyperellipticModel.from_ints(499, 47, (2, 1, 10, 55, 92, 84))
         with pytest.raises(CapExceeded):
             count_points(m, 3)  # 499^3 > 10^7
+
+    def test_count_outside_hasse_weil_is_a_math_error(self):
+        # a mathematical failure, so the command line exits 1, not 2
+        with pytest.raises(HasseViolation) as exc:
+            PointCount(q=11, count=30, method=CountMethod.BRUTE_FORCE, genus=1)
+        assert isinstance(exc.value, Howe5Error)
+        assert not isinstance(exc.value, ValueError)
+        PointCount(q=11, count=18, method=CountMethod.BRUTE_FORCE, genus=1)
 
     def test_bad_extension_degree(self):
         m = HyperellipticModel.from_ints(11, 4, (0, 1, 2))

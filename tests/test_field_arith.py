@@ -1,13 +1,20 @@
+import itertools
+
 import pytest
 
+from howe5.curve_models import (
+    HyperellipticModel,
+    _ext_square_table,
+    _mul2,
+    _mul3,
+    _points_at_infinity,
+)
 from howe5.errors import CapExceeded, NonResidue
 from howe5.field_arith import (
-    ExtensionField,
     FieldElement,
     PRIME_CAP,
     PrimeModulus,
     build_extension,
-    ext_is_square,
     is_prime,
     legendre_symbol,
     prime_modulus,
@@ -153,6 +160,39 @@ class TestSqrtModP:
             assert 1 <= s <= (p - 1) // 2
 
 
+# Elements of F_{p^k} are coefficient tuples (c_0, .., c_{k-1}); the only
+# arithmetic on them is the counting kernel's _mul2 / _mul3.
+
+
+def _mul(F, a, b):
+    if F.k == 2:
+        return _mul2(*a, *b, F.poly, F.base.p)
+    return _mul3(*a, *b, F.poly, F.base.p)
+
+
+def _add(F, a, b):
+    return tuple((x + y) % F.base.p for x, y in zip(a, b))
+
+
+def _pow(F, a, e):
+    acc = (1,) + (0,) * (F.k - 1)
+    while e:
+        if e & 1:
+            acc = _mul(F, acc, a)
+        a = _mul(F, a, a)
+        e >>= 1
+    return acc
+
+
+def _elements(F):
+    """All q elements in the square table's index order, c_0 fastest."""
+    return [tuple(reversed(t)) for t in itertools.product(range(F.base.p), repeat=F.k)]
+
+
+def _index(F, a):
+    return sum(c * F.base.p ** i for i, c in enumerate(a))
+
+
 class TestExtensionField:
     def test_frozen_defining_polynomials(self):
         # low-order coefficients of the monic defining polynomial
@@ -182,62 +222,67 @@ class TestExtensionField:
     def test_field_axioms_on_samples(self):
         import random
 
-        F = build_extension(11, 3)
         rng = random.Random(5)
-        for _ in range(40):
-            a = F.element(tuple(rng.randrange(11) for _ in range(3)))
-            b = F.element(tuple(rng.randrange(11) for _ in range(3)))
-            c = F.element(tuple(rng.randrange(11) for _ in range(3)))
-            assert a * (b + c) == a * b + a * c
-            assert (a * b) * c == a * (b * c)
-            assert a + b == b + a
+        for F in (build_extension(11, 2), build_extension(11, 3)):
+            for _ in range(40):
+                a, b, c = (tuple(rng.randrange(11) for _ in range(F.k)) for _ in range(3))
+                assert _mul(F, a, _add(F, b, c)) == _add(F, _mul(F, a, b), _mul(F, a, c))
+                assert _mul(F, _mul(F, a, b), c) == _mul(F, a, _mul(F, b, c))
+                assert _mul(F, a, b) == _mul(F, b, a)
 
     def test_inverse_roundtrip_exhaustive_f25(self):
+        """Every nonzero element has exactly one inverse: no zero divisors."""
         F = build_extension(5, 2)
+        elems = _elements(F)
+        one = (1, 0)
         seen = 0
-        for e in F.iter_elements():
-            if e.is_zero():
-                continue
-            assert (e * e.inverse()) == F.one()
+        for e in elems[1:]:
+            assert sum(_mul(F, e, f) == one for f in elems) == 1
             seen += 1
         assert seen == 24
 
     def test_frobenius_fixes_everything(self):
         """a^(p^k) == a for all a, i.e. the field really has p^k elements."""
-        F = build_extension(5, 2)
-        for e in F.iter_elements():
-            assert e ** 25 == e
-
-    def test_element_coercion_forms(self):
-        F = build_extension(11, 2)
-        assert F.element(7) == F.element((7, 0))
-        assert F.element(FieldElement(7, prime_modulus(11))) == F.element((7, 0))
-        with pytest.raises(ValueError):
-            F.element((1, 2, 3))
-
-    def test_low_level_inv_matches_element_inverse(self):
-        F = build_extension(7, 3)
-        coeffs = (2, 5, 1)
-        assert F.element(F.inv(coeffs)) == F.element(coeffs).inverse()
+        for F in (build_extension(5, 2), build_extension(5, 3)):
+            for e in _elements(F):
+                assert _pow(F, e, F.q) == e
 
 
 class TestExtIsSquare:
+    """The square table over F_{p^k} and the points-at-infinity rule."""
+
     def test_square_count_f25(self):
-        F = build_extension(5, 2)
-        n = sum(1 for e in F.iter_elements() if ext_is_square(e))
-        assert n == 13  # (25 - 1)/2 nonzero squares plus zero
+        table = _ext_square_table(5, 2)
+        assert len(table) == 25
+        assert table.sum() == 13  # (25 - 1)/2 nonzero squares plus zero
 
     def test_square_count_f121(self):
-        F = build_extension(11, 2)
-        n = sum(1 for e in F.iter_elements() if ext_is_square(e))
-        assert n == 61
+        assert _ext_square_table(11, 2).sum() == 61
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_square_count_cubic(self, p):
+        q = p ** 3
+        table = _ext_square_table(p, 3)
+        assert len(table) == q
+        assert table.sum() == (q + 1) // 2
 
     def test_zero_counts_as_square(self):
-        F = build_extension(11, 2)
-        assert ext_is_square(F.zero())
+        assert _ext_square_table(11, 2)[0]
+        assert _ext_square_table(5, 3)[0]
 
     def test_agrees_with_explicit_squaring_f49(self):
         F = build_extension(7, 2)
-        squares = {(e * e).coeffs for e in F.iter_elements()}
-        for e in F.iter_elements():
-            assert ext_is_square(e) == (e.coeffs in squares)
+        squares = {_index(F, _mul(F, e, e)) for e in _elements(F)}
+        table = _ext_square_table(7, 2)
+        for i in range(F.q):
+            assert bool(table[i]) == (i in squares)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_points_at_infinity_rule(self, p):
+        """Two points at infinity over F_{p^j} exactly when alpha is in the
+        square table, decided without extension arithmetic."""
+        for j in (2, 3):
+            table = _ext_square_table(p, j)
+            for alpha in range(1, p):
+                model = HyperellipticModel.from_ints(p, alpha, (0, 1, 2, 3))
+                assert _points_at_infinity(model, j) == (2 if table[alpha] else 0)

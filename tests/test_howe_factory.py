@@ -2,15 +2,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ROW_P11, ROW_P37, ROW_P499, naive_count_fp
-from howe5.curve_models import count_points
-from howe5.errors import HypothesisViolated, NonSquareObstruction
-from howe5.hasse_serre import legendre_count_fp, serre_bound, zeta_lift
+from howe5 import howe_factory
+from howe5.curve_models import HyperellipticModel, count_points
+from howe5.errors import DecompositionMismatch, HypothesisViolated, NonSquareObstruction
+from howe5.field_arith import legendre_symbol
+from howe5.hasse_serre import legendre_count_fp, serre_bound
 from howe5.howe_factory import (
     DecompositionReport,
     HoweParams,
     decompose_genus5,
+    direct_counts,
     genus_of_howe,
     howe_counts,
     howe_models,
@@ -21,6 +25,7 @@ from howe5.howe_factory import (
     split_genus2,
     validate,
 )
+from howe5.search_engine import random_valid_params
 
 
 def _params(row):
@@ -102,10 +107,23 @@ class TestValidate:
     def test_info_square_diagnostics(self):
         res = validate(_params(ROW_P11))
         info = res.info
-        assert info["square_variants_disagree"] is True
-        for key in ("chi_a_ab", "chi_a_ac", "chi_product_a4_a5",
-                    "chi_product_a4_b5", "chi_product_a5_b5"):
+        for key in ("chi_a_ab", "chi_a_ac", "chi_product_a4_a5", "chi_product_a4_b5"):
             assert info[key] in (-1, 1)
+        assert info["chi_product_a4_a5"] == info["chi_a_ab"]
+        assert info["chi_product_a4_b5"] == info["chi_a_ac"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([23, 31, 101, 199]))
+    def test_quartets_carry_the_square_classes(self, data, p):
+        """chi((a1-a2)(a2-a4)(a4-a5)(a5-a1)) = chi(a(a - b)), and the same
+        with b5 for a5 and c for b: a(a - b) is the quartet times a square
+        for any eight distinct points, valid or not."""
+        roots = data.draw(st.lists(st.integers(0, p - 1), min_size=8, max_size=8,
+                                   unique=True))
+        alphas = data.draw(st.tuples(st.integers(1, p - 1), st.integers(1, p - 1)))
+        info = validate(HoweParams.from_ints(p, *alphas, roots[:6], roots[6:])).info
+        assert info["chi_product_a4_a5"] == info["chi_a_ab"]
+        assert info["chi_product_a4_b5"] == info["chi_a_ac"]
 
     def test_raise_if_invalid(self):
         good = validate(_params(ROW_P37))
@@ -186,15 +204,50 @@ class TestHoweCounts:
         assert hc.total == 12
 
     def test_p11_quadratic(self):
-        hc = howe_counts(_params(ROW_P11), 2)
+        params = _params(ROW_P11)
+        hc = howe_counts(params, 2)
         assert hc.total == 232  # 121 + 1 + 10*11, the genus-5 cap over F_121
         assert hc.e == (144, 144, 144, 144, 144)
+        # lifted counts against the direct oracle, factor by factor too
+        assert direct_counts(params, 2) == (hc.c1, hc.c2, hc.c3, hc.total)
+        _, curves = decompose_genus5(params)
+        assert tuple(count_points(E.model(), 2).count for E in curves) == hc.e
 
     def test_p499_hits_serre_bound(self):
         assert howe_counts(_params(ROW_P499), 1).total == serre_bound(499, 5)
 
     def test_p37_cubic_extension(self):
-        assert howe_counts(_params(ROW_P37), 3).total == serre_bound(37 ** 3, 5)
+        params = _params(ROW_P37)
+        hc = howe_counts(params, 3)
+        assert hc.total == serre_bound(37 ** 3, 5)
+        assert direct_counts(params, 3) == (hc.c1, hc.c2, hc.c3, hc.total)
+
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+    def test_cubic_lift_matches_oracle(self, p):
+        rng = random.Random(300 + p)
+        for _ in range(2):
+            params = random_valid_params(p, rng)
+            hc = howe_counts(params, 3)
+            assert direct_counts(params, 3) == (hc.c1, hc.c2, hc.c3, hc.total)
+
+    def test_lift_needs_base_field_counts(self):
+        with pytest.raises(ValueError):
+            howe_counts(_params(ROW_P11), 2).lift(3)
+
+    def test_quotient_mismatch_detected(self, monkeypatch):
+        """A quotient count that disagrees with its factors over F_p is
+        caught before anything is lifted."""
+        real = howe_factory.howe_models
+
+        def twisted_c3(params):
+            c1, c2, c3 = real(params)
+            nonsquare = next(v for v in range(2, params.mod.p)
+                             if legendre_symbol(v, params.mod) == -1)
+            return c1, c2, HyperellipticModel(c3.mod, c3.alpha * nonsquare, c3.roots)
+
+        monkeypatch.setattr(howe_factory, "howe_models", twisted_c3)
+        with pytest.raises(DecompositionMismatch):
+            howe_counts(_params(ROW_P499), 2)
 
     def test_total_consistency(self):
         hc = howe_counts(_params(ROW_P11), 1)
@@ -273,6 +326,18 @@ class TestReport:
         blob = DecompositionReport.build(params).to_json()
         back = params_from_json_dict(json.loads(blob))
         assert back == params
+
+    def test_build_validates_once(self, monkeypatch):
+        calls = []
+        real = howe_factory.validate
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(howe_factory, "validate", counted)
+        DecompositionReport.build(_params(ROW_P11), exts=(1, 2, 3))
+        assert len(calls) == 1
 
     def test_verdicts_serialized(self):
         d = DecompositionReport.build(_params(ROW_P499)).to_json_dict()

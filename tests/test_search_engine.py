@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from conftest import ROW_P499
+from conftest import ROW_P11, ROW_P37, ROW_P499
+from howe5 import howe_factory
 from howe5.field_arith import FieldElement, prime_modulus
-from howe5.howe_factory import HoweParams, serre_verdicts, validate
+from howe5.howe_factory import HoweParams, direct_counts, serre_verdicts, validate
 from howe5.search_engine import (
     CSV_HEADER,
+    _confirm,
     ENUMERATED_SLOTS,
     SearchConfig,
     Target,
@@ -98,6 +100,17 @@ class TestRunSearch:
             assert h.counts[2] == 232  # 121 + 1 + 10*11
             assert h.counts[1] == h.report().counts[1].total
 
+    def test_maximal_hit_counts_match_oracle(self):
+        """Hit counts are lifted from F_p; the brute-force oracle over F_{p^2}
+        must give the same numbers."""
+        cfg = SearchConfig(p_min=3, p_max=23, target="maximal-fp2",
+                           max_candidates=20_000, max_hits=2, seed=6)
+        hits, _ = run_search(cfg)
+        assert {h.params.mod.p for h in hits} >= {11, 23}
+        for h in hits:
+            assert h.counts[1] == direct_counts(h.params, 1)[3]
+            assert h.counts[2] == direct_counts(h.params, 2)[3]
+
     def test_no_maximal_curves_at_p13(self):
         cfg = SearchConfig(p_min=13, p_max=13, target="maximal-fp2",
                            max_candidates=10 ** 7, max_hits=10, seed=0)
@@ -152,6 +165,27 @@ class TestRunSearch:
         hits, _ = run_search(cfg)
         for h in hits:
             assert 1 in h.counts
+
+
+class TestConfirm:
+    @pytest.mark.parametrize("row,target,j", [
+        (ROW_P499, Target.SERRE_FP, 1),
+        (ROW_P11, Target.MAXIMAL_FP2, 2),
+        (ROW_P37, Target.SERRE_FP3, 3),
+    ])
+    def test_validates_once(self, monkeypatch, row, target, j):
+        calls = []
+        real = howe_factory.validate
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(howe_factory, "validate", counted)
+        p, a1, a2, a, b = row
+        counts = _confirm(HoweParams.from_ints(p, a1, a2, a, b), target)
+        assert counts is not None and j in counts
+        assert len(calls) == 1
 
 
 class TestIsomorphicEquality:
