@@ -23,6 +23,7 @@ from .field_arith import (
     build_extension,
     legendre_symbol,
     prime_modulus,
+    residue_tables,
 )
 
 COUNT_CAP = 10_000_000
@@ -95,16 +96,6 @@ class HyperellipticModel:
 
 
 @functools.lru_cache(maxsize=None)
-def _chi_table(p: int) -> np.ndarray:
-    """chi[v] in {-1, 0, 1} for v in [0, p)."""
-    t = np.full(p, -1, dtype=np.int64)
-    sq = (np.arange(p, dtype=np.int64) ** 2) % p
-    t[sq] = 1
-    t[0] = 0
-    return t
-
-
-@functools.lru_cache(maxsize=None)
 def _ext_square_table(p: int, k: int) -> np.ndarray:
     """Boolean table over F_{p^k}: index c_0 + c_1 p (+ c_2 p^2) is True for
     nonzero squares and for zero."""
@@ -156,8 +147,7 @@ def _affine_char_sum_fp(model: HyperellipticModel) -> int:
     acc = np.full(p, model.alpha.value, dtype=np.int64)
     for r in model.roots:
         acc = acc * ((xs - r.value) % p) % p
-    chi = _chi_table(p)
-    return int(chi[acc].sum())
+    return int(residue_tables(p).chi[acc].sum())
 
 
 def _affine_char_sum_ext(model: HyperellipticModel, j: int) -> int:

@@ -1,4 +1,6 @@
-"""Prime fields F_p, and the defining polynomials of F_{p^2} and F_{p^3}.
+"""Prime fields F_p with their per-prime residue tables (quadratic
+character, canonical square roots, inverses), and the defining polynomials
+of F_{p^2} and F_{p^3}.
 
 All arithmetic is exact integer arithmetic on canonical residues.  Moduli are
 capped at 2**20 so that every intermediate value used by the bulk counting
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import NamedTuple, Union
+
+import numpy as np
 
 from .errors import CapExceeded, NonResidue
 
@@ -49,10 +53,6 @@ class PrimeModulus:
 
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self.p):
-            yield FieldElement(v, self)
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
@@ -154,59 +154,62 @@ class FieldElement:
         return f"{self.value} (mod {self.mod.p})"
 
 
+class ResidueTables(NamedTuple):
+    """Read-only int64 arrays indexed by residue v in [0, p), and the least
+    quadratic non-residue.  chi[v] is the quadratic character, sqrt[v] the
+    canonical root in [1, (p-1)/2] (0 for zero and non-squares), inv[v] the
+    inverse (inv[0] = 0)."""
+
+    chi: np.ndarray
+    sqrt: np.ndarray
+    inv: np.ndarray
+    nonres: int
+
+
+@functools.lru_cache(maxsize=None)
+def residue_tables(p: int) -> ResidueTables:
+    """The residue tables of F_p, built once per prime."""
+    p = prime_modulus(p).p
+    roots = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    sqrt = np.zeros(p, dtype=np.int64)
+    # x and p - x are the only roots of x^2, and just one lies in [1, (p-1)/2]
+    sqrt[roots * roots % p] = roots
+    chi = np.where(sqrt > 0, 1, -1)
+    chi[0] = 0
+    # Fermat inverses v^(p-2); p < 2^20 keeps every product below 2^40
+    inv = np.ones(p, dtype=np.int64)
+    base, e = np.arange(p, dtype=np.int64), p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    inv[0] = 0
+    for table in (chi, sqrt, inv):
+        table.flags.writeable = False
+    return ResidueTables(chi, sqrt, inv, int(np.argmax(chi == -1)))
+
+
 def legendre_symbol(a: Union[FieldElement, int], mod: PrimeModulus | None = None) -> int:
     """Quadratic character of a modulo p, one of -1, 0, +1."""
     if isinstance(a, FieldElement):
-        v, p, m = a.value, a.mod.p, a.mod.m
+        v, p = a.value, a.mod.p
     else:
         if mod is None:
             raise ValueError("an int argument needs an explicit modulus")
-        v, p, m = a % mod.p, mod.p, mod.m
-    if v == 0:
-        return 0
-    t = pow(v, m, p)
-    return 1 if t == 1 else -1
+        v, p = a % mod.p, mod.p
+    return int(residue_tables(p).chi[v])
 
 
 def sqrt_mod_p(a: FieldElement) -> FieldElement:
     """Canonical square root of a, the representative in [1, (p-1)/2].
 
-    Raises NonResidue when a is not a nonzero square.  Tonelli-Shanks with
-    the usual shortcut for p = 3 mod 4; the non-residue used to seed the
-    general case is the smallest one, so results are reproducible.
+    Raises NonResidue when a is not a nonzero square.
     """
-    p = a.mod.p
-    v = a.value
-    if v == 0:
-        raise NonResidue("0 has no canonical root here")
-    if legendre_symbol(a) != 1:
-        raise NonResidue(f"{v} is not a square mod {p}")
-    if p % 4 == 3:
-        r = pow(v, (p + 1) // 4, p)
-        return FieldElement(min(r, p - r), a.mod)
-    # Tonelli-Shanks.  Write p - 1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre_symbol(z, a.mod) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(v, (q + 1) // 2, p)
-    t = pow(v, q, p)
-    mexp = s
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (mexp - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        mexp = i
-    return FieldElement(min(r, p - r), a.mod)
+    r = int(residue_tables(a.mod.p).sqrt[a.value])
+    if r == 0:
+        raise NonResidue(f"{a.value} is not a nonzero square mod {a.mod.p}")
+    return FieldElement(r, a.mod)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .errors import (
     Degenerate,
     DegenerateLambda,
     DivisionByZero,
-    NonResidue,
     NonSquareObstruction,
     HypothesisViolated,
 )
@@ -160,14 +159,12 @@ def _split_pair(
     s^2 = theta t (t - 1) (t - lam) (t - mu) ... in cross-ratio form.
 
     Returns (theta', lam_plus, lam_minus) where the plus branch uses the
-    canonical square root of lam (lam - mu).
+    canonical square root of lam (lam - mu); raises NonResidue when that is
+    not a nonzero square.
     """
     if lam.value == 1 or mu.value == 1:
         raise DivisionByZero("degenerate cross-ratio position")
-    disc = lam * (lam - mu)
-    if disc.value == 0 or legendre_symbol(disc) != 1:
-        raise NonResidue(f"lam(lam - mu) = {disc.value} is not a nonzero square")
-    s = sqrt_mod_p(disc)
+    s = sqrt_mod_p(lam * (lam - mu))
     tw = theta * (1 - mu) / (1 - lam)
     pref = (1 - lam) / (mu - 1)
     lam_plus = pref * (mu - 2 * lam + 2 * s)

@@ -1,11 +1,14 @@
 """End-to-end checks of the command line interface through main()."""
 
 import json
+from importlib import resources
 
 import pytest
 
 from howe5 import tables
 from howe5.cli import build_parser, main
+from howe5.curve_models import count_points
+from howe5.hasse_serre import LegendreCurve
 
 
 class TestBundledTables:
@@ -66,6 +69,13 @@ class TestVerifyTables:
 
     def test_missing_data_dir(self):
         assert main(["verify-tables", "1", "--data", "/nonexistent/dir"]) == 2
+
+    def test_data_needs_table_number(self, capsys):
+        """Rows read with --data are checked against one claimed target,
+        never against all three."""
+        rows = resources.files("howe5.data") / "table2.csv"
+        assert main(["verify-tables", "--data", str(rows)]) == 2
+        assert "table number" in capsys.readouterr().err
 
 
 class TestDecompose:
@@ -150,6 +160,17 @@ class TestCount:
                    "--roots", "0,1,2,3,4,5", "--ext", "2"])
         assert rc == 1
         assert "cap" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("p, theta, lam", [(11, 8, 6), (11, 3, 10), (13, 2, 5), (13, 1, 12)])
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_genus1_extension_is_lifted(self, capsys, p, theta, lam, j):
+        """Below the cap the lifted genus-1 count equals the direct count."""
+        assert main(["count", "--p", str(p), "--theta", str(theta), "--lambda", str(lam),
+                     "--ext", str(j)]) == 0
+        out = capsys.readouterr().out
+        direct = count_points(LegendreCurve.from_ints(p, theta, lam).model(), j).count
+        assert out.startswith(f"#C(F_{p}^{j}) = {direct}  (genus 1, ")
+        assert "recovered from the F_p trace" in out
 
     def test_genus1_over_cap_lifts(self, capsys):
         # 3307^2 is over the cap, but a genus-1 count lifts from F_p

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from howe5.curve_models import (
     HyperellipticModel,
@@ -18,6 +19,7 @@ from howe5.field_arith import (
     is_prime,
     legendre_symbol,
     prime_modulus,
+    residue_tables,
     sqrt_mod_p,
 )
 
@@ -158,6 +160,37 @@ class TestSqrtModP:
             s = _root(a, p)
             assert s * s % p == a
             assert 1 <= s <= (p - 1) // 2
+
+
+_PRIMES = [p for p in range(3, 4000) if is_prime(p)]
+
+
+class TestResidueTables:
+    # p = 1 mod 8 is the case where a square root needs the most work; it is
+    # drawn on its own so every run covers it
+    @settings(deadline=None)
+    @given(p=st.sampled_from(_PRIMES) | st.sampled_from([p for p in _PRIMES if p % 8 == 1]))
+    @example(p=3)
+    def test_against_reference_definitions(self, p):
+        t = residue_tables(p)
+        m = (p - 1) // 2
+        assert t.chi[0] == 0 and t.sqrt[0] == 0 and t.inv[0] == 0
+        for v in range(1, p):
+            euler = pow(v, m, p)
+            assert t.chi[v] == (1 if euler == 1 else -1)
+            r = int(t.sqrt[v])
+            if euler == 1:
+                assert r * r % p == v and 1 <= r <= m
+            else:
+                assert r == 0
+            assert v * int(t.inv[v]) % p == 1
+        assert t.nonres == next(v for v in range(2, p) if pow(v, m, p) != 1)
+
+    def test_shared_tables_are_read_only(self):
+        t = residue_tables(11)
+        assert residue_tables(11) is t
+        with pytest.raises(ValueError):
+            t.chi[2] = 1
 
 
 # Elements of F_{p^k} are coefficient tuples (c_0, .., c_{k-1}); the only
