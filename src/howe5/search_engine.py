@@ -11,17 +11,21 @@ class pair.  Every hit is confirmed by exact point counts before it is
 emitted.
 
 Work is partitioned into one chunk per a1-value; the chunk list and the
-order inside each chunk never depend on the worker count, so for a fixed
-seed the hit stream is reproducible with any HOWE_THREADS setting.  A time
-budget, when set, cuts off at chunk boundaries and is best effort only;
-reproducibility is guaranteed only for runs limited by the deterministic
-caps.
+order inside each chunk never depend on the worker count.  One driver,
+enumerate_hits, consumes chunk results in chunk order whether the chunks run
+in this process or in the one process pool a search opens (HOWE_THREADS > 1).
+Once a prime's max_hits quota is full no later chunk of that prime is
+scanned, so for a fixed seed the hit stream and the statistics are the same
+with any HOWE_THREADS setting.  A time budget, when set, is checked after
+each chunk on both paths and is best effort only; reproducibility is
+guaranteed only for runs limited by the deterministic caps.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import multiprocessing
 import os
 import random
 import time
@@ -29,6 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterator, Optional, Union
+
+import numpy as np
 
 from . import hasse_serre, howe_factory
 from .field_arith import FieldElement, is_prime, residue_tables
@@ -80,6 +86,10 @@ class SearchConfig:
         for slot, _ in self.fixed:
             if slot not in ENUMERATED_SLOTS:
                 raise ValueError(f"cannot pin slot {slot!r}")
+        for cap, least in (("max_candidates", 1), ("max_hits", 1), ("time_budget", 0)):
+            value = getattr(self, cap)
+            if value is not None and value < least:
+                raise ValueError(f"{cap} must be at least {least}, got {value}")
 
     def fixed_value(self, slot: str) -> Optional[int]:
         for name, v in self.fixed:
@@ -150,33 +160,20 @@ def _tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], 
 @functools.lru_cache(maxsize=None)
 def _class_masks(p: int, target: Target) -> tuple[int, ...]:
     """mask[v]: bit 1 set when lambda=v is admissible with chi(theta)=+1,
-    bit 2 with chi(theta)=-1.  Entries 0 and 1 are always 0."""
-    table = hasse_poly_table(p)
-    sgn = 1 if (p - 1) // 2 % 2 == 0 else p - 1
-    mask = [0] * p
+    bit 2 with chi(theta)=-1.  Entries 0 and 1 are always 0.  The trace is
+    t = (-1)^((p-1)/2) H_p(v) or -t mod p; good holds its admissible residues."""
     if target is Target.MAXIMAL_FP2:
-        for v in range(2, p):
-            if table[v] == 0:
-                mask[v] = 3
-        return tuple(mask)
-    if target is Target.SERRE_FP:
-        want = (-floor_two_sqrt(p)) % p
-        for v in range(2, p):
-            t = sgn * int(table[v]) % p
-            if t == want:
-                mask[v] |= 1
-            if (p - t) % p == want:
-                mask[v] |= 2
-        return tuple(mask)
-    k3 = floor_two_sqrt(p ** 3)
-    good = {h for h in range(p) if h * h * h - 3 * p * h == -k3}
-    for v in range(2, p):
-        t = sgn * int(table[v]) % p
-        if t in good:
-            mask[v] |= 1
-        if (p - t) % p in good:
-            mask[v] |= 2
-    return tuple(mask)
+        good = [0]
+    elif target is Target.SERRE_FP:
+        good = [-floor_two_sqrt(p) % p]
+    else:
+        k3 = floor_two_sqrt(p ** 3)
+        good = [h for h in range(p) if h * h * h - 3 * p * h == -k3]
+    sgn = 1 if (p - 1) // 2 % 2 == 0 else p - 1
+    t = sgn * hasse_poly_table(p) % p
+    mask = np.isin(t, good) + 2 * np.isin(-t % p, good)
+    mask[:2] = 0
+    return tuple(mask.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +252,23 @@ def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
 # enumeration
 
 
-def _slot_order(p: int, cfg: SearchConfig, slot: str) -> list[int]:
-    pinned = cfg.fixed_value(slot)
-    if pinned is not None:
-        return [pinned % p]
-    order = list(range(p))
-    if cfg.seed is not None:
-        random.Random(f"{cfg.seed}:{p}:{slot}").shuffle(order)
-    return order
+@functools.lru_cache(maxsize=1)
+def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
+    """The order each slot of ENUMERATED_SLOTS visits its values in at p: a
+    pinned slot visits one value, the others every residue, shuffled by the
+    seed.  Cached for the current prime only, so each process derives them
+    once per prime, not once per chunk."""
+    orders = []
+    for slot in ENUMERATED_SLOTS:
+        pinned = cfg.fixed_value(slot)
+        if pinned is not None:
+            orders.append((pinned % p,))
+            continue
+        order = list(range(p))
+        if cfg.seed is not None:
+            random.Random(f"{cfg.seed}:{p}:{slot}").shuffle(order)
+        orders.append(tuple(order))
+    return tuple(orders)
 
 
 def _scan_chunk(args) -> tuple[int, list, tuple]:
@@ -275,12 +281,7 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
     inv, sqrt_tab, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
-
-    ord_a2 = _slot_order(p, cfg, "a2")
-    ord_a3 = _slot_order(p, cfg, "a3")
-    ord_a4 = _slot_order(p, cfg, "a4")
-    ord_a5 = _slot_order(p, cfg, "a5")
-    ord_b5 = _slot_order(p, cfg, "b5")
+    _, ord_a2, ord_a3, ord_a4, ord_a5, ord_b5 = _visit_orders(p, cfg)
 
     prefixes = probes = tuples = confirm_failures = 0
     truncated = False
@@ -420,69 +421,62 @@ def _worker_count() -> int:
     return max(1, n)
 
 
-def run_search(config: SearchConfig) -> tuple[list[SearchHit], SearchStats]:
-    """Run the whole search eagerly; hits come back in enumeration order."""
+def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) -> Iterator[SearchHit]:
+    """Confirmed hits in enumeration order, yielded as each chunk's results
+    arrive; stats, when given, is kept up to date as the search runs."""
+    stats = SearchStats() if stats is None else stats
     t0 = time.monotonic()
-    stats = SearchStats()
-    all_hits: list[SearchHit] = []
     workers = _worker_count()
-
-    for p in primes_in(config.p_min, config.p_max):
-        if config.time_budget is not None and time.monotonic() - t0 > config.time_budget:
-            stats.truncated = True
-            break
-        stats.primes += 1
-        chunk_values = _slot_order(p, config, "a1")
-        quota = None
-        if config.max_candidates is not None:
-            quota = -(-config.max_candidates // len(chunk_values))
-        args = [
-            (p, config, pos, a1, quota) for pos, a1 in enumerate(chunk_values)
-        ]
-        if workers == 1:
-            results = []
-            for arg in args:
-                if (
-                    config.time_budget is not None
-                    and time.monotonic() - t0 > config.time_budget
-                ):
-                    stats.truncated = True
-                    break
-                results.append(_scan_chunk(arg))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_scan_chunk, args, chunksize=1))
-        results.sort(key=lambda r: r[0])
-        prime_hits: list[SearchHit] = []
-        for chunk_pos, chunk_hits, chunk_stats in results:
-            prefixes, probes, tuples, confirm_failures, truncated = chunk_stats
-            stats.prefixes += prefixes
-            stats.probes += probes
-            stats.tuples += tuples
-            stats.confirm_failures += confirm_failures
-            stats.truncated = stats.truncated or truncated
-            for seq, row, counts in chunk_hits:
-                prime_hits.append(
-                    SearchHit(
+    pool = None
+    scan = map
+    if workers > 1:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+        scan = functools.partial(pool.map, chunksize=1)
+    try:
+        for p in primes_in(config.p_min, config.p_max):
+            stats.primes += 1
+            chunk_values = _visit_orders(p, config)[0]
+            quota = None
+            if config.max_candidates is not None:
+                quota = -(-config.max_candidates // len(chunk_values))
+            left = config.max_hits
+            chunks = scan(_scan_chunk, [(p, config, pos, a1, quota) for pos, a1 in enumerate(chunk_values)])
+            for chunk_pos, chunk_hits, chunk_stats in chunks:
+                prefixes, probes, tuples, confirm_failures, truncated = chunk_stats
+                stats.prefixes += prefixes
+                stats.probes += probes
+                stats.tuples += tuples
+                stats.confirm_failures += confirm_failures
+                stats.truncated = stats.truncated or truncated
+                kept = chunk_hits[:left]
+                for seq, row, counts in kept:
+                    stats.hits += 1
+                    yield SearchHit(
                         params=HoweParams.from_row(row),
                         target=config.target,
                         counts=counts,
                         index=(p, chunk_pos, seq),
                     )
-                )
-        if config.max_hits is not None and len(prime_hits) > config.max_hits:
-            prime_hits = prime_hits[: config.max_hits]
-            stats.truncated = True
-        all_hits.extend(prime_hits)
-    stats.hits = len(all_hits)
-    stats.elapsed = time.monotonic() - t0
-    return all_hits, stats
+                if left is not None:
+                    left -= len(kept)
+                    if left == 0:
+                        stats.truncated = True
+                        break
+                if config.time_budget is not None and time.monotonic() - t0 > config.time_budget:
+                    stats.truncated = True
+                    return
+            if pool is not None:
+                chunks.close()  # cancels this prime's chunks that have not started
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        stats.elapsed = time.monotonic() - t0
 
 
-def enumerate_hits(config: SearchConfig) -> Iterator[SearchHit]:
-    """Stream of confirmed hits in enumeration order."""
-    hits, _ = run_search(config)
-    yield from hits
+def run_search(config: SearchConfig) -> tuple[list[SearchHit], SearchStats]:
+    """Run the whole search eagerly; hits come back in enumeration order."""
+    stats = SearchStats()
+    return list(enumerate_hits(config, stats)), stats
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,14 @@ class TestSearchCommand:
                    "--p-max", "31"])
         assert rc == 2
 
+    @pytest.mark.parametrize("cap", [["--max-hits", "-1"], ["--max-hits", "0"],
+                                     ["--max-candidates", "-5"], ["--time-budget", "-1"]])
+    def test_non_positive_cap_is_usage_error(self, capsys, cap):
+        rc = main(["search", "--target", "maximal-fp2", "--p-min", "11",
+                   "--p-max", "11", *cap])
+        assert rc == 2
+        assert "bad search configuration" in capsys.readouterr().err
+
     def test_run_and_write(self, tmp_path, capsys):
         csv_path = tmp_path / "hits.csv"
         jsonl_path = tmp_path / "hits.jsonl"

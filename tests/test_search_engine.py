@@ -4,14 +4,17 @@ import random
 import pytest
 
 from conftest import ROW_P11, ROW_P37, ROW_P499
-from howe5 import howe_factory
-from howe5.field_arith import FieldElement, prime_modulus
+from howe5 import howe_factory, search_engine
+from howe5.field_arith import FieldElement, prime_modulus, residue_tables
+from howe5.hasse_serre import LegendreCurve, attains_serre_fp, attains_serre_fp3, maximal_fp2
 from howe5.howe_factory import HoweParams, direct_counts, serre_verdicts, validate
 from howe5.search_engine import (
     CSV_HEADER,
+    _class_masks,
     _confirm,
     ENUMERATED_SLOTS,
     SearchConfig,
+    SearchStats,
     Target,
     TARGET_MIN_PRIME,
     enumerate_hits,
@@ -58,6 +61,19 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(p_min=17, p_max=31, target="serre-fp", fixed=(("a6", 2),))
         assert ENUMERATED_SLOTS == ("a1", "a2", "a3", "a4", "a5", "b5")
+
+    @pytest.mark.parametrize("cap", [
+        {"max_candidates": 0}, {"max_candidates": -5},
+        {"max_hits": 0}, {"max_hits": -1},
+        {"time_budget": -0.5},
+    ])
+    def test_caps_must_be_positive(self, cap):
+        with pytest.raises(ValueError):
+            SearchConfig(p_min=11, p_max=11, target="maximal-fp2", **cap)
+
+    def test_smallest_caps_accepted(self):
+        SearchConfig(p_min=11, p_max=11, target="maximal-fp2",
+                     max_candidates=1, max_hits=1, time_budget=0)
 
 
 def test_primes_in():
@@ -165,6 +181,89 @@ class TestRunSearch:
         hits, _ = run_search(cfg)
         for h in hits:
             assert 1 in h.counts
+
+
+_PREDICATE = {
+    Target.SERRE_FP: attains_serre_fp,
+    Target.MAXIMAL_FP2: maximal_fp2,
+    Target.SERRE_FP3: attains_serre_fp3,
+}
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_class_masks_match_predicates(target):
+    """Bit 1 of mask[v] is the target predicate on the factor with theta = 1,
+    bit 2 with theta the least non-residue."""
+    seen = 0
+    for p in primes_in(TARGET_MIN_PRIME[target], 110) + [181, 193]:
+        mask = _class_masks(p, target)
+        assert mask[0] == mask[1] == 0
+        for bit, theta in ((1, 1), (2, residue_tables(p).nonres)):
+            for v in range(2, p):
+                admissible = _PREDICATE[target](LegendreCurve.from_ints(p, theta, v))
+                assert bool(mask[v] & bit) == admissible, (p, theta, v)
+                seen |= bit if admissible else 0
+    assert seen == 3  # both twist classes occur, so the check is not vacuous
+
+
+class TestDriver:
+    def test_enumerate_streams(self):
+        cfg = SearchConfig(p_min=11, p_max=43, target="maximal-fp2",
+                           max_candidates=20_000, max_hits=2, seed=6)
+        stats = SearchStats()
+        first = next(enumerate_hits(cfg, stats))
+        assert first.index[0] == 11
+        assert stats.primes == 1
+        assert stats.hits == 1
+
+    def test_hit_quota_is_a_prefix(self):
+        # with three slots pinned a chunk holds few hits, so the quota often
+        # fills part way through a chunk
+        base = dict(p_min=3, p_max=23, target="maximal-fp2", max_candidates=10 ** 6,
+                    seed=0, fixed=(("a2", 1), ("a3", 0), ("a4", 5)))
+        full, full_stats = run_search(SearchConfig(max_hits=4, **base))
+        for k in (1, 2, 3):
+            hits, stats = run_search(SearchConfig(max_hits=k, **base))
+            for p in primes_in(3, 23):
+                rows = [h.row() for h in hits if h.index[0] == p]
+                assert rows == [h.row() for h in full if h.index[0] == p][:k]
+            assert stats.probes <= full_stats.probes
+
+    def test_full_quota_scans_no_later_chunk(self, monkeypatch):
+        scanned = []
+        real = search_engine._scan_chunk
+
+        def counted(args):
+            scanned.append(args[2])
+            return real(args)
+
+        monkeypatch.setattr(search_engine, "_scan_chunk", counted)
+        cfg = SearchConfig(p_min=11, p_max=11, target="maximal-fp2",
+                           max_candidates=20_000, max_hits=1, seed=6)
+        hits, stats = run_search(cfg)
+        assert len(hits) == 1 and stats.truncated
+        assert scanned == list(range(hits[0].index[1] + 1))
+        assert len(scanned) < 11
+
+    @pytest.mark.parametrize("caps", [{"max_hits": 2}, {"time_budget": 0}])
+    def test_parallel_path_matches_serial(self, monkeypatch, caps):
+        cfg = SearchConfig(p_min=11, p_max=13, target="maximal-fp2",
+                           max_candidates=20_000, seed=6, **caps)
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HOWE_THREADS", threads)
+            hits, stats = run_search(cfg)
+            stats.elapsed = 0.0
+            runs[threads] = ([(h.index, h.row()) for h in hits], stats)
+        assert runs["1"] == runs["2"]
+        hits, stats = runs["1"]
+        assert stats.truncated
+        if "max_hits" in caps:
+            assert [i[:2] for i, _ in hits] == [(11, 0), (11, 0)]
+        else:
+            # the budget is spent at once: the first chunk finishes, no other starts
+            assert stats.primes == 1
+            assert all(i[:2] == (11, 0) for i, _ in hits)
 
 
 class TestConfirm:
