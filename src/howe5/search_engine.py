@@ -11,19 +11,34 @@ class pair.  Every hit is confirmed by exact point counts before it is
 emitted.
 
 Work is partitioned into one chunk per a1-value; the chunk list and the
-order inside each chunk never depend on the worker count.  One driver,
-enumerate_hits, consumes chunk results in chunk order whether the chunks run
-in this process or in the one process pool a search opens (HOWE_THREADS > 1).
-Once a prime's max_hits quota is full no later chunk of that prime is
-scanned, so for a fixed seed the hit stream and the statistics are the same
-with any HOWE_THREADS setting.  A time budget, when set, is checked after
-each chunk on both paths and is best effort only; reproducibility is
-guaranteed only for runs limited by the deterministic caps.
+order inside each chunk never depend on the worker count.  Inside a chunk
+the prefix rows (a2, a3, a4) run in blocks of a few thousand (row, residue)
+elements: one numpy pass over a block computes, for every row and every
+candidate fifth root, the cross-ratio, the square root it needs and the
+class masks of the two Legendre parameters it fixes.  The a5 and the b5
+filter are both reads of that array, since b5 enters the conditions through
+the same map as a5; only the candidates that pass go through the scalar
+remainder (a6, b6, lambda5, twist classes, confirmation).  Probes are
+counted by index, so a chunk's quota cuts its scan at the same probe as a
+scan one probe at a time would.
+
+One driver, enumerate_hits, consumes chunk results in chunk order whether
+the chunks run in this process or in the one process pool a search opens
+(HOWE_THREADS > 1), with at most one chunk per worker in flight.  Once a
+prime's max_hits quota is full no later chunk of that prime is scanned, so
+for a fixed seed the hit stream and the statistics are the same with any
+HOWE_THREADS setting.  A time budget, when set, is checked after each
+block of prefixes inside a chunk and after each chunk, on both paths, and
+is best effort only; reproducibility is guaranteed only for runs limited by
+the deterministic caps.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
+import itertools
 import json
 import multiprocessing
 import os
@@ -32,7 +47,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -151,8 +166,9 @@ def primes_in(lo: int, hi: int) -> list[int]:
 @functools.lru_cache(maxsize=None)
 def _tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
     """(inv, sqrt, chi, nonres) of residue_tables(p), with the arrays as
-    tuples: the scan kernel indexes a tuple about six times faster than a
-    numpy array."""
+    tuples.  The scan kernel's numpy pass reads residue_tables directly; the
+    tuples serve only its scalar remainder, which indexes a tuple about six
+    times faster than a numpy array."""
     t = residue_tables(p)
     return tuple(t.inv.tolist()), tuple(t.sqrt.tolist()), tuple(t.chi.tolist()), t.nonres
 
@@ -271,26 +287,110 @@ def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
+# Most elements in one block of the scan kernel (prefix rows times a5
+# values), which keeps each int64 temporary of a block at 32 KiB.
+_BLOCK_ELEMENTS = 4096
+
+
+class _ScanArrays(NamedTuple):
+    """The block kernel's per-prime arrays: the visit orders of a2 to b5
+    (_visit_orders); a5_pos, the position of each residue in the a5 order
+    (its length where absent); a5_in, 1 where a residue is in the a5 order;
+    b5_cols, the positions of the b5 order in the a5 order, or None when a5
+    is pinned; and the class masks as int8."""
+
+    a2: np.ndarray
+    a3: np.ndarray
+    a4: np.ndarray
+    a5: np.ndarray
+    a5_list: list
+    a5_pos: np.ndarray
+    a5_in: np.ndarray
+    b5: np.ndarray
+    b5_cols: Optional[np.ndarray]
+    mask: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_arrays(p: int, cfg: SearchConfig) -> _ScanArrays:
+    """Cached for the current prime only, like the orders."""
+    _, a2, a3, a4, a5, b5 = (np.array(o, dtype=np.int64) for o in _visit_orders(p, cfg))
+    a5_pos = np.full(p, len(a5), dtype=np.int64)
+    a5_pos[a5] = np.arange(len(a5))
+    return _ScanArrays(
+        a2, a3, a4, a5, a5.tolist(), a5_pos,
+        a5_in=(a5_pos < len(a5)).astype(np.int64),
+        b5=b5,
+        b5_cols=a5_pos[b5] if len(a5) == p else None,
+        mask=np.array(_class_masks(p, cfg.target), dtype=np.int8),
+    )
+
+
+def _pair_masks(
+    p: int, a1: int, a2: np.ndarray, a3: np.ndarray, a4: np.ndarray, x: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cross-ratio a of each prefix row (a1, a2[i], a3[i], a4[i]), and
+    m[i, j] = mask[lam1] & mask[lam2] for the fifth root x[j]: b is the
+    cross-ratio (a1-a3)(a2-x) / ((a2-a3)(a1-x)), s = sqrt(a(a-b)) and
+    lam1, lam2 = (1-a)/(b-1) * (b - 2a +- 2s).  m is 0 where s does not exist
+    and where x is in {a1, a2, a3, a4}.  The a5 filter is m at x = a5, and,
+    b5 being the same map of x, the b5 filter is m at x = b5.  With p below
+    PRIME_CAP = 2^20 no product reaches 2^62."""
+    inv, sqrt = residue_tables(p).inv, residue_tables(p).sqrt
+    k = (a1 - a3) * inv[(a2 - a3) % p] % p
+    # b = k (a2 - x) / (a1 - x) = k ((a2 - a1) / (a1 - x) + 1); a is b at x = a4
+    a = k * (a2 - a4) % p * inv[(a1 - a4) % p] % p
+    b = ((k * (a2 - a1) % p)[:, None] * inv[(a1 - x) % p] + k[:, None]) % p
+    a_col = a[:, None]
+    s2 = 2 * sqrt[a_col * (a_col - b) % p]
+    # inv[-1] is inv[p - 1], the inverse of b - 1 at b = 0
+    pref = (1 - a_col) % p * inv[b - 1]
+    t = b - 2 * a_col
+    m = (mask[pref * (t + s2) % p] & mask[pref * (t - s2) % p]) * (s2 > 0)
+    # x = a2, a3, a4 give b = 0, 1, a: then 2s = +-2a makes a lambda 0, b - 1
+    # = 0 makes both 0, and s = 0, so m is 0 there (mask[0] = 0).  x = a1 is
+    # the pole of the map.
+    m[:, x == a1] = 0
+    return a, m
+
+
 def _scan_chunk(args) -> tuple[int, list, tuple]:
     """Scan every candidate with the given a1; returns picklable hit rows.
+
+    The prefix rows (a2, a3, a4) run in blocks.  One numpy pass per block
+    (_pair_masks) gives every row's a5 filter and, where its columns cover
+    every residue, the b5 filter too; otherwise a row that passes gets one
+    more pass for b5.  The (row, a5) pairs that pass go in visit order
+    through the scalar tail: a6, b5 over the admissible values, b6, lambda5
+    and the twist classes.  The probes are the (row, a5) pairs with a5 not
+    in {a1, a2, a3, a4}, counted by index, so the quota cut and the max_hits
+    stop report the same prefixes and probes as a scan one probe at a time.
+    When deadline, a time.monotonic() value, has passed after a block, the
+    chunk stops there, truncated; the first block always completes.
 
     Runs inside worker processes; all state is rebuilt from (p, cfg) through
     the per-process caches.
     """
-    p, cfg, chunk_pos, a1, quota = args
-    inv, sqrt_tab, chi, nonres = _tables(p)
+    p, cfg, chunk_pos, a1, quota, deadline = args
+    inv, _, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
-    _, ord_a2, ord_a3, ord_a4, ord_a5, ord_b5 = _visit_orders(p, cfg)
+    arrays = _scan_arrays(p, cfg)
+    ord_a5, a5_pos, a5_in, ord_b5 = arrays.a5, arrays.a5_pos, arrays.a5_in, arrays.b5
+    # cells index the product of the a2, a3 and a4 orders without a1; a row
+    # is a cell with a3 != a2 and a4 not in {a2, a3}
+    ord_a2, ord_a3, ord_a4 = (o[o != a1] for o in (arrays.a2, arrays.a3, arrays.a4))
+    n3, n4, n5 = len(ord_a3), len(ord_a4), len(ord_a5)
+    cells = len(ord_a2) * n3 * n4
+    block = max(1, _BLOCK_ELEMENTS // n5)
 
     prefixes = probes = tuples = confirm_failures = 0
-    truncated = False
     hits: list[tuple[int, tuple, dict]] = []
     max_hits = cfg.max_hits
 
     def emit(alpha1: int, alpha2: int, roots6, b5: int, b6: int) -> bool:
         """Confirm and record; returns True when the chunk should stop."""
-        nonlocal tuples, confirm_failures
+        nonlocal confirm_failures
         params = HoweParams.from_ints(p, alpha1, alpha2, roots6, (b5, b6))
         counts = _confirm(params, cfg.target)
         if counts is None:
@@ -299,117 +399,127 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
         hits.append((len(hits), params.row(), counts))
         return max_hits is not None and len(hits) >= max_hits
 
-    for a2 in ord_a2:
-        if a2 == a1:
+    def stats(truncated: bool = False) -> tuple:
+        return prefixes, probes, tuples, confirm_failures, truncated
+
+    cell = 0
+    while cell < cells:
+        idx = np.arange(cell, min(cell + block, cells))
+        cell += len(idx)
+        i2, rest = np.divmod(idx, n3 * n4)
+        i3, i4 = np.divmod(rest, n4)
+        a2, a3, a4 = ord_a2[i2], ord_a3[i3], ord_a4[i4]
+        keep = (a3 != a2) & (a4 != a2) & (a4 != a3)
+        if not keep.any():
             continue
-        for a3 in ord_a3:
-            if a3 in (a1, a2):
+        a2, a3, a4 = a2[keep], a3[keep], a4[keep]
+        row_probes = n5 - a5_in[a1] - a5_in[a2] - a5_in[a3] - a5_in[a4]
+        ends = probes + np.cumsum(row_probes)
+        cut = quota is not None and int(ends[-1]) > quota
+        if cut:
+            # the rows through the one that holds probe quota + 1
+            rows = int(np.searchsorted(ends, quota, side="right")) + 1
+            a2, a3, a4 = a2[:rows], a3[:rows], a4[:rows]
+        # Probe quota + 1 - probes lies in the first quota + 5 - probes a5
+        # columns, since a row excludes at most four; a block of more than
+        # one row needs every column.
+        cols = ord_a5 if quota is None else ord_a5[: quota + 5 - probes]
+        a, m = _pair_masks(p, a1, a2, a3, a4, cols, arrays.mask)
+        surv_rows, surv_cols = np.nonzero(m)
+        a2s, a3s, a4s, as_ = a2.tolist(), a3.tolist(), a4.tolist(), a.tolist()
+        b5_cands: dict[int, list] = {}  # row -> admissible (b5, mask bits)
+        for r, j in zip(surv_rows.tolist(), surv_cols.tolist()):
+            a2r, a3r, a4r = a2s[r], a3s[r], a4s[r]
+            probe = int(ends[r] - row_probes[r]) + j + 1
+            probe -= sum(int(a5_pos[v]) < j for v in (a1, a2r, a3r, a4r))
+            if cut and probe > quota:
+                break
+            a5 = arrays.a5_list[j]
+            m12 = int(m[r, j])
+            a6 = _solve_missing_root(a1, a2r, a3r, a4r, a5, p, inv)
+            if a6 is None:
                 continue
-            d_a23 = (a2 - a3) % p
-            for a4 in ord_a4:
-                if a4 in (a1, a2, a3):
+            base6 = (a1, a2r, a3r, a4r, a5, a6)
+            if r not in b5_cands:
+                if len(cols) == p:
+                    row = m[r, arrays.b5_cols]
+                else:
+                    one = slice(r, r + 1)
+                    row = _pair_masks(p, a1, a2[one], a3[one], a4[one], ord_b5, arrays.mask)[1][0]
+                nz = np.flatnonzero(row)
+                b5_cands[r] = list(zip(ord_b5[nz].tolist(), row[nz].tolist()))
+            if not maximal:
+                d_a23 = (a2r - a3r) % p
+                inv_one_minus_a = inv[(1 - as_[r]) % p]
+                b = (a1 - a3r) * (a2r - a5) % p * inv[d_a23 * (a1 - a5) % p] % p
+                g1 = (
+                    d_a23
+                    * ((a1 - a4r) % p)
+                    % p
+                    * ((a1 - a5) % p)
+                    % p
+                    * ((a1 - a6) % p)
+                    % p
+                )
+                chi_u1 = chi[g1 * ((1 - b) % p) % p * inv_one_minus_a % p]
+            for b5, m34 in b5_cands[r]:
+                if b5 == a5 or b5 == a6:
                     continue
-                den_a = d_a23 * (a1 - a4) % p
-                a = (a1 - a3) * (a2 - a4) % p * inv[den_a] % p
-                one_minus_a = (1 - a) % p
-                inv_one_minus_a = inv[one_minus_a]
-                prefixes += 1
-                for a5 in ord_a5:
-                    if a5 in (a1, a2, a3, a4):
-                        continue
-                    probes += 1
-                    if quota is not None and probes > quota:
-                        truncated = True
-                        stats = (prefixes, probes, tuples, confirm_failures, truncated)
-                        return chunk_pos, hits, stats
-                    b = (a1 - a3) * (a2 - a5) % p * inv[d_a23 * (a1 - a5) % p] % p
-                    s = sqrt_tab[a * (a - b) % p]
-                    if s == 0:
-                        continue
-                    pref1 = one_minus_a * inv[(b - 1) % p] % p
-                    lam1 = pref1 * (b - 2 * a + 2 * s) % p
-                    lam2 = pref1 * (b - 2 * a - 2 * s) % p
-                    m12 = mask[lam1] & mask[lam2]
-                    if m12 == 0:
-                        continue
-                    a6 = _solve_missing_root(a1, a2, a3, a4, a5, p, inv)
-                    if a6 is None:
-                        continue
-                    base6 = (a1, a2, a3, a4, a5, a6)
-                    g1 = (
+                b6 = _solve_missing_root(a1, a2r, a3r, a4r, b5, p, inv)
+                if b6 is None or b6 in (a5, a6):
+                    continue
+                tuples += 1
+                lam5 = (
+                    (a5 - b5)
+                    * (a6 - b6)
+                    % p
+                    * inv[(a5 - b6) * (a6 - b5) % p]
+                    % p
+                )
+                stop = False
+                if maximal:
+                    stop = mask[lam5] != 0 and emit(1, 1, base6, b5, b6)
+                else:
+                    c = (a1 - a3r) * (a2r - b5) % p * inv[d_a23 * (a1 - b5) % p] % p
+                    g2 = (
                         d_a23
-                        * ((a1 - a4) % p)
+                        * ((a1 - a4r) % p)
                         % p
-                        * ((a1 - a5) % p)
+                        * ((a1 - b5) % p)
                         % p
-                        * ((a1 - a6) % p)
+                        * ((a1 - b6) % p)
                         % p
                     )
-                    chi_u1 = chi[g1 * ((1 - b) % p) % p * inv_one_minus_a % p]
-                    for b5 in ord_b5:
-                        if b5 in base6:
+                    chi_u2 = chi[g2 * ((1 - c) % p) % p * inv_one_minus_a % p]
+                    chi_w5 = chi[(a5 - b6) * (a6 - b5) % p]
+                    for e1 in (1, -1):
+                        if not m12 & (1 if e1 == 1 else 2):
                             continue
-                        c = (a1 - a3) * (a2 - b5) % p * inv[d_a23 * (a1 - b5) % p] % p
-                        s2 = sqrt_tab[a * (a - c) % p]
-                        if s2 == 0:
-                            continue
-                        pref2 = one_minus_a * inv[(c - 1) % p] % p
-                        lam3 = pref2 * (c - 2 * a + 2 * s2) % p
-                        lam4 = pref2 * (c - 2 * a - 2 * s2) % p
-                        m34 = mask[lam3] & mask[lam4]
-                        if m34 == 0:
-                            continue
-                        b6 = _solve_missing_root(a1, a2, a3, a4, b5, p, inv)
-                        if b6 is None or b6 in (a5, a6):
-                            continue
-                        tuples += 1
-                        lam5 = (
-                            (a5 - b5)
-                            * (a6 - b6)
-                            % p
-                            * inv[(a5 - b6) * (a6 - b5) % p]
-                            % p
-                        )
-                        if maximal:
-                            if mask[lam5] == 0:
+                        for e2 in (1, -1):
+                            if not m34 & (1 if e2 == 1 else 2):
                                 continue
-                            if emit(1, 1, base6, b5, b6):
-                                stats = (prefixes, probes, tuples, confirm_failures, truncated)
-                                return chunk_pos, hits, stats
-                            continue
-                        g2 = (
-                            d_a23
-                            * ((a1 - a4) % p)
-                            % p
-                            * ((a1 - b5) % p)
-                            % p
-                            * ((a1 - b6) % p)
-                            % p
-                        )
-                        chi_u2 = chi[g2 * ((1 - c) % p) % p * inv_one_minus_a % p]
-                        chi_w5 = chi[(a5 - b6) * (a6 - b5) % p]
-                        stop = False
-                        for e1 in (1, -1):
-                            if not m12 & (1 if e1 == 1 else 2):
+                            eps5 = e1 * chi_u1 * e2 * chi_u2 * chi_w5
+                            if not mask[lam5] & (1 if eps5 == 1 else 2):
                                 continue
-                            for e2 in (1, -1):
-                                if not m34 & (1 if e2 == 1 else 2):
-                                    continue
-                                eps5 = e1 * chi_u1 * e2 * chi_u2 * chi_w5
-                                if not mask[lam5] & (1 if eps5 == 1 else 2):
-                                    continue
-                                alpha1 = 1 if e1 * chi_u1 == 1 else nonres
-                                alpha2 = 1 if e2 * chi_u2 == 1 else nonres
-                                if emit(alpha1, alpha2, base6, b5, b6):
-                                    stop = True
-                                    break
-                            if stop:
+                            alpha1 = 1 if e1 * chi_u1 == 1 else nonres
+                            alpha2 = 1 if e2 * chi_u2 == 1 else nonres
+                            if emit(alpha1, alpha2, base6, b5, b6):
+                                stop = True
                                 break
                         if stop:
-                            stats = (prefixes, probes, tuples, confirm_failures, truncated)
-                            return chunk_pos, hits, stats
-    stats = (prefixes, probes, tuples, confirm_failures, truncated)
-    return chunk_pos, hits, stats
+                            break
+                if stop:
+                    prefixes += r + 1
+                    probes = probe
+                    return chunk_pos, hits, stats()
+        prefixes += len(a2)
+        if cut:
+            probes = quota + 1
+            return chunk_pos, hits, stats(truncated=True)
+        probes = int(ends[-1])
+        if deadline is not None and cell < cells and time.monotonic() > deadline:
+            return chunk_pos, hits, stats(truncated=True)
+    return chunk_pos, hits, stats()
 
 
 def _worker_count() -> int:
@@ -421,17 +531,42 @@ def _worker_count() -> int:
     return max(1, n)
 
 
+def _chunk_results(pool, workers: int, tasks) -> Iterator[tuple]:
+    """_scan_chunk of each task, in task order.  With a pool, at most workers
+    chunks are in flight, and the next one is submitted only when the caller
+    asks for another result, so at most workers - 1 chunks after the last
+    one consumed have started.  Closing the iterator cancels those that have
+    not."""
+    if pool is None:
+        for task in tasks:
+            yield _scan_chunk(task)
+        return
+    tasks = iter(tasks)
+    pending = collections.deque(
+        pool.submit(_scan_chunk, task) for task in itertools.islice(tasks, workers - 1)
+    )
+    try:
+        for task in tasks:
+            pending.append(pool.submit(_scan_chunk, task))
+            yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) -> Iterator[SearchHit]:
     """Confirmed hits in enumeration order, yielded as each chunk's results
     arrive; stats, when given, is kept up to date as the search runs."""
     stats = SearchStats() if stats is None else stats
     t0 = time.monotonic()
+    # CLOCK_MONOTONIC is system-wide, so spawned workers can read it too
+    deadline = None if config.time_budget is None else t0 + config.time_budget
     workers = _worker_count()
     pool = None
-    scan = map
     if workers > 1:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-        scan = functools.partial(pool.map, chunksize=1)
     try:
         for p in primes_in(config.p_min, config.p_max):
             stats.primes += 1
@@ -440,33 +575,32 @@ def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) ->
             if config.max_candidates is not None:
                 quota = -(-config.max_candidates // len(chunk_values))
             left = config.max_hits
-            chunks = scan(_scan_chunk, [(p, config, pos, a1, quota) for pos, a1 in enumerate(chunk_values)])
-            for chunk_pos, chunk_hits, chunk_stats in chunks:
-                prefixes, probes, tuples, confirm_failures, truncated = chunk_stats
-                stats.prefixes += prefixes
-                stats.probes += probes
-                stats.tuples += tuples
-                stats.confirm_failures += confirm_failures
-                stats.truncated = stats.truncated or truncated
-                kept = chunk_hits[:left]
-                for seq, row, counts in kept:
-                    stats.hits += 1
-                    yield SearchHit(
-                        params=HoweParams.from_row(row),
-                        target=config.target,
-                        counts=counts,
-                        index=(p, chunk_pos, seq),
-                    )
-                if left is not None:
-                    left -= len(kept)
-                    if left == 0:
+            tasks = ((p, config, pos, a1, quota, deadline) for pos, a1 in enumerate(chunk_values))
+            with contextlib.closing(_chunk_results(pool, workers, tasks)) as chunks:
+                for chunk_pos, chunk_hits, chunk_stats in chunks:
+                    prefixes, probes, tuples, confirm_failures, truncated = chunk_stats
+                    stats.prefixes += prefixes
+                    stats.probes += probes
+                    stats.tuples += tuples
+                    stats.confirm_failures += confirm_failures
+                    stats.truncated = stats.truncated or truncated
+                    kept = chunk_hits[:left]
+                    for seq, row, counts in kept:
+                        stats.hits += 1
+                        yield SearchHit(
+                            params=HoweParams.from_row(row),
+                            target=config.target,
+                            counts=counts,
+                            index=(p, chunk_pos, seq),
+                        )
+                    if left is not None:
+                        left -= len(kept)
+                        if left == 0:
+                            stats.truncated = True
+                            break
+                    if deadline is not None and time.monotonic() > deadline:
                         stats.truncated = True
-                        break
-                if config.time_budget is not None and time.monotonic() - t0 > config.time_budget:
-                    stats.truncated = True
-                    return
-            if pool is not None:
-                chunks.close()  # cancels this prime's chunks that have not started
+                        return
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -1,0 +1,159 @@
+"""The block scan kernel against the scalar reference kernel
+(scalar_kernel.py), and the benchmark's scan reference totals."""
+
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import scalar_kernel
+from conftest import ROW_P11, ROW_P37, ROW_P499
+from howe5 import search_engine
+from howe5.search_engine import (
+    TARGET_MIN_PRIME,
+    SearchConfig,
+    Target,
+    _visit_orders,
+    primes_in,
+    run_search,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+PINS = {
+    "free": (),
+    "a5": (("a5", 3),),
+    "b5+a4": (("b5", 2), ("a4", 5)),
+    "a2+a3": (("a2", 1), ("a3", 0)),
+}
+
+
+def _quick_confirm(params, target):
+    """A stand-in for _confirm that rejects about a third of the candidates,
+    so that the comparison covers the order of emitted hits and the failure
+    count without point counts."""
+    row = params.row()
+    return None if sum(row) % 3 == 0 else {1: sum(row)}
+
+
+def _same_chunk(p, cfg, pos, a1, quota):
+    want = scalar_kernel._scan_chunk((p, cfg, pos, a1, quota))
+    got = search_engine._scan_chunk((p, cfg, pos, a1, quota, None))
+    assert got == want, (p, cfg, pos, quota)
+
+
+@pytest.fixture
+def quick_confirm(monkeypatch):
+    monkeypatch.setattr(search_engine, "_confirm", _quick_confirm)
+    monkeypatch.setattr(scalar_kernel, "_confirm", _quick_confirm)
+
+
+@pytest.mark.parametrize("fixed", PINS.values(), ids=PINS.keys())
+@pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
+def test_kernel_matches_scalar_oracle(quick_confirm, target, fixed):
+    # Quotas 1, p - 4 and 2(p - 4) end on the first probe and on row
+    # boundaries (a row holds p - 4 probes when a5 is free).  Capped chunks
+    # run for the first two a1 and for each a1 that equals a pinned value;
+    # chunks without a quota, which the scalar kernel takes long over, for
+    # the first a1, without a hit cap and in the unseeded order.
+    pinned = {v for _, v in fixed}
+    for p in primes_in(TARGET_MIN_PRIME[target], 23):
+        quotas = sorted({q for q in (1, p - 4, 2 * (p - 4)) if q >= 1})
+        for seed in (None, 5):
+            for max_hits in (None, 1, 2):
+                cfg = SearchConfig(p, p, target, max_hits=max_hits, seed=seed, fixed=fixed)
+                chunks = list(enumerate(_visit_orders(p, cfg)[0]))
+                for pos, a1 in chunks:
+                    if pos < 2 or a1 in pinned:
+                        for quota in quotas:
+                            _same_chunk(p, cfg, pos, a1, quota)
+                if seed is max_hits is None:
+                    _same_chunk(p, cfg, 0, chunks[0][1], None)
+
+
+@pytest.mark.parametrize("target,p", [
+    (Target.MAXIMAL_FP2, 11),
+    (Target.SERRE_FP, 17),
+    (Target.SERRE_FP3, 13),
+], ids=lambda v: getattr(v, "value", v))
+def test_quota_and_hit_cap_across_blocks(quick_confirm, monkeypatch, target, p):
+    # blocks of three rows, so that quota cuts and hit-cap stops fall in
+    # later blocks of a chunk (at p = 11 about one maximal-fp2 probe in ten
+    # emits)
+    monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 3 * p)
+    for max_hits in (None, 1, 2, 40):
+        cfg = SearchConfig(p, p, target, max_hits=max_hits, seed=5)
+        for pos, a1 in enumerate(_visit_orders(p, cfg)[0][:2]):
+            quotas = range(1, 12 * (p - 4), 7)
+            for quota in [*quotas, None] if max_hits else quotas:
+                _same_chunk(p, cfg, pos, a1, quota)
+
+
+@pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
+@pytest.mark.parametrize("p", [11, 23, 181])
+def test_pair_masks_match_scalar_filters(target, p):
+    """Every entry of the block pass against the scalar a5 filter, including
+    the zeros at x in {a1, a2, a3, a4}."""
+    rng = random.Random(p)
+    inv, sqrt_tab, _, _ = search_engine._tables(p)
+    mask = search_engine._class_masks(p, target)
+    for _ in range(20):
+        a1, a2, a3, a4 = rng.sample(range(p), 4)
+        rows = [np.array([v]) for v in (a2, a3, a4)]
+        a, m = search_engine._pair_masks(p, a1, *rows, np.arange(p), np.array(mask, dtype=np.int8))
+        d_a23 = (a2 - a3) % p
+        want_a = (a1 - a3) * (a2 - a4) % p * inv[d_a23 * (a1 - a4) % p] % p
+        want = []
+        for x in range(p):
+            b = (a1 - a3) * (a2 - x) % p * inv[d_a23 * (a1 - x) % p] % p
+            s = sqrt_tab[want_a * (want_a - b) % p]
+            pref = (1 - want_a) * inv[(b - 1) % p] % p
+            bits = mask[pref * (b - 2 * want_a + 2 * s) % p] & mask[pref * (b - 2 * want_a - 2 * s) % p]
+            want.append(0 if s == 0 or x in (a1, a2, a3, a4) else bits)
+        assert a.tolist() == [want_a]
+        assert m[0].tolist() == want
+
+
+@pytest.mark.parametrize("row,target", [
+    (ROW_P499, Target.SERRE_FP),
+    (ROW_P11, Target.MAXIMAL_FP2),
+    (ROW_P37, Target.SERRE_FP3),
+], ids=["p499", "p11", "p37"])
+def test_kernel_matches_scalar_oracle_on_table_rows(row, target):
+    # the chunk and prefix of a bundled record curve, with the real
+    # confirmation: the hits go through the twist classes of every target
+    p, _, _, a, _ = row
+    fixed = (("a2", a[1]), ("a3", a[2]), ("a4", a[3]))
+    for max_hits in (None, 1):
+        cfg = SearchConfig(p, p, target, max_hits=max_hits, fixed=fixed)
+        pos = _visit_orders(p, cfg)[0].index(a[0])
+        for quota in (p // 2, None):
+            want = scalar_kernel._scan_chunk((p, cfg, pos, a[0], quota))
+            if quota is max_hits is None:
+                assert any(r[3:9] == a for _, r, _ in want[1])
+            assert search_engine._scan_chunk((p, cfg, pos, a[0], quota, None)) == want
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("seed", [0, 7, 41, 99])
+def test_scan_reference_totals(seed):
+    """The benchmark's tiny scan, one search per prime as the benchmark runs
+    it, gives the prefix, probe and tuple totals it records for the seed."""
+    cfg = _workloads().config("scan", seed, "tiny")
+    want = json.loads((PERFBENCH / "reference.json").read_text())["scan"]["tiny"][str(cfg["seed"])]
+    totals = dict.fromkeys(want, 0)
+    for p in primes_in(cfg["p_min"], cfg["p_max"]):
+        _, stats = run_search(SearchConfig(p, p, cfg["target"],
+                                           max_candidates=cfg["max_candidates"], seed=cfg["seed"]))
+        for k in totals:
+            totals[k] += getattr(stats, k)
+    assert totals == want
