@@ -288,7 +288,8 @@ def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
 
 
 # Most elements in one block of the scan kernel (prefix rows times a5
-# values), which keeps each int64 temporary of a block at 32 KiB.
+# values), which keeps each int64 temporary of a block at 32 KiB; a block
+# holds at least one row, so past p = 4096 it is one row of p elements.
 _BLOCK_ELEMENTS = 4096
 
 
