@@ -26,6 +26,7 @@ from .errors import (
     HasseViolation,
     Howe5Error,
     HypothesisViolated,
+    InexactTraces,
     NonResidue,
     NonSquareObstruction,
     ValidationError,

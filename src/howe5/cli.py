@@ -156,25 +156,17 @@ def _verify_row(params: HoweParams, table: int, deep: bool, out) -> bool:
         _, curves = decompose_genus5(params, vr)
         base = howe_counts(params, 1, curves)
         verdicts = serre_verdicts(params, curves, base)
-        if table == 1:
-            if verdicts.serre_fp is not True:
-                out(f"  p={p}: FAIL bound predicate over F_p")
-                return False
-            want = serre_bound(p, 5)
-            ok = base.total == want
-            out(f"  p={p}: #C(F_p) = {base.total}, bound = {want} -> {'PASS' if ok else 'FAIL'}")
-            return ok
-        if table == 2:
-            j, holds, want, label = 2, verdicts.maximal_fp2, p * p + 1 + 10 * p, "maximal"
-        else:
-            j, holds, want, label = 3, verdicts.serre_fp3, serre_bound(p ** 3, 5), "bound"
+        j = Target(tables.TABLE_TARGETS[table]).degree
+        holds = (verdicts.serre_fp, verdicts.maximal_fp2, verdicts.serre_fp3)[j - 1]
+        field, label = f"F_p^{j}" if j > 1 else "F_p", "maximal" if j == 2 else "bound"
         if holds is not True:
-            out(f"  p={p}: FAIL {label} predicate over F_p^{j}")
+            out(f"  p={p}: FAIL {label} predicate over {field}")
             return False
-        lifted = base.lift(j).total
-        ok = lifted == want
-        line = f"  p={p}: #C(F_p^{j}) lifted = {lifted}"
-        if p ** j <= (COUNT_CAP if deep else SHALLOW_DIRECT_LIMIT):
+        want = serre_bound(p ** j, 5)
+        count = base.lift(j).total
+        ok = count == want
+        line = f"  p={p}: #C({field}) {'=' if j == 1 else 'lifted ='} {count}"
+        if j > 1 and p ** j <= (COUNT_CAP if deep else SHALLOW_DIRECT_LIMIT):
             direct = direct_counts(params, j)[3]
             ok = ok and direct == want
             line += f", direct = {direct}"

@@ -95,10 +95,10 @@ class HyperellipticModel:
         return (self.degree - 1) // 2
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _ext_square_table(p: int, k: int) -> np.ndarray:
     """Boolean table over F_{p^k}: index c_0 + c_1 p (+ c_2 p^2) is True for
-    nonzero squares and for zero."""
+    nonzero squares and for zero; cached for the current field only."""
     q = p ** k
     table = np.zeros(q, dtype=bool)
     field = build_extension(p, k)

@@ -22,6 +22,10 @@ class HasseViolation(Howe5Error):
     (the Hasse interval for an elliptic curve)."""
 
 
+class InexactTraces(Howe5Error):
+    """A floating-point trace table failed its rounding or Hasse check."""
+
+
 class ValidationError(Howe5Error):
     """Base class for parameter-validation failures."""
 

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import CapExceeded, NonResidue
 
 PRIME_CAP = 1 << 20
+# Primes whose per-prime tables stay cached; the bundled tables span 25.
+TABLE_CACHE = 32
 
 
 def is_prime(n: int) -> bool:
@@ -166,7 +168,7 @@ class ResidueTables(NamedTuple):
     nonres: int
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=TABLE_CACHE)
 def residue_tables(p: int) -> ResidueTables:
     """The residue tables of F_p, built once per prime."""
     p = prime_modulus(p).p

@@ -1,11 +1,12 @@
-"""Hasse polynomial machinery, Serre-bound arithmetic, and the three
-attainment predicates for twisted Legendre curves
+"""Hasse polynomial machinery, Serre-bound arithmetic, the exact trace
+table, and the three attainment predicates for twisted Legendre curves
 y^2 = theta * x (x - 1) (x - lambda) over F_p.
 
-The predicates decide attainment over F_p (p >= 17), maximality over
-F_{p^2}, and attainment over F_{p^3} (p >= 11) from congruences alone;
-no point counting is involved.  The zeta-recursion lift turns an exact
-count over F_p into counts over F_{p^2} and F_{p^3}.
+legendre_traces holds the exact trace t(lambda) for every lambda; the twist
+by theta has trace chi(theta) t.  Each bound target, over F_{p^j}, is one
+rule: lift_trace(chi(theta) t, p, j) = -floor(2 sqrt(p^j)).  The predicates,
+the paper's per-curve criteria, decide the same from congruences mod p.  The
+zeta-recursion lift turns an exact count over F_p into counts over F_{p^j}.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve_models
-from .errors import HasseViolation, HypothesisViolated
-from .field_arith import FieldElement, PrimeModulus, prime_modulus
+from .errors import HasseViolation, HypothesisViolated, InexactTraces
+from .field_arith import TABLE_CACHE, FieldElement, PrimeModulus, prime_modulus, residue_tables
 
 SERRE_FP_MIN_PRIME = 17
 SERRE_FP3_MIN_PRIME = 11
@@ -53,7 +54,7 @@ class LegendreCurve:
         )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=TABLE_CACHE)
 def hasse_poly_coeffs(p: int) -> tuple[int, ...]:
     """Coefficients of sum_i binom(m, i)^2 t^i mod p, with m = (p - 1) / 2.
 
@@ -79,14 +80,33 @@ def hasse_poly_eval(mod: PrimeModulus, lam: FieldElement) -> FieldElement:
     return FieldElement(acc, mod)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def legendre_traces(p: int) -> np.ndarray:
+    """Read-only int64 array t[v] = -sum_x chi(x (x - 1)) chi(x - v), v in
+    [0, p), the trace of y^2 = x (x - 1) (x - v) for v not in {0, 1}: one
+    cyclic cross-correlation of two +-1 vectors by a real FFT pair, rounded.
+    Raises InexactTraces when a sum lies 1/4 or more from an integer or a
+    trace breaks the Hasse bound."""
+    chi = residue_tables(p).chi
+    # s[v] = sum_x g[x] chi[x - v] with g[x] = chi[x] chi[x - 1]
+    s = np.fft.irfft(np.fft.rfft(chi * np.roll(chi, 1)) * np.conj(np.fft.rfft(chi)), n=p)
+    t = -np.rint(s).astype(np.int64)
+    if np.abs(s + t).max() >= 0.25 or (t * t).max() > 4 * p:
+        raise InexactTraces(f"the trace table at p={p} is not exact")
+    t.flags.writeable = False
+    return t
+
+
 def hasse_poly_table(p: int) -> np.ndarray:
-    """H_p evaluated at every residue, H[v] for v in [0, p)."""
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(hasse_poly_coeffs(p)):
-        acc = (acc * xs + c) % p
-    return acc
+    """H_p evaluated at every residue, H[v] for v in [0, p).  The trace t[v]
+    is congruent to (-1)^m H_p(v) mod p, so H[v] = (-1)^m t[v] mod p."""
+    return (-1) ** ((p - 1) // 2) * legendre_traces(p) % p
+
+
+def lift_trace(t, p: int, j: int):
+    """The trace over F_{p^j}, j in {1, 2, 3}, of an elliptic curve with trace
+    t over F_p: t, t^2 - 2p or t^3 - 3pt.  Works elementwise on int64 arrays."""
+    return (t, t * t - 2 * p, t * t * t - 3 * p * t)[j - 1]
 
 
 def floor_two_sqrt(q: int) -> int:
@@ -133,8 +153,7 @@ def attains_serre_fp3(curve: LegendreCurve) -> bool:
     p = curve.mod.p
     if p < SERRE_FP3_MIN_PRIME:
         raise HypothesisViolated(f"predicate needs p >= {SERRE_FP3_MIN_PRIME}, got {p}")
-    h = trace_mod_p(curve).value
-    return h * h * h - 3 * p * h == -floor_two_sqrt(p ** 3)
+    return lift_trace(trace_mod_p(curve).value, p, 3) == -floor_two_sqrt(p ** 3)
 
 
 @dataclass(frozen=True)
@@ -151,9 +170,7 @@ class TraceSequence:
         a1 = p + 1 - n1
         if a1 * a1 > 4 * p:
             raise HasseViolation(f"count {n1} violates the Hasse bound for p={p}")
-        a2 = a1 * a1 - 2 * p
-        a3 = a1 * a2 - p * a1
-        return cls(p=p, n1=n1, a=(a1, a2, a3))
+        return cls(p=p, n1=n1, a=tuple(lift_trace(a1, p, j) for j in (1, 2, 3)))
 
     def count(self, j: int) -> int:
         if j not in (1, 2, 3):

@@ -383,15 +383,17 @@ class HoweCounts:
 def howe_counts(
     params: HoweParams, j: int = 1, curves: tuple[LegendreCurve, ...] | None = None
 ) -> HoweCounts:
-    """Counts over F_{p^j}.  The three quotients and five factors are counted
-    over F_p, each quotient is checked against its factors, and the counts
-    over F_{p^j} are lifted from the factors' traces.  curves, the factors
-    from decompose_genus5(params), skips decomposing again."""
+    """Counts over F_{p^j}.  The five factor counts over F_p are read from
+    the trace table, #E = p + 1 - chi(theta) t[lambda]; the three quotients
+    are counted over F_p and checked against them, which cross-checks the
+    table; the counts over F_{p^j} are lifted from the factors' traces.
+    curves, the factors from decompose_genus5(params), skips decomposing."""
     if curves is None:
         _, curves = decompose_genus5(params)
     p = params.mod.p
+    t = hasse_serre.legendre_traces(p)
     n_c = tuple(curve_models.count_points(m, 1).count for m in howe_models(params))
-    n_e = tuple(curve_models.count_points(E.model(), 1).count for E in curves)
+    n_e = tuple(p + 1 - legendre_symbol(E.theta) * int(t[E.lam.value]) for E in curves)
     from_factors = (n_e[0] + n_e[1] - p - 1, n_e[2] + n_e[3] - p - 1, n_e[4])
     if n_c != from_factors:
         raise DecompositionMismatch(
@@ -447,29 +449,21 @@ def serre_verdicts(
         _, curves = decompose_genus5(params)
     if counts is None:
         counts = howe_counts(params, 1, curves)
-    p = params.mod.p
-
-    if p >= hasse_serre.SERRE_FP_MIN_PRIME:
-        fp_each = tuple(hasse_serre.attains_serre_fp(E) for E in curves)
-        fp = all(fp_each)
-    else:
-        fp_each, fp = None, None
-    fp2_each = tuple(hasse_serre.maximal_fp2(E) for E in curves)
-    if p >= hasse_serre.SERRE_FP3_MIN_PRIME:
-        fp3_each = tuple(hasse_serre.attains_serre_fp3(E) for E in curves)
-        fp3 = all(fp3_each)
-    else:
-        fp3_each, fp3 = None, None
-
+    fp_each, fp2_each, fp3_each = (
+        tuple(predicate(E) for E in curves) if params.mod.p >= least else None
+        for predicate, least in ((hasse_serre.attains_serre_fp, hasse_serre.SERRE_FP_MIN_PRIME),
+                                 (hasse_serre.maximal_fp2, 3),
+                                 (hasse_serre.attains_serre_fp3, hasse_serre.SERRE_FP3_MIN_PRIME))
+    )
     return VerdictRecord(
-        serre_fp=fp,
+        serre_fp=fp_each and all(fp_each),
         maximal_fp2=all(fp2_each),
-        serre_fp3=fp3,
+        serre_fp3=fp3_each and all(fp3_each),
         serre_fp_each=fp_each,
         maximal_fp2_each=fp2_each,
         serre_fp3_each=fp3_each,
         count_mod4_ok=counts.total % 4 == 0,
-        p_mod4=p % 4,
+        p_mod4=params.mod.p % 4,
     )
 
 

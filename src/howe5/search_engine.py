@@ -3,12 +3,12 @@
 The enumeration walks root tuples (a1, a2, a3, a4, a5, b5) in a fixed
 (optionally seed-permuted) order; a6 and b6 are forced by the compatibility
 conditions and are derived by solving the condition, which is linear in the
-missing root.  Cheap congruence filters run first: the Legendre parameters
-of a candidate depend only on the roots, and the bound predicates depend on
-the twist scalars only through their square class, so each passing root
-tuple is emitted with canonical twist representatives for each admissible
-class pair.  Every hit is confirmed by exact point counts before it is
-emitted.
+missing root.  Cheap filters on the exact trace table run first: the
+Legendre parameters of a candidate depend only on the roots, and the bound
+rules depend on the twist scalars only through their square class, so each
+passing root tuple is emitted with canonical twist representatives for each
+admissible class pair.  Every hit is confirmed by exact point counts before
+it is emitted.
 
 Work is partitioned into one chunk per a1-value; the chunk list and the
 order inside each chunk never depend on the worker count.  Inside a chunk
@@ -52,8 +52,8 @@ from typing import IO, Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from . import hasse_serre, howe_factory
-from .field_arith import FieldElement, is_prime, residue_tables
-from .hasse_serre import floor_two_sqrt, hasse_poly_table, serre_bound
+from .field_arith import PRIME_CAP, FieldElement, is_prime, residue_tables
+from .hasse_serre import floor_two_sqrt, legendre_traces, lift_trace, serre_bound
 from .howe_factory import HoweParams
 
 
@@ -61,6 +61,11 @@ class Target(Enum):
     SERRE_FP = "serre-fp"
     MAXIMAL_FP2 = "maximal-fp2"
     SERRE_FP3 = "serre-fp3"
+
+    @property
+    def degree(self) -> int:
+        """j such that the target is the genus-5 Serre bound over F_{p^j}."""
+        return list(Target).index(self) + 1
 
 
 TARGET_MIN_PRIME = {
@@ -93,24 +98,25 @@ class SearchConfig:
         object.__setattr__(self, "target", Target(self.target))
         if self.p_min > self.p_max:
             raise ValueError(f"empty prime range [{self.p_min}, {self.p_max}]")
+        if self.p_max >= PRIME_CAP:
+            raise ValueError(f"p_max must be below {PRIME_CAP}, got {self.p_max}")
         floor = TARGET_MIN_PRIME[self.target]
         if self.p_min < floor:
             raise ValueError(
                 f"target {self.target.value} needs p >= {floor}, got p_min={self.p_min}"
             )
-        for slot, _ in self.fixed:
+        for i, (slot, _) in enumerate(self.fixed):
             if slot not in ENUMERATED_SLOTS:
                 raise ValueError(f"cannot pin slot {slot!r}")
+            if any(slot == earlier for earlier, _ in self.fixed[:i]):
+                raise ValueError(f"slot {slot!r} is pinned more than once")
         for cap, least in (("max_candidates", 1), ("max_hits", 1), ("time_budget", 0)):
             value = getattr(self, cap)
             if value is not None and value < least:
                 raise ValueError(f"{cap} must be at least {least}, got {value}")
 
     def fixed_value(self, slot: str) -> Optional[int]:
-        for name, v in self.fixed:
-            if name == slot:
-                return v
-        return None
+        return dict(self.fixed).get(slot)
 
 
 @dataclass(frozen=True)
@@ -160,10 +166,10 @@ def primes_in(lo: int, hi: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-prime lookup tables
+# per-prime lookup tables, cached for the current prime only
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
     """(inv, sqrt, chi, nonres) of residue_tables(p), with the arrays as
     tuples.  The scan kernel's numpy pass reads residue_tables directly; the
@@ -173,21 +179,15 @@ def _tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], 
     return tuple(t.inv.tolist()), tuple(t.sqrt.tolist()), tuple(t.chi.tolist()), t.nonres
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _class_masks(p: int, target: Target) -> tuple[int, ...]:
     """mask[v]: bit 1 set when lambda=v is admissible with chi(theta)=+1,
-    bit 2 with chi(theta)=-1.  Entries 0 and 1 are always 0.  The trace is
-    t = (-1)^((p-1)/2) H_p(v) or -t mod p; good holds its admissible residues."""
-    if target is Target.MAXIMAL_FP2:
-        good = [0]
-    elif target is Target.SERRE_FP:
-        good = [-floor_two_sqrt(p) % p]
-    else:
-        k3 = floor_two_sqrt(p ** 3)
-        good = [h for h in range(p) if h * h * h - 3 * p * h == -k3]
-    sgn = 1 if (p - 1) // 2 % 2 == 0 else p - 1
-    t = sgn * hasse_poly_table(p) % p
-    mask = np.isin(t, good) + 2 * np.isin(-t % p, good)
+    bit 2 with chi(theta)=-1.  Entries 0 and 1 are always 0.  The factor's
+    trace is chi(theta) t[v]; it is admissible when its lift to F_{p^j}
+    is -floor(2 sqrt(p^j)), j the target's degree."""
+    t, j = legendre_traces(p), target.degree
+    goal = -floor_two_sqrt(p ** j)
+    mask = (lift_trace(t, p, j) == goal) + 2 * (lift_trace(-t, p, j) == goal)
     mask[:2] = 0
     return tuple(mask.tolist())
 
@@ -238,9 +238,9 @@ def _target_predicate(target: Target):
 
 
 def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
-    """Recheck predicates honestly and confirm with exact point counts.
-    Returns the counts to attach to the hit, or None on any disagreement."""
-    p = params.mod.p
+    """Recheck the Hasse-polynomial predicates and confirm with exact counts:
+    over F_{p^j}, j the target's degree, the count must be the genus-5 Serre
+    bound.  Returns the counts over F_p and F_{p^j}, or None on any miss."""
     vr = howe_factory.validate(params)
     if not vr.ok:
         return None
@@ -249,19 +249,9 @@ def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
     if not all(pred(E) for E in curves):
         return None
     base = howe_factory.howe_counts(params, 1, curves)
-    counts = {1: base.total}
-    if target is Target.SERRE_FP:
-        if counts[1] != serre_bound(p, 5):
-            return None
-    elif target is Target.MAXIMAL_FP2:
-        counts[2] = base.lift(2).total
-        if counts[2] != p * p + 1 + 10 * p:
-            return None
-    else:
-        counts[3] = base.lift(3).total
-        if counts[3] != serre_bound(p ** 3, 5):
-            return None
-    return counts
+    j = target.degree
+    counts = {1: base.total, j: base.lift(j).total}
+    return counts if counts[j] == serre_bound(params.mod.p ** j, 5) else None
 
 
 # ---------------------------------------------------------------------------

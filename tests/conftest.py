@@ -7,7 +7,20 @@ transparent, it is the reference the fast kernels get compared against.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Fixed examples and no example database, so a run is reproducible; a test's
+# own @settings(max_examples=...) still holds.  What hypothesis stores even
+# so (constants it reads from the source) goes to a directory removed at
+# exit, so a run leaves no .hypothesis/ in the checkout.
+settings.register_profile("howe5", derandomize=True, database=None)
+settings.load_profile("howe5")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="howe5-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def naive_count_fp(p: int, alpha: int, roots) -> int:

@@ -230,6 +230,15 @@ class TestSearchCommand:
                   "--p-max", "11", "--fix", "a6=3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--p-max", "11", "--fix", "a1=2", "--fix", "a1=3"],
+        ["--p-max", str(2 ** 21)],
+    ], ids=["slot-pinned-twice", "p-max-past-cap"])
+    def test_config_error_exits_2(self, capsys, extra):
+        rc = main(["search", "--target", "maximal-fp2", "--p-min", "11", *extra])
+        assert rc == 2
+        assert "bad search configuration" in capsys.readouterr().err
+
 
 class TestSelftestAndParser:
     def test_selftest_passes(self, capsys):

@@ -1,11 +1,15 @@
+import functools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_ext, naive_count_fp
-from howe5.errors import HasseViolation, HypothesisViolated
-from howe5.field_arith import FieldElement, prime_modulus
+from howe5 import hasse_serre
+from howe5.errors import HasseViolation, HypothesisViolated, InexactTraces
+from howe5.field_arith import FieldElement, is_prime, legendre_symbol, prime_modulus
 from howe5.hasse_serre import (
     LegendreCurve,
     SERRE_FP3_MIN_PRIME,
@@ -18,6 +22,8 @@ from howe5.hasse_serre import (
     hasse_poly_eval,
     hasse_poly_table,
     legendre_count_fp,
+    legendre_traces,
+    lift_trace,
     maximal_fp2,
     mod4_check,
     serre_bound,
@@ -58,6 +64,114 @@ class TestHassePolynomial:
 
     def test_degree(self):
         assert len(hasse_poly_coeffs(13)) == (13 - 1) // 2 + 1
+
+
+def _chi_by_squares(p: int) -> np.ndarray:
+    """The quadratic character from the set of squares, without the
+    package's residue tables."""
+    chi = -np.ones(p, dtype=np.int64)
+    x = np.arange(p, dtype=np.int64)
+    chi[x * x % p] = 1
+    chi[0] = 0
+    return chi
+
+
+def _direct_trace(p: int, chi: np.ndarray, v: int) -> int:
+    """-sum_x chi(x (x - 1) (x - v)), the O(p) character sum."""
+    x = np.arange(p, dtype=np.int64)
+    return -int(chi[x * (x - 1) % p * (x - v) % p].sum())
+
+
+class TestLegendreTraces:
+    def test_matches_direct_character_sum(self):
+        for p in (p for p in range(3, 400) if is_prime(p)):
+            chi = _chi_by_squares(p)
+            x = np.arange(p, dtype=np.int64)
+            # row v of the matrix holds chi(x - v) for every x
+            direct = -(chi[(x[None, :] - x[:, None]) % p] @ chi[x * (x - 1) % p])
+            assert legendre_traces(p).tolist() == direct.tolist(), p
+
+    def test_congruent_to_signed_hasse_polynomial(self):
+        for p in (p for p in range(3, 1000) if is_prime(p)):
+            xs = np.arange(p, dtype=np.int64)
+            h = np.zeros(p, dtype=np.int64)
+            for c in reversed(hasse_poly_coeffs(p)):
+                h = (h * xs + c) % p
+            sign = (-1) ** ((p - 1) // 2)
+            assert not ((legendre_traces(p) - sign * h) % p).any(), p
+
+    def test_exact_at_a_large_prime(self):
+        # float64 rounding is far from 1/4 even at p ~ 10^5
+        p = 100003
+        t = legendre_traces(p)
+        assert len(t) == p and (t * t <= 4 * p).all()
+        chi = _chi_by_squares(p)
+        for v in random.Random(7).sample(range(2, p), 4):
+            assert int(t[v]) == _direct_trace(p, chi, v)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            legendre_traces(11)[2] = 0
+
+    @pytest.mark.parametrize("skew", [lambda s: s + 0.3, lambda s: 3 * s],
+                             ids=["rounding", "hasse"])
+    def test_inexact_table_raises(self, monkeypatch, skew):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(hasse_serre.np.fft, "irfft", lambda *a, **k: skew(irfft(*a, **k)))
+        with pytest.raises(InexactTraces):
+            legendre_traces.__wrapped__(101)
+
+
+def _attaining_curves(p: int, j: int) -> list[tuple[int, int]]:
+    """(lambda, chi(theta)) for lambda in [2, p) where chi(theta) t[lambda]
+    lifts to a_j = -floor(2 sqrt(p^j)): the curves y^2 = theta x (x - 1)
+    (x - lambda) that attain the bound over F_{p^j}, by the exact-trace rule."""
+    t = legendre_traces(p)
+    goal = -floor_two_sqrt(p ** j)
+    return [(v, sign) for sign in (1, -1)
+            for v in np.flatnonzero(lift_trace(sign * t, p, j) == goal).tolist() if v >= 2]
+
+
+_PROPERTY_PRIMES = [p for p in range(11, 4000) if is_prime(p)]
+
+
+@functools.cache
+def _primes_with_attaining_curves() -> dict[int, list[int]]:
+    """For j = 1, 2, 3, the primes in _PROPERTY_PRIMES with a curve that
+    attains the bound over F_{p^j}."""
+    found: dict[int, list[int]] = {1: [], 2: [], 3: []}
+    for p in _PROPERTY_PRIMES:
+        for j, primes in found.items():
+            if _attaining_curves(p, j):
+                primes.append(p)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), j0=st.sampled_from((1, 2, 3)))
+def test_predicates_agree_with_trace_rule_and_count(data, j0):
+    """At or above its threshold, each predicate holds iff the exact trace
+    lifts to a_j = -floor(2 sqrt(p^j)), iff the lifted count is the bound.
+    About half the draws are a random curve over a random prime, the others
+    a curve that attains the bound over F_{p^j0}, which is rare at random."""
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from(_primes_with_attaining_curves()[j0]))
+        lam, sign = data.draw(st.sampled_from(_attaining_curves(p, j0)))
+        theta = data.draw(st.integers(1, p - 1).filter(
+            lambda th: legendre_symbol(th, prime_modulus(p)) == sign))
+    else:
+        p = data.draw(st.sampled_from(_PROPERTY_PRIMES))
+        lam, theta = data.draw(st.integers(2, p - 1)), data.draw(st.integers(1, p - 1))
+    curve = LegendreCurve.from_ints(p, theta, lam)
+    t = legendre_symbol(theta, prime_modulus(p)) * int(legendre_traces(p)[lam])
+    n1 = legendre_count_fp(curve)
+    assert n1 == p + 1 - t
+    for j, predicate, least in ((1, attains_serre_fp, SERRE_FP_MIN_PRIME),
+                                (2, maximal_fp2, 3),
+                                (3, attains_serre_fp3, SERRE_FP3_MIN_PRIME)):
+        if p >= least:
+            rule = lift_trace(t, p, j) == -floor_two_sqrt(p ** j)
+            assert predicate(curve) == rule == (zeta_lift(n1, p, j) == serre_bound(p ** j, 1))
 
 
 class TestSerreBound:

@@ -7,8 +7,15 @@ import pytest
 
 from conftest import ROW_P11, ROW_P37, ROW_P499
 from howe5 import howe_factory, search_engine
-from howe5.field_arith import FieldElement, prime_modulus, residue_tables
-from howe5.hasse_serre import LegendreCurve, attains_serre_fp, attains_serre_fp3, maximal_fp2
+from howe5.field_arith import PRIME_CAP, TABLE_CACHE, FieldElement, prime_modulus, residue_tables
+from howe5.hasse_serre import (
+    LegendreCurve,
+    attains_serre_fp,
+    attains_serre_fp3,
+    hasse_poly_coeffs,
+    legendre_traces,
+    maximal_fp2,
+)
 from howe5.howe_factory import HoweParams, direct_counts, serre_verdicts, validate
 from howe5.search_engine import (
     CSV_HEADER,
@@ -63,6 +70,19 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(p_min=17, p_max=31, target="serre-fp", fixed=(("a6", 2),))
         assert ENUMERATED_SLOTS == ("a1", "a2", "a3", "a4", "a5", "b5")
+
+    def test_slot_pinned_twice_rejected(self):
+        with pytest.raises(ValueError, match="more than once"):
+            SearchConfig(p_min=17, p_max=31, target="serre-fp",
+                         fixed=(("a1", 2), ("a2", 5), ("a1", 3)))
+
+    def test_p_max_below_the_prime_cap(self):
+        # rejected before any prime is searched, not at the first prime past it
+        SearchConfig(p_min=3, p_max=PRIME_CAP - 1, target="maximal-fp2")
+        with pytest.raises(ValueError, match="below"):
+            SearchConfig(p_min=3, p_max=PRIME_CAP, target="maximal-fp2")
+        with pytest.raises(ValueError):
+            SearchConfig(p_min=3, p_max=2 ** 21, target="maximal-fp2")
 
     @pytest.mark.parametrize("cap", [
         {"max_candidates": 0}, {"max_candidates": -5},
@@ -206,6 +226,19 @@ def test_class_masks_match_predicates(target):
                 assert bool(mask[v] & bit) == admissible, (p, theta, v)
                 seen |= bit if admissible else 0
     assert seen == 3  # both twist classes occur, so the check is not vacuous
+
+
+def test_per_prime_caches_are_bounded():
+    """_tables and _class_masks hold the current prime only, the shared
+    per-prime tables at most TABLE_CACHE primes, fewer than this search
+    visits."""
+    run_search(SearchConfig(3, 300, "maximal-fp2", max_candidates=1, fixed=(("a1", 0),)))
+    assert len(primes_in(3, 300)) > TABLE_CACHE
+    for cached in (search_engine._tables, search_engine._class_masks):
+        assert cached.cache_info().currsize == 1
+    for cached in (residue_tables, legendre_traces, hasse_poly_coeffs):
+        assert cached.cache_info().maxsize == TABLE_CACHE
+        assert cached.cache_info().currsize <= TABLE_CACHE
 
 
 class TestDriver:
