@@ -95,90 +95,57 @@ class HyperellipticModel:
         return (self.degree - 1) // 2
 
 
+def _mul(a, b, poly, p):
+    """Product of coefficient vectors a, b (c_0 first) in F_p[x] modulo the
+    monic x^k + poly[k-1] x^(k-1) + .. + poly[0].  Coefficients may be ints
+    or int64 arrays; p < 2^20 keeps every partial sum below 2^45."""
+    k = len(poly)
+    d = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            d[i + j] = d[i + j] + a[i] * b[j]
+    # x^i = x^(i-k) * x^k = -x^(i-k) * (poly[0] + .. + poly[k-1] x^(k-1))
+    for i in range(2 * k - 2, k - 1, -1):
+        c = d[i] % p
+        for j in range(k):
+            d[i - k + j] = d[i - k + j] - c * poly[j]
+    return [c % p for c in d[:k]]
+
+
 @functools.lru_cache(maxsize=1)
-def _ext_square_table(p: int, k: int) -> np.ndarray:
-    """Boolean table over F_{p^k}: index c_0 + c_1 p (+ c_2 p^2) is True for
-    nonzero squares and for zero; cached for the current field only."""
+def _char_table(p: int, k: int) -> np.ndarray:
+    """int8 quadratic character of F_{p^k}, indexed by c_0 + c_1 p (+ c_2 p^2):
+    1 on nonzero squares, -1 on non-squares, 0 at zero.  Built in blocks, so
+    no temporary has q entries; cached for the current field only."""
     q = p ** k
-    table = np.zeros(q, dtype=bool)
-    field = build_extension(p, k)
+    table = np.full(q, -1, dtype=np.int8)
+    poly = build_extension(p, k).poly
     for lo in range(0, q, _BLOCK):
         idx = np.arange(lo, min(lo + _BLOCK, q), dtype=np.int64)
-        u0 = idx % p
-        u1 = (idx // p) % p
-        if k == 2:
-            s0, s1 = _mul2(u0, u1, u0, u1, field.poly, p)
-            table[s0 + p * s1] = True
-        else:
-            u2 = idx // (p * p)
-            s0, s1, s2 = _mul3(u0, u1, u2, u0, u1, u2, field.poly, p)
-            table[s0 + p * s1 + p * p * s2] = True
-    table[0] = True
+        u = [idx // p ** i % p for i in range(k)]
+        table[sum(c * p ** i for i, c in enumerate(_mul(u, u, poly, p)))] = 1
+    table[0] = 0
+    table.flags.writeable = False
     return table
 
 
-def _mul2(a0, a1, b0, b1, poly, p):
-    # x^2 = -c1 x - c0
-    c0, c1 = poly
-    w = (a1 * b1) % p
-    r0 = (a0 * b0 - c0 * w) % p
-    r1 = (a0 * b1 + a1 * b0 - c1 * w) % p
-    return r0, r1
+def _char_sum(model: HyperellipticModel, j: int) -> int:
+    """Sum over x in F_{p^j} of chi(alpha) * prod_i chi(x - r_i).
 
-
-def _mul3(a0, a1, a2, b0, b1, b2, poly, p):
-    # Schoolbook product to degree 4, then substitute
-    # x^3 = -(c2 x^2 + c1 x + c0) and x^4 = (c2^2-c1) x^2 + (c2 c1-c0) x + c2 c0.
-    c0, c1, c2 = poly
-    d0 = (a0 * b0) % p
-    d1 = (a0 * b1 + a1 * b0) % p
-    d2 = (a0 * b2 + a1 * b1 + a2 * b0) % p
-    d3 = (a1 * b2 + a2 * b1) % p
-    d4 = (a2 * b2) % p
-    e2 = (d2 - c2 * d3 + ((c2 * c2 - c1) % p) * d4) % p
-    e1 = (d1 - c1 * d3 + ((c2 * c1 - c0) % p) * d4) % p
-    e0 = (d0 - c0 * d3 + ((c2 * c0) % p) * d4) % p
-    return e0, e1, e2
-
-
-def _affine_char_sum_fp(model: HyperellipticModel) -> int:
+    chi is multiplicative, so this is sum_x chi(f(x)), the affine count
+    minus q.  Each r_i lies in F_p, so x - r_i only moves the constant
+    coefficient c_0 of x: with the table viewed as rows of p entries (c_0
+    along a row), chi(x - r) is the row rotated by r, and the product needs
+    no field arithmetic."""
     p = model.mod.p
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.full(p, model.alpha.value, dtype=np.int64)
-    for r in model.roots:
-        acc = acc * ((xs - r.value) % p) % p
-    return int(residue_tables(p).chi[acc].sum())
-
-
-def _affine_char_sum_ext(model: HyperellipticModel, j: int) -> int:
-    p = model.mod.p
-    field = build_extension(p, j)
-    poly = field.poly
-    sq = _ext_square_table(p, j)
-    q = p ** j
-    total = 0
-    root_vals = [r.value for r in model.roots]
-    for lo in range(0, q, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, q), dtype=np.int64)
-        x0 = idx % p
-        x1 = (idx // p) % p
-        if j == 2:
-            g0 = np.full(idx.shape, model.alpha.value, dtype=np.int64)
-            g1 = np.zeros(idx.shape, dtype=np.int64)
-            for r in root_vals:
-                g0, g1 = _mul2(g0, g1, (x0 - r) % p, x1, poly, p)
-            gidx = g0 + p * g1
-        else:
-            x2 = idx // (p * p)
-            g0 = np.full(idx.shape, model.alpha.value, dtype=np.int64)
-            g1 = np.zeros(idx.shape, dtype=np.int64)
-            g2 = np.zeros(idx.shape, dtype=np.int64)
-            for r in root_vals:
-                g0, g1, g2 = _mul3(g0, g1, g2, (x0 - r) % p, x1, x2, poly, p)
-            gidx = g0 + p * g1 + p * p * g2
-        chi = np.where(gidx == 0, 0, np.where(sq[gidx], 1, -1))
-        total += int(chi.sum())
-    return total
+    chi = residue_tables(p).chi if j == 1 else _char_table(p, j)
+    rows = chi.reshape(-1, p)
+    acc = np.full_like(rows, chi[model.alpha.value])
+    for root in model.roots:
+        r = root.value
+        acc[:, r:] *= rows[:, : p - r]
+        acc[:, :r] *= rows[:, p - r :]
+    return int(acc.sum())
 
 
 def _points_at_infinity(model: HyperellipticModel, j: int) -> int:
@@ -202,11 +169,7 @@ def count_points(model: HyperellipticModel, j: int = 1) -> PointCount:
         raise CapExceeded(
             f"direct counting over {q} elements exceeds the cap {COUNT_CAP}"
         )
-    if j == 1:
-        affine = q + _affine_char_sum_fp(model)
-    else:
-        affine = q + _affine_char_sum_ext(model, j)
-    total = affine + _points_at_infinity(model, j)
+    total = q + _char_sum(model, j) + _points_at_infinity(model, j)
     return PointCount(q=q, count=total, method=CountMethod.BRUTE_FORCE, genus=model.genus)
 
 

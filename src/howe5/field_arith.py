@@ -11,6 +11,7 @@ instead of being accepted.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -231,18 +232,8 @@ def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
     For k in {2, 3} irreducibility is equivalent to having no root in F_p.
     """
-    def tuples():
-        if k == 2:
-            for c1 in range(p):
-                for c0 in range(p):
-                    yield (c0, c1)
-        else:
-            for c2 in range(p):
-                for c1 in range(p):
-                    for c0 in range(p):
-                        yield (c0, c1, c2)
-
-    for cand in tuples():
+    for high_first in itertools.product(range(p), repeat=k):
+        cand = high_first[::-1]
         if all(_poly_eval_monic(cand, x, p) != 0 for x in range(p)):
             return cand
     raise RuntimeError("no irreducible polynomial found")  # cannot happen

@@ -402,6 +402,9 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
         a2, a3, a4 = ord_a2[i2], ord_a3[i3], ord_a4[i4]
         keep = (a3 != a2) & (a4 != a2) & (a4 != a3)
         if not keep.any():
+            if a3[-1] == a2[-1]:
+                # the rest of this (a2, a3) run of n4 cells has a3 = a2 too
+                cell = (int(idx[-1]) // n4 + 1) * n4
             continue
         a2, a3, a4 = a2[keep], a3[keep], a4[keep]
         row_probes = n5 - a5_in[a1] - a5_in[a2] - a5_in[a3] - a5_in[a4]

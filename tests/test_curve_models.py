@@ -4,6 +4,7 @@ naive enumerator from conftest."""
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_ext, naive_count_fp
 from howe5.curve_models import (
@@ -93,6 +94,19 @@ class TestAgainstNaiveOracle:
         m = HyperellipticModel.from_ints(p, 2, (0, 1, 2, 3))  # 2 is a nonsquare mod 11
         assert count_points(m, 1).count == naive_count_fp(p, 2, (0, 1, 2, 3))
         assert count_points(m, 2).count == naive_count_ext(p, 2, 2, (0, 1, 2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 5, 7, 11, 13]), j=st.sampled_from([1, 2, 3]))
+def test_count_matches_naive_enumeration(data, p, j):
+    """The character-sum count against full enumeration with independent
+    arithmetic, for every degree that fits in F_p."""
+    deg = data.draw(st.integers(3, min(6, p)), label="degree")
+    roots = tuple(data.draw(st.permutations(range(p)), label="roots")[:deg])
+    alpha = data.draw(st.integers(1, p - 1), label="alpha")
+    m = HyperellipticModel.from_ints(p, alpha, roots)
+    want = naive_count_fp(p, alpha, roots) if j == 1 else naive_count_ext(p, j, alpha, roots)
+    assert count_points(m, j).count == want
 
 
 class TestCapAndErrors:

@@ -1,15 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from howe5.curve_models import (
-    HyperellipticModel,
-    _ext_square_table,
-    _mul2,
-    _mul3,
-    _points_at_infinity,
-)
+from conftest import _ext_pow
+from howe5.curve_models import HyperellipticModel, _char_table, _mul, _points_at_infinity
 from howe5.errors import CapExceeded, NonResidue
 from howe5.field_arith import (
     FieldElement,
@@ -194,13 +190,11 @@ class TestResidueTables:
 
 
 # Elements of F_{p^k} are coefficient tuples (c_0, .., c_{k-1}); the only
-# arithmetic on them is the counting kernel's _mul2 / _mul3.
+# arithmetic on them is the counting kernel's _mul.
 
 
-def _mul(F, a, b):
-    if F.k == 2:
-        return _mul2(*a, *b, F.poly, F.base.p)
-    return _mul3(*a, *b, F.poly, F.base.p)
+def _fmul(F, a, b):
+    return tuple(_mul(a, b, F.poly, F.base.p))
 
 
 def _add(F, a, b):
@@ -211,14 +205,14 @@ def _pow(F, a, e):
     acc = (1,) + (0,) * (F.k - 1)
     while e:
         if e & 1:
-            acc = _mul(F, acc, a)
-        a = _mul(F, a, a)
+            acc = _fmul(F, acc, a)
+        a = _fmul(F, a, a)
         e >>= 1
     return acc
 
 
 def _elements(F):
-    """All q elements in the square table's index order, c_0 fastest."""
+    """All q elements in the character table's index order, c_0 fastest."""
     return [tuple(reversed(t)) for t in itertools.product(range(F.base.p), repeat=F.k)]
 
 
@@ -259,9 +253,9 @@ class TestExtensionField:
         for F in (build_extension(11, 2), build_extension(11, 3)):
             for _ in range(40):
                 a, b, c = (tuple(rng.randrange(11) for _ in range(F.k)) for _ in range(3))
-                assert _mul(F, a, _add(F, b, c)) == _add(F, _mul(F, a, b), _mul(F, a, c))
-                assert _mul(F, _mul(F, a, b), c) == _mul(F, a, _mul(F, b, c))
-                assert _mul(F, a, b) == _mul(F, b, a)
+                assert _fmul(F, a, _add(F, b, c)) == _add(F, _fmul(F, a, b), _fmul(F, a, c))
+                assert _fmul(F, _fmul(F, a, b), c) == _fmul(F, a, _fmul(F, b, c))
+                assert _fmul(F, a, b) == _fmul(F, b, a)
 
     def test_inverse_roundtrip_exhaustive_f25(self):
         """Every nonzero element has exactly one inverse: no zero divisors."""
@@ -270,7 +264,7 @@ class TestExtensionField:
         one = (1, 0)
         seen = 0
         for e in elems[1:]:
-            assert sum(_mul(F, e, f) == one for f in elems) == 1
+            assert sum(_fmul(F, e, f) == one for f in elems) == 1
             seen += 1
         assert seen == 24
 
@@ -282,40 +276,52 @@ class TestExtensionField:
 
 
 class TestExtIsSquare:
-    """The square table over F_{p^k} and the points-at-infinity rule."""
+    """The int8 character table over F_{p^k} and the points-at-infinity rule."""
 
     def test_square_count_f25(self):
-        table = _ext_square_table(5, 2)
-        assert len(table) == 25
-        assert table.sum() == 13  # (25 - 1)/2 nonzero squares plus zero
+        chi = _char_table(5, 2)
+        assert len(chi) == 25
+        assert (chi == 1).sum() == 12  # (25 - 1)/2 nonzero squares
 
     def test_square_count_f121(self):
-        assert _ext_square_table(11, 2).sum() == 61
+        assert (_char_table(11, 2) == 1).sum() == 60
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_square_count_cubic(self, p):
         q = p ** 3
-        table = _ext_square_table(p, 3)
-        assert len(table) == q
-        assert table.sum() == (q + 1) // 2
+        chi = _char_table(p, 3)
+        assert len(chi) == q
+        assert (chi == 1).sum() == (q - 1) // 2
 
-    def test_zero_counts_as_square(self):
-        assert _ext_square_table(11, 2)[0]
-        assert _ext_square_table(5, 3)[0]
+    def test_zero_has_character_zero(self):
+        assert _char_table(11, 2)[0] == 0
+        assert _char_table(5, 3)[0] == 0
 
     def test_agrees_with_explicit_squaring_f49(self):
         F = build_extension(7, 2)
-        squares = {_index(F, _mul(F, e, e)) for e in _elements(F)}
-        table = _ext_square_table(7, 2)
-        for i in range(F.q):
-            assert bool(table[i]) == (i in squares)
+        squares = {_index(F, _fmul(F, e, e)) for e in _elements(F)}
+        chi = _char_table(7, 2)
+        for i in range(1, F.q):
+            assert (chi[i] == 1) == (i in squares)
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_points_at_infinity_rule(self, p):
-        """Two points at infinity over F_{p^j} exactly when alpha is in the
-        square table, decided without extension arithmetic."""
+        """Two points at infinity over F_{p^j} exactly when chi(alpha) = 1
+        in the table, decided without extension arithmetic."""
         for j in (2, 3):
-            table = _ext_square_table(p, j)
+            chi = _char_table(p, j)
             for alpha in range(1, p):
                 model = HyperellipticModel.from_ints(p, alpha, (0, 1, 2, 3))
-                assert _points_at_infinity(model, j) == (2 if table[alpha] else 0)
+                assert _points_at_infinity(model, j) == (2 if chi[alpha] == 1 else 0)
+
+    @pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (11, 2), (5, 3), (7, 3)])
+    def test_euler_criterion(self, p, k):
+        """chi(a) = a^((q-1)/2) for every a, computed with the independent
+        extension arithmetic of conftest."""
+        F = build_extension(p, k)
+        chi = _char_table(p, k)
+        one, minus_one = (1,) + (0,) * (k - 1), (p - 1,) + (0,) * (k - 1)
+        want = {one: 1, minus_one: -1, (0,) * k: 0}
+        for i, e in enumerate(_elements(F)):
+            assert chi[i] == want[_ext_pow(e, (F.q - 1) // 2, F.poly, p)]
+        assert chi.dtype == np.int8

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ROW_P11, ROW_P37, ROW_P499, naive_count_fp
 from howe5 import howe_factory
@@ -268,6 +268,31 @@ class TestHoweCounts:
             alpha = int(m.alpha)
             roots = tuple(int(r) for r in m.roots)
             assert naive_count_fp(11, alpha, roots) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([23, 31, 101]))
+def test_affine_maps_preserve_the_decomposition(data, p):
+    """x -> ux + v on all eight roots, twists kept, keeps every cross-ratio
+    and scales each beta by u^4, a square: the image validates with the same
+    five lambda, the same chi(theta_i), counts and verdicts."""
+    params = random_valid_params(p, random.Random(data.draw(st.integers(0, 2 ** 32), label="seed")))
+    assume(params is not None)
+    u = data.draw(st.integers(1, p - 1), label="u")
+    v = data.draw(st.integers(0, p - 1), label="v")
+    _, alpha1, alpha2, *roots = params.row()
+    moved = [(u * r + v) % p for r in roots]
+    image = HoweParams.from_ints(p, alpha1, alpha2, moved[:6], moved[6:])
+    result = validate(image)
+    assert result.ok
+    split, split_image = validate(params).split, result.split
+    assert [x.value for x in split_image.lam] == [x.value for x in split.lam]
+    assert [legendre_symbol(x) for x in split_image.theta] == [legendre_symbol(x) for x in split.theta]
+    for j in (1, 2, 3):
+        assert howe_counts(image, j).total == howe_counts(params, j).total
+    assert serre_verdicts(image) == serre_verdicts(params)
+    if p == 23:
+        assert direct_counts(image, 2)[3] == howe_counts(image, 2).total
 
 
 class TestVerdicts:

@@ -4,6 +4,7 @@
 import importlib.util
 import json
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,28 @@ def test_quota_and_hit_cap_across_blocks(quick_confirm, monkeypatch, target, p):
             quotas = range(1, 12 * (p - 4), 7)
             for quota in [*quotas, None] if max_hits else quotas:
                 _same_chunk(p, cfg, pos, a1, quota)
+
+
+@pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
+def test_kernel_matches_scalar_oracle_past_a_block(quick_confirm, target):
+    # At p = 101 a block holds 40 cells, so the a3 = a2 run of n4 = 100
+    # cells outlasts two blocks.  In the unseeded order the first chunk's
+    # first cell starts such a run, and quota 10^4 reaches the second a2,
+    # whose run lies inside its cells.
+    p = 101
+    for seed in (None, 5):
+        cfg = SearchConfig(p, p, target, seed=seed)
+        for pos, a1 in list(enumerate(_visit_orders(p, cfg)[0]))[:2]:
+            for quota in (1, p - 4, 10_000):
+                _same_chunk(p, cfg, pos, a1, quota)
+
+
+def test_one_probe_per_chunk_skips_the_a3_equals_a2_run():
+    # unseeded, so every chunk opens on an a3 = a2 run of p - 1 cells
+    t0 = time.perf_counter()
+    hits, stats = run_search(SearchConfig(1031, 1031, Target.MAXIMAL_FP2, max_candidates=1031))
+    assert time.perf_counter() - t0 < 2
+    assert (len(hits), stats.probes, stats.prefixes) == (5, 2062, 1031)
 
 
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
