@@ -115,15 +115,19 @@ def _mul(a, b, poly, p):
 @functools.lru_cache(maxsize=1)
 def _char_table(p: int, k: int) -> np.ndarray:
     """int8 quadratic character of F_{p^k}, indexed by c_0 + c_1 p (+ c_2 p^2):
-    1 on nonzero squares, -1 on non-squares, 0 at zero.  Built in blocks, so
-    no temporary has q entries; cached for the current field only."""
+    1 on nonzero squares, -1 on non-squares, 0 at zero.  x and -x have one
+    square, so only x whose top nonzero coefficient c_i is at most (p-1)/2,
+    the indices [p^i, (p+1)/2 p^i), are squared.  Built in blocks, so no
+    temporary has q entries; cached for the current field only."""
     q = p ** k
     table = np.full(q, -1, dtype=np.int8)
     poly = build_extension(p, k).poly
-    for lo in range(0, q, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, q), dtype=np.int64)
-        u = [idx // p ** i % p for i in range(k)]
-        table[sum(c * p ** i for i, c in enumerate(_mul(u, u, poly, p)))] = 1
+    for top in range(k):
+        hi = (p + 1) // 2 * p ** top
+        for lo in range(p ** top, hi, _BLOCK):
+            idx = np.arange(lo, min(lo + _BLOCK, hi), dtype=np.int64)
+            u = [idx // p ** i % p for i in range(k)]
+            table[sum(c * p ** i for i, c in enumerate(_mul(u, u, poly, p)))] = 1
     table[0] = 0
     table.flags.writeable = False
     return table

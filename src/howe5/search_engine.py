@@ -13,14 +13,17 @@ it is emitted.
 Work is partitioned into one chunk per a1-value; the chunk list and the
 order inside each chunk never depend on the worker count.  Inside a chunk
 the prefix rows (a2, a3, a4) run in blocks of a few thousand (row, residue)
-elements: one numpy pass over a block computes, for every row and every
-candidate fifth root, the cross-ratio, the square root it needs and the
-class masks of the two Legendre parameters it fixes.  The a5 and the b5
-filter are both reads of that array, since b5 enters the conditions through
-the same map as a5; only the candidates that pass go through the scalar
-remainder (a6, b6, lambda5, twist classes, confirmation).  Probes are
-counted by index, so a chunk's quota cuts its scan at the same probe as a
-scan one probe at a time would.
+elements.  The a5 filter asks whether the two Legendre parameters that a
+row's cross-ratio a and a fifth root's cross-ratio b fix are both
+admissible; it depends on (a, b) only, and the admissible pairs are few.
+They are solved once per prime backwards from the admissible lambdas
+(_admissible_pairs), and a numpy pass over a block gives each row's a, so
+each row's admissible fifth roots are its table entries mapped back to
+roots.  The b5 filter reads the same roots, since b5 enters the conditions
+through the same map as a5; only the candidates that pass go through the
+scalar remainder (a6, b6, lambda5, twist classes, confirmation).  Probes
+are counted by index, so a chunk's quota cuts its scan at the same probe
+as a scan one probe at a time would.
 
 One driver, enumerate_hits, consumes chunk results in chunk order whether
 the chunks run in this process or in the one process pool a search opens
@@ -278,84 +281,113 @@ def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
 
 
 # Most elements in one block of the scan kernel (prefix rows times a5
-# values), which keeps each int64 temporary of a block at 32 KiB; a block
-# holds at least one row, so past p = 4096 it is one row of p elements.
+# values); a block holds at least one row, so past p = 4096 it is one row.
 _BLOCK_ELEMENTS = 4096
 
 
 class _ScanArrays(NamedTuple):
-    """The block kernel's per-prime arrays: the visit orders of a2 to b5
-    (_visit_orders); a5_pos, the position of each residue in the a5 order
-    (its length where absent); a5_in, 1 where a residue is in the a5 order;
-    b5_cols, the positions of the b5 order in the a5 order, or None when a5
-    is pinned; and the class masks as int8."""
+    """The block kernel's per-prime arrays: the visit orders of a2, a3 and
+    a4 (_visit_orders); a5_in, 1 where a residue is in the a5 order; and
+    a5_pos and b5_pos, the position of each residue in the a5 and the b5
+    order (the order's length where absent), as lists for the scalar loop."""
 
     a2: np.ndarray
     a3: np.ndarray
     a4: np.ndarray
-    a5: np.ndarray
-    a5_list: list
-    a5_pos: np.ndarray
     a5_in: np.ndarray
-    b5: np.ndarray
-    b5_cols: Optional[np.ndarray]
-    mask: np.ndarray
+    a5_pos: list
+    b5_pos: list
 
 
 @functools.lru_cache(maxsize=1)
 def _scan_arrays(p: int, cfg: SearchConfig) -> _ScanArrays:
     """Cached for the current prime only, like the orders."""
     _, a2, a3, a4, a5, b5 = (np.array(o, dtype=np.int64) for o in _visit_orders(p, cfg))
-    a5_pos = np.full(p, len(a5), dtype=np.int64)
-    a5_pos[a5] = np.arange(len(a5))
-    return _ScanArrays(
-        a2, a3, a4, a5, a5.tolist(), a5_pos,
-        a5_in=(a5_pos < len(a5)).astype(np.int64),
-        b5=b5,
-        b5_cols=a5_pos[b5] if len(a5) == p else None,
-        mask=np.array(_class_masks(p, cfg.target), dtype=np.int8),
-    )
+    a5_pos, b5_pos = (np.full(p, len(o), dtype=np.int64) for o in (a5, b5))
+    a5_pos[a5], b5_pos[b5] = np.arange(len(a5)), np.arange(len(b5))
+    a5_in = (a5_pos < len(a5)).astype(np.int64)
+    return _ScanArrays(a2, a3, a4, a5_in, a5_pos.tolist(), b5_pos.tolist())
 
 
-def _pair_masks(
-    p: int, a1: int, a2: np.ndarray, a3: np.ndarray, a4: np.ndarray, x: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=1)
+def _admissible_pairs(p: int, target: Target) -> dict[int, tuple[tuple[int, int], ...]]:
+    """B[a]: the pairs (b, bits), sorted by b, with bits = mask[lam1] &
+    mask[lam2] nonzero for lam1, lam2 = (1-a)/(b-1) * (b - 2a +- 2s) and
+    s = sqrt(a(a-b)) nonzero; a without such b has no entry.  Cached for
+    the current prime only.
+
+    Solved backwards from the admissible lambdas.  With r = (1-a)/(b-1) and
+    w = rb, lam1 lam2 = w^2 and lam1 + lam2 = 2(w - 2ar), so a = 1 - w + r,
+    b = w/r, and r solves 2r^2 + 2(1-w)r - (w - (lam1+lam2)/2) = 0, that
+    is (2r + 1 - w)^2 = d = 1 + w^2 - (lam1+lam2).  Every admissible (a, b) so
+    comes from an unordered pair lam1 != lam2 with a common mask bit and a
+    root w of lam1 lam2; of the (a, b) found, the forward formula keeps
+    those it accepts, so B is exact."""
+    t = residue_tables(p)
+    mask = np.array(_class_masks(p, target), dtype=np.int64)
+    lam = np.flatnonzero(mask)
+    # unordered pairs lam1 < lam2 with a common bit
+    i, j = np.nonzero((mask[lam][:, None] & mask[lam]) * (lam[:, None] < lam) != 0)
+    l1, l2 = lam[i], lam[j]
+    root = t.sqrt[l1 * l2 % p]
+    w = np.concatenate([root, p - root])[np.tile(root > 0, 2)]
+    total = np.tile((l1 + l2)[root > 0], 2)
+    d = (1 + w * w - total) % p
+    sq = t.sqrt[d]
+    solvable = (sq > 0) | (d == 0)
+    w, sq = w[solvable], sq[solvable]
+    r = np.concatenate([w - 1 + sq, w - 1 - sq]) * ((p + 1) // 2) % p
+    w, r = np.tile(w, 2)[r != 0], r[r != 0]
+    a, b = (1 - w + r) % p, w * t.inv[r] % p
+    # the forward formula; pref < p and |b - 2a +- 2s| < 3p keep products small
+    s2 = 2 * t.sqrt[a * (a - b) % p]
+    pref = (1 - a) * t.inv[(b - 1) % p] % p
+    bits = mask[pref * (b - 2 * a + s2) % p] & mask[pref * (b - 2 * a - s2) % p]
+    keep = (bits != 0) & (s2 > 0)
+    # r comes twice where d = 0; the dicts drop the copy (np.unique would
+    # import numpy.ma)
+    table: dict[int, dict] = {}
+    for av, bv, m in zip(a[keep].tolist(), b[keep].tolist(), bits[keep].tolist()):
+        table.setdefault(av, {})[bv] = m
+    return {av: tuple(sorted(row.items())) for av, row in table.items()}
+
+
+def _block_roots(p: int, a1: int, a2: np.ndarray, a3: np.ndarray, a4: np.ndarray,
+                 pairs: dict) -> tuple[np.ndarray, list]:
     """The cross-ratio a of each prefix row (a1, a2[i], a3[i], a4[i]), and
-    m[i, j] = mask[lam1] & mask[lam2] for the fifth root x[j]: b is the
-    cross-ratio (a1-a3)(a2-x) / ((a2-a3)(a1-x)), s = sqrt(a(a-b)) and
-    lam1, lam2 = (1-a)/(b-1) * (b - 2a +- 2s).  m is 0 where s does not exist
-    and where x is in {a1, a2, a3, a4}.  The a5 filter is m at x = a5, and,
-    b5 being the same map of x, the b5 filter is m at x = b5.  With p below
-    PRIME_CAP = 2^20 no product reaches 2^62."""
-    inv, sqrt = residue_tables(p).inv, residue_tables(p).sqrt
-    k = (a1 - a3) * inv[(a2 - a3) % p] % p
-    # b = k (a2 - x) / (a1 - x) = k ((a2 - a1) / (a1 - x) + 1); a is b at x = a4
-    a = k * (a2 - a4) % p * inv[(a1 - a4) % p] % p
-    b = ((k * (a2 - a1) % p)[:, None] * inv[(a1 - x) % p] + k[:, None]) % p
-    a_col = a[:, None]
-    s2 = 2 * sqrt[a_col * (a_col - b) % p]
-    # inv[-1] is inv[p - 1], the inverse of b - 1 at b = 0
-    pref = (1 - a_col) % p * inv[b - 1]
-    t = b - 2 * a_col
-    m = (mask[pref * (t + s2) % p] & mask[pref * (t - s2) % p]) * (s2 > 0)
-    # x = a2, a3, a4 give b = 0, 1, a: then 2s = +-2a makes a lambda 0, b - 1
-    # = 0 makes both 0, and s = 0, so m is 0 there (mask[0] = 0).  x = a1 is
-    # the pole of the map.
-    m[:, x == a1] = 0
-    return a, m
+    each row's admissible fifth roots: the (x, bits) with bits =
+    mask[lam1] & mask[lam2] nonzero (_admissible_pairs, passed as pairs).
+    b = k (a2-x) / (a1-x), k = (a1-a3) / (a2-a3), is a Moebius map of x
+    with inverse x = (k a2 - b a1) / (k - b); b = k is the image of x =
+    infinity, and x = a1 would need b = infinity.  pairs holds no b in
+    {0, 1, a}, the images of a2, a3 and a4, so no root is in {a1, a2, a3,
+    a4}."""
+    inv_np, inv = residue_tables(p).inv, _tables(p)[0]
+    k = (a1 - a3) * inv_np[(a2 - a3) % p] % p
+    # a is b at x = a4
+    a = k * (a2 - a4) % p * inv_np[(a1 - a4) % p] % p
+    roots = [
+        [((kr * a2r - b * a1) * inv[(kr - b) % p] % p, bits)
+         for b, bits in pairs.get(ar, ()) if b != kr]
+        for kr, a2r, ar in zip(k.tolist(), a2.tolist(), a.tolist())
+    ]
+    return a, roots
 
 
 def _scan_chunk(args) -> tuple[int, list, tuple]:
     """Scan every candidate with the given a1; returns picklable hit rows.
 
-    The prefix rows (a2, a3, a4) run in blocks.  One numpy pass per block
-    (_pair_masks) gives every row's a5 filter and, where its columns cover
-    every residue, the b5 filter too; otherwise a row that passes gets one
-    more pass for b5.  The (row, a5) pairs that pass go in visit order
-    through the scalar tail: a6, b5 over the admissible values, b6, lambda5
-    and the twist classes.  The probes are the (row, a5) pairs with a5 not
-    in {a1, a2, a3, a4}, counted by index, so the quota cut and the max_hits
-    stop report the same prefixes and probes as a scan one probe at a time.
+    The prefix rows (a2, a3, a4) run in blocks.  A numpy pass per block
+    gives each row's cross-ratio a; the row's admissible fifth roots are
+    then the b of the per-prime table _admissible_pairs(p, target)[a]
+    mapped back to x (_block_roots), so no filter is evaluated at a root
+    that cannot pass.  The roots in the a5 order,
+    in visit order, are the a5 survivors; the roots in the b5 order, in
+    that order, are the row's b5 candidates.  Each survivor goes through
+    the scalar tail: a6, b5 over the candidates, b6, lambda5 and the twist
+    classes.  The probes are the (row, a5) pairs with a5 not in {a1, a2,
+    a3, a4}, counted by index, so the quota cut and the max_hits stop
+    report the same prefixes and probes as a scan one probe at a time.
     When deadline, a time.monotonic() value, has passed after a block, the
     chunk stops there, truncated; the first block always completes.
 
@@ -365,13 +397,15 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
     p, cfg, chunk_pos, a1, quota, deadline = args
     inv, _, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
+    pairs = _admissible_pairs(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
     arrays = _scan_arrays(p, cfg)
-    ord_a5, a5_pos, a5_in, ord_b5 = arrays.a5, arrays.a5_pos, arrays.a5_in, arrays.b5
+    a5_pos, a5_in, b5_pos = arrays.a5_pos, arrays.a5_in, arrays.b5_pos
     # cells index the product of the a2, a3 and a4 orders without a1; a row
     # is a cell with a3 != a2 and a4 not in {a2, a3}
     ord_a2, ord_a3, ord_a4 = (o[o != a1] for o in (arrays.a2, arrays.a3, arrays.a4))
-    n3, n4, n5 = len(ord_a3), len(ord_a4), len(ord_a5)
+    n3, n4 = len(ord_a3), len(ord_a4)
+    n5, nb5 = (len(o) for o in _visit_orders(p, cfg)[4:])
     cells = len(ord_a2) * n3 * n4
     block = max(1, _BLOCK_ELEMENTS // n5)
 
@@ -414,34 +448,25 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
             # the rows through the one that holds probe quota + 1
             rows = int(np.searchsorted(ends, quota, side="right")) + 1
             a2, a3, a4 = a2[:rows], a3[:rows], a4[:rows]
-        # Probe quota + 1 - probes lies in the first quota + 5 - probes a5
-        # columns, since a row excludes at most four; a block of more than
-        # one row needs every column.
-        cols = ord_a5 if quota is None else ord_a5[: quota + 5 - probes]
-        a, m = _pair_masks(p, a1, a2, a3, a4, cols, arrays.mask)
-        surv_rows, surv_cols = np.nonzero(m)
+        a, roots = _block_roots(p, a1, a2, a3, a4, pairs)
+        # (row, a5 position, a5, mask bits) of the roots in the a5 order
+        survivors = sorted((r, a5_pos[x], x, m12) for r, row in enumerate(roots)
+                           for x, m12 in row if a5_pos[x] < n5)
         a2s, a3s, a4s, as_ = a2.tolist(), a3.tolist(), a4.tolist(), a.tolist()
-        b5_cands: dict[int, list] = {}  # row -> admissible (b5, mask bits)
-        for r, j in zip(surv_rows.tolist(), surv_cols.tolist()):
+        b5_cands: dict[int, list] = {}  # row -> admissible (b5, mask bits) in b5 order
+        for r, j, a5, m12 in survivors:
             a2r, a3r, a4r = a2s[r], a3s[r], a4s[r]
             probe = int(ends[r] - row_probes[r]) + j + 1
-            probe -= sum(int(a5_pos[v]) < j for v in (a1, a2r, a3r, a4r))
+            probe -= sum(a5_pos[v] < j for v in (a1, a2r, a3r, a4r))
             if cut and probe > quota:
                 break
-            a5 = arrays.a5_list[j]
-            m12 = int(m[r, j])
             a6 = _solve_missing_root(a1, a2r, a3r, a4r, a5, p, inv)
             if a6 is None:
                 continue
             base6 = (a1, a2r, a3r, a4r, a5, a6)
             if r not in b5_cands:
-                if len(cols) == p:
-                    row = m[r, arrays.b5_cols]
-                else:
-                    one = slice(r, r + 1)
-                    row = _pair_masks(p, a1, a2[one], a3[one], a4[one], ord_b5, arrays.mask)[1][0]
-                nz = np.flatnonzero(row)
-                b5_cands[r] = list(zip(ord_b5[nz].tolist(), row[nz].tolist()))
+                b5_cands[r] = [(x, m34) for _, x, m34 in sorted(
+                    (b5_pos[x], x, m34) for x, m34 in roots[r] if b5_pos[x] < nb5)]
             if not maximal:
                 d_a23 = (a2r - a3r) % p
                 inv_one_minus_a = inv[(1 - as_[r]) % p]

@@ -3,12 +3,15 @@ naive enumerator from conftest."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_ext, naive_count_fp
 from howe5.curve_models import (
     COUNT_CAP,
+    _char_table,
+    _mul,
     CountMethod,
     HyperellipticModel,
     PointCount,
@@ -17,6 +20,7 @@ from howe5.curve_models import (
     weil_interval,
 )
 from howe5.errors import CapExceeded, HasseViolation, Howe5Error
+from howe5.field_arith import build_extension
 
 
 class TestModelConstruction:
@@ -107,6 +111,19 @@ def test_count_matches_naive_enumeration(data, p, j):
     m = HyperellipticModel.from_ints(p, alpha, roots)
     want = naive_count_fp(p, alpha, roots) if j == 1 else naive_count_ext(p, j, alpha, roots)
     assert count_points(m, j).count == want
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (5, 3), (7, 3)])
+def test_char_table_squares_every_element(p, k):
+    """The table built from one of each pair {x, -x} against squaring every
+    element of F_{p^k}."""
+    q = p ** k
+    idx = np.arange(q, dtype=np.int64)
+    u = [idx // p ** i % p for i in range(k)]
+    want = np.full(q, -1, dtype=np.int8)
+    want[sum(c * p ** i for i, c in enumerate(_mul(u, u, build_extension(p, k).poly, p)))] = 1
+    want[0] = 0
+    assert np.array_equal(_char_table(p, k), want)
 
 
 class TestCapAndErrors:

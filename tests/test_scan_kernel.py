@@ -4,6 +4,8 @@
 import importlib.util
 import json
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 import scalar_kernel
 from conftest import ROW_P11, ROW_P37, ROW_P499
 from howe5 import search_engine
+from howe5.field_arith import residue_tables
 from howe5.search_engine import (
     TARGET_MIN_PRIME,
     SearchConfig,
@@ -23,6 +26,7 @@ from howe5.search_engine import (
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PINS = {
     "free": (),
@@ -118,15 +122,17 @@ def test_one_probe_per_chunk_skips_the_a3_equals_a2_run():
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
 @pytest.mark.parametrize("p", [11, 23, 181])
 def test_pair_masks_match_scalar_filters(target, p):
-    """Every entry of the block pass against the scalar a5 filter, including
-    the zeros at x in {a1, a2, a3, a4}."""
+    """The fifth roots a row's admissible pairs give, with their mask bits,
+    against the scalar a5 filter at every x: a root absent from the row
+    has bits 0, including every x in {a1, a2, a3, a4}."""
     rng = random.Random(p)
     inv, sqrt_tab, _, _ = search_engine._tables(p)
     mask = search_engine._class_masks(p, target)
+    pairs = search_engine._admissible_pairs(p, target)
     for _ in range(20):
         a1, a2, a3, a4 = rng.sample(range(p), 4)
         rows = [np.array([v]) for v in (a2, a3, a4)]
-        a, m = search_engine._pair_masks(p, a1, *rows, np.arange(p), np.array(mask, dtype=np.int8))
+        a, roots = search_engine._block_roots(p, a1, *rows, pairs)
         d_a23 = (a2 - a3) % p
         want_a = (a1 - a3) * (a2 - a4) % p * inv[d_a23 * (a1 - a4) % p] % p
         want = []
@@ -137,7 +143,62 @@ def test_pair_masks_match_scalar_filters(target, p):
             bits = mask[pref * (b - 2 * want_a + 2 * s) % p] & mask[pref * (b - 2 * want_a - 2 * s) % p]
             want.append(0 if s == 0 or x in (a1, a2, a3, a4) else bits)
         assert a.tolist() == [want_a]
-        assert m[0].tolist() == want
+        assert len(roots) == 1 and len(dict(roots[0])) == len(roots[0])
+        assert [dict(roots[0]).get(x, 0) for x in range(p)] == want
+
+
+def _forward_pairs(p, target):
+    """{(a, b): bits} over all of F_p x F_p by the forward formula, where
+    bits = mask[lam1] & mask[lam2] is nonzero and s exists."""
+    t = residue_tables(p)
+    mask = np.array(search_engine._class_masks(p, target), dtype=np.int64)
+    a, b = np.arange(p)[:, None], np.arange(p)[None, :]
+    s = t.sqrt[a * (a - b) % p]
+    pref = (1 - a) * t.inv[(b - 1) % p] % p
+    bits = mask[pref * (b - 2 * a + 2 * s) % p] & mask[pref * (b - 2 * a - 2 * s) % p]
+    bits[s == 0] = 0
+    ia, ib = np.nonzero(bits)
+    return dict(zip(zip(ia.tolist(), ib.tolist()), bits[ia, ib].tolist()))
+
+
+@pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
+def test_admissible_pairs_match_forward_table(target):
+    """The backward solve finds every admissible (a, b) and no other, with
+    its bits, once and sorted by b, at every prime up to 400."""
+    for p in primes_in(TARGET_MIN_PRIME[target], 400):
+        pairs = search_engine._admissible_pairs(p, target)
+        got = {(a, b): bits for a, row in pairs.items() for b, bits in row}
+        assert got == _forward_pairs(p, target), p
+        # each row nonempty, its b strictly increasing
+        assert all(row and all(x[0] < y[0] for x, y in zip(row, row[1:]))
+                   for row in pairs.values())
+
+
+@pytest.mark.parametrize("p,target,total", [
+    (1187, Target.SERRE_FP, 72),
+    (10007, Target.MAXIMAL_FP2, 35112),
+    (10007, Target.SERRE_FP3, 4224),
+], ids=lambda v: getattr(v, "value", v))
+def test_admissible_pair_totals(p, target, total):
+    assert sum(map(len, search_engine._admissible_pairs(p, target).values())) == total
+
+
+def test_search_leaves_numpy_ma_unimported():
+    """np.unique imports numpy.ma in numpy 2.4, which raises a search's peak
+    memory by about 1.5 MB; neither the command-line module nor a search
+    may import it."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import howe5.cli\n"
+        "from howe5.search_engine import SearchConfig, run_search\n"
+        "run_search(SearchConfig(17, 40, 'serre-fp', max_candidates=20000, seed=1))\n"
+        "run_search(SearchConfig(3, 13, 'maximal-fp2', max_candidates=20000, max_hits=2))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], env={"HOWE_THREADS": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("row,target", [
