@@ -1,5 +1,6 @@
 """The block scan kernel against the scalar reference kernel
-(scalar_kernel.py), and the benchmark's scan reference totals."""
+(scalar_kernel.py), its table of admissible cross-ratio pairs against the
+forward formula, and the benchmark's scan reference totals."""
 
 import importlib.util
 import json
