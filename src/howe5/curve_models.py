@@ -36,6 +36,12 @@ class CountMethod(Enum):
     DECOMPOSITION = "decomposition"
 
 
+def weil_interval(q: int, genus: int) -> tuple[int, int]:
+    """Inclusive integer range that #C(F_q) must lie in for the given genus."""
+    half = math.isqrt(4 * genus * genus * q)
+    return q + 1 - half, q + 1 + half
+
+
 @dataclass(frozen=True)
 class PointCount:
     """A point count over F_q, checked against the Hasse-Weil interval when
@@ -48,8 +54,8 @@ class PointCount:
 
     def __post_init__(self) -> None:
         if self.genus is not None:
-            t = self.q + 1 - self.count
-            if t * t > 4 * self.genus * self.genus * self.q:
+            lo, hi = weil_interval(self.q, self.genus)
+            if not lo <= self.count <= hi:
                 raise HasseViolation(
                     f"count {self.count} outside the Hasse-Weil interval for "
                     f"q={self.q}, genus {self.genus}"
@@ -181,9 +187,3 @@ def curve_trace(model: HyperellipticModel, j: int = 1) -> int:
     """q + 1 - #C(F_{p^j})."""
     pc = count_points(model, j)
     return pc.trace
-
-
-def weil_interval(q: int, genus: int) -> tuple[int, int]:
-    """Inclusive integer range that #C(F_q) must lie in for the given genus."""
-    half = math.isqrt(4 * genus * genus * q)
-    return q + 1 - half, q + 1 + half

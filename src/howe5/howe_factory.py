@@ -277,7 +277,7 @@ def validate(params: HoweParams) -> ValidationResult:
     if not res.ok:
         return res
 
-    res.split = split = _split_data(params)
+    res.split = split = _split_data(params, a, b, c)
     for i, (th, lm) in enumerate(zip(split.theta, split.lam), start=1):
         if th.value == 0:
             res.violations.append(Violation("DegenerateLambda", f"theta_{i} = 0"))
@@ -288,13 +288,13 @@ def validate(params: HoweParams) -> ValidationResult:
     return res
 
 
-def _split_data(params: HoweParams) -> SplitData:
-    """The five (theta_i, lambda_i); assumes distinctness and squareness hold."""
+def _split_data(
+    params: HoweParams, a: FieldElement, b: FieldElement, c: FieldElement
+) -> SplitData:
+    """The five (theta_i, lambda_i), given validate's cross-ratios a, b and
+    c; assumes distinctness and squareness hold."""
     a1, a2, a3, a4, a5, a6 = params.a
     b5, b6 = params.b
-    a = _cross_ratio(a1, a2, a3, a4)
-    b = _cross_ratio(a1, a2, a3, a5)
-    c = _cross_ratio(a1, a2, a3, b5)
     beta1 = params.alpha1 * (a2 - a3) * (a1 - a4) * (a1 - a5) * (a1 - a6)
     beta2 = params.alpha2 * (a2 - a3) * (a1 - a4) * (a1 - b5) * (a1 - b6)
     th12, l1, l2 = _split_pair(beta1, a, b)

@@ -10,8 +10,8 @@ passing root tuple is emitted with canonical twist representatives for each
 admissible class pair.  Every hit is confirmed by exact point counts before
 it is emitted.
 
-Work is partitioned into one chunk per a1-value; the chunk list and the
-order inside each chunk never depend on the worker count.  Inside a chunk
+Work is partitioned into one chunk per a1-value; the chunks run in the a1
+visit order, which depends on the seed alone.  Inside a chunk
 the prefix rows (a2, a3, a4) run in blocks of a few thousand (row, residue)
 elements.  The a5 filter asks whether the two Legendre parameters that a
 row's cross-ratio a and a fifth root's cross-ratio b fix are both
@@ -25,29 +25,21 @@ scalar remainder (a6, b6, lambda5, twist classes, confirmation).  Probes
 are counted by index, so a chunk's quota cuts its scan at the same probe
 as a scan one probe at a time would.
 
-One driver, enumerate_hits, consumes chunk results in chunk order whether
-the chunks run in this process or in the one process pool a search opens
-(HOWE_THREADS > 1), with at most one chunk per worker in flight.  Once a
-prime's max_hits quota is full no later chunk of that prime is scanned, so
-for a fixed seed the hit stream and the statistics are the same with any
-HOWE_THREADS setting.  A time budget, when set, is checked after each
-block of prefixes inside a chunk and after each chunk, on both paths, and
-is best effort only; reproducibility is guaranteed only for runs limited by
-the deterministic caps.
+One driver, enumerate_hits, scans the chunks one after another in the
+calling process.  Once a prime's max_hits quota is full no later chunk of
+that prime is scanned, so for a fixed seed the hit stream and the
+statistics are fixed.  A time budget, when set, is checked after each block
+of prefixes inside a chunk and after each chunk, and is best effort only;
+reproducibility is guaranteed only for runs limited by the deterministic
+caps.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import functools
-import itertools
 import json
-import multiprocessing
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterator, NamedTuple, Optional, Union
@@ -265,8 +257,8 @@ def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
 def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
     """The order each slot of ENUMERATED_SLOTS visits its values in at p: a
     pinned slot visits one value, the others every residue, shuffled by the
-    seed.  Cached for the current prime only, so each process derives them
-    once per prime, not once per chunk."""
+    seed.  Cached for the current prime only, so they are derived once per
+    prime, not once per chunk."""
     orders = []
     for slot in ENUMERATED_SLOTS:
         pinned = cfg.fixed_value(slot)
@@ -375,7 +367,7 @@ def _block_roots(p: int, a1: int, a2: np.ndarray, a3: np.ndarray, a4: np.ndarray
 
 
 def _scan_chunk(args) -> tuple[int, list, tuple]:
-    """Scan every candidate with the given a1; returns picklable hit rows.
+    """Scan every candidate with the given a1; returns (chunk_pos, hit rows, stats).
 
     The prefix rows (a2, a3, a4) run in blocks.  A numpy pass per block
     gives each row's cross-ratio a; the row's admissible fifth roots are
@@ -390,9 +382,6 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
     report the same prefixes and probes as a scan one probe at a time.
     When deadline, a time.monotonic() value, has passed after a block, the
     chunk stops there, truncated; the first block always completes.
-
-    Runs inside worker processes; all state is rebuilt from (p, cfg) through
-    the per-process caches.
     """
     p, cfg, chunk_pos, a1, quota, deadline = args
     inv, _, chi, nonres = _tables(p)
@@ -541,51 +530,12 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
     return chunk_pos, hits, stats()
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HOWE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _chunk_results(pool, workers: int, tasks) -> Iterator[tuple]:
-    """_scan_chunk of each task, in task order.  With a pool, at most workers
-    chunks are in flight, and the next one is submitted only when the caller
-    asks for another result, so at most workers - 1 chunks after the last
-    one consumed have started.  Closing the iterator cancels those that have
-    not."""
-    if pool is None:
-        for task in tasks:
-            yield _scan_chunk(task)
-        return
-    tasks = iter(tasks)
-    pending = collections.deque(
-        pool.submit(_scan_chunk, task) for task in itertools.islice(tasks, workers - 1)
-    )
-    try:
-        for task in tasks:
-            pending.append(pool.submit(_scan_chunk, task))
-            yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) -> Iterator[SearchHit]:
-    """Confirmed hits in enumeration order, yielded as each chunk's results
-    arrive; stats, when given, is kept up to date as the search runs."""
+    """Confirmed hits in enumeration order, yielded as each chunk is scanned;
+    stats, when given, is kept up to date as the search runs."""
     stats = SearchStats() if stats is None else stats
     t0 = time.monotonic()
-    # CLOCK_MONOTONIC is system-wide, so spawned workers can read it too
     deadline = None if config.time_budget is None else t0 + config.time_budget
-    workers = _worker_count()
-    pool = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         for p in primes_in(config.p_min, config.p_max):
             stats.primes += 1
@@ -594,35 +544,32 @@ def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) ->
             if config.max_candidates is not None:
                 quota = -(-config.max_candidates // len(chunk_values))
             left = config.max_hits
-            tasks = ((p, config, pos, a1, quota, deadline) for pos, a1 in enumerate(chunk_values))
-            with contextlib.closing(_chunk_results(pool, workers, tasks)) as chunks:
-                for chunk_pos, chunk_hits, chunk_stats in chunks:
-                    prefixes, probes, tuples, confirm_failures, truncated = chunk_stats
-                    stats.prefixes += prefixes
-                    stats.probes += probes
-                    stats.tuples += tuples
-                    stats.confirm_failures += confirm_failures
-                    stats.truncated = stats.truncated or truncated
-                    kept = chunk_hits[:left]
-                    for seq, row, counts in kept:
-                        stats.hits += 1
-                        yield SearchHit(
-                            params=HoweParams.from_row(row),
-                            target=config.target,
-                            counts=counts,
-                            index=(p, chunk_pos, seq),
-                        )
-                    if left is not None:
-                        left -= len(kept)
-                        if left == 0:
-                            stats.truncated = True
-                            break
-                    if deadline is not None and time.monotonic() > deadline:
+            for pos, a1 in enumerate(chunk_values):
+                _, chunk_hits, chunk_stats = _scan_chunk((p, config, pos, a1, quota, deadline))
+                prefixes, probes, tuples, confirm_failures, truncated = chunk_stats
+                stats.prefixes += prefixes
+                stats.probes += probes
+                stats.tuples += tuples
+                stats.confirm_failures += confirm_failures
+                stats.truncated = stats.truncated or truncated
+                kept = chunk_hits[:left]
+                for seq, row, counts in kept:
+                    stats.hits += 1
+                    yield SearchHit(
+                        params=HoweParams.from_row(row),
+                        target=config.target,
+                        counts=counts,
+                        index=(p, pos, seq),
+                    )
+                if left is not None:
+                    left -= len(kept)
+                    if left == 0:
                         stats.truncated = True
-                        return
+                        break
+                if deadline is not None and time.monotonic() > deadline:
+                    stats.truncated = True
+                    return
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
         stats.elapsed = time.monotonic() - t0
 
 

