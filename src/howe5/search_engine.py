@@ -11,19 +11,24 @@ admissible class pair.  Every hit is confirmed by exact point counts before
 it is emitted.
 
 Work is partitioned into one chunk per a1-value; the chunks run in the a1
-visit order, which depends on the seed alone.  Inside a chunk
-the prefix rows (a2, a3, a4) run in blocks of a few thousand (row, residue)
-elements.  The a5 filter asks whether the two Legendre parameters that a
-row's cross-ratio a and a fifth root's cross-ratio b fix are both
-admissible; it depends on (a, b) only, and the admissible pairs are few.
-They are solved once per prime backwards from the admissible lambdas
-(_admissible_pairs), and a numpy pass over a block gives each row's a, so
-each row's admissible fifth roots are its table entries mapped back to
-roots.  The b5 filter reads the same roots, since b5 enters the conditions
-through the same map as a5; only the candidates that pass go through the
-scalar remainder (a6, b6, lambda5, twist classes, confirmation).  Probes
-are counted by index, so a chunk's quota cuts its scan at the same probe
-as a scan one probe at a time would.
+visit order, which depends on the seed alone.  Inside a chunk the prefix
+rows (a2, a3, a4) run in blocks of cells, the cells indexing the product
+of the a2, a3 and a4 orders.  The a5 filter asks whether the two Legendre
+parameters that a row's cross-ratio a and a fifth root's cross-ratio b fix
+are both admissible; it depends on (a, b) only, and the admissible pairs
+are few.  They are solved once per prime backwards from the admissible
+lambdas (_admissible_pairs), so each row's admissible fifth roots are its
+table entries mapped back to roots.  One numpy pass (_blocks) maps a
+block's cells to their rows, counts each row's probes and lists the rows
+whose a has table entries, since no other row holds a survivor.  A
+chunk's first block is built in one such pass with the first blocks of the
+chunks next to it in the a1 order (_window), sized from the quota so that
+it usually holds the chunk's whole scan; later blocks are built for one
+chunk at a time, each twice the one before.  The b5 filter reads the same
+roots, since b5 enters the conditions through the same map as a5; only the
+candidates that pass go through the scalar remainder (a6, b6, lambda5,
+twist classes, confirmation).  Probes are counted by index, so a chunk's
+quota cuts its scan at the same probe as a scan one probe at a time would.
 
 One driver, enumerate_hits, scans the chunks one after another in the
 calling process.  Once a prime's max_hits quota is full no later chunk of
@@ -47,7 +52,7 @@ from typing import IO, Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from . import hasse_serre, howe_factory
-from .field_arith import PRIME_CAP, FieldElement, is_prime, residue_tables
+from .field_arith import PRIME_CAP, FieldElement, is_prime, legendre_symbol, residue_tables
 from .hasse_serre import floor_two_sqrt, legendre_traces, lift_trace, serre_bound
 from .howe_factory import HoweParams
 
@@ -105,6 +110,19 @@ class SearchConfig:
                 raise ValueError(f"cannot pin slot {slot!r}")
             if any(slot == earlier for earlier, _ in self.fixed[:i]):
                 raise ValueError(f"slot {slot!r} is pinned more than once")
+        # an a5 equal to a1, a2, a3 or a4 modulo p leaves every row without a
+        # probe, so max_candidates would never end the scan
+        a5 = self.fixed_value("a5")
+        for slot in ("a1", "a2", "a3", "a4"):
+            value = self.fixed_value(slot)
+            if a5 is None or value is None:
+                continue
+            d = abs(a5 - value)
+            q = next((q for q in range(max(3, self.p_min), min(self.p_max, d) + 1)
+                      if d % q == 0 and is_prime(q)), None)
+            if d == 0 or q is not None:
+                raise ValueError(f"a5 and {slot} are pinned to values equal modulo "
+                                 f"{q or 'every prime'}, which leaves no probe")
         for cap, least in (("max_candidates", 1), ("max_hits", 1), ("time_budget", 0)):
             value = getattr(self, cap)
             if value is not None and value < least:
@@ -272,21 +290,32 @@ def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
-# Most elements in one block of the scan kernel (prefix rows times a5
-# values); a block holds at least one row, so past p = 4096 it is one row.
-_BLOCK_ELEMENTS = 4096
+# Most probes in one block of prefix cells, counted as cells times the
+# length of the a5 order; a block holds at least one cell, so past p = 16384
+# it is one cell.  Each block costs a fixed number of numpy calls, and a
+# chunk checks its deadline between blocks.
+_BLOCK_ELEMENTS = 16384
+
+# Most cells in one numpy pass of _blocks, a window of first blocks of
+# consecutive chunks (_window) or a later block of one chunk; it bounds the
+# pass's memory.
+_PASS_CELLS = 512
 
 
 class _ScanArrays(NamedTuple):
-    """The block kernel's per-prime arrays: the visit orders of a2, a3 and
-    a4 (_visit_orders); a5_in, 1 where a residue is in the a5 order; and
-    a5_pos and b5_pos, the position of each residue in the a5 and the b5
-    order (the order's length where absent), as lists for the scalar loop."""
+    """The block kernel's per-prime arrays: orders, the visit order of slot
+    s of ENUMERATED_SLOTS in row s (padded to p entries), and lens, their
+    lengths; pos, with pos[s, v] the position of residue v in slot s's
+    order (its length where absent); inside, 1 where v is in slot s's order
+    and 0 elsewhere; paired, True where a cross-ratio a = v has admissible
+    pairs (_admissible_pairs); and a5_pos and b5_pos, the a5 and b5 rows of
+    pos as lists for the scalar loop."""
 
-    a2: np.ndarray
-    a3: np.ndarray
-    a4: np.ndarray
-    a5_in: np.ndarray
+    orders: np.ndarray
+    lens: tuple
+    pos: np.ndarray
+    inside: np.ndarray
+    paired: np.ndarray
     a5_pos: list
     b5_pos: list
 
@@ -294,11 +323,18 @@ class _ScanArrays(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _scan_arrays(p: int, cfg: SearchConfig) -> _ScanArrays:
     """Cached for the current prime only, like the orders."""
-    _, a2, a3, a4, a5, b5 = (np.array(o, dtype=np.int64) for o in _visit_orders(p, cfg))
-    a5_pos, b5_pos = (np.full(p, len(o), dtype=np.int64) for o in (a5, b5))
-    a5_pos[a5], b5_pos[b5] = np.arange(len(a5)), np.arange(len(b5))
-    a5_in = (a5_pos < len(a5)).astype(np.int64)
-    return _ScanArrays(a2, a3, a4, a5_in, a5_pos.tolist(), b5_pos.tolist())
+    visit = _visit_orders(p, cfg)
+    lens = tuple(map(len, visit))
+    column = np.array(lens)[:, None]
+    orders = np.zeros((len(visit), p), dtype=np.int64)
+    pos = np.repeat(column, p, axis=1)
+    for s, o in enumerate(visit):
+        orders[s, :len(o)] = o
+        pos[s, o] = np.arange(len(o))
+    inside = (pos < column).astype(np.int64)
+    paired = np.zeros(p, dtype=bool)
+    paired[list(_admissible_pairs(p, cfg.target))] = True
+    return _ScanArrays(orders, lens, pos, inside, paired, pos[4].tolist(), pos[5].tolist())
 
 
 @functools.lru_cache(maxsize=1)
@@ -344,59 +380,166 @@ def _admissible_pairs(p: int, target: Target) -> dict[int, tuple[tuple[int, int]
     return {av: tuple(sorted(row.items())) for av, row in table.items()}
 
 
-def _block_roots(p: int, a1: int, a2: np.ndarray, a3: np.ndarray, a4: np.ndarray,
-                 pairs: dict) -> tuple[np.ndarray, list]:
-    """The cross-ratio a of each prefix row (a1, a2[i], a3[i], a4[i]), and
-    each row's admissible fifth roots: the (x, bits) with bits =
-    mask[lam1] & mask[lam2] nonzero (_admissible_pairs, passed as pairs).
-    b = k (a2-x) / (a1-x), k = (a1-a3) / (a2-a3), is a Moebius map of x
-    with inverse x = (k a2 - b a1) / (k - b); b = k is the image of x =
-    infinity, and x = a1 would need b = infinity.  pairs holds no b in
-    {0, 1, a}, the images of a2, a3 and a4, so no root is in {a1, a2, a3,
-    a4}."""
-    inv_np, inv = residue_tables(p).inv, _tables(p)[0]
-    k = (a1 - a3) * inv_np[(a2 - a3) % p] % p
+class _Blocks:
+    """One block of prefix rows for each of some chunks (_blocks), as lists.
+    Only the rows whose cross-ratio a has admissible pairs are listed, the
+    others hold no survivor.  Per listed row: row, its index among its
+    chunk's rows in the block; a2, a3 and a4; the cross-ratios k =
+    (a1-a3)/(a2-a3) and a = k (a2-a4)/(a1-a4); and start, the chunk's
+    probes before the row.  Per chunk: its listed rows are entries lo[i] to
+    hi[i] - 1; rows[i] is its number of rows in the block, cells[i] its
+    number of cells, nxt[i] the cell its next block starts at, probes[i]
+    its probes through the block, and cut[i] whether the block holds probe
+    quota + 1, in which case its rows end with the row that holds it.  A
+    plain class, since making a NamedTuple class of fourteen fields adds
+    about 0.2 ms to the import."""
+
+    __slots__ = ("row", "a2", "a3", "a4", "k", "a", "start",
+                 "lo", "hi", "rows", "cells", "nxt", "probes", "cut")
+
+    def __init__(self, *lists: list) -> None:
+        for name, value in zip(self.__slots__, lists):
+            setattr(self, name, value)
+
+
+def _blocks(p: int, cfg: SearchConfig, a1: np.ndarray, first: np.ndarray,
+            probes: np.ndarray, size: int, quota: Optional[int]) -> _Blocks:
+    """The blocks of the chunks a1 (an array of a1 values) in one numpy
+    pass: chunk i's block is its cells first[i] to first[i] + size - 1,
+    clipped to its cells, after probes[i] of its probes.
+
+    Cells index the product of the a2, a3 and a4 orders without a1, the a4
+    index fastest; a row is a cell with a3 != a2 and a4 not in {a2, a3}.
+    Index i of an order without a1 is index i + (i >= pos of a1) of the
+    order.  A row's probes are the a5 values not in {a1, a2, a3, a4},
+    counted by index, so the quota cuts a block at the row that holds probe
+    quota + 1.  A block that ends inside an a3 = a2 run, whose cells are no
+    rows, has the next block start at the run's end."""
+    arrays = _scan_arrays(p, cfg)
+    orders, lens, pos, inside = arrays.orders, arrays.lens, arrays.pos, arrays.inside
+    n2, n3, n4 = (lens[s] - inside[s][a1] for s in (1, 2, 3))
+    cells = n2 * n3 * n4
+    nxt = np.minimum(first + size, cells)
+    count = nxt - first
+    end = count.cumsum()
+    chunk = np.repeat(np.arange(len(a1)), count)
+    c1 = a1[chunk]
+    # cell = (i2 n3 + i3) n4 + i4
+    i2, i4 = np.divmod(np.arange(end[-1]) + np.repeat(first + count - end, count), n4[chunk])
+    i2, i3 = np.divmod(i2, n3[chunk])
+    a2, a3, a4 = (orders[s][i + (i >= pos[s][c1])] for s, i in ((1, i2), (2, i3), (3, i4)))
+    del i2, i3, i4
+    some = np.flatnonzero(count)
+    last = end[some] - 1
+    nxt[some] += (a3[last] == a2[last]) * (-nxt[some] % n4[some])
+    keep = np.flatnonzero((a3 != a2) & (a4 != a2) & (a4 != a3))
+    chunk, c1 = chunk[keep], c1[keep]
+    a2, a3, a4 = a2[keep], a3[keep], a4[keep]
+    in5 = inside[4]
+    row_probes = lens[4] - in5[c1] - in5[a2] - in5[a3] - in5[a4]
+    ends = np.concatenate(([0], row_probes.cumsum()))
+    bounds = np.searchsorted(chunk, np.arange(len(a1) + 1))
+    # the chunk's probes before the block, less the rows of earlier chunks
+    offset = probes - ends[bounds[:-1]]
+    done = ends[bounds[1:]] + offset
+    start = ends[:-1] + offset[chunk]
+    inv = residue_tables(p).inv
+    k = (c1 - a3) * inv[(a2 - a3) % p] % p
     # a is b at x = a4
-    a = k * (a2 - a4) % p * inv_np[(a1 - a4) % p] % p
-    roots = [
+    a = k * (a2 - a4) % p * inv[(c1 - a4) % p] % p
+    listed = arrays.paired[a]
+    rows = bounds[1:] - bounds[:-1]
+    cut = np.zeros(len(a1), dtype=bool)
+    if quota is not None:
+        # the rows through the one that holds probe quota + 1
+        cut = done > quota
+        taken = start <= quota
+        rows = np.bincount(chunk[taken], minlength=len(a1))
+        listed &= taken
+    listed = np.flatnonzero(listed)
+    lo = np.searchsorted(chunk[listed], np.arange(len(a1) + 1))
+    row = listed - bounds[chunk[listed]]
+    return _Blocks(*(v.tolist() for v in (
+        row, a2[listed], a3[listed], a4[listed], k[listed], a[listed], start[listed],
+        lo[:-1], lo[1:], rows, cells, nxt, done, cut)))
+
+
+@functools.lru_cache(maxsize=1)
+def _window(p: int, cfg: SearchConfig, quota: Optional[int], size: int,
+            lo: int, hi: int) -> _Blocks:
+    """The first blocks, of size cells, of the chunks at positions lo to
+    hi - 1 of the a1 order, from one pass of _blocks.  Cached for the
+    current window only."""
+    arrays = _scan_arrays(p, cfg)
+    a1 = arrays.orders[0, lo:min(hi, arrays.lens[0])]
+    # a chunk whose cell 0 has a3 = a2 starts after that run of n4 cells,
+    # none of which is a row (where the chunk has no cells, index 1 may
+    # read padding, and the minimum below discards it)
+    a2, a3 = (arrays.orders[s, (arrays.pos[s, a1] == 0) * 1] for s in (1, 2))
+    n2, n3, n4 = (arrays.lens[s] - arrays.inside[s][a1] for s in (1, 2, 3))
+    first = np.minimum((a2 == a3) * n4, n2 * n3 * n4)
+    return _blocks(p, cfg, a1, first, np.zeros_like(a1), size, quota)
+
+
+def _block_roots(p: int, a1: int, k: list, a2: list, a: list, pairs: dict) -> list:
+    """Each prefix row's admissible fifth roots, for the rows (a1, a2[i])
+    with cross-ratios k[i] and a[i] (_Blocks): the (x, bits) with bits =
+    mask[lam1] & mask[lam2] nonzero (_admissible_pairs, passed as pairs).
+    b = k (a2-x) / (a1-x) is a Moebius map of x with inverse x = (k a2 -
+    b a1) / (k - b); b = k is the image of x = infinity, and x = a1 would
+    need b = infinity.  pairs holds no b in {0, 1, a}, the images of a2, a3
+    and a4, so no root is in {a1, a2, a3, a4}."""
+    inv = _tables(p)[0]
+    return [
         [((kr * a2r - b * a1) * inv[(kr - b) % p] % p, bits)
          for b, bits in pairs.get(ar, ()) if b != kr]
-        for kr, a2r, ar in zip(k.tolist(), a2.tolist(), a.tolist())
+        for kr, a2r, ar in zip(k, a2, a)
     ]
-    return a, roots
 
 
-def _scan_chunk(args) -> tuple[int, list, tuple]:
-    """Scan every candidate with the given a1; returns (chunk_pos, hit rows, stats).
+def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
+                deadline: Optional[float]) -> tuple[list, tuple]:
+    """Scan every candidate with the given a1, a value of the a1 order;
+    returns (hit rows, stats).
 
-    The prefix rows (a2, a3, a4) run in blocks.  A numpy pass per block
-    gives each row's cross-ratio a; the row's admissible fifth roots are
-    then the b of the per-prime table _admissible_pairs(p, target)[a]
-    mapped back to x (_block_roots), so no filter is evaluated at a root
-    that cannot pass.  The roots in the a5 order,
-    in visit order, are the a5 survivors; the roots in the b5 order, in
-    that order, are the row's b5 candidates.  Each survivor goes through
-    the scalar tail: a6, b5 over the candidates, b6, lambda5 and the twist
+    The prefix rows (a2, a3, a4) come in blocks from _blocks, with each
+    row's cross-ratios; a row's admissible fifth roots are then the b of
+    the per-prime table _admissible_pairs(p, target)[a] mapped back to x
+    (_block_roots), so no filter is evaluated at a root that cannot pass.
+    The first block is read from the chunk's window (_window), built in
+    one pass with the first blocks of the chunks next to it in the a1
+    order; it has the cells that hold probe quota + 1 when no row has more
+    than its fewest probes, and at most the cells of _BLOCK_ELEMENTS probes
+    and of one pass.  Later blocks are built for this chunk alone, each
+    twice the one before up to that size.  The roots in the a5 order, in
+    visit order, are the a5 survivors; the roots in the b5 order, in that
+    order, are the row's b5 candidates.  Each survivor goes through the
+    scalar tail: a6, b5 over the candidates, b6, lambda5 and the twist
     classes.  The probes are the (row, a5) pairs with a5 not in {a1, a2,
     a3, a4}, counted by index, so the quota cut and the max_hits stop
     report the same prefixes and probes as a scan one probe at a time.
     When deadline, a time.monotonic() value, has passed after a block, the
     chunk stops there, truncated; the first block always completes.
     """
-    p, cfg, chunk_pos, a1, quota, deadline = args
     inv, _, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
     pairs = _admissible_pairs(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
     arrays = _scan_arrays(p, cfg)
-    a5_pos, a5_in, b5_pos = arrays.a5_pos, arrays.a5_in, arrays.b5_pos
-    # cells index the product of the a2, a3 and a4 orders without a1; a row
-    # is a cell with a3 != a2 and a4 not in {a2, a3}
-    ord_a2, ord_a3, ord_a4 = (o[o != a1] for o in (arrays.a2, arrays.a3, arrays.a4))
-    n3, n4 = len(ord_a3), len(ord_a4)
-    n5, nb5 = (len(o) for o in _visit_orders(p, cfg)[4:])
-    cells = len(ord_a2) * n3 * n4
-    block = max(1, _BLOCK_ELEMENTS // n5)
+    a5_pos, b5_pos = arrays.a5_pos, arrays.b5_pos
+    n3, n4, n5, nb5 = arrays.lens[2:]
+    block = size = max(1, min(_BLOCK_ELEMENTS // n5, _PASS_CELLS))
+    if quota is not None:
+        # enough cells for probe quota + 1 when every row has its fewest
+        # probes, n5 - 4: a run of n4 - 1 cells with one a3 has at most two
+        # cells that are no rows, and each a2 has one run with a3 = a2
+        rows = -(-(quota + 1) // max(1, n5 - 4))
+        run = max(1, n4 - 3)
+        size = min(block, rows + 2 * -(-rows // run) + (n4 - 1) * (rows // max(1, (n3 - 2) * run)))
+    per = _PASS_CELLS // size
+    pos = int(arrays.pos[0, a1])
+    i = pos % per
+    blocks = _window(p, cfg, quota, size, pos - i, pos - i + per)
 
     prefixes = probes = tuples = confirm_failures = 0
     hits: list[tuple[int, tuple, dict]] = []
@@ -416,36 +559,18 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
     def stats(truncated: bool = False) -> tuple:
         return prefixes, probes, tuples, confirm_failures, truncated
 
-    cell = 0
-    while cell < cells:
-        idx = np.arange(cell, min(cell + block, cells))
-        cell += len(idx)
-        i2, rest = np.divmod(idx, n3 * n4)
-        i3, i4 = np.divmod(rest, n4)
-        a2, a3, a4 = ord_a2[i2], ord_a3[i3], ord_a4[i4]
-        keep = (a3 != a2) & (a4 != a2) & (a4 != a3)
-        if not keep.any():
-            if a3[-1] == a2[-1]:
-                # the rest of this (a2, a3) run of n4 cells has a3 = a2 too
-                cell = (int(idx[-1]) // n4 + 1) * n4
-            continue
-        a2, a3, a4 = a2[keep], a3[keep], a4[keep]
-        row_probes = n5 - a5_in[a1] - a5_in[a2] - a5_in[a3] - a5_in[a4]
-        ends = probes + np.cumsum(row_probes)
-        cut = quota is not None and int(ends[-1]) > quota
-        if cut:
-            # the rows through the one that holds probe quota + 1
-            rows = int(np.searchsorted(ends, quota, side="right")) + 1
-            a2, a3, a4 = a2[:rows], a3[:rows], a4[:rows]
-        a, roots = _block_roots(p, a1, a2, a3, a4, pairs)
-        # (row, a5 position, a5, mask bits) of the roots in the a5 order
-        survivors = sorted((r, a5_pos[x], x, m12) for r, row in enumerate(roots)
+    while True:
+        lo, hi = blocks.lo[i], blocks.hi[i]
+        a2s, a3s, a4s, as_, starts = blocks.a2, blocks.a3, blocks.a4, blocks.a, blocks.start
+        roots = _block_roots(p, a1, blocks.k[lo:hi], a2s[lo:hi], as_[lo:hi], pairs)
+        cut = blocks.cut[i]
+        # (listed row, a5 position, a5, mask bits) of the roots in the a5 order
+        survivors = sorted((r, a5_pos[x], x, m12) for r, row in enumerate(roots, lo)
                            for x, m12 in row if a5_pos[x] < n5)
-        a2s, a3s, a4s, as_ = a2.tolist(), a3.tolist(), a4.tolist(), a.tolist()
         b5_cands: dict[int, list] = {}  # row -> admissible (b5, mask bits) in b5 order
         for r, j, a5, m12 in survivors:
             a2r, a3r, a4r = a2s[r], a3s[r], a4s[r]
-            probe = int(ends[r] - row_probes[r]) + j + 1
+            probe = starts[r] + j + 1
             probe -= sum(a5_pos[v] < j for v in (a1, a2r, a3r, a4r))
             if cut and probe > quota:
                 break
@@ -455,7 +580,7 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
             base6 = (a1, a2r, a3r, a4r, a5, a6)
             if r not in b5_cands:
                 b5_cands[r] = [(x, m34) for _, x, m34 in sorted(
-                    (b5_pos[x], x, m34) for x, m34 in roots[r] if b5_pos[x] < nb5)]
+                    (b5_pos[x], x, m34) for x, m34 in roots[r - lo] if b5_pos[x] < nb5)]
             if not maximal:
                 d_a23 = (a2r - a3r) % p
                 inv_one_minus_a = inv[(1 - as_[r]) % p]
@@ -517,17 +642,23 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
                         if stop:
                             break
                 if stop:
-                    prefixes += r + 1
+                    prefixes += blocks.row[r] + 1
                     probes = probe
-                    return chunk_pos, hits, stats()
-        prefixes += len(a2)
+                    return hits, stats()
+        prefixes += blocks.rows[i]
         if cut:
             probes = quota + 1
-            return chunk_pos, hits, stats(truncated=True)
-        probes = int(ends[-1])
-        if deadline is not None and cell < cells and time.monotonic() > deadline:
-            return chunk_pos, hits, stats(truncated=True)
-    return chunk_pos, hits, stats()
+            return hits, stats(truncated=True)
+        probes, cell, cells = blocks.probes[i], blocks.nxt[i], blocks.cells[i]
+        if cell >= cells:
+            return hits, stats()
+        if deadline is not None and time.monotonic() > deadline:
+            return hits, stats(truncated=True)
+        # each later block twice the one before, so that a run of cells
+        # without rows takes few passes
+        size = min(block, 2 * size)
+        blocks, i = _blocks(p, cfg, np.array([a1]), np.array([cell]), np.array([probes]),
+                            size, quota), 0
 
 
 def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) -> Iterator[SearchHit]:
@@ -545,7 +676,7 @@ def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) ->
                 quota = -(-config.max_candidates // len(chunk_values))
             left = config.max_hits
             for pos, a1 in enumerate(chunk_values):
-                _, chunk_hits, chunk_stats = _scan_chunk((p, config, pos, a1, quota, deadline))
+                chunk_hits, chunk_stats = _scan_chunk(p, config, a1, quota, deadline)
                 prefixes, probes, tuples, confirm_failures, truncated = chunk_stats
                 stats.prefixes += prefixes
                 stats.probes += probes
@@ -590,8 +721,6 @@ def isomorphic_params_equal(x: HoweParams, y: HoweParams) -> bool:
         return False
     if x.row()[3:] != y.row()[3:]:
         return False
-    from .field_arith import legendre_symbol
-
     return legendre_symbol(x.alpha1) == legendre_symbol(y.alpha1) and legendre_symbol(
         x.alpha2
     ) == legendre_symbol(y.alpha2)

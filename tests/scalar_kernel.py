@@ -4,8 +4,7 @@ This is the one-probe-at-a-time loop the search ran before its a5 and b5
 filters were vectorised.  tests/test_search_engine.py requires the vectorised
 kernel to return exactly what this one returns: the same hits in the same
 order and the same (prefixes, probes, tuples, confirm_failures, truncated).
-It takes the chunk arguments without the deadline, (p, cfg, chunk_pos, a1,
-quota).
+It takes the chunk arguments without the deadline, (p, cfg, a1, quota).
 """
 
 from howe5.howe_factory import HoweParams
@@ -19,13 +18,8 @@ from howe5.search_engine import (
 )
 
 
-def _scan_chunk(args) -> tuple[int, list, tuple]:
-    """Scan every candidate with the given a1; returns picklable hit rows.
-
-    Runs inside worker processes; all state is rebuilt from (p, cfg) through
-    the per-process caches.
-    """
-    p, cfg, chunk_pos, a1, quota = args
+def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
+    """Scan every candidate with the given a1; returns (hit rows, stats)."""
     inv, sqrt_tab, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
@@ -69,7 +63,7 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
                     if quota is not None and probes > quota:
                         truncated = True
                         stats = (prefixes, probes, tuples, confirm_failures, truncated)
-                        return chunk_pos, hits, stats
+                        return hits, stats
                     b = (a1 - a3) * (a2 - a5) % p * inv[d_a23 * (a1 - a5) % p] % p
                     s = sqrt_tab[a * (a - b) % p]
                     if s == 0:
@@ -123,7 +117,7 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
                                 continue
                             if emit(1, 1, base6, b5, b6):
                                 stats = (prefixes, probes, tuples, confirm_failures, truncated)
-                                return chunk_pos, hits, stats
+                                return hits, stats
                             continue
                         g2 = (
                             d_a23
@@ -155,6 +149,6 @@ def _scan_chunk(args) -> tuple[int, list, tuple]:
                                 break
                         if stop:
                             stats = (prefixes, probes, tuples, confirm_failures, truncated)
-                            return chunk_pos, hits, stats
+                            return hits, stats
     stats = (prefixes, probes, tuples, confirm_failures, truncated)
-    return chunk_pos, hits, stats
+    return hits, stats

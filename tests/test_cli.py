@@ -233,7 +233,8 @@ class TestSearchCommand:
     @pytest.mark.parametrize("extra", [
         ["--p-max", "11", "--fix", "a1=2", "--fix", "a1=3"],
         ["--p-max", str(2 ** 21)],
-    ], ids=["slot-pinned-twice", "p-max-past-cap"])
+        ["--p-max", "11", "--fix", "a1=3", "--fix", "a5=14"],
+    ], ids=["slot-pinned-twice", "p-max-past-cap", "a5-pinned-equal-to-a1"])
     def test_config_error_exits_2(self, capsys, extra):
         rc = main(["search", "--target", "maximal-fp2", "--p-min", "11", *extra])
         assert rc == 2

@@ -45,10 +45,10 @@ def _quick_confirm(params, target):
     return None if sum(row) % 3 == 0 else {1: sum(row)}
 
 
-def _same_chunk(p, cfg, pos, a1, quota):
-    want = scalar_kernel._scan_chunk((p, cfg, pos, a1, quota))
-    got = search_engine._scan_chunk((p, cfg, pos, a1, quota, None))
-    assert got == want, (p, cfg, pos, quota)
+def _same_chunk(p, cfg, a1, quota):
+    want = scalar_kernel._scan_chunk(p, cfg, a1, quota)
+    got = search_engine._scan_chunk(p, cfg, a1, quota, None)
+    assert got == want, (p, cfg, a1, quota)
 
 
 @pytest.fixture
@@ -75,9 +75,9 @@ def test_kernel_matches_scalar_oracle(quick_confirm, target, fixed):
                 for pos, a1 in chunks:
                     if pos < 2 or a1 in pinned:
                         for quota in quotas:
-                            _same_chunk(p, cfg, pos, a1, quota)
+                            _same_chunk(p, cfg, a1, quota)
                 if seed is max_hits is None:
-                    _same_chunk(p, cfg, 0, chunks[0][1], None)
+                    _same_chunk(p, cfg, chunks[0][1], None)
 
 
 @pytest.mark.parametrize("target,p", [
@@ -92,24 +92,92 @@ def test_quota_and_hit_cap_across_blocks(quick_confirm, monkeypatch, target, p):
     monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 3 * p)
     for max_hits in (None, 1, 2, 40):
         cfg = SearchConfig(p, p, target, max_hits=max_hits, seed=5)
-        for pos, a1 in enumerate(_visit_orders(p, cfg)[0][:2]):
+        for a1 in _visit_orders(p, cfg)[0][:2]:
             quotas = range(1, 12 * (p - 4), 7)
             for quota in [*quotas, None] if max_hits else quotas:
-                _same_chunk(p, cfg, pos, a1, quota)
+                _same_chunk(p, cfg, a1, quota)
 
 
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
-def test_kernel_matches_scalar_oracle_past_a_block(quick_confirm, target):
-    # At p = 101 a block holds 40 cells, so the a3 = a2 run of n4 = 100
-    # cells outlasts two blocks.  In the unseeded order the first chunk's
-    # first cell starts such a run, and quota 10^4 reaches the second a2,
-    # whose run lies inside its cells.
+def test_kernel_matches_scalar_oracle_past_a_block(quick_confirm, monkeypatch, target):
+    # At p = 101 a block of 4096 elements holds 40 cells, so the a3 = a2
+    # run of n4 = 100 cells outlasts two blocks.  In the unseeded order the
+    # first chunk's first cell starts such a run, and quota 10^4 reaches the
+    # second a2, whose run lies inside its cells.
+    monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 4096)
     p = 101
     for seed in (None, 5):
         cfg = SearchConfig(p, p, target, seed=seed)
-        for pos, a1 in list(enumerate(_visit_orders(p, cfg)[0]))[:2]:
+        for a1 in _visit_orders(p, cfg)[0][:2]:
             for quota in (1, p - 4, 10_000):
-                _same_chunk(p, cfg, pos, a1, quota)
+                _same_chunk(p, cfg, a1, quota)
+
+
+@pytest.mark.parametrize("fixed", [(), (("a2", 5),)], ids=["free", "a2"])
+@pytest.mark.parametrize("target,p,quotas", [
+    (Target.MAXIMAL_FP2, 11, (1, 7, 60, None)),
+    (Target.SERRE_FP, 17, (1, 13, 120, 2000)),
+    (Target.SERRE_FP, 173, (1, 169, 1200)),
+    (Target.SERRE_FP3, 13, (1, 9, 80, None)),
+], ids=lambda v: getattr(v, "value", v))
+def test_windowed_kernel_matches_scalar_oracle_on_every_chunk(
+        quick_confirm, monkeypatch, target, p, quotas, fixed):
+    # Every chunk of the prime, in a1 order as enumerate_hits scans them, with
+    # blocks of three cells and windows of four first blocks.  Quota 1 and
+    # p - 4 cut in the first block, read from a window; the larger quotas
+    # and no quota run on through later blocks.  The unseeded order opens
+    # every chunk on an a3 = a2 run.  With a2 pinned to 5 the chunk a1 = 5
+    # has no cell.  At p = 173 serre-fp has no admissible pair, so the
+    # chunks only count probes.
+    monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 3 * p)
+    monkeypatch.setattr(search_engine, "_PASS_CELLS", 12)
+    for seed in (None, 5):
+        for max_hits in (None, 2):
+            cfg = SearchConfig(p, p, target, max_hits=max_hits, seed=seed, fixed=fixed)
+            for quota in quotas:
+                for a1 in _visit_orders(p, cfg)[0]:
+                    _same_chunk(p, cfg, a1, quota)
+
+
+def _count_block_passes(monkeypatch):
+    """The chunk counts of the calls to _blocks, recorded from now on."""
+    calls = []
+    real = search_engine._blocks
+
+    def counted(p, cfg, a1, *args):
+        calls.append(len(a1))
+        return real(p, cfg, a1, *args)
+
+    monkeypatch.setattr(search_engine, "_blocks", counted)
+    search_engine._window.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("target,p,max_candidates,seed", [
+    (Target.SERRE_FP, 181, 300_000, 1),
+    (Target.SERRE_FP, 1187, 10_000, 1),
+    (Target.MAXIMAL_FP2, 1031, 1031, None),
+], ids=["scan-181", "tiny-1187", "unseeded-1031"])
+def test_small_quotas_take_a_few_block_passes_per_prime(monkeypatch, target, p, max_candidates,
+                                                        seed):
+    """The benchmark's scan settings at p = 181, a tiny quota at p = 1187
+    (ten probes per chunk) and one probe per chunk in the unseeded order,
+    where every chunk opens on an a3 = a2 run, build the first blocks of
+    many chunks in one pass (5 passes at p = 181, 7 at the others), not one
+    pass per chunk; the hits and totals are the scalar kernel's."""
+    calls = _count_block_passes(monkeypatch)
+    cfg = SearchConfig(p, p, target, max_candidates=max_candidates, seed=seed)
+    hits, stats = run_search(cfg)
+    assert len(calls) <= 8 and sum(calls) >= p
+    quota = -(-max_candidates // p)
+    want_rows, want = [], [0] * 5
+    for a1 in _visit_orders(p, cfg)[0]:
+        chunk_hits, chunk_stats = scalar_kernel._scan_chunk(p, cfg, a1, quota)
+        want_rows += [row for _, row, _ in chunk_hits]
+        want = [w + v for w, v in zip(want, chunk_stats)]
+    assert [h.row() for h in hits] == want_rows
+    got = (stats.prefixes, stats.probes, stats.tuples, stats.confirm_failures)
+    assert got == tuple(want[:4]) and stats.truncated == bool(want[4])
 
 
 def test_one_probe_per_chunk_skips_the_a3_equals_a2_run():
@@ -132,9 +200,8 @@ def test_pair_masks_match_scalar_filters(target, p):
     pairs = search_engine._admissible_pairs(p, target)
     for _ in range(20):
         a1, a2, a3, a4 = rng.sample(range(p), 4)
-        rows = [np.array([v]) for v in (a2, a3, a4)]
-        a, roots = search_engine._block_roots(p, a1, *rows, pairs)
         d_a23 = (a2 - a3) % p
+        want_k = (a1 - a3) * inv[d_a23] % p
         want_a = (a1 - a3) * (a2 - a4) % p * inv[d_a23 * (a1 - a4) % p] % p
         want = []
         for x in range(p):
@@ -143,9 +210,18 @@ def test_pair_masks_match_scalar_filters(target, p):
             pref = (1 - want_a) * inv[(b - 1) % p] % p
             bits = mask[pref * (b - 2 * want_a + 2 * s) % p] & mask[pref * (b - 2 * want_a - 2 * s) % p]
             want.append(0 if s == 0 or x in (a1, a2, a3, a4) else bits)
-        assert a.tolist() == [want_a]
+        roots = search_engine._block_roots(p, a1, [want_k], [a2], [want_a], pairs)
         assert len(roots) == 1 and len(dict(roots[0])) == len(roots[0])
         assert [dict(roots[0]).get(x, 0) for x in range(p)] == want
+        # the block of the one cell (a1, a2, a3, a4) of a search with a2, a3
+        # and a4 pinned lists the row, with its k and a, when its a has
+        # admissible pairs; a maximal-fp2 search, since serre-fp needs
+        # p >= 17
+        cfg = SearchConfig(p, p, Target.MAXIMAL_FP2, fixed=(("a2", a2), ("a3", a3), ("a4", a4)))
+        one = np.array([0])
+        block = search_engine._blocks(p, cfg, np.array([a1]), one, one, 1, None)
+        listed = want_a in search_engine._admissible_pairs(p, Target.MAXIMAL_FP2)
+        assert (block.k, block.a) == (([want_k], [want_a]) if listed else ([], []))
 
 
 def _forward_pairs(p, target):
@@ -217,12 +293,11 @@ def test_kernel_matches_scalar_oracle_on_table_rows(row, target):
     fixed = (("a2", a[1]), ("a3", a[2]), ("a4", a[3]))
     for max_hits in (None, 1):
         cfg = SearchConfig(p, p, target, max_hits=max_hits, fixed=fixed)
-        pos = _visit_orders(p, cfg)[0].index(a[0])
         for quota in (p // 2, None):
-            want = scalar_kernel._scan_chunk((p, cfg, pos, a[0], quota))
+            want = scalar_kernel._scan_chunk(p, cfg, a[0], quota)
             if quota is max_hits is None:
-                assert any(r[3:9] == a for _, r, _ in want[1])
-            assert search_engine._scan_chunk((p, cfg, pos, a[0], quota, None)) == want
+                assert any(r[3:9] == a for _, r, _ in want[0])
+            assert search_engine._scan_chunk(p, cfg, a[0], quota, None) == want
 
 
 def _workloads():

@@ -54,6 +54,24 @@ class TestSearchConfig:
         # maximal-fp2 has no such floor beyond oddness
         SearchConfig(p_min=3, p_max=13, target="maximal-fp2")
 
+    @pytest.mark.parametrize("fixed,p_min,p_max", [
+        ((("a1", 3), ("a5", 3)), 101, 101),
+        ((("a5", 3), ("a4", 3)), 3, 3),
+        ((("a2", 3), ("a5", 104)), 101, 101),
+        ((("a5", 104), ("a3", 3)), 3, 200),
+    ])
+    def test_a5_pinned_equal_to_a_prefix_slot_is_rejected(self, fixed, p_min, p_max):
+        # every row would hold no probe, so max_candidates could never stop
+        # the scan of all p^3 prefix rows
+        with pytest.raises(ValueError, match="leaves no probe"):
+            SearchConfig(p_min, p_max, "maximal-fp2", max_candidates=10, fixed=fixed)
+
+    def test_a5_pinned_equal_only_outside_the_range_is_accepted(self):
+        # 104 - 3 = 101 is prime, and no other prime divides it
+        for p_min, p_max in ((3, 100), (103, 200)):
+            SearchConfig(p_min, p_max, "maximal-fp2", fixed=(("a2", 3), ("a5", 104)))
+        SearchConfig(3, 200, "maximal-fp2", fixed=(("a5", 3), ("b5", 3), ("a2", 4)))
+
     def test_range_must_be_ordered(self):
         with pytest.raises(ValueError):
             SearchConfig(p_min=31, p_max=17, target="serre-fp")
@@ -267,9 +285,9 @@ class TestDriver:
         scanned = []
         real = search_engine._scan_chunk
 
-        def counted(args):
-            scanned.append(args[2])
-            return real(args)
+        def counted(p, cfg, a1, quota, deadline):
+            scanned.append(search_engine._visit_orders(p, cfg)[0].index(a1))
+            return real(p, cfg, a1, quota, deadline)
 
         monkeypatch.setattr(search_engine, "_scan_chunk", counted)
         cfg = SearchConfig(p_min=11, p_max=11, target="maximal-fp2",
@@ -293,13 +311,15 @@ class TestDriver:
             assert all(h.index[:2] == (11, 0) for h in hits)
 
     def test_time_budget_stops_inside_a_chunk(self):
-        # an uncapped chunk at p = 101 holds 100 * 99 * 98 * 97 probes
-        cfg = SearchConfig(p_min=101, p_max=101, target="maximal-fp2", time_budget=0.5)
+        # an uncapped chunk at p = 1009 holds 1008 * 1007 * 1006 * 1005
+        # probes (at p = 101 the kernel counts a whole chunk's 94 million
+        # in less than the budget, since no row there has admissible pairs)
+        cfg = SearchConfig(p_min=1009, p_max=1009, target="maximal-fp2", time_budget=0.5)
         t0 = time.monotonic()
         hits, stats = run_search(cfg)
         assert time.monotonic() - t0 < 10
         assert stats.truncated
-        assert stats.probes < 100 * 99 * 98 * 97
+        assert stats.probes < 1008 * 1007 * 1006 * 1005
 
 
 class TestConfirm:
