@@ -12,7 +12,6 @@ from .curve_models import (
     HyperellipticModel,
     PointCount,
     count_points,
-    curve_trace,
     weil_interval,
 )
 from .errors import (
@@ -43,14 +42,12 @@ from .field_arith import (
 )
 from .hasse_serre import (
     LegendreCurve,
-    TraceSequence,
     attains_serre_fp,
     attains_serre_fp3,
     floor_two_sqrt,
     hasse_poly_eval,
     legendre_count_fp,
     maximal_fp2,
-    mod4_check,
     serre_bound,
     trace_mod_p,
     zeta_lift,
@@ -63,11 +60,8 @@ from .howe_factory import (
     ValidationResult,
     decompose_genus5,
     direct_counts,
-    genus_of_howe,
     howe_counts,
     howe_models,
-    howe_point_count,
-    is_hyperelliptic_howe,
     serre_verdicts,
     split_genus2,
     validate,
@@ -79,7 +73,6 @@ from .search_engine import (
     Target,
     enumerate_hits,
     random_valid_params,
-    solve_linear_root,
 )
 
 __version__ = "0.1.0"

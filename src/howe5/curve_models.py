@@ -181,9 +181,3 @@ def count_points(model: HyperellipticModel, j: int = 1) -> PointCount:
         )
     total = q + _char_sum(model, j) + _points_at_infinity(model, j)
     return PointCount(q=q, count=total, method=CountMethod.BRUTE_FORCE, genus=model.genus)
-
-
-def curve_trace(model: HyperellipticModel, j: int = 1) -> int:
-    """q + 1 - #C(F_{p^j})."""
-    pc = count_points(model, j)
-    return pc.trace

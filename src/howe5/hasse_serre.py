@@ -156,41 +156,18 @@ def attains_serre_fp3(curve: LegendreCurve) -> bool:
     return lift_trace(trace_mod_p(curve).value, p, 3) == -floor_two_sqrt(p ** 3)
 
 
-@dataclass(frozen=True)
-class TraceSequence:
-    """Frobenius traces a_1, a_2, a_3 of an elliptic curve over F_p, built
-    from the exact count n_1 over F_p."""
-
-    p: int
-    n1: int
-    a: tuple[int, int, int]
-
-    @classmethod
-    def from_count(cls, p: int, n1: int) -> "TraceSequence":
-        a1 = p + 1 - n1
-        if a1 * a1 > 4 * p:
-            raise HasseViolation(f"count {n1} violates the Hasse bound for p={p}")
-        return cls(p=p, n1=n1, a=tuple(lift_trace(a1, p, j) for j in (1, 2, 3)))
-
-    def count(self, j: int) -> int:
-        if j not in (1, 2, 3):
-            raise ValueError(f"j must be 1, 2 or 3, got {j}")
-        return self.p ** j + 1 - self.a[j - 1]
-
-
 def zeta_lift(n1: int, p: int, j: int) -> int:
-    """Exact count over F_{p^j} from the count over F_p, j in {1, 2, 3}."""
-    return TraceSequence.from_count(p, n1).count(j)
+    """Exact count over F_{p^j}, j in {1, 2, 3}, of an elliptic curve with
+    n1 points over F_p: p^j + 1 minus the lifted trace.  Raises
+    HasseViolation when n1 breaks the Hasse bound."""
+    if j not in (1, 2, 3):
+        raise ValueError(f"j must be 1, 2 or 3, got {j}")
+    t = p + 1 - n1
+    if t * t > 4 * p:
+        raise HasseViolation(f"count {n1} violates the Hasse bound for p={p}")
+    return p ** j + 1 - lift_trace(t, p, j)
 
 
 def legendre_count_fp(curve: LegendreCurve) -> int:
     """Brute-force count of the curve over F_p."""
     return curve_models.count_points(curve.model(), 1).count
-
-
-def mod4_check(curve: LegendreCurve, j: int) -> bool:
-    """The group order over F_{p^j} is divisible by 4; the full 2-torsion is
-    rational, so this holds for every valid curve.  Counted over F_p and
-    lifted for j > 1."""
-    n1 = legendre_count_fp(curve)
-    return zeta_lift(n1, curve.mod.p, j) % 4 == 0

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import curve_models, hasse_serre
-from .curve_models import CountMethod, HyperellipticModel, PointCount
+from .curve_models import HyperellipticModel
 from .errors import (
     ConditionFailed,
     CrossRatioFailed,
@@ -27,29 +27,9 @@ from .errors import (
     DegenerateLambda,
     DivisionByZero,
     NonSquareObstruction,
-    HypothesisViolated,
 )
 from .field_arith import FieldElement, PrimeModulus, legendre_symbol, prime_modulus, sqrt_mod_p
-from .hasse_serre import LegendreCurve, TraceSequence
-
-
-def genus_of_howe(g1: int, g2: int, r: int) -> int:
-    """Genus of a fibre product of hyperelliptic curves of genus g1 <= g2
-    whose branch loci share exactly r points."""
-    if not 0 < g1 <= g2:
-        raise ValueError(f"need 0 < g1 <= g2, got ({g1}, {g2})")
-    if not 0 <= r <= 2 * g1 + 2:
-        raise ValueError(f"need 0 <= r <= 2*g1 + 2, got r={r}")
-    return 2 * (g1 + g2) + 1 - r
-
-
-def is_hyperelliptic_howe(g1: int, g2: int, r: int) -> bool:
-    """Whether the fibre product is itself hyperelliptic; decided by r alone.
-    Only meaningful for genus >= 4."""
-    g = genus_of_howe(g1, g2, r)
-    if g < 4:
-        raise HypothesisViolated(f"criterion needs genus >= 4, got {g}")
-    return r == g1 + g2 + 1
+from .hasse_serre import LegendreCurve, zeta_lift
 
 
 @dataclass(frozen=True)
@@ -368,7 +348,7 @@ class HoweCounts:
         if self.j != 1:
             raise ValueError("only counts over F_p can be lifted")
         q = self.q ** j
-        e = tuple(TraceSequence.from_count(self.q, n).count(j) for n in self.e)
+        e = tuple(zeta_lift(n, self.q, j) for n in self.e)
         return HoweCounts(
             q=q,
             j=j,
@@ -403,14 +383,6 @@ def howe_counts(
     c1, c2, c3 = n_c
     base = HoweCounts(q=p, j=1, c1=c1, c2=c2, c3=c3, e=n_e, total=c1 + c2 + c3 - 2 * p - 2)
     return base if j == 1 else base.lift(j)
-
-
-def howe_point_count(params: HoweParams, j: int = 1) -> PointCount:
-    """#C(F_{p^j}) via the decomposition, with both formulas cross-checked."""
-    counts = howe_counts(params, j)
-    return PointCount(
-        q=counts.q, count=counts.total, method=CountMethod.DECOMPOSITION, genus=5
-    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 The enumeration walks root tuples (a1, a2, a3, a4, a5, b5) in a fixed
 (optionally seed-permuted) order; a6 and b6 are forced by the compatibility
-conditions and are derived by solving the condition, which is linear in the
-missing root.  Cheap filters on the exact trace table run first: the
+conditions.  They are derived in the cross-ratio frame y = cr(a1, a2, a3,
+x), which sends a1, a2, a3, a4, a5 and b5 to infinity, 0, 1, a, b and c:
+each condition holds every point once per side, so the map keeps it, and
+with a1 at infinity it puts a6 at d = a(1-b)/(1-a) and b6 at e =
+a(1-c)/(1-a).  Cheap filters on the exact trace table run first: the
 Legendre parameters of a candidate depend only on the roots, and the bound
 rules depend on the twist scalars only through their square class, so each
 passing root tuple is emitted with canonical twist representatives for each
@@ -52,7 +55,7 @@ from typing import IO, Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from . import hasse_serre, howe_factory
-from .field_arith import PRIME_CAP, FieldElement, is_prime, legendre_symbol, residue_tables
+from .field_arith import PRIME_CAP, is_prime, legendre_symbol, residue_tables
 from .hasse_serre import floor_two_sqrt, legendre_traces, lift_trace, serre_bound
 from .howe_factory import HoweParams
 
@@ -203,39 +206,6 @@ def _class_masks(p: int, target: Target) -> tuple[int, ...]:
     mask = (lift_trace(t, p, j) == goal) + 2 * (lift_trace(-t, p, j) == goal)
     mask[:2] = 0
     return tuple(mask.tolist())
-
-
-# ---------------------------------------------------------------------------
-# root derivation
-
-
-def _solve_missing_root(
-    x1: int, x2: int, x3: int, x4: int, w: int, p: int, inv
-) -> Optional[int]:
-    k1 = (x2 - x4) * (x3 - w) % p
-    k2 = (x1 - w) * (x3 - x4) % p
-    u = (k2 - k1) % p
-    if u == 0:
-        return None
-    x = (k2 * x2 - k1 * x1) * inv[u] % p
-    if x in (x1 % p, x2 % p, x3 % p, x4 % p, w % p):
-        return None
-    return x
-
-
-def solve_linear_root(
-    x1: FieldElement,
-    x2: FieldElement,
-    x3: FieldElement,
-    x4: FieldElement,
-    w: FieldElement,
-) -> Optional[FieldElement]:
-    """The unique sixth root forced by the compatibility condition with the
-    five fixed cross-ratio slots, or None if it degenerates or collides."""
-    p = x1.mod.p
-    inv, _, _, _ = _tables(p)
-    v = _solve_missing_root(x1.value, x2.value, x3.value, x4.value, w.value, p, inv)
-    return None if v is None else FieldElement(v, x1.mod)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +451,23 @@ def _window(p: int, cfg: SearchConfig, quota: Optional[int], size: int,
     return _blocks(p, cfg, a1, first, np.zeros_like(a1), size, quota)
 
 
+def _from_frame(p: int, inv, a1: int, a2: int, k: int, y: int) -> int:
+    """The x with cross-ratio y = k (a2-x) / (a1-x), for k = (a1-a3)/(a2-a3)
+    and y != k: x = (k a2 - y a1) / (k - y).  y = k is the image of x =
+    infinity, and x = a1 would need y = infinity."""
+    return (k * a2 - y * a1) * inv[(k - y) % p] % p
+
+
 def _block_roots(p: int, a1: int, k: list, a2: list, a: list, pairs: dict) -> list:
     """Each prefix row's admissible fifth roots, for the rows (a1, a2[i])
-    with cross-ratios k[i] and a[i] (_Blocks): the (x, bits) with bits =
-    mask[lam1] & mask[lam2] nonzero (_admissible_pairs, passed as pairs).
-    b = k (a2-x) / (a1-x) is a Moebius map of x with inverse x = (k a2 -
-    b a1) / (k - b); b = k is the image of x = infinity, and x = a1 would
-    need b = infinity.  pairs holds no b in {0, 1, a}, the images of a2, a3
-    and a4, so no root is in {a1, a2, a3, a4}."""
+    with cross-ratios k[i] and a[i] (_Blocks): the (x, bits, b) with b the
+    cross-ratio of x and bits = mask[lam1] & mask[lam2] nonzero
+    (_admissible_pairs, passed as pairs).  pairs holds no b in {0, 1, a},
+    the images of a2, a3 and a4, and b = k is skipped, so no root is in
+    {a1, a2, a3, a4}."""
     inv = _tables(p)[0]
     return [
-        [((kr * a2r - b * a1) * inv[(kr - b) % p] % p, bits)
+        [(_from_frame(p, inv, a1, a2r, kr, b), bits, b)
          for b, bits in pairs.get(ar, ()) if b != kr]
         for kr, a2r, ar in zip(k, a2, a)
     ]
@@ -514,12 +490,14 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     twice the one before up to that size.  The roots in the a5 order, in
     visit order, are the a5 survivors; the roots in the b5 order, in that
     order, are the row's b5 candidates.  Each survivor goes through the
-    scalar tail: a6, b5 over the candidates, b6, lambda5 and the twist
-    classes.  The probes are the (row, a5) pairs with a5 not in {a1, a2,
-    a3, a4}, counted by index, so the quota cut and the max_hits stop
-    report the same prefixes and probes as a scan one probe at a time.
+    scalar tail in the frame of _block_roots' b: d and a6, b5 over the
+    candidates, e and b6, lambda5, then the twist classes.  The probes are
+    the (row, a5) pairs with a5 not in {a1, a2, a3, a4}, counted by index,
+    so the quota cut and the max_hits stop report the same prefixes and
+    probes as a scan one probe at a time.
     When deadline, a time.monotonic() value, has passed after a block, the
-    chunk stops there, truncated; the first block always completes.
+    chunk stops there, truncated; the first block always completes.  A
+    chunk whose a1 is the pinned a5 has no probe and only counts its rows.
     """
     inv, _, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
@@ -528,6 +506,15 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     arrays = _scan_arrays(p, cfg)
     a5_pos, b5_pos = arrays.a5_pos, arrays.b5_pos
     n3, n4, n5, nb5 = arrays.lens[2:]
+    if n5 == 1 and a5_pos[a1] == 0:
+        # a5 is pinned to a1, so no row has a probe: the chunk is its rows,
+        # the (a2, a3, a4) of the orders without a1 with no two equal,
+        # counted by inclusion-exclusion
+        i2, i3, i4 = arrays.inside[1:4] * (np.arange(p) != a1)
+        m2, m3, m4 = int(i2.sum()), int(i3.sum()), int(i4.sum())
+        rows = (m2 * m3 * m4 - int(i2 @ i3) * m4 - int(i2 @ i4) * m3 - int(i3 @ i4) * m2
+                + 2 * int((i2 * i3 * i4).sum()))
+        return [], (rows, 0, 0, 0, False)
     block = size = max(1, min(_BLOCK_ELEMENTS // n5, _PASS_CELLS))
     if quota is not None:
         # enough cells for probe quota + 1 when every row has its fewest
@@ -561,68 +548,50 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
 
     while True:
         lo, hi = blocks.lo[i], blocks.hi[i]
-        a2s, a3s, a4s, as_, starts = blocks.a2, blocks.a3, blocks.a4, blocks.a, blocks.start
-        roots = _block_roots(p, a1, blocks.k[lo:hi], a2s[lo:hi], as_[lo:hi], pairs)
+        a2s, a3s, a4s, ks, as_ = blocks.a2, blocks.a3, blocks.a4, blocks.k, blocks.a
+        roots = _block_roots(p, a1, ks[lo:hi], a2s[lo:hi], as_[lo:hi], pairs)
         cut = blocks.cut[i]
-        # (listed row, a5 position, a5, mask bits) of the roots in the a5 order
-        survivors = sorted((r, a5_pos[x], x, m12) for r, row in enumerate(roots, lo)
-                           for x, m12 in row if a5_pos[x] < n5)
-        b5_cands: dict[int, list] = {}  # row -> admissible (b5, mask bits) in b5 order
-        for r, j, a5, m12 in survivors:
-            a2r, a3r, a4r = a2s[r], a3s[r], a4s[r]
-            probe = starts[r] + j + 1
+        # (listed row, a5 position, a5, b, mask bits) of the roots in the a5 order
+        survivors = sorted((r, a5_pos[x], x, b, m12) for r, row in enumerate(roots, lo)
+                           for x, m12, b in row if a5_pos[x] < n5)
+        b5_cands: dict[int, list] = {}  # row -> admissible (b5, c, mask bits) in b5 order
+        for r, j, a5, b, m12 in survivors:
+            a2r, a3r, a4r, kr = a2s[r], a3s[r], a4s[r], ks[r]
+            probe = blocks.start[r] + j + 1
             probe -= sum(a5_pos[v] < j for v in (a1, a2r, a3r, a4r))
             if cut and probe > quota:
                 break
-            a6 = _solve_missing_root(a1, a2r, a3r, a4r, a5, p, inv)
-            if a6 is None:
+            # a6 at d: d = 1 would put it at a3, d = k at infinity
+            inv_one_minus_a = inv[(1 - as_[r]) % p]
+            frame = as_[r] * inv_one_minus_a % p
+            d = frame * (1 - b) % p
+            if d == 1 or d == kr:
                 continue
+            a6 = _from_frame(p, inv, a1, a2r, kr, d)
             base6 = (a1, a2r, a3r, a4r, a5, a6)
             if r not in b5_cands:
-                b5_cands[r] = [(x, m34) for _, x, m34 in sorted(
-                    (b5_pos[x], x, m34) for x, m34 in roots[r - lo] if b5_pos[x] < nb5)]
+                b5_cands[r] = [(x, c, m34) for _, x, c, m34 in sorted(
+                    (b5_pos[x], x, c, m34) for x, m34, c in roots[r - lo] if b5_pos[x] < nb5)]
             if not maximal:
-                d_a23 = (a2r - a3r) % p
-                inv_one_minus_a = inv[(1 - as_[r]) % p]
-                b = (a1 - a3r) * (a2r - a5) % p * inv[d_a23 * (a1 - a5) % p] % p
-                g1 = (
-                    d_a23
-                    * ((a1 - a4r) % p)
-                    % p
-                    * ((a1 - a5) % p)
-                    % p
-                    * ((a1 - a6) % p)
-                    % p
-                )
+                g1 = (a2r - a3r) * (a1 - a4r) % p * ((a1 - a5) * (a1 - a6) % p) % p
                 chi_u1 = chi[g1 * ((1 - b) % p) % p * inv_one_minus_a % p]
-            for b5, m34 in b5_cands[r]:
-                if b5 == a5 or b5 == a6:
+            for b5, c, m34 in b5_cands[r]:
+                if c == b or c == d:
                     continue
-                b6 = _solve_missing_root(a1, a2r, a3r, a4r, b5, p, inv)
-                if b6 is None or b6 in (a5, a6):
+                # b6 at e, which must miss a3, infinity and a5 (e = d, b6 =
+                # a6, would need c = b)
+                e = frame * (1 - c) % p
+                if e == 1 or e == kr or e == b:
                     continue
+                b6 = _from_frame(p, inv, a1, a2r, kr, e)
                 tuples += 1
-                lam5 = (
-                    (a5 - b5)
-                    * (a6 - b6)
-                    % p
-                    * inv[(a5 - b6) * (a6 - b5) % p]
-                    % p
-                )
+                # lambda5 is a cross-ratio, so the frame keeps it
+                lam5 = (b - c) * (d - e) % p * inv[(b - e) * (d - c) % p] % p
                 stop = False
                 if maximal:
                     stop = mask[lam5] != 0 and emit(1, 1, base6, b5, b6)
                 else:
-                    c = (a1 - a3r) * (a2r - b5) % p * inv[d_a23 * (a1 - b5) % p] % p
-                    g2 = (
-                        d_a23
-                        * ((a1 - a4r) % p)
-                        % p
-                        * ((a1 - b5) % p)
-                        % p
-                        * ((a1 - b6) % p)
-                        % p
-                    )
+                    g2 = (a2r - a3r) * (a1 - a4r) % p * ((a1 - b5) * (a1 - b6) % p) % p
                     chi_u2 = chi[g2 * ((1 - c) % p) % p * inv_one_minus_a % p]
                     chi_w5 = chi[(a5 - b6) * (a6 - b5) % p]
                     for e1 in (1, -1):
@@ -714,32 +683,34 @@ def run_search(config: SearchConfig) -> tuple[list[SearchHit], SearchStats]:
 # helpers shared with tests and the command line
 
 
-def isomorphic_params_equal(x: HoweParams, y: HoweParams) -> bool:
-    """Equal branch points and equal twist square classes; such parameter
-    sets give isomorphic curves."""
-    if x.mod.p != y.mod.p:
-        return False
-    if x.row()[3:] != y.row()[3:]:
-        return False
-    return legendre_symbol(x.alpha1) == legendre_symbol(y.alpha1) and legendre_symbol(
-        x.alpha2
-    ) == legendre_symbol(y.alpha2)
+def orbit_key(params: HoweParams) -> tuple[int, ...]:
+    """(p, a, b, c, chi(theta12), chi(theta34)) of validate(params).split:
+    the cross-ratios and the twist classes of the first two factor pairs.
+    Both are invariant under a Moebius map of the roots that rescales the
+    twists to match, so isomorphic parameter sets share their key."""
+    vr = howe_factory.validate(params)
+    vr.raise_if_invalid()
+    split = vr.split
+    return (params.mod.p, split.a.value, split.b.value, split.c.value,
+            legendre_symbol(split.theta[0]), legendre_symbol(split.theta[2]))
 
 
 def random_valid_params(
     p: int, rng: random.Random, max_tries: int = 5000
 ) -> Optional[HoweParams]:
     """Sample a validated parameter set by drawing roots and deriving the
-    forced ones; twists are uniform nonzero scalars."""
-    inv, _, _, _ = _tables(p)
+    forced ones in the cross-ratio frame; twists are uniform nonzero
+    scalars."""
+    inv = _tables(p)[0]
     for _ in range(max_tries):
         a1, a2, a3, a4, a5, b5 = rng.sample(range(p), 6)
-        a6 = _solve_missing_root(a1, a2, a3, a4, a5, p, inv)
-        if a6 is None or a6 == b5:
+        k = (a1 - a3) * inv[(a2 - a3) % p] % p
+        a, b, c = (k * (a2 - x) % p * inv[(a1 - x) % p] % p for x in (a4, a5, b5))
+        frame = a * inv[(1 - a) % p] % p
+        d, e = frame * (1 - b) % p, frame * (1 - c) % p
+        if d in (1, k, c) or e in (1, k, b):
             continue
-        b6 = _solve_missing_root(a1, a2, a3, a4, b5, p, inv)
-        if b6 is None or b6 in (a5, a6):
-            continue
+        a6, b6 = (_from_frame(p, inv, a1, a2, k, y) for y in (d, e))
         alpha1 = rng.randrange(1, p)
         alpha2 = rng.randrange(1, p)
         params = HoweParams.from_ints(p, alpha1, alpha2, (a1, a2, a3, a4, a5, a6), (b5, b6))

@@ -5,6 +5,11 @@ filters were vectorised.  tests/test_search_engine.py requires the vectorised
 kernel to return exactly what this one returns: the same hits in the same
 order and the same (prefixes, probes, tuples, confirm_failures, truncated).
 It takes the chunk arguments without the deadline, (p, cfg, a1, quota).
+
+It derives a6 and b6 by its own linear solve of the compatibility
+condition (solve_missing_root), not in the cross-ratio frame the search
+works in, so the equality checks the frame against an independent
+derivation.
 """
 
 from howe5.howe_factory import HoweParams
@@ -12,10 +17,24 @@ from howe5.search_engine import (
     Target,
     _class_masks,
     _confirm,
-    _solve_missing_root,
     _tables,
     _visit_orders,
 )
+
+
+def solve_missing_root(x1, x2, x3, x4, w, p, inv):
+    """The x with (x2 - x4)(x1 - x)(x3 - w) = (x2 - x)(x1 - w)(x3 - x4),
+    the condition being linear in x; None when it has no solution or the
+    solution is one of x1, x2, x3, x4 and w."""
+    k1 = (x2 - x4) * (x3 - w) % p
+    k2 = (x1 - w) * (x3 - x4) % p
+    u = (k2 - k1) % p
+    if u == 0:
+        return None
+    x = (k2 * x2 - k1 * x1) * inv[u] % p
+    if x in (x1 % p, x2 % p, x3 % p, x4 % p, w % p):
+        return None
+    return x
 
 
 def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
@@ -74,7 +93,7 @@ def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
                     m12 = mask[lam1] & mask[lam2]
                     if m12 == 0:
                         continue
-                    a6 = _solve_missing_root(a1, a2, a3, a4, a5, p, inv)
+                    a6 = solve_missing_root(a1, a2, a3, a4, a5, p, inv)
                     if a6 is None:
                         continue
                     base6 = (a1, a2, a3, a4, a5, a6)
@@ -101,7 +120,7 @@ def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
                         m34 = mask[lam3] & mask[lam4]
                         if m34 == 0:
                             continue
-                        b6 = _solve_missing_root(a1, a2, a3, a4, b5, p, inv)
+                        b6 = solve_missing_root(a1, a2, a3, a4, b5, p, inv)
                         if b6 is None or b6 in (a5, a6):
                             continue
                         tuples += 1

@@ -26,7 +26,6 @@ from howe5.hasse_serre import (
     attains_serre_fp,
     legendre_count_fp,
     maximal_fp2,
-    mod4_check,
     serre_bound,
     zeta_lift,
 )
@@ -211,7 +210,8 @@ def test_acceptance_08_mod4(capsys):
             theta = rng.randrange(1, p)
             lam = rng.randrange(2, p)
             j = rng.choice((1, 2, 3))
-            assert mod4_check(LegendreCurve.from_ints(p, theta, lam), j)
+            n1 = legendre_count_fp(LegendreCurve.from_ints(p, theta, lam))
+            assert zeta_lift(n1, p, j) % 4 == 0
         for params in _sample_params():
             assert howe_counts(params, 1).total % 4 == 0
     _announce(capsys, 8, "mod-4", body)

@@ -16,7 +16,6 @@ from howe5.curve_models import (
     HyperellipticModel,
     PointCount,
     count_points,
-    curve_trace,
     weil_interval,
 )
 from howe5.errors import CapExceeded, HasseViolation, Howe5Error
@@ -152,7 +151,7 @@ class TestCapAndErrors:
 class TestDerivedQuantities:
     def test_trace_is_q_plus_1_minus_count(self):
         m = HyperellipticModel.from_ints(5, 1, (0, 1, 2))
-        assert curve_trace(m) == 5 + 1 - 8  # = -2
+        assert count_points(m).trace == 5 + 1 - 8  # = -2
 
     def test_counts_inside_weil_interval(self):
         import random

@@ -14,7 +14,6 @@ from howe5.hasse_serre import (
     LegendreCurve,
     SERRE_FP3_MIN_PRIME,
     SERRE_FP_MIN_PRIME,
-    TraceSequence,
     attains_serre_fp,
     attains_serre_fp3,
     floor_two_sqrt,
@@ -25,7 +24,6 @@ from howe5.hasse_serre import (
     legendre_traces,
     lift_trace,
     maximal_fp2,
-    mod4_check,
     serre_bound,
     trace_mod_p,
     zeta_lift,
@@ -345,16 +343,23 @@ class TestZetaLift:
 
 
 class TestTraceSequence:
+    """zeta_lift over the three degrees: p^j + 1 - a_j for the traces a_j
+    that one count over F_p fixes."""
+
     def test_from_count(self):
-        ts = TraceSequence.from_count(11, 12)
-        assert ts.n1 == 12
-        assert ts.count(1) == 12
-        assert ts.count(2) == 144
-        assert ts.count(3) == 1332
+        assert [zeta_lift(12, 11, j) for j in (1, 2, 3)] == [12, 144, 1332]
+        with pytest.raises(ValueError):
+            zeta_lift(12, 11, 4)
 
     def test_rejects_impossible_count(self):
-        with pytest.raises(HasseViolation):
-            TraceSequence.from_count(11, 30)
+        for j in (1, 2, 3):
+            with pytest.raises(HasseViolation):
+                zeta_lift(30, 11, j)
+            for n1 in (5, 19):  # |trace| = 7, just past floor(2 sqrt 11) = 6
+                with pytest.raises(HasseViolation):
+                    zeta_lift(n1, 11, j)
+            for n1 in (6, 18):  # |trace| = 6, on the bound
+                zeta_lift(n1, 11, j)
 
 
 class TestMod4:
@@ -364,5 +369,6 @@ class TestMod4:
         for _ in range(60):
             p = rng.choice([11, 13, 17, 19, 23, 29])
             c = LegendreCurve.from_ints(p, rng.randrange(1, p), rng.randrange(2, p))
+            n1 = legendre_count_fp(c)
             for j in (1, 2, 3):
-                assert mod4_check(c, j)
+                assert zeta_lift(n1, p, j) % 4 == 0

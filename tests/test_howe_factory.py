@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import ROW_P11, ROW_P37, ROW_P499, naive_count_fp
 from howe5 import howe_factory
 from howe5.curve_models import HyperellipticModel, count_points
-from howe5.errors import DecompositionMismatch, HypothesisViolated, NonSquareObstruction
+from howe5.errors import DecompositionMismatch, NonSquareObstruction
 from howe5.field_arith import legendre_symbol
 from howe5.hasse_serre import legendre_count_fp, serre_bound
 from howe5.howe_factory import (
@@ -15,11 +15,8 @@ from howe5.howe_factory import (
     HoweParams,
     decompose_genus5,
     direct_counts,
-    genus_of_howe,
     howe_counts,
     howe_models,
-    howe_point_count,
-    is_hyperelliptic_howe,
     params_from_json_dict,
     serre_verdicts,
     split_genus2,
@@ -31,34 +28,6 @@ from howe5.search_engine import random_valid_params
 def _params(row):
     p, a1, a2, a, b = row
     return HoweParams.from_ints(p, a1, a2, a, b)
-
-
-class TestGenusFormula:
-    def test_values(self):
-        assert genus_of_howe(2, 2, 4) == 5
-        assert genus_of_howe(1, 1, 0) == 5
-        assert genus_of_howe(1, 1, 2) == 3
-        assert genus_of_howe(2, 2, 6) == 3
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            genus_of_howe(0, 1, 2)
-        with pytest.raises(ValueError):
-            genus_of_howe(2, 1, 0)
-
-    def test_branch_overlap_range(self):
-        with pytest.raises(ValueError):
-            genus_of_howe(2, 2, 7)  # at most 2*g1 + 2 shared points
-        with pytest.raises(ValueError):
-            genus_of_howe(1, 1, -1)
-
-    def test_hyperelliptic_criterion(self):
-        assert is_hyperelliptic_howe(2, 2, 5) is True
-        assert is_hyperelliptic_howe(2, 2, 4) is False
-
-    def test_hyperelliptic_needs_genus_4(self):
-        with pytest.raises(HypothesisViolated):
-            is_hyperelliptic_howe(1, 1, 2)
 
 
 class TestHoweParams:
@@ -253,12 +222,6 @@ class TestHoweCounts:
         hc = howe_counts(_params(ROW_P11), 1)
         assert hc.total == hc.c1 + hc.c2 + hc.c3 - 2 * hc.q - 2
         assert hc.total == sum(hc.e) - 4 * hc.q - 4
-
-    def test_point_count_wrapper(self):
-        pc = howe_point_count(_params(ROW_P11), 1)
-        assert pc.count == 12
-        assert pc.genus == 5
-        assert pc.q == 11
 
     def test_against_naive_quotient_counts(self):
         params = _params(ROW_P11)

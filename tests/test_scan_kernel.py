@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scalar_kernel
 from conftest import ROW_P11, ROW_P37, ROW_P499
@@ -32,6 +33,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PINS = {
     "free": (),
     "a5": (("a5", 3),),
+    "a5+a2": (("a5", 3), ("a2", 5)),
     "b5+a4": (("b5", 2), ("a4", 5)),
     "a2+a3": (("a2", 1), ("a3", 0)),
 }
@@ -64,7 +66,8 @@ def test_kernel_matches_scalar_oracle(quick_confirm, target, fixed):
     # boundaries (a row holds p - 4 probes when a5 is free).  Capped chunks
     # run for the first two a1 and for each a1 that equals a pinned value;
     # chunks without a quota, which the scalar kernel takes long over, for
-    # the first a1, without a hit cap and in the unseeded order.
+    # the first a1, without a hit cap and in the unseeded order, and for
+    # the a1 equal to a pinned a5, whose chunk has no probe.
     pinned = {v for _, v in fixed}
     for p in primes_in(TARGET_MIN_PRIME[target], 23):
         quotas = sorted({q for q in (1, p - 4, 2 * (p - 4)) if q >= 1})
@@ -76,6 +79,8 @@ def test_kernel_matches_scalar_oracle(quick_confirm, target, fixed):
                     if pos < 2 or a1 in pinned:
                         for quota in quotas:
                             _same_chunk(p, cfg, a1, quota)
+                    if a1 == cfg.fixed_value("a5"):
+                        _same_chunk(p, cfg, a1, None)
                 if seed is max_hits is None:
                     _same_chunk(p, cfg, chunks[0][1], None)
 
@@ -139,6 +144,39 @@ def test_windowed_kernel_matches_scalar_oracle_on_every_chunk(
                     _same_chunk(p, cfg, a1, quota)
 
 
+def test_a5_pinned_search_skips_the_chunk_without_probes():
+    # the chunk a1 = 3 holds 102 * 101 * 100 of the prefixes and no probe;
+    # walking its rows took about 0.2 s
+    t0 = time.perf_counter()
+    _, stats = run_search(SearchConfig(103, 103, Target.SERRE_FP, max_candidates=1000,
+                                       fixed=(("a5", 3),)))
+    assert time.perf_counter() - t0 < 0.1
+    assert (stats.prefixes, stats.probes, stats.tuples) == (1031424, 1122, 0)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([11, 23, 37, 101, 173]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1), min_size=6, max_size=6, unique=True))))
+def test_frame_roots_match_the_linear_solve(case):
+    """For distinct a1..a5 and b5, a6 = x(d) and b6 = x(e) in the frame y =
+    cr(a1, a2, a3, x) equal the reference kernel's linear solve, None
+    included; and lambda5 of the roots equals lambda5 of b, c, d and e,
+    since a Moebius map keeps cross-ratios."""
+    p, (a1, a2, a3, a4, a5, b5) = case
+    inv = search_engine._tables(p)[0]
+    k = (a1 - a3) * inv[(a2 - a3) % p] % p
+    a, b, c = (k * (a2 - x) % p * inv[(a1 - x) % p] % p for x in (a4, a5, b5))
+    frame = a * inv[(1 - a) % p] % p
+    (a6, d), (b6, e) = found = [
+        (None if y in (1, k) else search_engine._from_frame(p, inv, a1, a2, k, y), y)
+        for y in (frame * (1 - b) % p, frame * (1 - c) % p)]
+    for w, (x, _) in zip((a5, b5), found):
+        assert x == scalar_kernel.solve_missing_root(a1, a2, a3, a4, w, p, inv)
+    if None not in (a6, b6) and len({a5, a6, b5, b6}) == 4:
+        lam5 = (a5 - b5) * (a6 - b6) % p * inv[(a5 - b6) * (a6 - b5) % p] % p
+        assert lam5 == (b - c) * (d - e) % p * inv[(b - e) * (d - c) % p] % p
+
+
 def _count_block_passes(monkeypatch):
     """The chunk counts of the calls to _blocks, recorded from now on."""
     calls = []
@@ -191,9 +229,10 @@ def test_one_probe_per_chunk_skips_the_a3_equals_a2_run():
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
 @pytest.mark.parametrize("p", [11, 23, 181])
 def test_pair_masks_match_scalar_filters(target, p):
-    """The fifth roots a row's admissible pairs give, with their mask bits,
-    against the scalar a5 filter at every x: a root absent from the row
-    has bits 0, including every x in {a1, a2, a3, a4}."""
+    """The fifth roots a row's admissible pairs give, with their mask bits
+    and cross-ratios b, against the scalar a5 filter at every x: a root
+    absent from the row has bits 0, including every x in {a1, a2, a3,
+    a4}."""
     rng = random.Random(p)
     inv, sqrt_tab, _, _ = search_engine._tables(p)
     mask = search_engine._class_masks(p, target)
@@ -203,16 +242,20 @@ def test_pair_masks_match_scalar_filters(target, p):
         d_a23 = (a2 - a3) % p
         want_k = (a1 - a3) * inv[d_a23] % p
         want_a = (a1 - a3) * (a2 - a4) % p * inv[d_a23 * (a1 - a4) % p] % p
-        want = []
+        want, want_b = [], []
         for x in range(p):
             b = (a1 - a3) * (a2 - x) % p * inv[d_a23 * (a1 - x) % p] % p
             s = sqrt_tab[want_a * (want_a - b) % p]
             pref = (1 - want_a) * inv[(b - 1) % p] % p
             bits = mask[pref * (b - 2 * want_a + 2 * s) % p] & mask[pref * (b - 2 * want_a - 2 * s) % p]
             want.append(0 if s == 0 or x in (a1, a2, a3, a4) else bits)
+            want_b.append(b)
         roots = search_engine._block_roots(p, a1, [want_k], [a2], [want_a], pairs)
-        assert len(roots) == 1 and len(dict(roots[0])) == len(roots[0])
-        assert [dict(roots[0]).get(x, 0) for x in range(p)] == want
+        assert len(roots) == 1
+        got = {x: (bits, b) for x, bits, b in roots[0]}
+        assert len(got) == len(roots[0])
+        assert [got.get(x, (0,))[0] for x in range(p)] == want
+        assert all(b == want_b[x] for x, (_, b) in got.items())
         # the block of the one cell (a1, a2, a3, a4) of a search with a2, a3
         # and a4 pinned lists the row, with its k and a, when its a has
         # admissible pairs; a maximal-fp2 search, since serre-fp needs

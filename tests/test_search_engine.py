@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import scalar_kernel
 from conftest import ROW_P11, ROW_P37, ROW_P499
 from howe5 import howe_factory, search_engine
 from howe5.field_arith import PRIME_CAP, TABLE_CACHE, FieldElement, prime_modulus, residue_tables
@@ -26,11 +27,10 @@ from howe5.search_engine import (
     Target,
     TARGET_MIN_PRIME,
     enumerate_hits,
-    isomorphic_params_equal,
+    orbit_key,
     primes_in,
     random_valid_params,
     run_search,
-    solve_linear_root,
     write_hits_csv,
     write_hits_jsonl,
 )
@@ -121,25 +121,26 @@ def test_primes_in():
 
 
 class TestSolveLinearRoot:
+    """The scalar reference kernel's linear solve for the missing root."""
+
+    @staticmethod
+    def _solve(p, *roots):
+        return scalar_kernel.solve_missing_root(*roots, p, residue_tables(p).inv)
+
     def test_known_values(self):
         # the last enumerated root of each bundled example row is forced
-        assert int(solve_linear_root(_fe(5, 11), _fe(3, 11), _fe(10, 11),
-                                     _fe(7, 11), _fe(6, 11))) == 8
-        assert int(solve_linear_root(_fe(2, 499), _fe(1, 499), _fe(10, 499),
-                                     _fe(55, 499), _fe(36, 499))) == 275
+        assert self._solve(11, 5, 3, 10, 7, 6) == 8
+        assert self._solve(499, 2, 1, 10, 55, 36) == 275
 
     def test_degenerate_configuration_returns_none(self):
         # w = 0 makes the two cross-ratio products coincide here, so no
         # missing root exists; w = 5 collides with the first root instead
         for w in (0, 5):
-            assert solve_linear_root(_fe(5, 11), _fe(3, 11), _fe(10, 11),
-                                     _fe(7, 11), _fe(w, 11)) is None
+            assert self._solve(11, 5, 3, 10, 7, w) is None
 
     def test_consistency_with_example_rows(self):
         p, _, _, a, b = ROW_P499
-        got = solve_linear_root(_fe(a[0], p), _fe(a[1], p), _fe(a[2], p),
-                                _fe(a[3], p), _fe(b[0], p))
-        assert int(got) == b[1]
+        assert self._solve(p, *a[:4], b[0]) == b[1]
 
 
 class TestRunSearch:
@@ -197,7 +198,7 @@ class TestRunSearch:
 
     def test_pinned_search_recovers_bundled_row(self):
         """Fixing every enumerated slot to the p = 499 example leaves a single
-        probe, which must come back as that row up to twist square class."""
+        probe, which must come back as a curve in that row's orbit."""
         p, a1, a2, a, b = ROW_P499
         cfg = SearchConfig(p_min=499, p_max=499, target="serre-fp",
                            max_candidates=100, max_hits=4, seed=0,
@@ -206,7 +207,7 @@ class TestRunSearch:
         hits, _ = run_search(cfg)
         assert hits
         bundled = HoweParams.from_ints(p, a1, a2, a, b)
-        assert any(isomorphic_params_equal(h.params, bundled) for h in hits)
+        assert orbit_key(bundled) in {orbit_key(h.params) for h in hits}
 
     def test_enumerate_matches_run(self):
         cfg = SearchConfig(p_min=11, p_max=11, target="maximal-fp2",
@@ -343,23 +344,53 @@ class TestConfirm:
         assert len(calls) == 1
 
 
+def _moved(params, x0):
+    """params moved by z -> 1/(z - x0), with the twists rescaled so that the
+    three quotient curves stay isomorphic."""
+    p, alpha1, alpha2, *roots = params.row()
+    inv = residue_tables(p).inv
+    shift = [(r - x0) % p for r in roots]
+    scale1 = scale2 = 1
+    for s in shift[:6]:
+        scale1 = scale1 * s % p
+    for s in shift[:4] + shift[6:]:
+        scale2 = scale2 * s % p
+    moved = [int(inv[s]) for s in shift]
+    return HoweParams.from_ints(p, alpha1 * scale1, alpha2 * scale2, moved[:6], moved[6:])
+
+
 class TestIsomorphicEquality:
+    """orbit_key: equal for isomorphic parameter sets, different otherwise."""
+
     def test_twist_class_quotient(self):
         a = HoweParams.from_ints(11, 1, 1, (9, 7, 4, 8, 10, 2), (3, 5))
         b = HoweParams.from_ints(11, 4, 9, (9, 7, 4, 8, 10, 2), (3, 5))  # same classes
         c = HoweParams.from_ints(11, 2, 1, (9, 7, 4, 8, 10, 2), (3, 5))  # 2 is a nonsquare
-        assert isomorphic_params_equal(a, b)
-        assert not isomorphic_params_equal(a, c)
+        c2 = HoweParams.from_ints(11, 1, 2, (9, 7, 4, 8, 10, 2), (3, 5))
+        assert orbit_key(a) == orbit_key(b)
+        assert len({orbit_key(a), orbit_key(c), orbit_key(c2)}) == 3
 
     def test_roots_must_match(self):
         a = HoweParams.from_ints(11, 1, 1, (9, 7, 4, 8, 10, 2), (3, 5))
-        d = HoweParams.from_ints(11, 1, 1, (7, 9, 4, 8, 10, 2), (3, 5))
-        assert not isomorphic_params_equal(a, d)
+        d = HoweParams.from_ints(11, 1, 1, (8, 7, 4, 9, 10, 2), (3, 5))  # a1 and a4 swapped
+        assert orbit_key(a) != orbit_key(d)
 
     def test_primes_must_match(self):
-        a = HoweParams.from_ints(11, 1, 1, (9, 7, 4, 8, 10, 2), (3, 5))
-        e = HoweParams.from_ints(13, 1, 1, (9, 7, 4, 8, 10, 2), (3, 5))
-        assert not isomorphic_params_equal(a, e)
+        # the same cross-ratios and twist classes at two primes
+        a = HoweParams.from_row((11, 6, 8, 2, 0, 3, 8, 10, 7, 6, 1))
+        e = HoweParams.from_row((13, 11, 7, 3, 8, 0, 9, 4, 12, 7, 11))
+        assert orbit_key(a)[1:] == orbit_key(e)[1:]
+        assert orbit_key(a) != orbit_key(e)
+
+    @pytest.mark.parametrize("row", [ROW_P11, ROW_P37, ROW_P499], ids=["p11", "p37", "p499"])
+    def test_invariant_under_a_moebius_map(self, row):
+        p, a1, a2, a, b = row
+        params = HoweParams.from_ints(p, a1, a2, a, b)
+        outside = [x for x in range(p) if x not in (*a, *b)]
+        for x0 in outside[::max(1, len(outside) // 40)]:
+            moved = _moved(params, x0)
+            assert moved.row()[3:] != params.row()[3:]
+            assert orbit_key(moved) == orbit_key(params), x0
 
 
 class TestRandomParams:
