@@ -7,7 +7,7 @@ import pytest
 import scalar_kernel
 from conftest import ROW_P11, ROW_P37, ROW_P499
 from howe5 import howe_factory, search_engine
-from howe5.field_arith import PRIME_CAP, TABLE_CACHE, FieldElement, prime_modulus, residue_tables
+from howe5.field_arith import PRIME_CAP, TABLE_CACHE, residue_tables
 from howe5.hasse_serre import (
     LegendreCurve,
     attains_serre_fp,
@@ -34,10 +34,6 @@ from howe5.search_engine import (
     write_hits_csv,
     write_hits_jsonl,
 )
-
-
-def _fe(v, p):
-    return FieldElement(v, prime_modulus(p))
 
 
 class TestSearchConfig:
