@@ -33,13 +33,21 @@ candidates that pass go through the scalar remainder (a6, b6, lambda5,
 twist classes, confirmation).  Probes are counted by index, so a chunk's
 quota cuts its scan at the same probe as a scan one probe at a time would.
 
+A prime without admissible pairs has no survivor, and most primes have
+none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
+for maximal-fp2 and 404 of 426 in [11, 3000] for serre-fp3.  Its chunks
+are counted, not scanned (_count_chunks): rows by inclusion-exclusion over
+the orders, and the row where the quota cuts in closed form, or by a
+descent over the a2, a3 and a4 orders when a5 is pinned.  The chunk whose
+a1 is the pinned a5, which has no probe, is counted the same way.
+
 One driver, enumerate_hits, scans the chunks one after another in the
 calling process.  Once a prime's max_hits quota is full no later chunk of
 that prime is scanned, so for a fixed seed the hit stream and the
 statistics are fixed.  A time budget, when set, is checked after each block
-of prefixes inside a chunk and after each chunk, and is best effort only;
-reproducibility is guaranteed only for runs limited by the deterministic
-caps.
+of prefixes inside a chunk and after each chunk (after the whole of a
+counted prime), and is best effort only; reproducibility is guaranteed
+only for runs limited by the deterministic caps.
 """
 
 from __future__ import annotations
@@ -451,6 +459,95 @@ def _window(p: int, cfg: SearchConfig, quota: Optional[int], size: int,
     return _blocks(p, cfg, a1, first, np.zeros_like(a1), size, quota)
 
 
+def _tuples(p: int, slots: tuple, avoid: set, extra: int = 0) -> int:
+    """The tuples of pairwise distinct residues, one for each of slots (at
+    most three; None for a free slot, else the residue it is pinned to),
+    that avoid the residues of avoid and extra further residues, none of
+    them pinned; by inclusion-exclusion over the equal pairs."""
+
+    def common(*group: Optional[int]) -> int:
+        # the residues that every slot of group takes
+        pins = set(group) - {None}
+        if not pins:
+            return p - len(avoid) - extra
+        return int(len(pins) == 1 and pins.isdisjoint(avoid))
+
+    if len(slots) < 2:
+        return common(*slots) if slots else 1
+    n = [common(slot) for slot in slots]
+    if len(slots) == 2:
+        return n[0] * n[1] - common(*slots)
+    s2, s3, s4 = slots
+    return (n[0] * n[1] * n[2] - common(s2, s3) * n[2] - common(s2, s4) * n[1]
+            - common(s3, s4) * n[0] + 2 * common(*slots))
+
+
+def _cut_rows(arrays: _ScanArrays, slots: tuple, a5: int, a1: np.ndarray, quota: int,
+              each: list) -> np.ndarray:
+    """For each chunk of the array a1: its rows through the one that holds
+    probe quota + 1, for a5 pinned, where a row has one probe unless it
+    holds a5; a descent over the a2, a3 and a4 orders.  At each level every
+    value of the order but the values fixed so far and the later slots'
+    pins heads the same number of rows, and the same number of probes
+    unless it is a5: each[level] = (rows, probes).  So the value that holds
+    the probe sought is the k-th value with probes, and the rows before it
+    are the values before it that head rows, times their rows."""
+    fixed, left, rows = [a1], quota + 1, 0
+    for s, (each_rows, each_probes) in zip((1, 2, 3), each):
+        pins = [c for c in slots[s:] if c is not None]
+        pos = arrays.pos[s]
+        k = (left - 1) // each_probes + 1
+        left = left - (k - 1) * each_probes
+        t = k - 1
+        for q in np.sort(np.broadcast_arrays(*(pos[x] for x in (*fixed, *pins, a5))), axis=0):
+            t = t + (q <= t)
+        rows = rows + each_rows * (t - sum(pos[x] < t for x in (*fixed, *pins)))
+        fixed.append(arrays.orders[s, t])
+    return rows + 1
+
+
+def _count_chunks(p: int, cfg: SearchConfig, a1s: tuple, quota: Optional[int]) -> tuple:
+    """The stats of _scan_chunk, summed over the chunks a1s (in any order),
+    for chunks that hold no survivor: those of a prime without admissible pairs and the
+    chunk whose a1 is the pinned a5.  A chunk's rows are the (a2, a3, a4) of
+    the orders without a1 with no two equal (_tuples); a row's probes are
+    the a5 values not in {a1, a2, a3, a4}, p - 4 when a5 is free, so the
+    chunk that holds probe quota + 1 ends on row quota // (p - 4) + 1, and
+    with a5 pinned one unless the row holds a5 (_cut_rows).  Every chunk
+    whose a1 is no pinned value has the same rows and probes, and only the
+    descent reads the visit orders."""
+    pins = tuple(None if v is None else v % p
+                 for v in map(cfg.fixed_value, ENUMERATED_SLOTS[1:5]))
+    slots, a5 = pins[:3], pins[3]
+    pinned = set(pins) - {None}
+    groups = [({u}, 0, [u]) for u in pinned if u in a1s]
+    groups.append((set(), 1, [u for u in a1s if u not in pinned]))
+    prefixes = probes = 0
+    truncated = False
+    for avoid, extra, members in groups:
+        rows = _tuples(p, slots, avoid, extra)
+        if a5 is None:
+            chunk_probes = (p - 4) * rows
+        else:
+            chunk_probes = 0 if a5 in avoid else _tuples(p, slots, avoid | {a5}, extra)
+        if quota is None or chunk_probes <= quota or not members:
+            prefixes += len(members) * rows
+            probes += len(members) * chunk_probes
+            continue
+        truncated = True
+        probes += len(members) * (quota + 1)
+        if a5 is None:
+            prefixes += len(members) * (quota // (p - 4) + 1)
+            continue
+        # the s - 1 values fixed above level s and its own value are no pins
+        # of the later slots, and count as extra residues to avoid
+        each = [(_tuples(p, slots[s:], avoid, extra + s),
+                 _tuples(p, slots[s:], avoid | {a5}, extra + s)) for s in (1, 2, 3)]
+        prefixes += sum(_cut_rows(_scan_arrays(p, cfg), slots, a5, np.array(members), quota,
+                                  each).tolist())
+    return prefixes, probes, 0, 0, truncated
+
+
 def _from_frame(p: int, inv, a1: int, a2: int, k: int, y: int) -> int:
     """The x with cross-ratio y = k (a2-x) / (a1-x), for k = (a1-a3)/(a2-a3)
     and y != k: x = (k a2 - y a1) / (k - y).  y = k is the image of x =
@@ -496,8 +593,9 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     so the quota cut and the max_hits stop report the same prefixes and
     probes as a scan one probe at a time.
     When deadline, a time.monotonic() value, has passed after a block, the
-    chunk stops there, truncated; the first block always completes.  A
-    chunk whose a1 is the pinned a5 has no probe and only counts its rows.
+    chunk stops there, truncated; the first block always completes.  The
+    chunk whose a1 is the pinned a5 has no probe, so a quota never ends
+    its scan; enumerate_hits counts it instead (_chunks).
     """
     inv, _, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
@@ -506,15 +604,6 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     arrays = _scan_arrays(p, cfg)
     a5_pos, b5_pos = arrays.a5_pos, arrays.b5_pos
     n3, n4, n5, nb5 = arrays.lens[2:]
-    if n5 == 1 and a5_pos[a1] == 0:
-        # a5 is pinned to a1, so no row has a probe: the chunk is its rows,
-        # the (a2, a3, a4) of the orders without a1 with no two equal,
-        # counted by inclusion-exclusion
-        i2, i3, i4 = arrays.inside[1:4] * (np.arange(p) != a1)
-        m2, m3, m4 = int(i2.sum()), int(i3.sum()), int(i4.sum())
-        rows = (m2 * m3 * m4 - int(i2 @ i3) * m4 - int(i2 @ i4) * m3 - int(i3 @ i4) * m2
-                + 2 * int((i2 * i3 * i4).sum()))
-        return [], (rows, 0, 0, 0, False)
     block = size = max(1, min(_BLOCK_ELEMENTS // n5, _PASS_CELLS))
     if quota is not None:
         # enough cells for probe quota + 1 when every row has its fewest
@@ -630,6 +719,24 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                             size, quota), 0
 
 
+def _chunks(p: int, cfg: SearchConfig, quota: Optional[int],
+            deadline: Optional[float]) -> Iterator[tuple]:
+    """(position in the a1 order, hit rows, stats) of the prime's chunks, in
+    a1 order.  A chunk without a survivor is counted (_count_chunks), not
+    scanned: every chunk of a prime without admissible pairs, all in one,
+    and the chunk whose a1 is the pinned a5, which has no probe."""
+    if not _admissible_pairs(p, cfg.target):
+        a1 = cfg.fixed_value("a1")
+        yield 0, [], _count_chunks(p, cfg, range(p) if a1 is None else (a1 % p,), quota)
+        return
+    a1s, a5s = (_visit_orders(p, cfg)[s] for s in (0, 4))
+    for pos, a1 in enumerate(a1s):
+        if a5s == (a1,):
+            yield pos, [], _count_chunks(p, cfg, (a1,), quota)
+        else:
+            yield pos, *_scan_chunk(p, cfg, a1, quota, deadline)
+
+
 def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) -> Iterator[SearchHit]:
     """Confirmed hits in enumeration order, yielded as each chunk is scanned;
     stats, when given, is kept up to date as the search runs."""
@@ -639,13 +746,12 @@ def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) ->
     try:
         for p in primes_in(config.p_min, config.p_max):
             stats.primes += 1
-            chunk_values = _visit_orders(p, config)[0]
             quota = None
             if config.max_candidates is not None:
-                quota = -(-config.max_candidates // len(chunk_values))
+                chunks = p if config.fixed_value("a1") is None else 1
+                quota = -(-config.max_candidates // chunks)
             left = config.max_hits
-            for pos, a1 in enumerate(chunk_values):
-                chunk_hits, chunk_stats = _scan_chunk(p, config, a1, quota, deadline)
+            for pos, chunk_hits, chunk_stats in _chunks(p, config, quota, deadline):
                 prefixes, probes, tuples, confirm_failures, truncated = chunk_stats
                 stats.prefixes += prefixes
                 stats.probes += probes

@@ -154,6 +154,90 @@ def test_a5_pinned_search_skips_the_chunk_without_probes():
     assert (stats.prefixes, stats.probes, stats.tuples) == (1031424, 1122, 0)
 
 
+@pytest.mark.parametrize("fixed", PINS.values(), ids=PINS.keys())
+@pytest.mark.parametrize("target,p", [
+    (Target.MAXIMAL_FP2, 11),
+    (Target.SERRE_FP, 181),
+    (Target.SERRE_FP, 17),
+    (Target.SERRE_FP, 173),
+    (Target.SERRE_FP3, 13),
+    (Target.MAXIMAL_FP2, 13),
+], ids=lambda v: getattr(v, "value", v))
+def test_counted_chunks_match_the_block_scan(quick_confirm, monkeypatch, target, p, fixed):
+    # Every chunk's prefixes, probes and cut, counted and scanned, at primes
+    # with admissible pairs (11 and 181 here) and without.  With blocks of
+    # 24 cells (of up to 512 with a5 pinned, where a row has at most one
+    # probe), quotas 1 and p - 4 cut in the first block and the probes of
+    # two full blocks in a later one; without a quota, at the small primes,
+    # the scan runs through every row.  The chunk whose a1 is the pinned a5
+    # has no probe, so its scan walks every row whatever the quota, which
+    # takes about 2.5 s at 173 and 181; there it is left out.
+    monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 24 * p)
+    later = 1024 if "a5" in dict(fixed) else 48 * (p - 4)
+    quotas = (1, p - 4, later) + ((None,) if p < 100 else ())
+    for seed in (None, 5):
+        cfg = SearchConfig(p, p, target, seed=seed, fixed=fixed)
+        for a1 in _visit_orders(p, cfg)[0]:
+            if p > 100 and a1 == cfg.fixed_value("a5"):
+                continue
+            for quota in quotas:
+                _, (prefixes, probes, _, _, cut) = search_engine._scan_chunk(p, cfg, a1, quota, None)
+                counted = search_engine._count_chunks(p, cfg, (a1,), quota)
+                assert counted == (prefixes, probes, 0, 0, cut), (seed, a1, quota)
+
+
+def test_search_counts_the_chunk_without_probes_at_a_prime_with_pairs(monkeypatch):
+    # serre-fp has admissible pairs at 181, so its chunks are scanned, all
+    # but the chunk a1 = 3 = a5, which has no probe and is counted
+    scanned = []
+    real = search_engine._scan_chunk
+
+    def recorded(p, cfg, a1, *args):
+        scanned.append(a1)
+        return real(p, cfg, a1, *args)
+
+    monkeypatch.setattr(search_engine, "_scan_chunk", recorded)
+    t0 = time.perf_counter()
+    _, stats = run_search(SearchConfig(181, 181, Target.SERRE_FP, max_candidates=1000,
+                                       fixed=(("a5", 3),)))
+    assert time.perf_counter() - t0 < 1
+    assert len(scanned) == 180 and 3 not in scanned
+    assert stats.prefixes > 180 * 179 * 178
+
+
+_UNPAIRED = [(Target.SERRE_FP, p) for p in (17, 19, 23, 29)] + [
+    (Target.MAXIMAL_FP2, p) for p in (5, 7, 13, 17)] + [
+    (Target.SERRE_FP3, p) for p in (11, 13, 17, 19)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_UNPAIRED),
+       st.dictionaries(st.sampled_from(search_engine.ENUMERATED_SLOTS), st.integers(0, 40),
+                       max_size=4),
+       st.one_of(st.none(), st.integers(0, 9)),
+       st.one_of(st.none(), st.integers(1, 20_000)))
+def test_counted_primes_match_the_chunk_scans(case, pins, seed, max_candidates):
+    # A prime without admissible pairs is counted whole; its statistics are
+    # the sums of the block scans of its chunks.
+    target, p = case
+    try:
+        cfg = SearchConfig(p, p, target, max_candidates=max_candidates, seed=seed,
+                           fixed=tuple(pins.items()))
+    except ValueError:
+        return  # a5 pinned equal to another pin modulo p
+    chunks = _visit_orders(p, cfg)[0]
+    quota = None if max_candidates is None else -(-max_candidates // len(chunks))
+    want = [0, 0, 0, 0, False]
+    for a1 in chunks:
+        hits, chunk_stats = search_engine._scan_chunk(p, cfg, a1, quota, None)
+        assert not hits
+        want = [w + v for w, v in zip(want[:4], chunk_stats[:4])] + [want[4] or chunk_stats[4]]
+    hits, stats = run_search(cfg)
+    assert not hits
+    got = [stats.prefixes, stats.probes, stats.tuples, stats.confirm_failures, stats.truncated]
+    assert got == want
+
+
 @settings(max_examples=400)
 @given(st.sampled_from([11, 23, 37, 101, 173]).flatmap(lambda p: st.tuples(
     st.just(p), st.lists(st.integers(0, p - 1), min_size=6, max_size=6, unique=True))))

@@ -308,15 +308,25 @@ class TestDriver:
             assert all(h.index[:2] == (11, 0) for h in hits)
 
     def test_time_budget_stops_inside_a_chunk(self):
-        # an uncapped chunk at p = 1009 holds 1008 * 1007 * 1006 * 1005
-        # probes (at p = 101 the kernel counts a whole chunk's 94 million
-        # in less than the budget, since no row there has admissible pairs)
-        cfg = SearchConfig(p_min=1009, p_max=1009, target="maximal-fp2", time_budget=0.5)
+        # an uncapped chunk at p = 1019, which has 2964 admissible pairs,
+        # holds 1018 * 1017 * 1016 * 1015 probes
+        cfg = SearchConfig(p_min=1019, p_max=1019, target="maximal-fp2", time_budget=0.5)
         t0 = time.monotonic()
         hits, stats = run_search(cfg)
         assert time.monotonic() - t0 < 10
         assert stats.truncated
-        assert stats.probes < 1008 * 1007 * 1006 * 1005
+        assert stats.probes < 1018 * 1017 * 1016 * 1015
+
+    def test_prime_without_pairs_is_counted_whole_within_the_budget(self):
+        # p = 1009 has no admissible pair, so its chunks are counted, not
+        # scanned, and the time budget never cuts them
+        cfg = SearchConfig(p_min=1009, p_max=1009, target="maximal-fp2", time_budget=0.5)
+        t0 = time.monotonic()
+        hits, stats = run_search(cfg)
+        assert time.monotonic() - t0 < 0.1
+        assert not hits and not stats.truncated
+        assert stats.prefixes == 1009 * 1008 * 1007 * 1006
+        assert stats.probes == stats.prefixes * 1005
 
 
 class TestConfirm:
