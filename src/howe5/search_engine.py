@@ -459,7 +459,7 @@ def _window(p: int, cfg: SearchConfig, quota: Optional[int], size: int,
     return _blocks(p, cfg, a1, first, np.zeros_like(a1), size, quota)
 
 
-def _tuples(p: int, slots: tuple, avoid: set, extra: int = 0) -> int:
+def _tuples(p: int, slots: tuple, avoid: set, extra: int) -> int:
     """The tuples of pairwise distinct residues, one for each of slots (at
     most three; None for a free slot, else the residue it is pinned to),
     that avoid the residues of avoid and extra further residues, none of
@@ -506,16 +506,17 @@ def _cut_rows(arrays: _ScanArrays, slots: tuple, a5: int, a1: np.ndarray, quota:
     return rows + 1
 
 
-def _count_chunks(p: int, cfg: SearchConfig, a1s: tuple, quota: Optional[int]) -> tuple:
+def _count_chunks(p: int, cfg: SearchConfig, a1s: Union[range, tuple],
+                  quota: Optional[int]) -> tuple:
     """The stats of _scan_chunk, summed over the chunks a1s (in any order),
-    for chunks that hold no survivor: those of a prime without admissible pairs and the
-    chunk whose a1 is the pinned a5.  A chunk's rows are the (a2, a3, a4) of
-    the orders without a1 with no two equal (_tuples); a row's probes are
-    the a5 values not in {a1, a2, a3, a4}, p - 4 when a5 is free, so the
-    chunk that holds probe quota + 1 ends on row quota // (p - 4) + 1, and
-    with a5 pinned one unless the row holds a5 (_cut_rows).  Every chunk
-    whose a1 is no pinned value has the same rows and probes, and only the
-    descent reads the visit orders."""
+    for chunks that hold no survivor: those of a prime without admissible
+    pairs and the chunk whose a1 is the pinned a5.  A chunk's rows are the
+    (a2, a3, a4) of the orders without a1 with no two equal (_tuples); a
+    row's probes are the a5 values not in {a1, a2, a3, a4}, p - 4 when a5
+    is free, so the chunk that holds probe quota + 1 ends on row
+    quota // (p - 4) + 1, and with a5 pinned one unless the row holds a5
+    (_cut_rows).  Every chunk whose a1 is no pinned value has the same rows
+    and probes, and only the descent reads the visit orders."""
     pins = tuple(None if v is None else v % p
                  for v in map(cfg.fixed_value, ENUMERATED_SLOTS[1:5]))
     slots, a5 = pins[:3], pins[3]

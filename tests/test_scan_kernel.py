@@ -181,7 +181,8 @@ def test_counted_chunks_match_the_block_scan(quick_confirm, monkeypatch, target,
             if p > 100 and a1 == cfg.fixed_value("a5"):
                 continue
             for quota in quotas:
-                _, (prefixes, probes, _, _, cut) = search_engine._scan_chunk(p, cfg, a1, quota, None)
+                _, stats = search_engine._scan_chunk(p, cfg, a1, quota, None)
+                prefixes, probes, _, _, cut = stats
                 counted = search_engine._count_chunks(p, cfg, (a1,), quota)
                 assert counted == (prefixes, probes, 0, 0, cut), (seed, a1, quota)
 
