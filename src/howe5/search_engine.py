@@ -14,24 +14,24 @@ admissible class pair.  Every hit is confirmed by exact point counts before
 it is emitted.
 
 Work is partitioned into one chunk per a1-value; the chunks run in the a1
-visit order, which depends on the seed alone.  Inside a chunk the prefix
-rows (a2, a3, a4) run in blocks of cells, the cells indexing the product
-of the a2, a3 and a4 orders.  The a5 filter asks whether the two Legendre
-parameters that a row's cross-ratio a and a fifth root's cross-ratio b fix
-are both admissible; it depends on (a, b) only, and the admissible pairs
-are few.  They are solved once per prime backwards from the admissible
-lambdas (_admissible_pairs), so each row's admissible fifth roots are its
-table entries mapped back to roots.  One numpy pass (_blocks) maps a
-block's cells to their rows, counts each row's probes and lists the rows
-whose a has table entries, since no other row holds a survivor.  A
-chunk's first block is built in one such pass with the first blocks of the
-chunks next to it in the a1 order (_window), sized from the quota so that
-it usually holds the chunk's whole scan; later blocks are built for one
-chunk at a time, each twice the one before.  The b5 filter reads the same
-roots, since b5 enters the conditions through the same map as a5; only the
-candidates that pass go through the scalar remainder (a6, b6, lambda5,
-twist classes, confirmation).  Probes are counted by index, so a chunk's
-quota cuts its scan at the same probe as a scan one probe at a time would.
+visit order, which depends on the seed alone.  Inside a chunk the (a2,
+a3) pairs run in visit order; a pair fixes k = cr(a1, a2, a3, infinity),
+its rows are its a4 values and a row's probes its a5 values, so a pair's
+rows, probes and quota cut are closed forms.  The a5 filter asks whether
+the two Legendre parameters that a row's cross-ratio a and a fifth root's
+cross-ratio b fix are both admissible; it depends on (a, b) only, and the
+admissible pairs are few.  They are solved once per prime backwards from
+the admissible lambdas (_admissible_pairs), so only the rows whose a has
+table entries can hold a survivor, and each such row's admissible fifth
+roots are its table entries mapped back to roots.  A pair lists those rows
+from the smaller side (_pair_rows): it walks the rows the quota reaches
+when they are fewer than the table's a values, else it maps each table a
+back to its a4.  The b5 filter reads the same roots, since b5 enters the
+conditions through the same map as a5; only the candidates that pass go
+through the scalar remainder (lambda5, twist classes, and for a candidate
+emitted a6, b6 and confirmation).  Probes are counted by index, so a
+chunk's quota cuts its scan at the same probe as a scan one probe at a
+time would.
 
 A prime without admissible pairs has no survivor, and most primes have
 none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
@@ -39,14 +39,16 @@ for maximal-fp2 and 404 of 426 in [11, 3000] for serre-fp3.  Its chunks
 are counted, not scanned (_count_chunks): rows by inclusion-exclusion over
 the orders, and the row where the quota cuts in closed form, or by a
 descent over the a2, a3 and a4 orders when a5 is pinned.  The chunk whose
-a1 is the pinned a5, which has no probe, is counted the same way.
+a1 is the pinned a5, which has no probe, is counted the same way, and so
+is a whole prime where a5 is pinned to the residue of a pinned a1, a2, a3
+or a4.
 
 One driver, enumerate_hits, scans the chunks one after another in the
 calling process.  Once a prime's max_hits quota is full no later chunk of
 that prime is scanned, so for a fixed seed the hit stream and the
-statistics are fixed.  A time budget, when set, is checked after each block
-of prefixes inside a chunk and after each chunk (after the whole of a
-counted prime), and is best effort only; reproducibility is guaranteed
+statistics are fixed.  A time budget, when set, is checked after each (a2,
+a3) pair inside a chunk and after each chunk (after the whole of a counted
+prime), and is best effort only; reproducibility is guaranteed
 only for runs limited by the deterministic caps.
 """
 
@@ -121,19 +123,6 @@ class SearchConfig:
                 raise ValueError(f"cannot pin slot {slot!r}")
             if any(slot == earlier for earlier, _ in self.fixed[:i]):
                 raise ValueError(f"slot {slot!r} is pinned more than once")
-        # an a5 equal to a1, a2, a3 or a4 modulo p leaves every row without a
-        # probe, so max_candidates would never end the scan
-        a5 = self.fixed_value("a5")
-        for slot in ("a1", "a2", "a3", "a4"):
-            value = self.fixed_value(slot)
-            if a5 is None or value is None:
-                continue
-            d = abs(a5 - value)
-            q = next((q for q in range(max(3, self.p_min), min(self.p_max, d) + 1)
-                      if d % q == 0 and is_prime(q)), None)
-            if d == 0 or q is not None:
-                raise ValueError(f"a5 and {slot} are pinned to values equal modulo "
-                                 f"{q or 'every prime'}, which leaves no probe")
         for cap, least in (("max_candidates", 1), ("max_hits", 1), ("time_budget", 0)):
             value = getattr(self, cap)
             if value is not None and value < least:
@@ -196,9 +185,8 @@ def primes_in(lo: int, hi: int) -> list[int]:
 @functools.lru_cache(maxsize=1)
 def _tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
     """(inv, sqrt, chi, nonres) of residue_tables(p), with the arrays as
-    tuples.  The scan kernel's numpy pass reads residue_tables directly; the
-    tuples serve only its scalar remainder, which indexes a tuple about six
-    times faster than a numpy array."""
+    tuples: the scan kernel is scalar, and indexes a tuple about six times
+    faster than a numpy array."""
     t = residue_tables(p)
     return tuple(t.inv.tolist()), tuple(t.sqrt.tolist()), tuple(t.chi.tolist()), t.nonres
 
@@ -268,51 +256,30 @@ def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
-# Most probes in one block of prefix cells, counted as cells times the
-# length of the a5 order; a block holds at least one cell, so past p = 16384
-# it is one cell.  Each block costs a fixed number of numpy calls, and a
-# chunk checks its deadline between blocks.
-_BLOCK_ELEMENTS = 16384
-
-# Most cells in one numpy pass of _blocks, a window of first blocks of
-# consecutive chunks (_window) or a later block of one chunk; it bounds the
-# pass's memory.
-_PASS_CELLS = 512
-
-
 class _ScanArrays(NamedTuple):
-    """The block kernel's per-prime arrays: orders, the visit order of slot
-    s of ENUMERATED_SLOTS in row s (padded to p entries), and lens, their
-    lengths; pos, with pos[s, v] the position of residue v in slot s's
-    order (its length where absent); inside, 1 where v is in slot s's order
-    and 0 elsewhere; paired, True where a cross-ratio a = v has admissible
-    pairs (_admissible_pairs); and a5_pos and b5_pos, the a5 and b5 rows of
-    pos as lists for the scalar loop."""
+    """A search's per-prime scan state: visit, the visit orders; orders,
+    the order of slot s of ENUMERATED_SLOTS in row s (padded to p entries);
+    pos, with pos[s, v] the position of residue v in slot s's order (its
+    length where absent); at, pos as lists, for the scalar scan; and pairs,
+    the admissible pairs (_admissible_pairs)."""
 
+    visit: tuple
     orders: np.ndarray
-    lens: tuple
     pos: np.ndarray
-    inside: np.ndarray
-    paired: np.ndarray
-    a5_pos: list
-    b5_pos: list
+    at: list
+    pairs: dict
 
 
 @functools.lru_cache(maxsize=1)
 def _scan_arrays(p: int, cfg: SearchConfig) -> _ScanArrays:
     """Cached for the current prime only, like the orders."""
     visit = _visit_orders(p, cfg)
-    lens = tuple(map(len, visit))
-    column = np.array(lens)[:, None]
     orders = np.zeros((len(visit), p), dtype=np.int64)
-    pos = np.repeat(column, p, axis=1)
+    pos = np.repeat(np.array([len(o) for o in visit])[:, None], p, axis=1)
     for s, o in enumerate(visit):
         orders[s, :len(o)] = o
         pos[s, o] = np.arange(len(o))
-    inside = (pos < column).astype(np.int64)
-    paired = np.zeros(p, dtype=bool)
-    paired[list(_admissible_pairs(p, cfg.target))] = True
-    return _ScanArrays(orders, lens, pos, inside, paired, pos[4].tolist(), pos[5].tolist())
+    return _ScanArrays(visit, orders, pos, pos.tolist(), _admissible_pairs(p, cfg.target))
 
 
 @functools.lru_cache(maxsize=1)
@@ -356,107 +323,6 @@ def _admissible_pairs(p: int, target: Target) -> dict[int, tuple[tuple[int, int]
     for av, bv, m in zip(a[keep].tolist(), b[keep].tolist(), bits[keep].tolist()):
         table.setdefault(av, {})[bv] = m
     return {av: tuple(sorted(row.items())) for av, row in table.items()}
-
-
-class _Blocks:
-    """One block of prefix rows for each of some chunks (_blocks), as lists.
-    Only the rows whose cross-ratio a has admissible pairs are listed, the
-    others hold no survivor.  Per listed row: row, its index among its
-    chunk's rows in the block; a2, a3 and a4; the cross-ratios k =
-    (a1-a3)/(a2-a3) and a = k (a2-a4)/(a1-a4); and start, the chunk's
-    probes before the row.  Per chunk: its listed rows are entries lo[i] to
-    hi[i] - 1; rows[i] is its number of rows in the block, cells[i] its
-    number of cells, nxt[i] the cell its next block starts at, probes[i]
-    its probes through the block, and cut[i] whether the block holds probe
-    quota + 1, in which case its rows end with the row that holds it.  A
-    plain class, since making a NamedTuple class of fourteen fields adds
-    about 0.2 ms to the import."""
-
-    __slots__ = ("row", "a2", "a3", "a4", "k", "a", "start",
-                 "lo", "hi", "rows", "cells", "nxt", "probes", "cut")
-
-    def __init__(self, *lists: list) -> None:
-        for name, value in zip(self.__slots__, lists):
-            setattr(self, name, value)
-
-
-def _blocks(p: int, cfg: SearchConfig, a1: np.ndarray, first: np.ndarray,
-            probes: np.ndarray, size: int, quota: Optional[int]) -> _Blocks:
-    """The blocks of the chunks a1 (an array of a1 values) in one numpy
-    pass: chunk i's block is its cells first[i] to first[i] + size - 1,
-    clipped to its cells, after probes[i] of its probes.
-
-    Cells index the product of the a2, a3 and a4 orders without a1, the a4
-    index fastest; a row is a cell with a3 != a2 and a4 not in {a2, a3}.
-    Index i of an order without a1 is index i + (i >= pos of a1) of the
-    order.  A row's probes are the a5 values not in {a1, a2, a3, a4},
-    counted by index, so the quota cuts a block at the row that holds probe
-    quota + 1.  A block that ends inside an a3 = a2 run, whose cells are no
-    rows, has the next block start at the run's end."""
-    arrays = _scan_arrays(p, cfg)
-    orders, lens, pos, inside = arrays.orders, arrays.lens, arrays.pos, arrays.inside
-    n2, n3, n4 = (lens[s] - inside[s][a1] for s in (1, 2, 3))
-    cells = n2 * n3 * n4
-    nxt = np.minimum(first + size, cells)
-    count = nxt - first
-    end = count.cumsum()
-    chunk = np.repeat(np.arange(len(a1)), count)
-    c1 = a1[chunk]
-    # cell = (i2 n3 + i3) n4 + i4
-    i2, i4 = np.divmod(np.arange(end[-1]) + np.repeat(first + count - end, count), n4[chunk])
-    i2, i3 = np.divmod(i2, n3[chunk])
-    a2, a3, a4 = (orders[s][i + (i >= pos[s][c1])] for s, i in ((1, i2), (2, i3), (3, i4)))
-    del i2, i3, i4
-    some = np.flatnonzero(count)
-    last = end[some] - 1
-    nxt[some] += (a3[last] == a2[last]) * (-nxt[some] % n4[some])
-    keep = np.flatnonzero((a3 != a2) & (a4 != a2) & (a4 != a3))
-    chunk, c1 = chunk[keep], c1[keep]
-    a2, a3, a4 = a2[keep], a3[keep], a4[keep]
-    in5 = inside[4]
-    row_probes = lens[4] - in5[c1] - in5[a2] - in5[a3] - in5[a4]
-    ends = np.concatenate(([0], row_probes.cumsum()))
-    bounds = np.searchsorted(chunk, np.arange(len(a1) + 1))
-    # the chunk's probes before the block, less the rows of earlier chunks
-    offset = probes - ends[bounds[:-1]]
-    done = ends[bounds[1:]] + offset
-    start = ends[:-1] + offset[chunk]
-    inv = residue_tables(p).inv
-    k = (c1 - a3) * inv[(a2 - a3) % p] % p
-    # a is b at x = a4
-    a = k * (a2 - a4) % p * inv[(c1 - a4) % p] % p
-    listed = arrays.paired[a]
-    rows = bounds[1:] - bounds[:-1]
-    cut = np.zeros(len(a1), dtype=bool)
-    if quota is not None:
-        # the rows through the one that holds probe quota + 1
-        cut = done > quota
-        taken = start <= quota
-        rows = np.bincount(chunk[taken], minlength=len(a1))
-        listed &= taken
-    listed = np.flatnonzero(listed)
-    lo = np.searchsorted(chunk[listed], np.arange(len(a1) + 1))
-    row = listed - bounds[chunk[listed]]
-    return _Blocks(*(v.tolist() for v in (
-        row, a2[listed], a3[listed], a4[listed], k[listed], a[listed], start[listed],
-        lo[:-1], lo[1:], rows, cells, nxt, done, cut)))
-
-
-@functools.lru_cache(maxsize=1)
-def _window(p: int, cfg: SearchConfig, quota: Optional[int], size: int,
-            lo: int, hi: int) -> _Blocks:
-    """The first blocks, of size cells, of the chunks at positions lo to
-    hi - 1 of the a1 order, from one pass of _blocks.  Cached for the
-    current window only."""
-    arrays = _scan_arrays(p, cfg)
-    a1 = arrays.orders[0, lo:min(hi, arrays.lens[0])]
-    # a chunk whose cell 0 has a3 = a2 starts after that run of n4 cells,
-    # none of which is a row (where the chunk has no cells, index 1 may
-    # read padding, and the minimum below discards it)
-    a2, a3 = (arrays.orders[s, (arrays.pos[s, a1] == 0) * 1] for s in (1, 2))
-    n2, n3, n4 = (arrays.lens[s] - arrays.inside[s][a1] for s in (1, 2, 3))
-    first = np.minimum((a2 == a3) * n4, n2 * n3 * n4)
-    return _blocks(p, cfg, a1, first, np.zeros_like(a1), size, quota)
 
 
 def _tuples(p: int, slots: tuple, avoid: set, extra: int) -> int:
@@ -510,7 +376,8 @@ def _count_chunks(p: int, cfg: SearchConfig, a1s: Union[range, tuple],
                   quota: Optional[int]) -> tuple:
     """The stats of _scan_chunk, summed over the chunks a1s (in any order),
     for chunks that hold no survivor: those of a prime without admissible
-    pairs and the chunk whose a1 is the pinned a5.  A chunk's rows are the
+    pairs or with a5 pinned to the residue of another pin, and the chunk
+    whose a1 is the pinned a5.  A chunk's rows are the
     (a2, a3, a4) of the orders without a1 with no two equal (_tuples); a
     row's probes are the a5 values not in {a1, a2, a3, a4}, p - 4 when a5
     is free, so the chunk that holds probe quota + 1 ends on row
@@ -556,19 +423,37 @@ def _from_frame(p: int, inv, a1: int, a2: int, k: int, y: int) -> int:
     return (k * a2 - y * a1) * inv[(k - y) % p] % p
 
 
-def _block_roots(p: int, a1: int, k: list, a2: list, a: list, pairs: dict) -> list:
-    """Each prefix row's admissible fifth roots, for the rows (a1, a2[i])
-    with cross-ratios k[i] and a[i] (_Blocks): the (x, bits, b) with b the
-    cross-ratio of x and bits = mask[lam1] & mask[lam2] nonzero
-    (_admissible_pairs, passed as pairs).  pairs holds no b in {0, 1, a},
-    the images of a2, a3 and a4, and b = k is skipped, so no root is in
-    {a1, a2, a3, a4}."""
+def _row_roots(p: int, a1: int, a2: int, k: int, entry: tuple) -> list:
+    """A row's admissible fifth roots, for the row (a1, a2, ...) with k =
+    (a1-a3)/(a2-a3) and table entry entry = _admissible_pairs(p, target)[a]:
+    the (x, bits, b) with b the cross-ratio of x.  The table holds no b in
+    {0, 1, a}, the images of a2, a3 and a4, and b = k is skipped, so no
+    root is in {a1, a2, a3, a4}."""
     inv = _tables(p)[0]
-    return [
-        [(_from_frame(p, inv, a1, a2r, kr, b), bits, b)
-         for b, bits in pairs.get(ar, ()) if b != kr]
-        for kr, a2r, ar in zip(k, a2, a)
-    ]
+    return [(_from_frame(p, inv, a1, a2, k, b), bits, b) for b, bits in entry if b != k]
+
+
+def _pair_rows(p: int, arrays: _ScanArrays, a1: int, a2: int, a3: int, k: int,
+               reach: int) -> list:
+    """(row, a4, a) for each of the first reach rows of the pair (a2, a3) of
+    chunk a1 whose cross-ratio a = cr(a1, a2, a3, a4) has admissible pairs,
+    in row order; k = (a1-a3)/(a2-a3).  The rows are the a4 of the a4 order
+    not in {a1, a2, a3}, row i the i-th of them.  The shorter side is
+    listed: when reach is below the table's number of a values the rows are
+    walked and each a is looked up, else each table a != k is mapped back
+    to its a4 (_from_frame) and those in the order are sorted by position.
+    No a4 in {a1, a2, a3} comes back: the table holds no a in {0, 1}, the
+    images of a2 and a3, and a1 would need a = infinity."""
+    inv, pairs, order, pos = _tables(p)[0], arrays.pairs, arrays.visit[3], arrays.at[3]
+    if reach < len(pairs):
+        rows = (x for x in order if x != a1 and x != a2 and x != a3)
+        walked = ((r, x, k * (a2 - x) % p * inv[(a1 - x) % p] % p)
+                  for r, x in zip(range(reach), rows))
+        return [row for row in walked if row[2] in pairs]
+    a4s = {a: _from_frame(p, inv, a1, a2, k, a) for a in pairs if a != k}
+    found = sorted((pos[x], x, a) for a, x in a4s.items() if pos[x] < len(order))
+    rows = [(t - (pos[a1] < t) - (pos[a2] < t) - (pos[a3] < t), x, a) for t, x, a in found]
+    return [row for row in rows if row[0] < reach]
 
 
 def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
@@ -576,47 +461,35 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     """Scan every candidate with the given a1, a value of the a1 order;
     returns (hit rows, stats).
 
-    The prefix rows (a2, a3, a4) come in blocks from _blocks, with each
-    row's cross-ratios; a row's admissible fifth roots are then the b of
-    the per-prime table _admissible_pairs(p, target)[a] mapped back to x
-    (_block_roots), so no filter is evaluated at a root that cannot pass.
-    The first block is read from the chunk's window (_window), built in
-    one pass with the first blocks of the chunks next to it in the a1
-    order; it has the cells that hold probe quota + 1 when no row has more
-    than its fewest probes, and at most the cells of _BLOCK_ELEMENTS probes
-    and of one pass.  Later blocks are built for this chunk alone, each
-    twice the one before up to that size.  The roots in the a5 order, in
-    visit order, are the a5 survivors; the roots in the b5 order, in that
-    order, are the row's b5 candidates.  Each survivor goes through the
-    scalar tail in the frame of _block_roots' b: d and a6, b5 over the
-    candidates, e and b6, lambda5, then the twist classes.  The probes are
-    the (row, a5) pairs with a5 not in {a1, a2, a3, a4}, counted by index,
-    so the quota cut and the max_hits stop report the same prefixes and
-    probes as a scan one probe at a time.
-    When deadline, a time.monotonic() value, has passed after a block, the
-    chunk stops there, truncated; the first block always completes.  The
-    chunk whose a1 is the pinned a5 has no probe, so a quota never ends
-    its scan; enumerate_hits counts it instead (_chunks).
+    The chunk runs pair by pair over the (a2, a3) of the a2 and a3 orders,
+    a2 != a1 and a3 not in {a1, a2}.  A pair's rows are the a4 of the a4
+    order not in {a1, a2, a3}, and a row's probes the a5 of the a5 order
+    not in {a1, a2, a3, a4}, counted by index: p - 4 when a5 is free; with
+    a5 pinned one, except none at the pair's hole, the row whose a4 is a5,
+    and none at all when a5 is a1, a2 or a3.  So a pair's probes and the
+    row that holds probe quota + 1 are closed forms, and the quota cut and
+    the max_hits stop report the same prefixes and probes as a scan one
+    probe at a time.  Only the rows whose a has admissible pairs can hold a
+    survivor (_pair_rows); a row's admissible fifth roots are the b of its
+    table entry mapped back to x (_from_frame), so no filter is evaluated
+    at a root that cannot pass.  The roots in the a5 order, in visit order,
+    are the a5 survivors; the roots in the b5 order, in that order, are the
+    row's b5 candidates.  Each survivor goes through the scalar tail in the
+    frame: d, b5 over the candidates, e, lambda5, the twist classes, and
+    only for a candidate emitted a6, b6 and the twists' square classes.
+    When deadline, a time.monotonic() value, has passed after a pair, the
+    chunk stops there, truncated.  The chunk whose a1 is the pinned a5 has
+    no probe, so a quota never ends its scan; enumerate_hits counts it
+    instead (_chunks).
     """
     inv, _, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
-    pairs = _admissible_pairs(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
     arrays = _scan_arrays(p, cfg)
-    a5_pos, b5_pos = arrays.a5_pos, arrays.b5_pos
-    n3, n4, n5, nb5 = arrays.lens[2:]
-    block = size = max(1, min(_BLOCK_ELEMENTS // n5, _PASS_CELLS))
-    if quota is not None:
-        # enough cells for probe quota + 1 when every row has its fewest
-        # probes, n5 - 4: a run of n4 - 1 cells with one a3 has at most two
-        # cells that are no rows, and each a2 has one run with a3 = a2
-        rows = -(-(quota + 1) // max(1, n5 - 4))
-        run = max(1, n4 - 3)
-        size = min(block, rows + 2 * -(-rows // run) + (n4 - 1) * (rows // max(1, (n3 - 2) * run)))
-    per = _PASS_CELLS // size
-    pos = int(arrays.pos[0, a1])
-    i = pos % per
-    blocks = _window(p, cfg, quota, size, pos - i, pos - i + per)
+    pairs = arrays.pairs
+    _, a2s, a3s, a4s, a5s, b5s = arrays.visit
+    pos4, pos5, pos_b5 = arrays.at[3:]
+    n4, n5, nb5 = len(a4s), len(a5s), len(b5s)
 
     prefixes = probes = tuples = confirm_failures = 0
     hits: list[tuple[int, tuple, dict]] = []
@@ -636,98 +509,109 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     def stats(truncated: bool = False) -> tuple:
         return prefixes, probes, tuples, confirm_failures, truncated
 
-    while True:
-        lo, hi = blocks.lo[i], blocks.hi[i]
-        a2s, a3s, a4s, ks, as_ = blocks.a2, blocks.a3, blocks.a4, blocks.k, blocks.a
-        roots = _block_roots(p, a1, ks[lo:hi], a2s[lo:hi], as_[lo:hi], pairs)
-        cut = blocks.cut[i]
-        # (listed row, a5 position, a5, b, mask bits) of the roots in the a5 order
-        survivors = sorted((r, a5_pos[x], x, b, m12) for r, row in enumerate(roots, lo)
-                           for x, m12, b in row if a5_pos[x] < n5)
-        b5_cands: dict[int, list] = {}  # row -> admissible (b5, c, mask bits) in b5 order
-        for r, j, a5, b, m12 in survivors:
-            a2r, a3r, a4r, kr = a2s[r], a3s[r], a4s[r], ks[r]
-            probe = blocks.start[r] + j + 1
-            probe -= sum(a5_pos[v] < j for v in (a1, a2r, a3r, a4r))
-            if cut and probe > quota:
-                break
-            # a6 at d: d = 1 would put it at a3, d = k at infinity
-            inv_one_minus_a = inv[(1 - as_[r]) % p]
-            frame = as_[r] * inv_one_minus_a % p
-            d = frame * (1 - b) % p
-            if d == 1 or d == kr:
+    for a2 in a2s:
+        if a2 == a1:
+            continue
+        for a3 in a3s:
+            if a3 == a1 or a3 == a2:
                 continue
-            a6 = _from_frame(p, inv, a1, a2r, kr, d)
-            base6 = (a1, a2r, a3r, a4r, a5, a6)
-            if r not in b5_cands:
-                b5_cands[r] = [(x, c, m34) for _, x, c, m34 in sorted(
-                    (b5_pos[x], x, c, m34) for x, m34, c in roots[r - lo] if b5_pos[x] < nb5)]
-            if not maximal:
-                g1 = (a2r - a3r) * (a1 - a4r) % p * ((a1 - a5) * (a1 - a6) % p) % p
-                chi_u1 = chi[g1 * ((1 - b) % p) % p * inv_one_minus_a % p]
-            for b5, c, m34 in b5_cands[r]:
-                if c == b or c == d:
-                    continue
-                # b6 at e, which must miss a3, infinity and a5 (e = d, b6 =
-                # a6, would need c = b)
-                e = frame * (1 - c) % p
-                if e == 1 or e == kr or e == b:
-                    continue
-                b6 = _from_frame(p, inv, a1, a2r, kr, e)
-                tuples += 1
-                # lambda5 is a cross-ratio, so the frame keeps it
-                lam5 = (b - c) * (d - e) % p * inv[(b - e) * (d - c) % p] % p
-                stop = False
-                if maximal:
-                    stop = mask[lam5] != 0 and emit(1, 1, base6, b5, b6)
-                else:
-                    g2 = (a2r - a3r) * (a1 - a4r) % p * ((a1 - b5) * (a1 - b6) % p) % p
-                    chi_u2 = chi[g2 * ((1 - c) % p) % p * inv_one_minus_a % p]
-                    chi_w5 = chi[(a5 - b6) * (a6 - b5) % p]
-                    for e1 in (1, -1):
-                        if not m12 & (1 if e1 == 1 else 2):
+            rows = n4 - (pos4[a1] < n4) - (pos4[a2] < n4) - (pos4[a3] < n4)
+            # per, a row's probes, and hole, the row without one (rows if none)
+            per, hole = p - 4, rows
+            if n5 == 1:
+                per = int(a5s[0] not in (a1, a2, a3))
+                t = pos4[a5s[0]]
+                if per and t < n4:
+                    hole = t - (pos4[a1] < t) - (pos4[a2] < t) - (pos4[a3] < t)
+            pair_probes = rows * per - (hole < rows)
+            cut = quota is not None and probes + pair_probes > quota
+            reach = rows
+            if cut:
+                q = (quota - probes) // per
+                reach = q + (hole <= q) + 1
+            k = (a1 - a3) * inv[(a2 - a3) % p] % p
+            # a pair without probes holds no survivor
+            for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
+                start = probes + r * per - (hole < r)
+                roots = _row_roots(p, a1, a2, k, pairs[a])
+                inv_one_minus_a = inv[(1 - a) % p]
+                frame = a * inv_one_minus_a % p
+                b5_cands = None  # admissible (b5 position, b5, c, mask bits), in b5 order
+                for j, a5, b, m12 in sorted((pos5[x], x, b, m12) for x, m12, b in roots
+                                            if pos5[x] < n5):
+                    probe = start + j + 1 - sum(pos5[v] < j for v in (a1, a2, a3, a4))
+                    if cut and probe > quota:
+                        break
+                    # a6 at d: d = 1 would put it at a3, d = k at infinity
+                    d = frame * (1 - b) % p
+                    if d == 1 or d == k:
+                        continue
+                    if b5_cands is None:
+                        b5_cands = sorted((pos_b5[x], x, c, m34) for x, m34, c in roots
+                                          if pos_b5[x] < nb5)
+                    for _, b5, c, m34 in b5_cands:
+                        if c == b or c == d:
                             continue
-                        for e2 in (1, -1):
-                            if not m34 & (1 if e2 == 1 else 2):
-                                continue
-                            eps5 = e1 * chi_u1 * e2 * chi_u2 * chi_w5
-                            if not mask[lam5] & (1 if eps5 == 1 else 2):
-                                continue
+                        # b6 at e, which must miss a3, infinity and a5 (e = d,
+                        # b6 = a6, would need c = b)
+                        e = frame * (1 - c) % p
+                        if e == 1 or e == k or e == b:
+                            continue
+                        tuples += 1
+                        # lambda5 is a cross-ratio, so the frame keeps it, and
+                        # the fifth twist class is e1 e2 chi5, where chi5 =
+                        # chi((b-e)(d-c)(1-b)(1-c)) is chi_u1 chi_u2 chi_w5 of
+                        # the roots
+                        den = (b - e) * (d - c) % p
+                        m5 = mask[(b - c) * (d - e) % p * inv[den] % p]
+                        if not m5:
+                            continue
+                        if maximal:
+                            twists = ((1, 1),)
+                        else:
+                            chi5 = chi[den * (1 - b) * (1 - c) % p]
+                            twists = [(e1, e2) for e1 in (1, -1) if m12 & (1 if e1 == 1 else 2)
+                                      for e2 in (1, -1) if m34 & (1 if e2 == 1 else 2)
+                                      and m5 & (1 if e1 * e2 * chi5 == 1 else 2)]
+                        if not twists:
+                            continue
+                        a6, b6 = (_from_frame(p, inv, a1, a2, k, y) for y in (d, e))
+                        base6 = (a1, a2, a3, a4, a5, a6)
+                        chi_u1 = chi_u2 = 1
+                        if not maximal:
+                            g = (a2 - a3) * (a1 - a4) * inv_one_minus_a % p
+                            chi_u1 = chi[g * (a1 - a5) * (a1 - a6) * (1 - b) % p]
+                            chi_u2 = chi[g * (a1 - b5) * (a1 - b6) * (1 - c) % p]
+                        for e1, e2 in twists:
                             alpha1 = 1 if e1 * chi_u1 == 1 else nonres
                             alpha2 = 1 if e2 * chi_u2 == 1 else nonres
                             if emit(alpha1, alpha2, base6, b5, b6):
-                                stop = True
-                                break
-                        if stop:
-                            break
-                if stop:
-                    prefixes += blocks.row[r] + 1
-                    probes = probe
-                    return hits, stats()
-        prefixes += blocks.rows[i]
-        if cut:
-            probes = quota + 1
-            return hits, stats(truncated=True)
-        probes, cell, cells = blocks.probes[i], blocks.nxt[i], blocks.cells[i]
-        if cell >= cells:
-            return hits, stats()
-        if deadline is not None and time.monotonic() > deadline:
-            return hits, stats(truncated=True)
-        # each later block twice the one before, so that a run of cells
-        # without rows takes few passes
-        size = min(block, 2 * size)
-        blocks, i = _blocks(p, cfg, np.array([a1]), np.array([cell]), np.array([probes]),
-                            size, quota), 0
+                                prefixes += r + 1
+                                probes = probe
+                                return hits, stats()
+            if cut:
+                prefixes += reach
+                probes = quota + 1
+                return hits, stats(truncated=True)
+            prefixes += rows
+            probes += pair_probes
+            if deadline is not None and time.monotonic() > deadline:
+                return hits, stats(truncated=True)
+    return hits, stats()
 
 
 def _chunks(p: int, cfg: SearchConfig, quota: Optional[int],
             deadline: Optional[float]) -> Iterator[tuple]:
     """(position in the a1 order, hit rows, stats) of the prime's chunks, in
     a1 order.  A chunk without a survivor is counted (_count_chunks), not
-    scanned: every chunk of a prime without admissible pairs, all in one,
-    and the chunk whose a1 is the pinned a5, which has no probe."""
-    if not _admissible_pairs(p, cfg.target):
-        a1 = cfg.fixed_value("a1")
+    scanned: every chunk of a prime without admissible pairs, or of a prime
+    where a5 is pinned to the residue of a pinned a1, a2, a3 or a4, all in
+    one, and the chunk whose a1 is the pinned a5; none of these has a
+    probe."""
+    *prefix, a5 = map(cfg.fixed_value, ENUMERATED_SLOTS[:5])
+    if not _admissible_pairs(p, cfg.target) or a5 is not None and any(
+            v is not None and (v - a5) % p == 0 for v in prefix):
+        a1 = prefix[0]
         yield 0, [], _count_chunks(p, cfg, range(p) if a1 is None else (a1 % p,), quota)
         return
     a1s, a5s = (_visit_orders(p, cfg)[s] for s in (0, 4))

@@ -223,6 +223,14 @@ class TestSearchCommand:
                    "--max-hits", "1", "--seed", "0", "--fix", "a1=9", "--quiet"])
         assert rc == 0
 
+    def test_a5_pinned_equal_to_a1_is_counted(self, capsys):
+        # 14 = 3 mod 11: the one chunk a1 = 3 has no probe, so the prime is
+        # counted, not scanned
+        rc = main(["search", "--target", "maximal-fp2", "--p-min", "11", "--p-max", "11",
+                   "--fix", "a1=3", "--fix", "a5=14"])
+        assert rc == 0
+        assert "0 hit(s), 0 probes" in capsys.readouterr().out
+
     def test_bad_fix_slot(self):
         # rejected while parsing, before any search machinery runs
         with pytest.raises(SystemExit) as exc:
@@ -233,8 +241,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize("extra", [
         ["--p-max", "11", "--fix", "a1=2", "--fix", "a1=3"],
         ["--p-max", str(2 ** 21)],
-        ["--p-max", "11", "--fix", "a1=3", "--fix", "a5=14"],
-    ], ids=["slot-pinned-twice", "p-max-past-cap", "a5-pinned-equal-to-a1"])
+    ], ids=["slot-pinned-twice", "p-max-past-cap"])
     def test_config_error_exits_2(self, capsys, extra):
         rc = main(["search", "--target", "maximal-fp2", "--p-min", "11", *extra])
         assert rc == 2

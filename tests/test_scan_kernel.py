@@ -1,4 +1,4 @@
-"""The block scan kernel against the scalar reference kernel
+"""The pair-by-pair scan kernel against the scalar reference kernel
 (scalar_kernel.py), its table of admissible cross-ratio pairs against the
 forward formula, and the benchmark's scan reference totals."""
 
@@ -90,11 +90,10 @@ def test_kernel_matches_scalar_oracle(quick_confirm, target, fixed):
     (Target.SERRE_FP, 17),
     (Target.SERRE_FP3, 13),
 ], ids=lambda v: getattr(v, "value", v))
-def test_quota_and_hit_cap_across_blocks(quick_confirm, monkeypatch, target, p):
-    # blocks of three rows, so that quota cuts and hit-cap stops fall in
-    # later blocks of a chunk (at p = 11 about one maximal-fp2 probe in ten
-    # emits)
-    monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 3 * p)
+def test_quota_and_hit_cap_across_blocks(quick_confirm, target, p):
+    # quotas every 7 probes up to 12 rows' worth, so that quota cuts and
+    # hit-cap stops fall on every row of the first (a2, a3) pairs and in
+    # later pairs (at p = 11 about one maximal-fp2 probe in ten emits)
     for max_hits in (None, 1, 2, 40):
         cfg = SearchConfig(p, p, target, max_hits=max_hits, seed=5)
         for a1 in _visit_orders(p, cfg)[0][:2]:
@@ -104,12 +103,14 @@ def test_quota_and_hit_cap_across_blocks(quick_confirm, monkeypatch, target, p):
 
 
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
-def test_kernel_matches_scalar_oracle_past_a_block(quick_confirm, monkeypatch, target):
-    # At p = 101 a block of 4096 elements holds 40 cells, so the a3 = a2
-    # run of n4 = 100 cells outlasts two blocks.  In the unseeded order the
-    # first chunk's first cell starts such a run, and quota 10^4 reaches the
-    # second a2, whose run lies inside its cells.
-    monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 4096)
+def test_kernel_matches_scalar_oracle_past_a_block(quick_confirm, target):
+    # At p = 101 a pair has 98 rows of 97 probes, and of the targets only
+    # serre-fp3 has admissible pairs, with 83 a values.  In the unseeded
+    # order the first chunk's first a3 equals its first a2 and is skipped.
+    # Quotas 1 and p - 4 reach one and two rows and walk them; quota 10^4
+    # lists the
+    # first pair from the table and walks the 6 rows it reaches of the
+    # second.
     p = 101
     for seed in (None, 5):
         cfg = SearchConfig(p, p, target, seed=seed)
@@ -126,16 +127,17 @@ def test_kernel_matches_scalar_oracle_past_a_block(quick_confirm, monkeypatch, t
     (Target.SERRE_FP3, 13, (1, 9, 80, None)),
 ], ids=lambda v: getattr(v, "value", v))
 def test_windowed_kernel_matches_scalar_oracle_on_every_chunk(
-        quick_confirm, monkeypatch, target, p, quotas, fixed):
-    # Every chunk of the prime, in a1 order as enumerate_hits scans them, with
-    # blocks of three cells and windows of four first blocks.  Quota 1 and
-    # p - 4 cut in the first block, read from a window; the larger quotas
-    # and no quota run on through later blocks.  The unseeded order opens
-    # every chunk on an a3 = a2 run.  With a2 pinned to 5 the chunk a1 = 5
-    # has no cell.  At p = 173 serre-fp has no admissible pair, so the
-    # chunks only count probes.
-    monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 3 * p)
-    monkeypatch.setattr(search_engine, "_PASS_CELLS", 12)
+        quick_confirm, target, p, quotas, fixed):
+    # Every chunk of the prime, in a1 order as enumerate_hits scans them.  A
+    # pair's rows are listed by walking them when the quota reaches fewer
+    # rows than the table has a values, else from the table.  At p = 11
+    # (maximal-fp2, 5 a values, 8 rows of 7 probes a pair) quotas
+    # 1 and 7 reach 1 and 2 rows and walk; quota 60 lists the first pair
+    # from the table and walks the second, where it cuts on row 0; no quota
+    # lists every pair from the table.  The unseeded order skips every
+    # chunk's first a3, which equals its first a2.  With a2 pinned to 5 the
+    # chunk a1 = 5 has no pair.  At p = 173 serre-fp has no admissible
+    # pair, so the chunks only count probes.
     for seed in (None, 5):
         for max_hits in (None, 2):
             cfg = SearchConfig(p, p, target, max_hits=max_hits, seed=seed, fixed=fixed)
@@ -163,23 +165,19 @@ def test_a5_pinned_search_skips_the_chunk_without_probes():
     (Target.SERRE_FP3, 13),
     (Target.MAXIMAL_FP2, 13),
 ], ids=lambda v: getattr(v, "value", v))
-def test_counted_chunks_match_the_block_scan(quick_confirm, monkeypatch, target, p, fixed):
+def test_counted_chunks_match_the_block_scan(quick_confirm, target, p, fixed):
     # Every chunk's prefixes, probes and cut, counted and scanned, at primes
-    # with admissible pairs (11 and 181 here) and without.  With blocks of
-    # 24 cells (of up to 512 with a5 pinned, where a row has at most one
-    # probe), quotas 1 and p - 4 cut in the first block and the probes of
-    # two full blocks in a later one; without a quota, at the small primes,
-    # the scan runs through every row.  The chunk whose a1 is the pinned a5
-    # has no probe, so its scan walks every row whatever the quota, which
-    # takes about 2.5 s at 173 and 181; there it is left out.
-    monkeypatch.setattr(search_engine, "_BLOCK_ELEMENTS", 24 * p)
+    # with admissible pairs (11 and 181 here) and without.  Quotas 1 and
+    # p - 4 cut in the first (a2, a3) pair, and the later quota (48 rows'
+    # probes, or 1024 probes with a5 pinned, where a row has at most one)
+    # further on or not at all; without a quota, at the small primes, the
+    # scan runs through every pair.  The chunk whose a1 is the pinned a5 has
+    # no probe, so its scan runs through every pair whatever the quota.
     later = 1024 if "a5" in dict(fixed) else 48 * (p - 4)
     quotas = (1, p - 4, later) + ((None,) if p < 100 else ())
     for seed in (None, 5):
         cfg = SearchConfig(p, p, target, seed=seed, fixed=fixed)
         for a1 in _visit_orders(p, cfg)[0]:
-            if p > 100 and a1 == cfg.fixed_value("a5"):
-                continue
             for quota in quotas:
                 _, stats = search_engine._scan_chunk(p, cfg, a1, quota, None)
                 prefixes, probes, _, _, cut = stats
@@ -219,13 +217,10 @@ _UNPAIRED = [(Target.SERRE_FP, p) for p in (17, 19, 23, 29)] + [
        st.one_of(st.none(), st.integers(1, 20_000)))
 def test_counted_primes_match_the_chunk_scans(case, pins, seed, max_candidates):
     # A prime without admissible pairs is counted whole; its statistics are
-    # the sums of the block scans of its chunks.
+    # the sums of the scans of its chunks.
     target, p = case
-    try:
-        cfg = SearchConfig(p, p, target, max_candidates=max_candidates, seed=seed,
-                           fixed=tuple(pins.items()))
-    except ValueError:
-        return  # a5 pinned equal to another pin modulo p
+    cfg = SearchConfig(p, p, target, max_candidates=max_candidates, seed=seed,
+                       fixed=tuple(pins.items()))
     chunks = _visit_orders(p, cfg)[0]
     quota = None if max_candidates is None else -(-max_candidates // len(chunks))
     want = [0, 0, 0, 0, False]
@@ -245,10 +240,11 @@ def test_counted_primes_match_the_chunk_scans(case, pins, seed, max_candidates):
 def test_frame_roots_match_the_linear_solve(case):
     """For distinct a1..a5 and b5, a6 = x(d) and b6 = x(e) in the frame y =
     cr(a1, a2, a3, x) equal the reference kernel's linear solve, None
-    included; and lambda5 of the roots equals lambda5 of b, c, d and e,
-    since a Moebius map keeps cross-ratios."""
+    included; lambda5 of the roots equals lambda5 of b, c, d and e, since a
+    Moebius map keeps cross-ratios; and the reference kernel's fifth twist
+    class chi_u1 chi_u2 chi_w5 equals chi((b-e)(d-c)(1-b)(1-c))."""
     p, (a1, a2, a3, a4, a5, b5) = case
-    inv = search_engine._tables(p)[0]
+    inv, _, chi, _ = search_engine._tables(p)
     k = (a1 - a3) * inv[(a2 - a3) % p] % p
     a, b, c = (k * (a2 - x) % p * inv[(a1 - x) % p] % p for x in (a4, a5, b5))
     frame = a * inv[(1 - a) % p] % p
@@ -260,20 +256,11 @@ def test_frame_roots_match_the_linear_solve(case):
     if None not in (a6, b6) and len({a5, a6, b5, b6}) == 4:
         lam5 = (a5 - b5) * (a6 - b6) % p * inv[(a5 - b6) * (a6 - b5) % p] % p
         assert lam5 == (b - c) * (d - e) % p * inv[(b - e) * (d - c) % p] % p
-
-
-def _count_block_passes(monkeypatch):
-    """The chunk counts of the calls to _blocks, recorded from now on."""
-    calls = []
-    real = search_engine._blocks
-
-    def counted(p, cfg, a1, *args):
-        calls.append(len(a1))
-        return real(p, cfg, a1, *args)
-
-    monkeypatch.setattr(search_engine, "_blocks", counted)
-    search_engine._window.cache_clear()
-    return calls
+        g = (a2 - a3) * (a1 - a4) * inv[(1 - a) % p]
+        chi_u1 = chi[g * (a1 - a5) * (a1 - a6) * (1 - b) % p]
+        chi_u2 = chi[g * (a1 - b5) * (a1 - b6) * (1 - c) % p]
+        chi_w5 = chi[(a5 - b6) * (a6 - b5) % p]
+        assert chi_u1 * chi_u2 * chi_w5 == chi[(b - e) * (d - c) * (1 - b) * (1 - c) % p]
 
 
 @pytest.mark.parametrize("target,p,max_candidates,seed", [
@@ -281,17 +268,13 @@ def _count_block_passes(monkeypatch):
     (Target.SERRE_FP, 1187, 10_000, 1),
     (Target.MAXIMAL_FP2, 1031, 1031, None),
 ], ids=["scan-181", "tiny-1187", "unseeded-1031"])
-def test_small_quotas_take_a_few_block_passes_per_prime(monkeypatch, target, p, max_candidates,
-                                                        seed):
+def test_small_quotas_take_a_few_block_passes_per_prime(target, p, max_candidates, seed):
     """The benchmark's scan settings at p = 181, a tiny quota at p = 1187
     (ten probes per chunk) and one probe per chunk in the unseeded order,
-    where every chunk opens on an a3 = a2 run, build the first blocks of
-    many chunks in one pass (5 passes at p = 181, 7 at the others), not one
-    pass per chunk; the hits and totals are the scalar kernel's."""
-    calls = _count_block_passes(monkeypatch)
+    where every chunk skips its first a3, which equals its first a2: the
+    hits and totals are the scalar kernel's."""
     cfg = SearchConfig(p, p, target, max_candidates=max_candidates, seed=seed)
     hits, stats = run_search(cfg)
-    assert len(calls) <= 8 and sum(calls) >= p
     quota = -(-max_candidates // p)
     want_rows, want = [], [0] * 5
     for a1 in _visit_orders(p, cfg)[0]:
@@ -304,11 +287,22 @@ def test_small_quotas_take_a_few_block_passes_per_prime(monkeypatch, target, p, 
 
 
 def test_one_probe_per_chunk_skips_the_a3_equals_a2_run():
-    # unseeded, so every chunk opens on an a3 = a2 run of p - 1 cells
+    # unseeded, so every chunk's first a3 equals its first a2
     t0 = time.perf_counter()
     hits, stats = run_search(SearchConfig(1031, 1031, Target.MAXIMAL_FP2, max_candidates=1031))
     assert time.perf_counter() - t0 < 2
     assert (len(hits), stats.probes, stats.prefixes) == (5, 2062, 1031)
+
+
+def test_a_quota_of_one_row_walks_it_past_a_large_table():
+    # The table has 6905 a values at p = 10007 and the quota of 100 probes
+    # reaches one row per chunk, so each pair's row is walked; mapping the
+    # whole table back per pair took about 10 s.
+    t0 = time.perf_counter()
+    hits, stats = run_search(SearchConfig(10007, 10007, Target.MAXIMAL_FP2,
+                                          max_candidates=1_000_000, max_hits=5, seed=3))
+    assert time.perf_counter() - t0 < 1
+    assert (len(hits), stats.prefixes, stats.probes, stats.tuples) == (5, 1220, 123220, 243)
 
 
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
@@ -335,21 +329,23 @@ def test_pair_masks_match_scalar_filters(target, p):
             bits = mask[pref * (b - 2 * want_a + 2 * s) % p] & mask[pref * (b - 2 * want_a - 2 * s) % p]
             want.append(0 if s == 0 or x in (a1, a2, a3, a4) else bits)
             want_b.append(b)
-        roots = search_engine._block_roots(p, a1, [want_k], [a2], [want_a], pairs)
-        assert len(roots) == 1
-        got = {x: (bits, b) for x, bits, b in roots[0]}
-        assert len(got) == len(roots[0])
+        roots = search_engine._row_roots(p, a1, a2, want_k, pairs.get(want_a, ()))
+        got = {x: (bits, b) for x, bits, b in roots}
+        assert len(got) == len(roots)
         assert [got.get(x, (0,))[0] for x in range(p)] == want
         assert all(b == want_b[x] for x, (_, b) in got.items())
-        # the block of the one cell (a1, a2, a3, a4) of a search with a2, a3
-        # and a4 pinned lists the row, with its k and a, when its a has
-        # admissible pairs; a maximal-fp2 search, since serre-fp needs
-        # p >= 17
+        # the one row (a2, a3, a4) of chunk a1 of a search with a2, a3 and a4
+        # pinned is listed, with its a4 and a, exactly when its a has
+        # admissible pairs, by walking the row (reach 1, below the table's 5
+        # a values at p = 11 and 15 at 23) and from the table (reach its
+        # size); a maximal-fp2 search, since serre-fp needs p >= 17 (at 181
+        # maximal-fp2 has no table entry, so both lists are empty)
         cfg = SearchConfig(p, p, Target.MAXIMAL_FP2, fixed=(("a2", a2), ("a3", a3), ("a4", a4)))
-        one = np.array([0])
-        block = search_engine._blocks(p, cfg, np.array([a1]), one, one, 1, None)
-        listed = want_a in search_engine._admissible_pairs(p, Target.MAXIMAL_FP2)
-        assert (block.k, block.a) == (([want_k], [want_a]) if listed else ([], []))
+        table = search_engine._admissible_pairs(p, Target.MAXIMAL_FP2)
+        listed = [(0, a4, want_a)] if want_a in table else []
+        arrays = search_engine._scan_arrays(p, cfg)
+        for reach in (1, max(1, len(table))):
+            assert search_engine._pair_rows(p, arrays, a1, a2, a3, want_k, reach) == listed
 
 
 def _forward_pairs(p, target):

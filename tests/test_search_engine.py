@@ -26,6 +26,7 @@ from howe5.search_engine import (
     SearchStats,
     Target,
     TARGET_MIN_PRIME,
+    _visit_orders,
     enumerate_hits,
     orbit_key,
     primes_in,
@@ -55,12 +56,36 @@ class TestSearchConfig:
         ((("a5", 3), ("a4", 3)), 3, 3),
         ((("a2", 3), ("a5", 104)), 101, 101),
         ((("a5", 104), ("a3", 3)), 3, 200),
+        ((("a2", 3), ("a5", 14)), 11, 11),
     ])
-    def test_a5_pinned_equal_to_a_prefix_slot_is_rejected(self, fixed, p_min, p_max):
-        # every row would hold no probe, so max_candidates could never stop
-        # the scan of all p^3 prefix rows
-        with pytest.raises(ValueError, match="leaves no probe"):
-            SearchConfig(p_min, p_max, "maximal-fp2", max_candidates=10, fixed=fixed)
+    def test_a5_pinned_equal_to_a_prefix_slot_is_counted(self, fixed, p_min, p_max):
+        # a5 pinned to the residue of a pinned a1, a2, a3 or a4 (104 = 3 mod
+        # 101, 14 = 3 mod 11; a4 = a5 at every prime) leaves every row
+        # without a probe, so max_candidates cannot end a scan of the p^3
+        # rows: such a prime is counted, with admissible pairs (maximal-fp2
+        # at 11) or without (at 3 and 101).  At 101 it has 100 * 99 * 98
+        # rows: the one chunk a1 = 3 holds 100 a2, 99 a3 and 98 a4, else each
+        # of the 100 chunks a1 != 3 holds 99 values of the free slot of a2
+        # and a3 and 98 a4.  The other primes are the scalar kernel's, chunk
+        # by chunk.
+        cfg = SearchConfig(p_min, p_max, "maximal-fp2", max_candidates=10, fixed=fixed)
+        hits, stats = run_search(cfg)
+        want_rows, want = [], [0, 0, 0, 0, False]
+        for p in primes_in(p_min, p_max):
+            if p == 101:
+                want[0] += 100 * 99 * 98
+                continue
+            one = SearchConfig(p, p, "maximal-fp2", max_candidates=10, fixed=fixed)
+            chunks = _visit_orders(p, one)[0]
+            for a1 in chunks:
+                chunk_hits, chunk_stats = scalar_kernel._scan_chunk(p, one, a1,
+                                                                    -(-10 // len(chunks)))
+                want_rows += [row for _, row, _ in chunk_hits]
+                want = [w + v for w, v in zip(want[:4], chunk_stats[:4])] + [
+                    want[4] or chunk_stats[4]]
+        assert [h.row() for h in hits] == want_rows
+        got = [stats.prefixes, stats.probes, stats.tuples, stats.confirm_failures, stats.truncated]
+        assert got == want
 
     def test_a5_pinned_equal_only_outside_the_range_is_accepted(self):
         # 104 - 3 = 101 is prime, and no other prime divides it
