@@ -16,7 +16,6 @@ from .curve_models import (
 )
 from .errors import (
     CapExceeded,
-    ConditionFailed,
     CrossRatioFailed,
     DecompositionMismatch,
     Degenerate,
@@ -42,6 +41,7 @@ from .field_arith import (
 )
 from .hasse_serre import (
     LegendreCurve,
+    Target,
     attains_serre_fp,
     attains_serre_fp3,
     floor_two_sqrt,
@@ -63,14 +63,12 @@ from .howe_factory import (
     howe_counts,
     howe_models,
     serre_verdicts,
-    split_genus2,
     validate,
 )
 from .search_engine import (
     SearchConfig,
     SearchHit,
     SearchStats,
-    Target,
     enumerate_hits,
     random_valid_params,
 )

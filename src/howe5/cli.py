@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from . import tables
 from .curve_models import COUNT_CAP, CountMethod, HyperellipticModel, PointCount, count_points
 from .errors import Howe5Error
-from .hasse_serre import LegendreCurve, serre_bound, zeta_lift
+from .hasse_serre import LegendreCurve, Target, serre_bound, zeta_lift
 from .howe_factory import (
     DecompositionReport,
     HoweParams,
@@ -28,7 +28,6 @@ from .howe_factory import (
 from .search_engine import (
     ENUMERATED_SLOTS,
     SearchConfig,
-    Target,
     run_search,
     write_hits_csv,
     write_hits_jsonl,
@@ -155,11 +154,10 @@ def _verify_row(params: HoweParams, table: int, deep: bool, out) -> bool:
     try:
         _, curves = decompose_genus5(params, vr)
         base = howe_counts(params, 1, curves)
-        verdicts = serre_verdicts(params, curves, base)
-        j = Target(tables.TABLE_TARGETS[table]).degree
-        holds = (verdicts.serre_fp, verdicts.maximal_fp2, verdicts.serre_fp3)[j - 1]
+        target = tables.TABLE_TARGETS[table]
+        j = target.degree
         field, label = f"F_p^{j}" if j > 1 else "F_p", "maximal" if j == 2 else "bound"
-        if holds is not True:
+        if target.attained(curves) is not True:
             out(f"  p={p}: FAIL {label} predicate over {field}")
             return False
         want = serre_bound(p ** j, 5)
@@ -188,7 +186,7 @@ def cmd_verify_tables(ns) -> int:
                 rows = tables.parse_rows(fh.read(), ns.data)
         else:
             rows = tables.load_table(t)
-        print(f"table {t} ({tables.TABLE_TARGETS[t]}): {len(rows)} rows")
+        print(f"table {t} ({tables.TABLE_TARGETS[t].value}): {len(rows)} rows")
         for params in rows:
             if not _verify_row(params, t, ns.deep, print):
                 failures += 1
@@ -375,16 +373,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[ns.command](ns)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Howe5Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (SystemExit2, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

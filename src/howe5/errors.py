@@ -46,10 +46,6 @@ class DegenerateLambda(ValidationError):
     """A derived Legendre parameter landed in {0, 1}, or a twist vanished."""
 
 
-class ConditionFailed(ValidationError):
-    """Six branch points do not satisfy the genus-2 splitting condition."""
-
-
 class DivisionByZero(ValidationError):
     """A cross-ratio computation hit a degenerate denominator."""
 

@@ -5,7 +5,9 @@ y^2 = theta * x (x - 1) (x - lambda) over F_p.
 legendre_traces holds the exact trace t(lambda) for every lambda; the twist
 by theta has trace chi(theta) t.  Each bound target, over F_{p^j}, is one
 rule: lift_trace(chi(theta) t, p, j) = -floor(2 sqrt(p^j)).  The predicates,
-the paper's per-curve criteria, decide the same from congruences mod p.  The
+the paper's per-curve criteria, decide the same from congruences mod p; Target
+is the one definition of each target, its degree j, the least prime its
+predicate decides from, and the predicate over all five factors.  The
 zeta-recursion lift turns an exact count over F_p into counts over F_{p^j}.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -21,8 +24,34 @@ from . import curve_models
 from .errors import HasseViolation, HypothesisViolated, InexactTraces
 from .field_arith import TABLE_CACHE, FieldElement, PrimeModulus, prime_modulus, residue_tables
 
-SERRE_FP_MIN_PRIME = 17
-SERRE_FP3_MIN_PRIME = 11
+
+class Target(Enum):
+    """A bound target: the genus-5 Serre bound over F_{p^j}, j the degree.
+    A genus-5 curve split into five Legendre factors attains it when every
+    factor passes the target's predicate, which decides from min_prime on."""
+
+    SERRE_FP = "serre-fp"
+    MAXIMAL_FP2 = "maximal-fp2"
+    SERRE_FP3 = "serre-fp3"
+
+    @property
+    def degree(self) -> int:
+        """j such that the target is the genus-5 Serre bound over F_{p^j}."""
+        return list(Target).index(self) + 1
+
+    @property
+    def min_prime(self) -> int:
+        """The least p at which the predicate decides attainment."""
+        return (17, 3, 11)[self.degree - 1]
+
+    def attained(self, curves: tuple[LegendreCurve, ...]) -> bool | None:
+        """Whether all five factors pass the predicate; None below min_prime.
+        The predicates are looked up by name at each call, so a wrapper
+        bound over a module global is the one called."""
+        if curves[0].mod.p < self.min_prime:
+            return None
+        predicate = (attains_serre_fp, maximal_fp2, attains_serre_fp3)[self.degree - 1]
+        return all(predicate(E) for E in curves)
 
 
 @dataclass(frozen=True)
@@ -136,9 +165,9 @@ def trace_mod_p(curve: LegendreCurve) -> FieldElement:
 def attains_serre_fp(curve: LegendreCurve) -> bool:
     """Serre-bound attainment over F_p, decided by congruence.  Needs p >= 17,
     where the Hasse interval pins the trace down uniquely."""
-    p = curve.mod.p
-    if p < SERRE_FP_MIN_PRIME:
-        raise HypothesisViolated(f"predicate needs p >= {SERRE_FP_MIN_PRIME}, got {p}")
+    p, least = curve.mod.p, Target.SERRE_FP.min_prime
+    if p < least:
+        raise HypothesisViolated(f"predicate needs p >= {least}, got {p}")
     return trace_mod_p(curve).value == (-floor_two_sqrt(p)) % p
 
 
@@ -150,9 +179,9 @@ def maximal_fp2(curve: LegendreCurve) -> bool:
 def attains_serre_fp3(curve: LegendreCurve) -> bool:
     """Serre-bound attainment over F_{p^3}, for p >= 11: the canonical residue
     h of the trace must satisfy h^3 - 3ph = -floor(2 p sqrt(p)) exactly."""
-    p = curve.mod.p
-    if p < SERRE_FP3_MIN_PRIME:
-        raise HypothesisViolated(f"predicate needs p >= {SERRE_FP3_MIN_PRIME}, got {p}")
+    p, least = curve.mod.p, Target.SERRE_FP3.min_prime
+    if p < least:
+        raise HypothesisViolated(f"predicate needs p >= {least}, got {p}")
     return lift_trace(trace_mod_p(curve).value, p, 3) == -floor_two_sqrt(p ** 3)
 
 

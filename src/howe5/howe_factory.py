@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from . import curve_models, hasse_serre
 from .curve_models import HyperellipticModel
 from .errors import (
-    ConditionFailed,
     CrossRatioFailed,
     DecompositionMismatch,
     Degenerate,
@@ -29,7 +28,7 @@ from .errors import (
     NonSquareObstruction,
 )
 from .field_arith import FieldElement, PrimeModulus, legendre_symbol, prime_modulus, sqrt_mod_p
-from .hasse_serre import LegendreCurve, zeta_lift
+from .hasse_serre import LegendreCurve, Target, zeta_lift
 
 
 @dataclass(frozen=True)
@@ -150,30 +149,6 @@ def _split_pair(
     lam_plus = pref * (mu - 2 * lam + 2 * s)
     lam_minus = pref * (mu - 2 * lam - 2 * s)
     return tw, lam_plus, lam_minus
-
-
-def split_genus2(model: HyperellipticModel) -> tuple[LegendreCurve, LegendreCurve]:
-    """Split a genus-2 sextic model whose roots satisfy the compatibility
-    condition into its two elliptic quotients, in Legendre form."""
-    if model.degree != 6:
-        raise ValueError("splitting needs a sextic model")
-    r1, r2, r3, r4, r5, r6 = model.roots
-    lhs = (r2 - r4) * (r1 - r6) * (r3 - r5)
-    rhs = (r2 - r6) * (r1 - r5) * (r3 - r4)
-    if lhs != rhs:
-        raise ConditionFailed(
-            f"root tuple fails the splitting condition: {lhs.value} != {rhs.value}"
-        )
-    lam = _cross_ratio(r1, r2, r3, r4)
-    mu = _cross_ratio(r1, r2, r3, r5)
-    theta = model.alpha * (r2 - r3) * (r1 - r4) * (r1 - r5) * (r1 - r6)
-    tw, lam_plus, lam_minus = _split_pair(theta, lam, mu)
-    try:
-        e_plus = LegendreCurve(model.mod, tw, lam_plus)
-        e_minus = LegendreCurve(model.mod, tw, lam_minus)
-    except ValueError as exc:
-        raise DegenerateLambda(str(exc)) from exc
-    return e_plus, e_minus
 
 
 def _quartet(w: FieldElement, x: FieldElement, y: FieldElement, z: FieldElement) -> FieldElement:
@@ -393,9 +368,6 @@ class VerdictRecord:
     serre_fp: bool | None
     maximal_fp2: bool
     serre_fp3: bool | None
-    serre_fp_each: tuple[bool, ...] | None
-    maximal_fp2_each: tuple[bool, ...]
-    serre_fp3_each: tuple[bool, ...] | None
     count_mod4_ok: bool
     p_mod4: int
 
@@ -421,19 +393,11 @@ def serre_verdicts(
         _, curves = decompose_genus5(params)
     if counts is None:
         counts = howe_counts(params, 1, curves)
-    fp_each, fp2_each, fp3_each = (
-        tuple(predicate(E) for E in curves) if params.mod.p >= least else None
-        for predicate, least in ((hasse_serre.attains_serre_fp, hasse_serre.SERRE_FP_MIN_PRIME),
-                                 (hasse_serre.maximal_fp2, 3),
-                                 (hasse_serre.attains_serre_fp3, hasse_serre.SERRE_FP3_MIN_PRIME))
-    )
+    serre_fp, maximal_fp2, serre_fp3 = (target.attained(curves) for target in Target)
     return VerdictRecord(
-        serre_fp=fp_each and all(fp_each),
-        maximal_fp2=all(fp2_each),
-        serre_fp3=fp3_each and all(fp3_each),
-        serre_fp_each=fp_each,
-        maximal_fp2_each=fp2_each,
-        serre_fp3_each=fp3_each,
+        serre_fp=serre_fp,
+        maximal_fp2=maximal_fp2,
+        serre_fp3=serre_fp3,
         count_mod4_ok=counts.total % 4 == 0,
         p_mod4=params.mod.p % 4,
     )

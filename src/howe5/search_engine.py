@@ -58,38 +58,21 @@ import functools
 import json
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from typing import IO, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from . import hasse_serre, howe_factory
+from . import howe_factory
 from .field_arith import PRIME_CAP, is_prime, legendre_symbol, residue_tables
-from .hasse_serre import floor_two_sqrt, legendre_traces, lift_trace, serre_bound
+from .hasse_serre import Target, floor_two_sqrt, legendre_traces, lift_trace, serre_bound
 from .howe_factory import HoweParams
-
-
-class Target(Enum):
-    SERRE_FP = "serre-fp"
-    MAXIMAL_FP2 = "maximal-fp2"
-    SERRE_FP3 = "serre-fp3"
-
-    @property
-    def degree(self) -> int:
-        """j such that the target is the genus-5 Serre bound over F_{p^j}."""
-        return list(Target).index(self) + 1
-
-
-TARGET_MIN_PRIME = {
-    Target.SERRE_FP: 17,
-    Target.MAXIMAL_FP2: 3,
-    Target.SERRE_FP3: 11,
-}
+from .tables import EXPECTED_HEADER
 
 ENUMERATED_SLOTS = ("a1", "a2", "a3", "a4", "a5", "b5")
 
-CSV_HEADER = "p,alpha1,alpha2,a1,a2,a3,a4,a5,a6,b5,b6"
+CSV_HEADER = ",".join(EXPECTED_HEADER)
 
 
 @dataclass(frozen=True)
@@ -113,7 +96,7 @@ class SearchConfig:
             raise ValueError(f"empty prime range [{self.p_min}, {self.p_max}]")
         if self.p_max >= PRIME_CAP:
             raise ValueError(f"p_max must be below {PRIME_CAP}, got {self.p_max}")
-        floor = TARGET_MIN_PRIME[self.target]
+        floor = self.target.min_prime
         if self.p_min < floor:
             raise ValueError(
                 f"target {self.target.value} needs p >= {floor}, got p_min={self.p_min}"
@@ -144,10 +127,6 @@ class SearchHit:
 
     def row(self) -> tuple[int, ...]:
         return self.params.row()
-
-    def report(self) -> "howe_factory.DecompositionReport":
-        """Full decomposition report for this hit, built on demand."""
-        return howe_factory.DecompositionReport.build(self.params, exts=(1,))
 
     def to_json_dict(self) -> dict:
         row = self.row()
@@ -208,14 +187,6 @@ def _class_masks(p: int, target: Target) -> tuple[int, ...]:
 # candidate confirmation
 
 
-def _target_predicate(target: Target):
-    if target is Target.SERRE_FP:
-        return hasse_serre.attains_serre_fp
-    if target is Target.MAXIMAL_FP2:
-        return hasse_serre.maximal_fp2
-    return hasse_serre.attains_serre_fp3
-
-
 def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
     """Recheck the Hasse-polynomial predicates and confirm with exact counts:
     over F_{p^j}, j the target's degree, the count must be the genus-5 Serre
@@ -224,8 +195,7 @@ def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
     if not vr.ok:
         return None
     _, curves = howe_factory.decompose_genus5(params, vr)
-    pred = _target_predicate(target)
-    if not all(pred(E) for E in curves):
+    if not target.attained(curves):
         return None
     base = howe_factory.howe_counts(params, 1, curves)
     j = target.degree
@@ -537,9 +507,11 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 inv_one_minus_a = inv[(1 - a) % p]
                 frame = a * inv_one_minus_a % p
                 b5_cands = None  # admissible (b5 position, b5, c, mask bits), in b5 order
+                # the a5 positions skipped by index: those of a1..a4
+                skip = sorted((pos5[a1], pos5[a2], pos5[a3], pos5[a4]))
                 for j, a5, b, m12 in sorted((pos5[x], x, b, m12) for x, m12, b in roots
                                             if pos5[x] < n5):
-                    probe = start + j + 1 - sum(pos5[v] < j for v in (a1, a2, a3, a4))
+                    probe = start + j + 1 - bisect_left(skip, j)
                     if cut and probe > quota:
                         break
                     # a6 at d: d = 1 would put it at a3, d = k at infinity

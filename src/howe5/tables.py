@@ -2,17 +2,20 @@
 
 Table 1 holds rows attaining the Serre bound over F_p, table 2 rows whose
 curves are maximal over F_{p^2}, table 3 rows attaining the bound over
-F_{p^3}.  Rows use the column layout p, alpha1, alpha2, a1..a6, b5, b6.
+F_{p^3}: table n the target TABLE_TARGETS[n].  Rows use the column layout
+EXPECTED_HEADER, p, alpha1, alpha2, a1..a6, b5, b6, which search hit files
+are written in too.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
+from .hasse_serre import Target
 from .howe_factory import HoweParams
 
 TABLE_FILES = {1: "table1.csv", 2: "table2.csv", 3: "table3.csv"}
-TABLE_TARGETS = {1: "serre-fp", 2: "maximal-fp2", 3: "serre-fp3"}
+TABLE_TARGETS = {1: Target.SERRE_FP, 2: Target.MAXIMAL_FP2, 3: Target.SERRE_FP3}
 
 EXPECTED_HEADER = ["p", "alpha1", "alpha2", "a1", "a2", "a3", "a4", "a5", "a6", "b5", "b6"]
 

@@ -67,8 +67,29 @@ class TestVerifyTables:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_row_below_the_least_prime_fails(self, tmp_path, capsys):
+        """A valid row at p = 11, below serre-fp's least prime 17, where the
+        predicate decides nothing: table 1 cannot hold it."""
+        rows = tmp_path / "t1.csv"
+        rows.write_text(",".join(tables.EXPECTED_HEADER) + "\n11,4,6,5,3,10,7,6,8,9,2\n")
+        assert main(["verify-tables", "1", "--data", str(rows)]) == 1
+        out = capsys.readouterr().out
+        assert "  p=11: FAIL bound predicate over F_p\n" in out
+        assert "1 row(s) FAILED" in out
+
     def test_missing_data_dir(self):
         assert main(["verify-tables", "1", "--data", "/nonexistent/dir"]) == 2
+
+    @pytest.mark.parametrize("args,err", [
+        (["--data", "{dir}/t.csv"], "verify-tables --data needs the table number the rows claim"),
+        (["1", "--data", "{dir}/none.csv"], "[Errno 2] No such file or directory: '{dir}/none.csv'"),
+        (["1", "--data", "{dir}/t.csv"], "{dir}/t.csv:1: bad header ['p', 'alpha1', 'nope']"),
+    ], ids=["usage", "missing-file", "bad-header"])
+    def test_usage_errors_print_one_line_and_exit_2(self, tmp_path, capsys, args, err):
+        (tmp_path / "t.csv").write_text("p,alpha1,nope\n1,2,3\n")
+        args = [a.format(dir=tmp_path) for a in args]
+        assert main(["verify-tables", *args]) == 2
+        assert capsys.readouterr().err == f"error: {err.format(dir=tmp_path)}\n"
 
     def test_data_needs_table_number(self, capsys):
         """Rows read with --data are checked against one claimed target,

@@ -12,8 +12,7 @@ from howe5.errors import HasseViolation, HypothesisViolated, InexactTraces
 from howe5.field_arith import FieldElement, is_prime, legendre_symbol, prime_modulus
 from howe5.hasse_serre import (
     LegendreCurve,
-    SERRE_FP3_MIN_PRIME,
-    SERRE_FP_MIN_PRIME,
+    Target,
     attains_serre_fp,
     attains_serre_fp3,
     floor_two_sqrt,
@@ -148,10 +147,12 @@ def _primes_with_attaining_curves() -> dict[int, list[int]]:
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), j0=st.sampled_from((1, 2, 3)))
 def test_predicates_agree_with_trace_rule_and_count(data, j0):
-    """At or above its threshold, each predicate holds iff the exact trace
-    lifts to a_j = -floor(2 sqrt(p^j)), iff the lifted count is the bound.
-    About half the draws are a random curve over a random prime, the others
-    a curve that attains the bound over F_{p^j0}, which is rare at random."""
+    """At or above its least prime, each target's predicate, applied to the
+    one curve by Target.attained, holds iff the exact trace lifts to a_j =
+    -floor(2 sqrt(p^j)), iff the lifted count is the bound; below it
+    attained is None.  About half the draws are a random curve over a
+    random prime, the others a curve that attains the bound over F_{p^j0},
+    which is rare at random."""
     if data.draw(st.booleans()):
         p = data.draw(st.sampled_from(_primes_with_attaining_curves()[j0]))
         lam, sign = data.draw(st.sampled_from(_attaining_curves(p, j0)))
@@ -164,12 +165,32 @@ def test_predicates_agree_with_trace_rule_and_count(data, j0):
     t = legendre_symbol(theta, prime_modulus(p)) * int(legendre_traces(p)[lam])
     n1 = legendre_count_fp(curve)
     assert n1 == p + 1 - t
-    for j, predicate, least in ((1, attains_serre_fp, SERRE_FP_MIN_PRIME),
-                                (2, maximal_fp2, 3),
-                                (3, attains_serre_fp3, SERRE_FP3_MIN_PRIME)):
-        if p >= least:
-            rule = lift_trace(t, p, j) == -floor_two_sqrt(p ** j)
-            assert predicate(curve) == rule == (zeta_lift(n1, p, j) == serre_bound(p ** j, 1))
+    for target in Target:
+        j = target.degree
+        if p < target.min_prime:
+            assert target.attained((curve,)) is None
+            continue
+        rule = lift_trace(t, p, j) == -floor_two_sqrt(p ** j)
+        assert target.attained((curve,)) == rule == (zeta_lift(n1, p, j) == serre_bound(p ** j, 1))
+
+
+class TestTarget:
+    def test_degrees_and_least_primes(self):
+        assert [(t.value, t.degree, t.min_prime) for t in Target] == [
+            ("serre-fp", 1, 17), ("maximal-fp2", 2, 3), ("serre-fp3", 3, 11)]
+
+    def test_attained_is_none_below_the_least_prime(self):
+        """Below min_prime attained decides nothing, and never calls the
+        predicate, which would raise there."""
+        assert Target.SERRE_FP.attained((LegendreCurve.from_ints(13, 2, 5),)) is None
+        assert Target.SERRE_FP3.attained((LegendreCurve.from_ints(7, 2, 5),)) is None
+        assert Target.MAXIMAL_FP2.attained((LegendreCurve.from_ints(7, 2, 5),)) is False
+
+    def test_attained_needs_every_factor(self):
+        good = LegendreCurve.from_ints(19, 1, 10)  # H_19(10) = 0
+        bad = LegendreCurve.from_ints(19, 1, 3)
+        assert Target.MAXIMAL_FP2.attained((good,) * 5) is True
+        assert Target.MAXIMAL_FP2.attained((good,) * 4 + (bad,)) is False
 
 
 class TestSerreBound:
@@ -241,7 +262,7 @@ class TestLegendreCurve:
 
 class TestSerrePredicateFp:
     def test_min_prime(self):
-        assert SERRE_FP_MIN_PRIME == 17
+        assert Target.SERRE_FP.min_prime == 17
         with pytest.raises(HypothesisViolated):
             attains_serre_fp(LegendreCurve.from_ints(13, 2, 5))
 
@@ -296,7 +317,7 @@ class TestMaximalFp2:
 
 class TestSerrePredicateFp3:
     def test_min_prime(self):
-        assert SERRE_FP3_MIN_PRIME == 11
+        assert Target.SERRE_FP3.min_prime == 11
         with pytest.raises(HypothesisViolated):
             attains_serre_fp3(LegendreCurve.from_ints(7, 2, 5))
 

@@ -9,7 +9,13 @@ from howe5 import howe_factory
 from howe5.curve_models import HyperellipticModel, count_points
 from howe5.errors import DecompositionMismatch, NonSquareObstruction
 from howe5.field_arith import legendre_symbol
-from howe5.hasse_serre import legendre_count_fp, serre_bound
+from howe5.hasse_serre import (
+    attains_serre_fp,
+    attains_serre_fp3,
+    legendre_count_fp,
+    maximal_fp2,
+    serre_bound,
+)
 from howe5.howe_factory import (
     DecompositionReport,
     HoweParams,
@@ -19,7 +25,6 @@ from howe5.howe_factory import (
     howe_models,
     params_from_json_dict,
     serre_verdicts,
-    split_genus2,
     validate,
 )
 from howe5.search_engine import random_valid_params
@@ -138,28 +143,14 @@ class TestDecompose:
 
 
 class TestSplitGenus2:
-    def test_p11_pair(self):
-        models = howe_models(_params(ROW_P11))
-        e_plus, e_minus = split_genus2(models[0])
-        assert {(int(e.theta), int(e.lam)) for e in (e_plus, e_minus)} == {(8, 6), (8, 2)}
-
-    def test_p499_pair(self):
-        models = howe_models(_params(ROW_P499))
-        pair = {(int(e.theta), int(e.lam)) for e in split_genus2(models[0])}
-        assert pair == {(31, 438), (31, 198)}
-
-    def test_rejects_quartic(self):
-        models = howe_models(_params(ROW_P11))
-        with pytest.raises(ValueError):
-            split_genus2(models[2])
-
     @pytest.mark.parametrize("row", [ROW_P499, ROW_P11, ROW_P37])
     def test_count_identity(self, row):
-        """#D = #E+ + #E- - (p + 1) for both sextic quotients."""
+        """#D = #E+ + #E- - (p + 1) for both sextic quotients and the factor
+        pair decompose_genus5 splits each into, all counted by brute force."""
         p = row[0]
-        models = howe_models(_params(row))
-        for m in models[:2]:
-            e1, e2 = split_genus2(m)
+        params = _params(row)
+        _, curves = decompose_genus5(params)
+        for m, (e1, e2) in zip(howe_models(params)[:2], (curves[:2], curves[2:4])):
             lhs = count_points(m, 1).count
             assert lhs == legendre_count_fp(e1) + legendre_count_fp(e2) - (p + 1)
 
@@ -266,14 +257,14 @@ class TestVerdicts:
         assert v.serre_fp3 is False
         assert v.count_mod4_ok is True
         assert v.p_mod4 == 3
-        assert v.maximal_fp2_each == (True,) * 5
+        assert [maximal_fp2(E) for E in decompose_genus5(_params(ROW_P11))[1]] == [True] * 5
 
     def test_p499(self):
         v = serre_verdicts(_params(ROW_P499))
         assert v.serre_fp is True
         assert v.maximal_fp2 is False
         assert v.serre_fp3 is False
-        assert v.serre_fp_each == (True,) * 5
+        assert [attains_serre_fp(E) for E in decompose_genus5(_params(ROW_P499))[1]] == [True] * 5
         assert v.p_mod4 == 3
 
     def test_p37(self):
@@ -281,7 +272,7 @@ class TestVerdicts:
         assert v.serre_fp is False
         assert v.maximal_fp2 is False
         assert v.serre_fp3 is True
-        assert v.serre_fp3_each == (True,) * 5
+        assert [attains_serre_fp3(E) for E in decompose_genus5(_params(ROW_P37))[1]] == [True] * 5
         assert v.p_mod4 == 1
 
     def test_aggregate_is_conjunction(self):
@@ -293,9 +284,10 @@ class TestVerdicts:
             if params is None:
                 continue
             v = serre_verdicts(params)
-            assert v.serre_fp == all(v.serre_fp_each)
-            assert v.maximal_fp2 == all(v.maximal_fp2_each)
-            assert v.serre_fp3 == all(v.serre_fp3_each)
+            _, curves = decompose_genus5(params)
+            assert v.serre_fp == all(attains_serre_fp(E) for E in curves)
+            assert v.maximal_fp2 == all(maximal_fp2(E) for E in curves)
+            assert v.serre_fp3 == all(attains_serre_fp3(E) for E in curves)
 
 
 class TestReport:

@@ -19,7 +19,6 @@ from conftest import ROW_P11, ROW_P37, ROW_P499
 from howe5 import search_engine
 from howe5.field_arith import residue_tables
 from howe5.search_engine import (
-    TARGET_MIN_PRIME,
     SearchConfig,
     Target,
     _visit_orders,
@@ -69,7 +68,7 @@ def test_kernel_matches_scalar_oracle(quick_confirm, target, fixed):
     # the first a1, without a hit cap and in the unseeded order, and for
     # the a1 equal to a pinned a5, whose chunk has no probe.
     pinned = {v for _, v in fixed}
-    for p in primes_in(TARGET_MIN_PRIME[target], 23):
+    for p in primes_in(target.min_prime, 23):
         quotas = sorted({q for q in (1, p - 4, 2 * (p - 4)) if q >= 1})
         for seed in (None, 5):
             for max_hits in (None, 1, 2):
@@ -366,7 +365,7 @@ def _forward_pairs(p, target):
 def test_admissible_pairs_match_forward_table(target):
     """The backward solve finds every admissible (a, b) and no other, with
     its bits, once and sorted by b, at every prime up to 400."""
-    for p in primes_in(TARGET_MIN_PRIME[target], 400):
+    for p in primes_in(target.min_prime, 400):
         pairs = search_engine._admissible_pairs(p, target)
         got = {(a, b): bits for a, row in pairs.items() for b, bits in row}
         assert got == _forward_pairs(p, target), p

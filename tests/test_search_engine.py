@@ -6,7 +6,7 @@ import pytest
 
 import scalar_kernel
 from conftest import ROW_P11, ROW_P37, ROW_P499
-from howe5 import howe_factory, search_engine
+from howe5 import hasse_serre, howe_factory, search_engine, tables
 from howe5.field_arith import PRIME_CAP, TABLE_CACHE, residue_tables
 from howe5.hasse_serre import (
     LegendreCurve,
@@ -16,7 +16,7 @@ from howe5.hasse_serre import (
     legendre_traces,
     maximal_fp2,
 )
-from howe5.howe_factory import HoweParams, direct_counts, serre_verdicts, validate
+from howe5.howe_factory import DecompositionReport, HoweParams, direct_counts, serre_verdicts, validate
 from howe5.search_engine import (
     CSV_HEADER,
     _class_masks,
@@ -25,7 +25,6 @@ from howe5.search_engine import (
     SearchConfig,
     SearchStats,
     Target,
-    TARGET_MIN_PRIME,
     _visit_orders,
     enumerate_hits,
     orbit_key,
@@ -43,7 +42,7 @@ class TestSearchConfig:
         assert cfg.target is Target.MAXIMAL_FP2
 
     def test_prime_floor_per_target(self):
-        assert TARGET_MIN_PRIME[Target.SERRE_FP] == 17
+        assert Target.SERRE_FP.min_prime == 17
         with pytest.raises(ValueError):
             SearchConfig(p_min=11, p_max=31, target="serre-fp")
         with pytest.raises(ValueError):
@@ -175,7 +174,7 @@ class TestRunSearch:
             assert validate(h.params).ok
             assert serre_verdicts(h.params).maximal_fp2 is True
             assert h.counts[2] == 232  # 121 + 1 + 10*11
-            assert h.counts[1] == h.report().counts[1].total
+            assert h.counts[1] == DecompositionReport.build(h.params).counts[1].total
 
     def test_maximal_hit_counts_match_oracle(self):
         """Hit counts are lifted from F_p; the brute-force oracle over F_{p^2}
@@ -256,7 +255,7 @@ def test_class_masks_match_predicates(target):
     """Bit 1 of mask[v] is the target predicate on the factor with theta = 1,
     bit 2 with theta the least non-residue."""
     seen = 0
-    for p in primes_in(TARGET_MIN_PRIME[target], 110) + [181, 193]:
+    for p in primes_in(target.min_prime, 110) + [181, 193]:
         mask = _class_masks(p, target)
         assert mask[0] == mask[1] == 0
         for bit, theta in ((1, 1), (2, residue_tables(p).nonres)):
@@ -374,6 +373,25 @@ class TestConfirm:
         assert counts is not None and j in counts
         assert len(calls) == 1
 
+    def test_predicate_rebound_on_hasse_serre_is_called(self, monkeypatch):
+        """A wrapper bound over the module global hasse_serre.maximal_fp2, as
+        the benchmark's layer tracer binds one, is what serre_verdicts and
+        _confirm call, once per factor."""
+        calls = []
+        real = hasse_serre.maximal_fp2
+
+        def counted(curve):
+            calls.append(curve)
+            return real(curve)
+
+        monkeypatch.setattr(hasse_serre, "maximal_fp2", counted)
+        p, a1, a2, a, b = ROW_P11
+        params = HoweParams.from_ints(p, a1, a2, a, b)
+        assert serre_verdicts(params).maximal_fp2 is True
+        assert len(calls) == 5
+        assert _confirm(params, Target.MAXIMAL_FP2) == {1: 12, 2: 232}
+        assert len(calls) == 10
+
 
 def _moved(params, x0):
     """params moved by z -> 1/(z - x0), with the twists rescaled so that the
@@ -459,6 +477,8 @@ class TestWriters:
         for line, h in zip(lines[1:], hits):
             row = tuple(int(tok) for tok in line.split(","))
             assert HoweParams.from_row(row) == h.params
+        # verify-tables --data reads the same layout
+        assert tables.parse_rows(out.read_text(), str(out)) == [h.params for h in hits]
 
     def test_jsonl_excludes_timing(self, tmp_path):
         hits = self._some_hits()
