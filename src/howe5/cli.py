@@ -21,7 +21,6 @@ from .howe_factory import (
     decompose_genus5,
     direct_counts,
     howe_counts,
-    params_from_json_dict,
     serre_verdicts,
     validate,
 )
@@ -204,7 +203,7 @@ def cmd_verify_tables(ns) -> int:
 def _params_from_ns(ns) -> HoweParams:
     if ns.from_json:
         with open(ns.from_json) as fh:
-            return params_from_json_dict(json.load(fh))
+            return HoweParams.from_json_dict(json.load(fh))
     missing = [
         name
         for name, v in (("--p", ns.p), ("--alpha1", ns.alpha1), ("--alpha2", ns.alpha2),

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateLambda,
     DivisionByZero,
     NonSquareObstruction,
+    ValidationError,
 )
 from .field_arith import FieldElement, PrimeModulus, legendre_symbol, prime_modulus, sqrt_mod_p
 from .hasse_serre import LegendreCurve, Target, zeta_lift
@@ -76,6 +77,22 @@ class HoweParams:
             raise ValueError(f"need 11 values per row, got {len(vals)}")
         return cls.from_ints(vals[0], vals[1], vals[2], vals[3:9], vals[9:11])
 
+    def to_json_dict(self) -> dict:
+        """The JSON layout of a parameter set: p, alpha1, alpha2, a and b."""
+        return {
+            "p": self.mod.p,
+            "alpha1": self.alpha1.value,
+            "alpha2": self.alpha2.value,
+            "a": [x.value for x in self.a],
+            "b": [x.value for x in self.b],
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "HoweParams":
+        """Rebuild parameters from to_json_dict's layout; extra keys, such as
+        a report's, are ignored."""
+        return cls.from_ints(int(d["p"]), int(d["alpha1"]), int(d["alpha2"]), d["a"], d["b"])
+
 
 @dataclass(frozen=True)
 class SplitData:
@@ -92,16 +109,15 @@ class SplitData:
 
 @dataclass(frozen=True)
 class Violation:
-    code: str
+    """A failed invariant: error, the class raise_if_invalid raises for it,
+    and detail; code, the class name, is the violation's JSON code."""
+
+    error: type[ValidationError]
     detail: str
 
-
-_VIOLATION_CLASSES = {
-    "Degenerate": Degenerate,
-    "CrossRatioFailed": CrossRatioFailed,
-    "NonSquareObstruction": NonSquareObstruction,
-    "DegenerateLambda": DegenerateLambda,
-}
+    @property
+    def code(self) -> str:
+        return self.error.__name__
 
 
 @dataclass
@@ -121,7 +137,7 @@ class ValidationResult:
     def raise_if_invalid(self) -> None:
         if self.violations:
             v = self.violations[0]
-            raise _VIOLATION_CLASSES[v.code](v.detail)
+            raise v.error(v.detail)
 
 
 def _cross_ratio(x1: FieldElement, x2: FieldElement, x3: FieldElement, x4: FieldElement) -> FieldElement:
@@ -168,14 +184,14 @@ def validate(params: HoweParams) -> ValidationResult:
     b5, b6 = params.b
 
     if params.alpha1.value == 0 or params.alpha2.value == 0:
-        res.violations.append(Violation("Degenerate", "twist scalar is zero"))
+        res.violations.append(Violation(Degenerate, "twist scalar is zero"))
     points = [a1, a2, a3, a4, a5, a6, b5, b6]
     names = ["a1", "a2", "a3", "a4", "a5", "a6", "b5", "b6"]
     seen: dict[int, str] = {}
     for name, x in zip(names, points):
         if x.value in seen:
             res.violations.append(
-                Violation("Degenerate", f"{seen[x.value]} = {name} = {x.value}")
+                Violation(Degenerate, f"{seen[x.value]} = {name} = {x.value}")
             )
         else:
             seen[x.value] = name
@@ -186,13 +202,13 @@ def validate(params: HoweParams) -> ValidationResult:
     rhs1 = (a2 - a6) * (a1 - a5) * (a3 - a4)
     if lhs1 != rhs1:
         res.violations.append(
-            Violation("CrossRatioFailed", "a-tuple compatibility condition fails")
+            Violation(CrossRatioFailed, "a-tuple compatibility condition fails")
         )
     lhs2 = (a2 - a4) * (a1 - b6) * (a3 - b5)
     rhs2 = (a2 - b6) * (a1 - b5) * (a3 - a4)
     if lhs2 != rhs2:
         res.violations.append(
-            Violation("CrossRatioFailed", "b-tuple compatibility condition fails")
+            Violation(CrossRatioFailed, "b-tuple compatibility condition fails")
         )
 
     a = _cross_ratio(a1, a2, a3, a4)
@@ -218,14 +234,14 @@ def validate(params: HoweParams) -> ValidationResult:
     if chi_ab != 1:
         res.violations.append(
             Violation(
-                "NonSquareObstruction",
+                NonSquareObstruction,
                 f"a(a - b) = {(a * (a - b)).value} is not a nonzero square",
             )
         )
     if chi_ac != 1:
         res.violations.append(
             Violation(
-                "NonSquareObstruction",
+                NonSquareObstruction,
                 f"a(a - c) = {(a * (a - c)).value} is not a nonzero square",
             )
         )
@@ -235,10 +251,10 @@ def validate(params: HoweParams) -> ValidationResult:
     res.split = split = _split_data(params, a, b, c)
     for i, (th, lm) in enumerate(zip(split.theta, split.lam), start=1):
         if th.value == 0:
-            res.violations.append(Violation("DegenerateLambda", f"theta_{i} = 0"))
+            res.violations.append(Violation(DegenerateLambda, f"theta_{i} = 0"))
         if lm.value in (0, 1):
             res.violations.append(
-                Violation("DegenerateLambda", f"lambda_{i} = {lm.value}")
+                Violation(DegenerateLambda, f"lambda_{i} = {lm.value}")
             )
     return res
 
@@ -427,13 +443,8 @@ class DecompositionReport:
         )
 
     def to_json_dict(self) -> dict:
-        row = self.params.row()
         return {
-            "p": row[0],
-            "alpha1": row[1],
-            "alpha2": row[2],
-            "a": list(row[3:9]),
-            "b": list(row[9:11]),
+            **self.params.to_json_dict(),
             "factors": [
                 {"theta": E.theta.value, "lambda": E.lam.value} for E in self.factors
             ],
@@ -462,9 +473,3 @@ class DecompositionReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
-
-def params_from_json_dict(d: dict) -> HoweParams:
-    """Rebuild parameters from a report dict; extra keys are ignored."""
-    return HoweParams.from_ints(
-        int(d["p"]), int(d["alpha1"]), int(d["alpha2"]), d["a"], d["b"]
-    )

@@ -36,12 +36,13 @@ time would.
 A prime without admissible pairs has no survivor, and most primes have
 none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
 for maximal-fp2 and 404 of 426 in [11, 3000] for serre-fp3.  Its chunks
-are counted, not scanned (_count_chunks): rows by inclusion-exclusion over
-the orders, and the row where the quota cuts in closed form, or by a
-descent over the a2, a3 and a4 orders when a5 is pinned.  The chunk whose
-a1 is the pinned a5, which has no probe, is counted the same way, and so
-is a whole prime where a5 is pinned to the residue of a pinned a1, a2, a3
-or a4.
+are counted, not scanned (_count_chunks): a slot pinned to a value not
+taken yet takes that one value and a free slot any residue not taken yet,
+so rows and probes are falling factorials (_fill), and the row where the
+quota cuts is a closed form, or a descent over the a2, a3 and a4 orders
+when a5 is pinned.  The chunk whose a1 is the pinned a5, which has no
+probe, is counted the same way, and so is a whole prime where a5 is
+pinned to the residue of a pinned a1, a2, a3 or a4.
 
 One driver, enumerate_hits, scans the chunks one after another in the
 calling process.  Once a prime's max_hits quota is full no later chunk of
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 import time
 from bisect import bisect_left
@@ -129,13 +131,8 @@ class SearchHit:
         return self.params.row()
 
     def to_json_dict(self) -> dict:
-        row = self.row()
         return {
-            "p": row[0],
-            "alpha1": row[1],
-            "alpha2": row[2],
-            "a": list(row[3:9]),
-            "b": list(row[9:11]),
+            **self.params.to_json_dict(),
             "target": self.target.value,
             "counts": {str(j): n for j, n in sorted(self.counts.items())},
         }
@@ -227,15 +224,12 @@ def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
 
 
 class _ScanArrays(NamedTuple):
-    """A search's per-prime scan state: visit, the visit orders; orders,
-    the order of slot s of ENUMERATED_SLOTS in row s (padded to p entries);
-    pos, with pos[s, v] the position of residue v in slot s's order (its
-    length where absent); at, pos as lists, for the scalar scan; and pairs,
-    the admissible pairs (_admissible_pairs)."""
+    """A search's per-prime scan state: visit, the visit orders; at, with
+    at[s][v] the position of residue v in the order of slot s of
+    ENUMERATED_SLOTS (its length where absent); and pairs, the admissible
+    pairs (_admissible_pairs)."""
 
     visit: tuple
-    orders: np.ndarray
-    pos: np.ndarray
     at: list
     pairs: dict
 
@@ -244,12 +238,13 @@ class _ScanArrays(NamedTuple):
 def _scan_arrays(p: int, cfg: SearchConfig) -> _ScanArrays:
     """Cached for the current prime only, like the orders."""
     visit = _visit_orders(p, cfg)
-    orders = np.zeros((len(visit), p), dtype=np.int64)
-    pos = np.repeat(np.array([len(o) for o in visit])[:, None], p, axis=1)
-    for s, o in enumerate(visit):
-        orders[s, :len(o)] = o
-        pos[s, o] = np.arange(len(o))
-    return _ScanArrays(visit, orders, pos, pos.tolist(), _admissible_pairs(p, cfg.target))
+    at = []
+    for o in visit:
+        pos = [len(o)] * p
+        for i, v in enumerate(o):
+            pos[v] = i
+        at.append(pos)
+    return _ScanArrays(visit, at, _admissible_pairs(p, cfg.target))
 
 
 @functools.lru_cache(maxsize=1)
@@ -295,50 +290,42 @@ def _admissible_pairs(p: int, target: Target) -> dict[int, tuple[tuple[int, int]
     return {av: tuple(sorted(row.items())) for av, row in table.items()}
 
 
-def _tuples(p: int, slots: tuple, avoid: set, extra: int) -> int:
-    """The tuples of pairwise distinct residues, one for each of slots (at
-    most three; None for a free slot, else the residue it is pinned to),
-    that avoid the residues of avoid and extra further residues, none of
-    them pinned; by inclusion-exclusion over the equal pairs."""
-
-    def common(*group: Optional[int]) -> int:
-        # the residues that every slot of group takes
-        pins = set(group) - {None}
-        if not pins:
-            return p - len(avoid) - extra
-        return int(len(pins) == 1 and pins.isdisjoint(avoid))
-
-    if len(slots) < 2:
-        return common(*slots) if slots else 1
-    n = [common(slot) for slot in slots]
-    if len(slots) == 2:
-        return n[0] * n[1] - common(*slots)
-    s2, s3, s4 = slots
-    return (n[0] * n[1] * n[2] - common(s2, s3) * n[2] - common(s2, s4) * n[1]
-            - common(s3, s4) * n[0] + 2 * common(*slots))
+def _fill(p: int, pins: tuple, free: int, taken: int = 0) -> int:
+    """The ways to fill len(pins) + free slots with pairwise distinct
+    residues that avoid taken residues already used (none of them in pins):
+    a slot pinned to a residue of pins takes it, and each free slot any
+    residue not yet used, so the count is a falling factorial.  0 when pins
+    holds a residue twice."""
+    if len(set(pins)) < len(pins):
+        return 0
+    return math.perm(max(p - taken - len(pins), 0), free)
 
 
-def _cut_rows(arrays: _ScanArrays, slots: tuple, a5: int, a1: np.ndarray, quota: int,
-              each: list) -> np.ndarray:
+def _cut_rows(p: int, arrays: _ScanArrays, slots: list, a5: int, a1: np.ndarray,
+              quota: int) -> np.ndarray:
     """For each chunk of the array a1: its rows through the one that holds
     probe quota + 1, for a5 pinned, where a row has one probe unless it
     holds a5; a descent over the a2, a3 and a4 orders.  At each level every
     value of the order but the values fixed so far and the later slots'
     pins heads the same number of rows, and the same number of probes
-    unless it is a5: each[level] = (rows, probes).  So the value that holds
-    the probe sought is the k-th value with probes, and the rows before it
-    are the values before it that head rows, times their rows."""
+    unless it is a5 (_fill).  So the value that holds the probe sought is
+    the k-th value with probes, and the rows before it are the values
+    before it that head rows, times their rows."""
     fixed, left, rows = [a1], quota + 1, 0
-    for s, (each_rows, each_probes) in zip((1, 2, 3), each):
-        pins = [c for c in slots[s:] if c is not None]
-        pos = arrays.pos[s]
+    for s in (1, 2, 3):
+        pins = tuple(c for c in slots[s:] if c is not None)
+        free = 3 - s - len(pins)
+        # a1, the values fixed above level s and its own value are taken, and
+        # none of them is a pin of the later slots
+        each_rows, each_probes = (_fill(p, later, free, s + 1) for later in (pins, (*pins, a5)))
+        pos, order = np.array(arrays.at[s]), np.array(arrays.visit[s])
         k = (left - 1) // each_probes + 1
         left = left - (k - 1) * each_probes
         t = k - 1
         for q in np.sort(np.broadcast_arrays(*(pos[x] for x in (*fixed, *pins, a5))), axis=0):
             t = t + (q <= t)
         rows = rows + each_rows * (t - sum(pos[x] < t for x in (*fixed, *pins)))
-        fixed.append(arrays.orders[s, t])
+        fixed.append(order[t])
     return rows + 1
 
 
@@ -347,43 +334,34 @@ def _count_chunks(p: int, cfg: SearchConfig, a1s: Union[range, tuple],
     """The stats of _scan_chunk, summed over the chunks a1s (in any order),
     for chunks that hold no survivor: those of a prime without admissible
     pairs or with a5 pinned to the residue of another pin, and the chunk
-    whose a1 is the pinned a5.  A chunk's rows are the
-    (a2, a3, a4) of the orders without a1 with no two equal (_tuples); a
-    row's probes are the a5 values not in {a1, a2, a3, a4}, p - 4 when a5
-    is free, so the chunk that holds probe quota + 1 ends on row
-    quota // (p - 4) + 1, and with a5 pinned one unless the row holds a5
-    (_cut_rows).  Every chunk whose a1 is no pinned value has the same rows
-    and probes, and only the descent reads the visit orders."""
-    pins = tuple(None if v is None else v % p
-                 for v in map(cfg.fixed_value, ENUMERATED_SLOTS[1:5]))
-    slots, a5 = pins[:3], pins[3]
-    pinned = set(pins) - {None}
-    groups = [({u}, 0, [u]) for u in pinned if u in a1s]
-    groups.append((set(), 1, [u for u in a1s if u not in pinned]))
-    prefixes = probes = 0
-    truncated = False
-    for avoid, extra, members in groups:
-        rows = _tuples(p, slots, avoid, extra)
-        if a5 is None:
-            chunk_probes = (p - 4) * rows
-        else:
-            chunk_probes = 0 if a5 in avoid else _tuples(p, slots, avoid | {a5}, extra)
-        if quota is None or chunk_probes <= quota or not members:
-            prefixes += len(members) * rows
-            probes += len(members) * chunk_probes
-            continue
-        truncated = True
-        probes += len(members) * (quota + 1)
-        if a5 is None:
-            prefixes += len(members) * (quota // (p - 4) + 1)
-            continue
-        # the s - 1 values fixed above level s and its own value are no pins
-        # of the later slots, and count as extra residues to avoid
-        each = [(_tuples(p, slots[s:], avoid, extra + s),
-                 _tuples(p, slots[s:], avoid | {a5}, extra + s)) for s in (1, 2, 3)]
-        prefixes += sum(_cut_rows(_scan_arrays(p, cfg), slots, a5, np.array(members), quota,
-                                  each).tolist())
-    return prefixes, probes, 0, 0, truncated
+    whose a1 is the pinned a5.  A chunk's rows are the (a2, a3, a4) of the
+    orders with no two equal and none equal to a1, and a row's probes the
+    a5 values not in {a1, a2, a3, a4}; both are counted by _fill, with a1
+    taken.  With a5 free a row has p - 4 probes, so the chunk that holds
+    probe quota + 1 ends on row quota // (p - 4) + 1; with a5 pinned one
+    unless the row holds a5 (_cut_rows).  A chunk whose a1 is a pinned
+    value has no probe, and no row either unless a1 is the pinned a5 and
+    no other pin; every other chunk has the same rows and probes, and only
+    the descent reads the visit orders."""
+    *slots, a5 = (None if v is None else v % p
+                  for v in map(cfg.fixed_value, ENUMERATED_SLOTS[1:5]))
+    pins = tuple(v for v in slots if v is not None)
+    free = 3 - len(pins)
+    rows = _fill(p, pins, free, 1)
+    chunk_probes = _fill(p, pins, free + 1, 1) if a5 is None else _fill(p, (*pins, a5), free, 1)
+    pinned = {*pins, a5} - {None}
+    own = [u for u in pinned if u in a1s]
+    prefixes = sum(_fill(p, (u, *pins), free) for u in own)
+    members = len(a1s) - len(own)
+    if quota is None or chunk_probes <= quota or not members:
+        return prefixes + members * rows, members * chunk_probes, 0, 0, False
+    probes = members * (quota + 1)
+    if a5 is None:
+        prefixes += members * (quota // (p - 4) + 1)
+    else:
+        a1 = np.array([u for u in a1s if u not in pinned])
+        prefixes += int(_cut_rows(p, _scan_arrays(p, cfg), slots, a5, a1, quota).sum())
+    return prefixes, probes, 0, 0, True
 
 
 def _from_frame(p: int, inv, a1: int, a2: int, k: int, y: int) -> int:
@@ -429,7 +407,7 @@ def _pair_rows(p: int, arrays: _ScanArrays, a1: int, a2: int, a3: int, k: int,
 def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 deadline: Optional[float]) -> tuple[list, tuple]:
     """Scan every candidate with the given a1, a value of the a1 order;
-    returns (hit rows, stats).
+    returns (hits, stats), each hit (params, counts).
 
     The chunk runs pair by pair over the (a2, a3) of the a2 and a3 orders,
     a2 != a1 and a3 not in {a1, a2}.  A pair's rows are the a4 of the a4
@@ -462,7 +440,7 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     n4, n5, nb5 = len(a4s), len(a5s), len(b5s)
 
     prefixes = probes = tuples = confirm_failures = 0
-    hits: list[tuple[int, tuple, dict]] = []
+    hits: list[tuple[HoweParams, dict]] = []
     max_hits = cfg.max_hits
 
     def emit(alpha1: int, alpha2: int, roots6, b5: int, b6: int) -> bool:
@@ -473,7 +451,7 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
         if counts is None:
             confirm_failures += 1
             return False
-        hits.append((len(hits), params.row(), counts))
+        hits.append((params, counts))
         return max_hits is not None and len(hits) >= max_hits
 
     def stats(truncated: bool = False) -> tuple:
@@ -500,6 +478,8 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 q = (quota - probes) // per
                 reach = q + (hole <= q) + 1
             k = (a1 - a3) * inv[(a2 - a3) % p] % p
+            # the a5 positions skipped by index: those of a1..a3, and a4's per row
+            skip = sorted((pos5[a1], pos5[a2], pos5[a3]))
             # a pair without probes holds no survivor
             for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
                 start = probes + r * per - (hole < r)
@@ -507,11 +487,10 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 inv_one_minus_a = inv[(1 - a) % p]
                 frame = a * inv_one_minus_a % p
                 b5_cands = None  # admissible (b5 position, b5, c, mask bits), in b5 order
-                # the a5 positions skipped by index: those of a1..a4
-                skip = sorted((pos5[a1], pos5[a2], pos5[a3], pos5[a4]))
+                at4 = pos5[a4]
                 for j, a5, b, m12 in sorted((pos5[x], x, b, m12) for x, m12, b in roots
                                             if pos5[x] < n5):
-                    probe = start + j + 1 - bisect_left(skip, j)
+                    probe = start + j + 1 - bisect_left(skip, j) - (at4 < j)
                     if cut and probe > quota:
                         break
                     # a6 at d: d = 1 would put it at a3, d = k at infinity
@@ -574,7 +553,7 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
 
 def _chunks(p: int, cfg: SearchConfig, quota: Optional[int],
             deadline: Optional[float]) -> Iterator[tuple]:
-    """(position in the a1 order, hit rows, stats) of the prime's chunks, in
+    """(position in the a1 order, hits, stats) of the prime's chunks, in
     a1 order.  A chunk without a survivor is counted (_count_chunks), not
     scanned: every chunk of a prime without admissible pairs, or of a prime
     where a5 is pinned to the residue of a pinned a1, a2, a3 or a4, all in
@@ -616,10 +595,10 @@ def enumerate_hits(config: SearchConfig, stats: Optional[SearchStats] = None) ->
                 stats.confirm_failures += confirm_failures
                 stats.truncated = stats.truncated or truncated
                 kept = chunk_hits[:left]
-                for seq, row, counts in kept:
+                for seq, (params, counts) in enumerate(kept):
                     stats.hits += 1
                     yield SearchHit(
-                        params=HoweParams.from_row(row),
+                        params=params,
                         target=config.target,
                         counts=counts,
                         index=(p, pos, seq),

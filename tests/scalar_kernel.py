@@ -38,7 +38,8 @@ def solve_missing_root(x1, x2, x3, x4, w, p, inv):
 
 
 def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
-    """Scan every candidate with the given a1; returns (hit rows, stats)."""
+    """Scan every candidate with the given a1; returns (hits, stats), each hit
+    (params, counts)."""
     inv, sqrt_tab, chi, nonres = _tables(p)
     mask = _class_masks(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
@@ -46,7 +47,7 @@ def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
 
     prefixes = probes = tuples = confirm_failures = 0
     truncated = False
-    hits: list[tuple[int, tuple, dict]] = []
+    hits: list[tuple[HoweParams, dict]] = []
     max_hits = cfg.max_hits
 
     def emit(alpha1: int, alpha2: int, roots6, b5: int, b6: int) -> bool:
@@ -57,7 +58,7 @@ def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
         if counts is None:
             confirm_failures += 1
             return False
-        hits.append((len(hits), params.row(), counts))
+        hits.append((params, counts))
         return max_hits is not None and len(hits) >= max_hits
 
     for a2 in ord_a2:

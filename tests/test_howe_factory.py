@@ -23,7 +23,6 @@ from howe5.howe_factory import (
     direct_counts,
     howe_counts,
     howe_models,
-    params_from_json_dict,
     serre_verdicts,
     validate,
 )
@@ -304,7 +303,7 @@ class TestReport:
     def test_json_roundtrip(self):
         params = _params(ROW_P37)
         blob = DecompositionReport.build(params).to_json()
-        back = params_from_json_dict(json.loads(blob))
+        back = HoweParams.from_json_dict(json.loads(blob))
         assert back == params
 
     def test_build_validates_once(self, monkeypatch):

@@ -3,6 +3,7 @@
 forward formula, and the benchmark's scan reference totals."""
 
 import importlib.util
+import itertools
 import json
 import random
 import subprocess
@@ -204,8 +205,23 @@ def test_search_counts_the_chunk_without_probes_at_a_prime_with_pairs(monkeypatc
 
 
 _UNPAIRED = [(Target.SERRE_FP, p) for p in (17, 19, 23, 29)] + [
-    (Target.MAXIMAL_FP2, p) for p in (5, 7, 13, 17)] + [
+    (Target.MAXIMAL_FP2, p) for p in (3, 5, 7, 13, 17)] + [
     (Target.SERRE_FP3, p) for p in (11, 13, 17, 19)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_fill_matches_enumeration(p):
+    # the fillings of pinned and free slots by pairwise distinct residues
+    # that avoid taken further residues, none of them a pin; pins may repeat
+    # a residue, and taken may exceed the residues left
+    for n in range(4):
+        for pins in itertools.product(range(3), repeat=n):
+            for free in range(4 - n):
+                for taken in range(5):
+                    avoid = set([x for x in range(p) if x not in pins][:taken])
+                    want = sum(len({*pins, *xs}) == n + free and avoid.isdisjoint(xs)
+                               for xs in itertools.product(range(p), repeat=free))
+                    assert search_engine._fill(p, pins, free, taken) == want, (pins, free, taken)
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,7 +294,7 @@ def test_small_quotas_take_a_few_block_passes_per_prime(target, p, max_candidate
     want_rows, want = [], [0] * 5
     for a1 in _visit_orders(p, cfg)[0]:
         chunk_hits, chunk_stats = scalar_kernel._scan_chunk(p, cfg, a1, quota)
-        want_rows += [row for _, row, _ in chunk_hits]
+        want_rows += [params.row() for params, _ in chunk_hits]
         want = [w + v for w, v in zip(want, chunk_stats)]
     assert [h.row() for h in hits] == want_rows
     got = (stats.prefixes, stats.probes, stats.tuples, stats.confirm_failures)
@@ -419,7 +435,7 @@ def test_kernel_matches_scalar_oracle_on_table_rows(row, target):
         for quota in (p // 2, None):
             want = scalar_kernel._scan_chunk(p, cfg, a[0], quota)
             if quota is max_hits is None:
-                assert any(r[3:9] == a for _, r, _ in want[0])
+                assert any(params.row()[3:9] == a for params, _ in want[0])
             assert search_engine._scan_chunk(p, cfg, a[0], quota, None) == want
 
 

@@ -79,7 +79,7 @@ class TestSearchConfig:
             for a1 in chunks:
                 chunk_hits, chunk_stats = scalar_kernel._scan_chunk(p, one, a1,
                                                                     -(-10 // len(chunks)))
-                want_rows += [row for _, row, _ in chunk_hits]
+                want_rows += [params.row() for params, _ in chunk_hits]
                 want = [w + v for w, v in zip(want[:4], chunk_stats[:4])] + [
                     want[4] or chunk_stats[4]]
         assert [h.row() for h in hits] == want_rows
