@@ -15,15 +15,7 @@ from . import tables
 from .curve_models import COUNT_CAP, CountMethod, HyperellipticModel, PointCount, count_points
 from .errors import Howe5Error
 from .hasse_serre import LegendreCurve, Target, serre_bound, zeta_lift
-from .howe_factory import (
-    DecompositionReport,
-    HoweParams,
-    decompose_genus5,
-    direct_counts,
-    howe_counts,
-    serre_verdicts,
-    validate,
-)
+from .howe_factory import DecompositionReport, HoweParams, direct_counts, howe_counts, validate
 from .search_engine import (
     ENUMERATED_SLOTS,
     SearchConfig,
@@ -151,12 +143,11 @@ def _verify_row(params: HoweParams, table: int, deep: bool, out) -> bool:
         out(f"  p={p}: FAIL invalid ({'; '.join(v.code for v in vr.violations)})")
         return False
     try:
-        _, curves = decompose_genus5(params, vr)
-        base = howe_counts(params, 1, curves)
+        base = howe_counts(vr.split, 1)
         target = tables.TABLE_TARGETS[table]
         j = target.degree
         field, label = f"F_p^{j}" if j > 1 else "F_p", "maximal" if j == 2 else "bound"
-        if target.attained(curves) is not True:
+        if target.attained(vr.split.curves) is not True:
             out(f"  p={p}: FAIL {label} predicate over {field}")
             return False
         want = serre_bound(p ** j, 5)
@@ -229,8 +220,8 @@ def cmd_decompose(ns) -> int:
     print(f"roots B: {' '.join(str(int(v)) for v in params.b)}")
     sd = report.split
     print(f"cross-ratios: a = {int(sd.a)} b = {int(sd.b)} c = {int(sd.c)}")
-    for i, (th, lam) in enumerate(zip(sd.theta, sd.lam), start=1):
-        print(f"  E{i}: y^2 = {int(th)} x (x-1) (x-{int(lam)})")
+    for i, E in enumerate(sd.curves, start=1):
+        print(f"  E{i}: y^2 = {int(E.theta)} x (x-1) (x-{int(E.lam)})")
     for j in exts:
         c = report.counts[j]
         parts = " + ".join(str(n) for n in c.e)
@@ -335,23 +326,25 @@ def cmd_selftest(ns) -> int:
         return ok
 
     print("worked example, p = 11:")
-    params = HoweParams.from_ints(11, 4, 6, (5, 3, 10, 7, 6, 8), (9, 2))
-    _, curves = decompose_genus5(params)
-    pairs = [(int(e.theta), int(e.lam)) for e in curves]
+    rep = DecompositionReport.build(
+        HoweParams.from_ints(11, 4, 6, (5, 3, 10, 7, 6, 8), (9, 2)), exts=(1, 2))
+    pairs = [(int(e.theta), int(e.lam)) for e in rep.split.curves]
     ok = check("factor curves", pairs, [(8, 6), (8, 2), (8, 2), (8, 10), (3, 10)])
-    ok &= check("#C(F_11)", howe_counts(params, 1).total, 12)
-    ok &= check("#C(F_121)", howe_counts(params, 2).total, 232)
-    ok &= check("quadratic maximality", serre_verdicts(params).maximal_fp2, True)
+    ok &= check("#C(F_11)", rep.counts[1].total, 12)
+    ok &= check("#C(F_121)", rep.counts[2].total, 232)
+    ok &= check("quadratic maximality", rep.verdicts.maximal_fp2, True)
 
     print("worked example, p = 499:")
-    params = HoweParams.from_ints(499, 47, 436, (2, 1, 10, 55, 92, 84), (36, 275))
-    ok &= check("#C(F_499)", howe_counts(params, 1).total, 720)
-    ok &= check("bound over F_p", serre_verdicts(params).serre_fp, True)
+    rep = DecompositionReport.build(
+        HoweParams.from_ints(499, 47, 436, (2, 1, 10, 55, 92, 84), (36, 275)))
+    ok &= check("#C(F_499)", rep.counts[1].total, 720)
+    ok &= check("bound over F_p", rep.verdicts.serre_fp, True)
 
     print("worked example, p = 37:")
-    params = HoweParams.from_ints(37, 17, 6, (0, 1, 3, 31, 34, 13), (29, 30))
-    ok &= check("#C(F_37^3) from traces", howe_counts(params, 3).total, serre_bound(37 ** 3, 5))
-    ok &= check("cubic bound predicate", serre_verdicts(params).serre_fp3, True)
+    rep = DecompositionReport.build(
+        HoweParams.from_ints(37, 17, 6, (0, 1, 3, 31, 34, 13), (29, 30)), exts=(3,))
+    ok &= check("#C(F_37^3) from traces", rep.counts[3].total, serre_bound(37 ** 3, 5))
+    ok &= check("cubic bound predicate", rep.verdicts.serre_fp3, True)
 
     print(f"{checks} checks {'passed' if ok else 'FAILED'}")
     return 0 if ok else 1

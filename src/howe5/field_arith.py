@@ -193,15 +193,9 @@ def residue_tables(p: int) -> ResidueTables:
     return ResidueTables(chi, sqrt, inv, int(np.argmax(chi == -1)))
 
 
-def legendre_symbol(a: Union[FieldElement, int], mod: PrimeModulus | None = None) -> int:
+def legendre_symbol(a: FieldElement) -> int:
     """Quadratic character of a modulo p, one of -1, 0, +1."""
-    if isinstance(a, FieldElement):
-        v, p = a.value, a.mod.p
-    else:
-        if mod is None:
-            raise ValueError("an int argument needs an explicit modulus")
-        v, p = a % mod.p, mod.p
-    return int(residue_tables(p).chi[v])
+    return int(residue_tables(a.mod.p).chi[a.value])
 
 
 def sqrt_mod_p(a: FieldElement) -> FieldElement:

@@ -96,15 +96,17 @@ class HoweParams:
 
 @dataclass(frozen=True)
 class SplitData:
-    """Cross-ratios and the five Legendre parameters of a decomposition."""
+    """The validated decomposition of params: the cross-ratios a, b, c, the
+    pair twists beta1, beta2, and the five Legendre factors in pair order,
+    with the canonical-root branch first within each pair."""
 
+    params: HoweParams
     a: FieldElement
     b: FieldElement
     c: FieldElement
     beta1: FieldElement
     beta2: FieldElement
-    theta: tuple[FieldElement, ...]
-    lam: tuple[FieldElement, ...]
+    curves: tuple[LegendreCurve, ...]
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,8 @@ class Violation:
 
 @dataclass
 class ValidationResult:
-    """Every violation found, square-class diagnostics, and, once the
-    distinctness and square conditions hold, the split data."""
+    """Every violation found, square-class diagnostics, and, when there is
+    no violation, the decomposition; split is None otherwise."""
 
     params: HoweParams
     violations: list[Violation] = field(default_factory=list)
@@ -177,7 +179,7 @@ def validate(params: HoweParams) -> ValidationResult:
     A passing result certifies: eight pairwise-distinct branch points and
     nonzero twists, both cross-ratio compatibility conditions, the two
     square conditions the splitting needs, and nondegenerate Legendre
-    parameters for all five factors.
+    parameters for all five factors; only a passing result has a split.
     """
     res = ValidationResult(params=params)
     a1, a2, a3, a4, a5, a6 = params.a
@@ -248,55 +250,31 @@ def validate(params: HoweParams) -> ValidationResult:
     if not res.ok:
         return res
 
-    res.split = split = _split_data(params, a, b, c)
-    for i, (th, lm) in enumerate(zip(split.theta, split.lam), start=1):
-        if th.value == 0:
-            res.violations.append(Violation(DegenerateLambda, f"theta_{i} = 0"))
-        if lm.value in (0, 1):
-            res.violations.append(
-                Violation(DegenerateLambda, f"lambda_{i} = {lm.value}")
-            )
-    return res
-
-
-def _split_data(
-    params: HoweParams, a: FieldElement, b: FieldElement, c: FieldElement
-) -> SplitData:
-    """The five (theta_i, lambda_i), given validate's cross-ratios a, b and
-    c; assumes distinctness and squareness hold."""
-    a1, a2, a3, a4, a5, a6 = params.a
-    b5, b6 = params.b
     beta1 = params.alpha1 * (a2 - a3) * (a1 - a4) * (a1 - a5) * (a1 - a6)
     beta2 = params.alpha2 * (a2 - a3) * (a1 - a4) * (a1 - b5) * (a1 - b6)
     th12, l1, l2 = _split_pair(beta1, a, b)
     th34, l3, l4 = _split_pair(beta2, a, c)
     th5 = params.alpha1 * params.alpha2 * (a5 - b6) * (a6 - b5)
     l5 = (a5 - b5) * (a6 - b6) / ((a5 - b6) * (a6 - b5))
-    return SplitData(
-        a=a,
-        b=b,
-        c=c,
-        beta1=beta1,
-        beta2=beta2,
-        theta=(th12, th12, th34, th34, th5),
-        lam=(l1, l2, l3, l4, l5),
-    )
+    pairs = ((th12, l1), (th12, l2), (th34, l3), (th34, l4), (th5, l5))
+    for i, (th, lm) in enumerate(pairs, start=1):
+        if th.value == 0:
+            res.violations.append(Violation(DegenerateLambda, f"theta_{i} = 0"))
+        if lm.value in (0, 1):
+            res.violations.append(
+                Violation(DegenerateLambda, f"lambda_{i} = {lm.value}")
+            )
+    if res.ok:
+        curves = tuple(LegendreCurve(params.mod, th, lm) for th, lm in pairs)
+        res.split = SplitData(params, a, b, c, beta1, beta2, curves)
+    return res
 
 
-def decompose_genus5(
-    params: HoweParams, validation: ValidationResult | None = None
-) -> tuple[SplitData, tuple[LegendreCurve, ...]]:
-    """Validate and split; the five factors come back in pair order, with the
-    canonical-root branch first within each pair.  A caller that already
-    holds validate(params) passes it to skip validating again."""
-    if validation is None:
-        validation = validate(params)
-    validation.raise_if_invalid()
-    split = validation.split
-    curves = tuple(
-        LegendreCurve(params.mod, th, lm) for th, lm in zip(split.theta, split.lam)
-    )
-    return split, curves
+def decompose_genus5(params: HoweParams) -> SplitData:
+    """Validate and split: the decomposition, or the first violation raised."""
+    res = validate(params)
+    res.raise_if_invalid()
+    return res.split
 
 
 def howe_models(params: HoweParams) -> tuple[HyperellipticModel, ...]:
@@ -351,20 +329,16 @@ class HoweCounts:
         )
 
 
-def howe_counts(
-    params: HoweParams, j: int = 1, curves: tuple[LegendreCurve, ...] | None = None
-) -> HoweCounts:
+def howe_counts(split: SplitData, j: int = 1) -> HoweCounts:
     """Counts over F_{p^j}.  The five factor counts over F_p are read from
     the trace table, #E = p + 1 - chi(theta) t[lambda]; the three quotients
     are counted over F_p and checked against them, which cross-checks the
-    table; the counts over F_{p^j} are lifted from the factors' traces.
-    curves, the factors from decompose_genus5(params), skips decomposing."""
-    if curves is None:
-        _, curves = decompose_genus5(params)
+    table; the counts over F_{p^j} are lifted from the factors' traces."""
+    params = split.params
     p = params.mod.p
     t = hasse_serre.legendre_traces(p)
     n_c = tuple(curve_models.count_points(m, 1).count for m in howe_models(params))
-    n_e = tuple(p + 1 - legendre_symbol(E.theta) * int(t[E.lam.value]) for E in curves)
+    n_e = tuple(p + 1 - legendre_symbol(E.theta) * int(t[E.lam.value]) for E in split.curves)
     from_factors = (n_e[0] + n_e[1] - p - 1, n_e[2] + n_e[3] - p - 1, n_e[4])
     if n_c != from_factors:
         raise DecompositionMismatch(
@@ -397,56 +371,40 @@ class VerdictRecord:
         }
 
 
-def serre_verdicts(
-    params: HoweParams,
-    curves: tuple[LegendreCurve, ...] | None = None,
-    counts: HoweCounts | None = None,
-) -> VerdictRecord:
+def serre_verdicts(params: HoweParams) -> VerdictRecord:
     """Congruence verdicts for all five factors, plus the mandatory mod-4
-    sanity of the genus-5 count over F_p.  curves and counts, the factors and
-    howe_counts(params, 1), skip validating and counting again."""
-    if curves is None:
-        _, curves = decompose_genus5(params)
-    if counts is None:
-        counts = howe_counts(params, 1, curves)
-    serre_fp, maximal_fp2, serre_fp3 = (target.attained(curves) for target in Target)
-    return VerdictRecord(
-        serre_fp=serre_fp,
-        maximal_fp2=maximal_fp2,
-        serre_fp3=serre_fp3,
-        count_mod4_ok=counts.total % 4 == 0,
-        p_mod4=params.mod.p % 4,
-    )
+    sanity of the genus-5 count over F_p."""
+    return DecompositionReport.build(params).verdicts
 
 
 @dataclass
 class DecompositionReport:
-    params: HoweParams
-    split: SplitData
-    factors: tuple[LegendreCurve, ...]
+    validation: ValidationResult
     counts: dict[int, HoweCounts]
     verdicts: VerdictRecord
-    validation: ValidationResult
+
+    @property
+    def split(self) -> SplitData:
+        return self.validation.split
 
     @classmethod
     def build(cls, params: HoweParams, exts: tuple[int, ...] = (1,)) -> "DecompositionReport":
         vr = validate(params)
-        split, curves = decompose_genus5(params, vr)
-        base = howe_counts(params, 1, curves)
-        return cls(
-            params=params,
-            split=split,
-            factors=curves,
-            counts={j: base.lift(j) for j in exts},
-            verdicts=serre_verdicts(params, curves, base),
-            validation=vr,
+        vr.raise_if_invalid()
+        base = howe_counts(vr.split, 1)
+        counts = {j: base.lift(j) for j in exts}
+        verdicts = VerdictRecord(
+            *(target.attained(vr.split.curves) for target in Target),
+            count_mod4_ok=base.total % 4 == 0,
+            p_mod4=params.mod.p % 4,
         )
+        return cls(validation=vr, counts=counts, verdicts=verdicts)
 
     def to_json_dict(self) -> dict:
         return {
-            **self.params.to_json_dict(),
+            **self.validation.params.to_json_dict(),
             "factors": [
-                {"theta": E.theta.value, "lambda": E.lam.value} for E in self.factors
+                {"theta": E.theta.value, "lambda": E.lam.value} for E in self.split.curves
             ],
             "counts": {
                 str(j): {

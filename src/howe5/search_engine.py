@@ -58,11 +58,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import IO, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -188,13 +189,10 @@ def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
     """Recheck the Hasse-polynomial predicates and confirm with exact counts:
     over F_{p^j}, j the target's degree, the count must be the genus-5 Serre
     bound.  Returns the counts over F_p and F_{p^j}, or None on any miss."""
-    vr = howe_factory.validate(params)
-    if not vr.ok:
+    split = howe_factory.validate(params).split
+    if split is None or not target.attained(split.curves):
         return None
-    _, curves = howe_factory.decompose_genus5(params, vr)
-    if not target.attained(curves):
-        return None
-    base = howe_factory.howe_counts(params, 1, curves)
+    base = howe_factory.howe_counts(split, 1)
     j = target.degree
     counts = {1: base.total, j: base.lift(j).total}
     return counts if counts[j] == serre_bound(params.mod.p ** j, 5) else None
@@ -626,15 +624,13 @@ def run_search(config: SearchConfig) -> tuple[list[SearchHit], SearchStats]:
 
 
 def orbit_key(params: HoweParams) -> tuple[int, ...]:
-    """(p, a, b, c, chi(theta12), chi(theta34)) of validate(params).split:
+    """(p, a, b, c, chi(theta12), chi(theta34)) of decompose_genus5(params):
     the cross-ratios and the twist classes of the first two factor pairs.
     Both are invariant under a Moebius map of the roots that rescales the
     twists to match, so isomorphic parameter sets share their key."""
-    vr = howe_factory.validate(params)
-    vr.raise_if_invalid()
-    split = vr.split
+    split = howe_factory.decompose_genus5(params)
     return (params.mod.p, split.a.value, split.b.value, split.c.value,
-            legendre_symbol(split.theta[0]), legendre_symbol(split.theta[2]))
+            legendre_symbol(split.curves[0].theta), legendre_symbol(split.curves[2].theta))
 
 
 def random_valid_params(
@@ -661,28 +657,18 @@ def random_valid_params(
     return None
 
 
-def write_hits_csv(hits: list[SearchHit], out: Union[str, IO[str]]) -> None:
+def write_hits_csv(hits: list[SearchHit], out: str | os.PathLike) -> None:
     """Table-layout CSV; content depends only on the hit list."""
-    own = isinstance(out, str)
-    fh = open(out, "w") if own else out
-    try:
+    with open(out, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for h in hits:
             fh.write(",".join(str(v) for v in h.row()) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
-def write_hits_jsonl(hits: list[SearchHit], out: Union[str, IO[str]]) -> None:
+def write_hits_jsonl(hits: list[SearchHit], out: str | os.PathLike) -> None:
     """One JSON object per hit; keys sorted, no timing fields, so repeated
     runs produce identical bytes."""
-    own = isinstance(out, str)
-    fh = open(out, "w") if own else out
-    try:
+    with open(out, "w") as fh:
         for h in hits:
             fh.write(json.dumps(h.to_json_dict(), sort_keys=True, separators=(",", ":")))
             fh.write("\n")
-    finally:
-        if own:
-            fh.close()

@@ -157,12 +157,12 @@ def test_predicates_agree_with_trace_rule_and_count(data, j0):
         p = data.draw(st.sampled_from(_primes_with_attaining_curves()[j0]))
         lam, sign = data.draw(st.sampled_from(_attaining_curves(p, j0)))
         theta = data.draw(st.integers(1, p - 1).filter(
-            lambda th: legendre_symbol(th, prime_modulus(p)) == sign))
+            lambda th: legendre_symbol(prime_modulus(p)(th)) == sign))
     else:
         p = data.draw(st.sampled_from(_PROPERTY_PRIMES))
         lam, theta = data.draw(st.integers(2, p - 1)), data.draw(st.integers(1, p - 1))
     curve = LegendreCurve.from_ints(p, theta, lam)
-    t = legendre_symbol(theta, prime_modulus(p)) * int(legendre_traces(p)[lam])
+    t = legendre_symbol(curve.theta) * int(legendre_traces(p)[lam])
     n1 = legendre_count_fp(curve)
     assert n1 == p + 1 - t
     for target in Target:

@@ -98,6 +98,28 @@ class TestValidate:
         assert info["chi_product_a4_a5"] == info["chi_a_ab"]
         assert info["chi_product_a4_b5"] == info["chi_a_ac"]
 
+    def test_invalid_results_carry_no_split(self, monkeypatch):
+        for params in (
+            HoweParams.from_ints(11, 1, 1, (0, 1, 2, 3, 4, 5), (4, 7)),
+            HoweParams.from_ints(11, 4, 6, (5, 3, 10, 7, 6, 8), (9, 4)),
+            HoweParams.from_ints(11, 1, 1, (0, 1, 2, 3, 5, 6), (8, 9)),
+        ):
+            res = validate(params)
+            assert not res.ok and res.split is None
+        assert validate(_params(ROW_P11)).split is not None
+        # A degenerate lambda is reported before a factor curve is built.
+        real = howe_factory._split_pair
+
+        def second_lambda_one(theta, lam, mu):
+            tw, lam_plus, _ = real(theta, lam, mu)
+            return tw, lam_plus, lam.mod(1)
+
+        monkeypatch.setattr(howe_factory, "_split_pair", second_lambda_one)
+        res = validate(_params(ROW_P11))
+        assert [(v.code, v.detail) for v in res.violations] == [
+            ("DegenerateLambda", "lambda_2 = 1"), ("DegenerateLambda", "lambda_4 = 1")]
+        assert res.split is None
+
     def test_raise_if_invalid(self):
         good = validate(_params(ROW_P37))
         good.raise_if_invalid()  # no-op when ok
@@ -108,19 +130,19 @@ class TestValidate:
 
 class TestDecompose:
     def test_p11_factors(self):
-        split, curves = decompose_genus5(_params(ROW_P11))
-        assert [(int(c.theta), int(c.lam)) for c in curves] == [
+        split = decompose_genus5(_params(ROW_P11))
+        assert [(int(c.theta), int(c.lam)) for c in split.curves] == [
             (8, 6), (8, 2), (8, 2), (8, 10), (3, 10)]
         assert (int(split.a), int(split.b), int(split.c)) == (3, 10, 5)
         assert (int(split.beta1), int(split.beta2)) == (3, 4)
 
     def test_p499_factors(self):
-        _, curves = decompose_genus5(_params(ROW_P499))
+        curves = decompose_genus5(_params(ROW_P499)).curves
         assert [(int(c.theta), int(c.lam)) for c in curves] == [
             (31, 438), (31, 198), (95, 302), (95, 62), (47, 198)]
 
     def test_p37_factors(self):
-        _, curves = decompose_genus5(_params(ROW_P37))
+        curves = decompose_genus5(_params(ROW_P37)).curves
         assert [(int(c.theta), int(c.lam)) for c in curves] == [
             (26, 26), (26, 4), (4, 34), (4, 12), (21, 10)]
 
@@ -128,15 +150,10 @@ class TestDecompose:
         with pytest.raises(NonSquareObstruction):
             decompose_genus5(HoweParams.from_ints(11, 1, 1, (0, 1, 2, 3, 5, 6), (8, 9)))
 
-    def test_split_data_mirrors_curves(self):
-        split, curves = decompose_genus5(_params(ROW_P499))
-        assert tuple(int(t) for t in split.theta) == tuple(int(c.theta) for c in curves)
-        assert tuple(int(l) for l in split.lam) == tuple(int(c.lam) for c in curves)
-
     @pytest.mark.parametrize("row", [ROW_P499, ROW_P11, ROW_P37])
     def test_pairs_share_twist(self, row):
         """The first two factors share a twist, as do the next two."""
-        _, curves = decompose_genus5(_params(row))
+        curves = decompose_genus5(_params(row)).curves
         assert int(curves[0].theta) == int(curves[1].theta)
         assert int(curves[2].theta) == int(curves[3].theta)
 
@@ -148,7 +165,7 @@ class TestSplitGenus2:
         pair decompose_genus5 splits each into, all counted by brute force."""
         p = row[0]
         params = _params(row)
-        _, curves = decompose_genus5(params)
+        curves = decompose_genus5(params).curves
         for m, (e1, e2) in zip(howe_models(params)[:2], (curves[:2], curves[2:4])):
             lhs = count_points(m, 1).count
             assert lhs == legendre_count_fp(e1) + legendre_count_fp(e2) - (p + 1)
@@ -156,7 +173,7 @@ class TestSplitGenus2:
 
 class TestHoweCounts:
     def test_p11_base(self):
-        hc = howe_counts(_params(ROW_P11), 1)
+        hc = howe_counts(decompose_genus5(_params(ROW_P11)), 1)
         assert (hc.q, hc.j) == (11, 1)
         assert (hc.c1, hc.c2, hc.c3) == (12, 12, 12)
         assert hc.e == (12, 12, 12, 12, 12)
@@ -164,20 +181,20 @@ class TestHoweCounts:
 
     def test_p11_quadratic(self):
         params = _params(ROW_P11)
-        hc = howe_counts(params, 2)
+        split = decompose_genus5(params)
+        hc = howe_counts(split, 2)
         assert hc.total == 232  # 121 + 1 + 10*11, the genus-5 cap over F_121
         assert hc.e == (144, 144, 144, 144, 144)
         # lifted counts against the direct oracle, factor by factor too
         assert direct_counts(params, 2) == (hc.c1, hc.c2, hc.c3, hc.total)
-        _, curves = decompose_genus5(params)
-        assert tuple(count_points(E.model(), 2).count for E in curves) == hc.e
+        assert tuple(count_points(E.model(), 2).count for E in split.curves) == hc.e
 
     def test_p499_hits_serre_bound(self):
-        assert howe_counts(_params(ROW_P499), 1).total == serre_bound(499, 5)
+        assert howe_counts(decompose_genus5(_params(ROW_P499)), 1).total == serre_bound(499, 5)
 
     def test_p37_cubic_extension(self):
         params = _params(ROW_P37)
-        hc = howe_counts(params, 3)
+        hc = howe_counts(decompose_genus5(params), 3)
         assert hc.total == serre_bound(37 ** 3, 5)
         assert direct_counts(params, 3) == (hc.c1, hc.c2, hc.c3, hc.total)
 
@@ -186,12 +203,12 @@ class TestHoweCounts:
         rng = random.Random(300 + p)
         for _ in range(2):
             params = random_valid_params(p, rng)
-            hc = howe_counts(params, 3)
+            hc = howe_counts(decompose_genus5(params), 3)
             assert direct_counts(params, 3) == (hc.c1, hc.c2, hc.c3, hc.total)
 
     def test_lift_needs_base_field_counts(self):
         with pytest.raises(ValueError):
-            howe_counts(_params(ROW_P11), 2).lift(3)
+            howe_counts(decompose_genus5(_params(ROW_P11)), 2).lift(3)
 
     def test_quotient_mismatch_detected(self, monkeypatch):
         """A quotient count that disagrees with its factors over F_p is
@@ -201,21 +218,21 @@ class TestHoweCounts:
         def twisted_c3(params):
             c1, c2, c3 = real(params)
             nonsquare = next(v for v in range(2, params.mod.p)
-                             if legendre_symbol(v, params.mod) == -1)
+                             if legendre_symbol(params.mod(v)) == -1)
             return c1, c2, HyperellipticModel(c3.mod, c3.alpha * nonsquare, c3.roots)
 
         monkeypatch.setattr(howe_factory, "howe_models", twisted_c3)
         with pytest.raises(DecompositionMismatch):
-            howe_counts(_params(ROW_P499), 2)
+            howe_counts(decompose_genus5(_params(ROW_P499)), 2)
 
     def test_total_consistency(self):
-        hc = howe_counts(_params(ROW_P11), 1)
+        hc = howe_counts(decompose_genus5(_params(ROW_P11)), 1)
         assert hc.total == hc.c1 + hc.c2 + hc.c3 - 2 * hc.q - 2
         assert hc.total == sum(hc.e) - 4 * hc.q - 4
 
     def test_against_naive_quotient_counts(self):
         params = _params(ROW_P11)
-        hc = howe_counts(params, 1)
+        hc = howe_counts(decompose_genus5(params), 1)
         models = howe_models(params)
         for m, expect in zip(models, (hc.c1, hc.c2, hc.c3)):
             alpha = int(m.alpha)
@@ -239,13 +256,14 @@ def test_affine_maps_preserve_the_decomposition(data, p):
     result = validate(image)
     assert result.ok
     split, split_image = validate(params).split, result.split
-    assert [x.value for x in split_image.lam] == [x.value for x in split.lam]
-    assert [legendre_symbol(x) for x in split_image.theta] == [legendre_symbol(x) for x in split.theta]
+    assert [E.lam.value for E in split_image.curves] == [E.lam.value for E in split.curves]
+    assert ([legendre_symbol(E.theta) for E in split_image.curves]
+            == [legendre_symbol(E.theta) for E in split.curves])
     for j in (1, 2, 3):
-        assert howe_counts(image, j).total == howe_counts(params, j).total
+        assert howe_counts(split_image, j).total == howe_counts(split, j).total
     assert serre_verdicts(image) == serre_verdicts(params)
     if p == 23:
-        assert direct_counts(image, 2)[3] == howe_counts(image, 2).total
+        assert direct_counts(image, 2)[3] == howe_counts(split_image, 2).total
 
 
 class TestVerdicts:
@@ -256,14 +274,14 @@ class TestVerdicts:
         assert v.serre_fp3 is False
         assert v.count_mod4_ok is True
         assert v.p_mod4 == 3
-        assert [maximal_fp2(E) for E in decompose_genus5(_params(ROW_P11))[1]] == [True] * 5
+        assert [maximal_fp2(E) for E in decompose_genus5(_params(ROW_P11)).curves] == [True] * 5
 
     def test_p499(self):
         v = serre_verdicts(_params(ROW_P499))
         assert v.serre_fp is True
         assert v.maximal_fp2 is False
         assert v.serre_fp3 is False
-        assert [attains_serre_fp(E) for E in decompose_genus5(_params(ROW_P499))[1]] == [True] * 5
+        assert [attains_serre_fp(E) for E in decompose_genus5(_params(ROW_P499)).curves] == [True] * 5
         assert v.p_mod4 == 3
 
     def test_p37(self):
@@ -271,7 +289,7 @@ class TestVerdicts:
         assert v.serre_fp is False
         assert v.maximal_fp2 is False
         assert v.serre_fp3 is True
-        assert [attains_serre_fp3(E) for E in decompose_genus5(_params(ROW_P37))[1]] == [True] * 5
+        assert [attains_serre_fp3(E) for E in decompose_genus5(_params(ROW_P37)).curves] == [True] * 5
         assert v.p_mod4 == 1
 
     def test_aggregate_is_conjunction(self):
@@ -283,7 +301,7 @@ class TestVerdicts:
             if params is None:
                 continue
             v = serre_verdicts(params)
-            _, curves = decompose_genus5(params)
+            curves = decompose_genus5(params).curves
             assert v.serre_fp == all(attains_serre_fp(E) for E in curves)
             assert v.maximal_fp2 == all(maximal_fp2(E) for E in curves)
             assert v.serre_fp3 == all(attains_serre_fp3(E) for E in curves)

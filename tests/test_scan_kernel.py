@@ -108,9 +108,8 @@ def test_kernel_matches_scalar_oracle_past_a_block(quick_confirm, target):
     # serre-fp3 has admissible pairs, with 83 a values.  In the unseeded
     # order the first chunk's first a3 equals its first a2 and is skipped.
     # Quotas 1 and p - 4 reach one and two rows and walk them; quota 10^4
-    # lists the
-    # first pair from the table and walks the 6 rows it reaches of the
-    # second.
+    # lists the first pair from the table and walks the 6 rows it reaches
+    # of the second.
     p = 101
     for seed in (None, 5):
         cfg = SearchConfig(p, p, target, seed=seed)

@@ -469,8 +469,7 @@ class TestWriters:
     def test_csv_roundtrip(self, tmp_path):
         hits = self._some_hits()
         out = tmp_path / "hits.csv"
-        with open(out, "w") as fh:
-            write_hits_csv(hits, fh)
+        write_hits_csv(hits, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(hits)
@@ -483,8 +482,7 @@ class TestWriters:
     def test_jsonl_excludes_timing(self, tmp_path):
         hits = self._some_hits()
         out = tmp_path / "hits.jsonl"
-        with open(out, "w") as fh:
-            write_hits_jsonl(hits, fh)
+        write_hits_jsonl(hits, out)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == len(hits)
         for line, h in zip(lines, hits):
@@ -500,8 +498,6 @@ class TestWriters:
         blobs = []
         for name in ("one", "two"):
             hits = self._some_hits()
-            f = tmp_path / name
-            with open(f, "w") as fh:
-                write_hits_jsonl(hits, fh)
-            blobs.append(f.read_bytes())
+            write_hits_jsonl(hits, tmp_path / name)
+            blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
