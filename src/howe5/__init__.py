@@ -19,8 +19,6 @@ from .errors import (
     CrossRatioFailed,
     DecompositionMismatch,
     Degenerate,
-    DegenerateLambda,
-    DivisionByZero,
     HasseViolation,
     Howe5Error,
     HypothesisViolated,

@@ -368,7 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Howe5Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SystemExit2, FileNotFoundError, ValueError) as exc:
+    except (SystemExit2, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

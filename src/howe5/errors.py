@@ -42,13 +42,5 @@ class NonSquareObstruction(ValidationError):
     """A quantity that must be a nonzero square is not one."""
 
 
-class DegenerateLambda(ValidationError):
-    """A derived Legendre parameter landed in {0, 1}, or a twist vanished."""
-
-
-class DivisionByZero(ValidationError):
-    """A cross-ratio computation hit a degenerate denominator."""
-
-
 class DecompositionMismatch(Howe5Error):
     """Two independent count formulas disagree; indicates a bug or bad input."""

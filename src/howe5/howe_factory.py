@@ -23,8 +23,6 @@ from .errors import (
     CrossRatioFailed,
     DecompositionMismatch,
     Degenerate,
-    DegenerateLambda,
-    DivisionByZero,
     NonSquareObstruction,
     ValidationError,
 )
@@ -90,8 +88,17 @@ class HoweParams:
     @classmethod
     def from_json_dict(cls, d: dict) -> "HoweParams":
         """Rebuild parameters from to_json_dict's layout; extra keys, such as
-        a report's, are ignored."""
-        return cls.from_ints(int(d["p"]), int(d["alpha1"]), int(d["alpha2"]), d["a"], d["b"])
+        a report's, are ignored.  ValueError names a missing key or a bad shape."""
+        try:
+            p, alpha1, alpha2, a, b = (d[k] for k in ("p", "alpha1", "alpha2", "a", "b"))
+            if not all(isinstance(v, int) for v in (p, alpha1, alpha2, *a, *b)):
+                raise TypeError
+        except KeyError as exc:
+            raise ValueError(f"parameters lack the key {exc}") from None
+        except TypeError:
+            raise ValueError("parameters must be a JSON object with integers p, alpha1, "
+                             "alpha2 and integer lists a, b") from None
+        return cls.from_ints(p, alpha1, alpha2, a, b)
 
 
 @dataclass(frozen=True)
@@ -143,10 +150,7 @@ class ValidationResult:
 
 
 def _cross_ratio(x1: FieldElement, x2: FieldElement, x3: FieldElement, x4: FieldElement) -> FieldElement:
-    den = (x2 - x3) * (x1 - x4)
-    if den.value == 0:
-        raise DivisionByZero("cross-ratio with coincident points")
-    return (x1 - x3) * (x2 - x4) / den
+    return (x1 - x3) * (x2 - x4) / ((x2 - x3) * (x1 - x4))
 
 
 def _split_pair(
@@ -159,8 +163,6 @@ def _split_pair(
     canonical square root of lam (lam - mu); raises NonResidue when that is
     not a nonzero square.
     """
-    if lam.value == 1 or mu.value == 1:
-        raise DivisionByZero("degenerate cross-ratio position")
     s = sqrt_mod_p(lam * (lam - mu))
     tw = theta * (1 - mu) / (1 - lam)
     pref = (1 - lam) / (mu - 1)
@@ -176,10 +178,18 @@ def _quartet(w: FieldElement, x: FieldElement, y: FieldElement, z: FieldElement)
 def validate(params: HoweParams) -> ValidationResult:
     """Check every construction invariant; returns all violations found.
 
-    A passing result certifies: eight pairwise-distinct branch points and
-    nonzero twists, both cross-ratio compatibility conditions, the two
-    square conditions the splitting needs, and nondegenerate Legendre
-    parameters for all five factors; only a passing result has a split.
+    A passing result certifies eight pairwise-distinct branch points,
+    nonzero twists, both cross-ratio compatibility conditions and the two
+    square conditions.  Exactly the passing results have a split, since
+    these checks leave no factor degenerate:
+    - every theta is a product of nonzero twists and root differences;
+    - a, b, c avoid 0 and 1, so no denominator vanishes;
+    - lambda5 in {0, 1} needs a5 = b5, a6 = b6, a5 = a6 or b5 = b6;
+    - lambda+- = 0 in the pair (a, b) needs b = 0, that is a5 = a2;
+    - (1 - lambda+)(1 - lambda-)(b - 1)^2 = (ab - 2a + 1)^2 vanishes only at
+      d = a(1 - b)/(1 - a) = 1, and d = cr(a1, a2, a3, a6) by the a-tuple
+      condition, so that needs a6 = a3; in the pair (a, c) it needs b6 = a3.
+    LegendreCurve keeps its own check as a backstop.
     """
     res = ValidationResult(params=params)
     a1, a2, a3, a4, a5, a6 = params.a
@@ -257,16 +267,8 @@ def validate(params: HoweParams) -> ValidationResult:
     th5 = params.alpha1 * params.alpha2 * (a5 - b6) * (a6 - b5)
     l5 = (a5 - b5) * (a6 - b6) / ((a5 - b6) * (a6 - b5))
     pairs = ((th12, l1), (th12, l2), (th34, l3), (th34, l4), (th5, l5))
-    for i, (th, lm) in enumerate(pairs, start=1):
-        if th.value == 0:
-            res.violations.append(Violation(DegenerateLambda, f"theta_{i} = 0"))
-        if lm.value in (0, 1):
-            res.violations.append(
-                Violation(DegenerateLambda, f"lambda_{i} = {lm.value}")
-            )
-    if res.ok:
-        curves = tuple(LegendreCurve(params.mod, th, lm) for th, lm in pairs)
-        res.split = SplitData(params, a, b, c, beta1, beta2, curves)
+    curves = tuple(LegendreCurve(params.mod, th, lm) for th, lm in pairs)
+    res.split = SplitData(params, a, b, c, beta1, beta2, curves)
     return res
 
 

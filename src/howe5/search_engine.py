@@ -635,10 +635,10 @@ def orbit_key(params: HoweParams) -> tuple[int, ...]:
 
 def random_valid_params(
     p: int, rng: random.Random, max_tries: int = 5000
-) -> Optional[HoweParams]:
-    """Sample a validated parameter set by drawing roots and deriving the
-    forced ones in the cross-ratio frame; twists are uniform nonzero
-    scalars."""
+) -> Optional[howe_factory.SplitData]:
+    """Sample a parameter set by drawing roots and deriving the forced ones
+    in the cross-ratio frame, twists uniform nonzero scalars; returns the
+    split of the first set that validates, so its params are validated once."""
     inv = _tables(p)[0]
     for _ in range(max_tries):
         a1, a2, a3, a4, a5, b5 = rng.sample(range(p), 6)
@@ -652,8 +652,9 @@ def random_valid_params(
         alpha1 = rng.randrange(1, p)
         alpha2 = rng.randrange(1, p)
         params = HoweParams.from_ints(p, alpha1, alpha2, (a1, a2, a3, a4, a5, a6), (b5, b6))
-        if howe_factory.validate(params).ok:
-            return params
+        split = howe_factory.validate(params).split
+        if split is not None:
+            return split
     return None
 
 

@@ -55,16 +55,16 @@ def _announce(capsys, n, label, fn):
 
 
 @functools.lru_cache(maxsize=None)
-def _sample_params(n=100, p_max=101, seed=20260822):
-    """Deterministic sample of valid parameter sets, shared by criteria 5, 6, 8."""
+def _sample_splits(n=100, p_max=101, seed=20260822):
+    """Deterministic sample of validated decompositions, shared by criteria 5, 6, 8."""
     rng = random.Random(seed)
     primes = [p for p in primes_in(11, p_max)]
     out = []
     while len(out) < n:
         p = primes[len(out) % len(primes)]
-        params = random_valid_params(p, rng)
-        if params is not None:
-            out.append(params)
+        split = random_valid_params(p, rng)
+        if split is not None:
+            out.append(split)
     return tuple(out)
 
 
@@ -150,12 +150,12 @@ def test_acceptance_04_factor_multisets(capsys):
 
 def test_acceptance_05_split_identities(capsys):
     def body():
-        sample = _sample_params()
+        sample = _sample_splits()
         assert len(sample) >= 100
-        for params in sample:
-            p = params.mod.p
-            m1, m2, m3 = howe_models(params)
-            e = [legendre_count_fp(E) for E in decompose_genus5(params).curves]
+        for split in sample:
+            p = split.params.mod.p
+            m1, m2, m3 = howe_models(split.params)
+            e = [legendre_count_fp(E) for E in split.curves]
             assert count_points(m1, 1).count == e[0] + e[1] - (p + 1)
             assert count_points(m2, 1).count == e[2] + e[3] - (p + 1)
             assert count_points(m3, 1).count == e[4]
@@ -164,14 +164,13 @@ def test_acceptance_05_split_identities(capsys):
 
 def test_acceptance_06_count_formula(capsys):
     def body():
-        for params in _sample_params():
-            split = decompose_genus5(params)
+        for split in _sample_splits():
             for j in (1, 2):
                 hc = howe_counts(split, j)
-                q = params.mod.p ** j
+                q = split.params.mod.p ** j
                 assert hc.total == hc.c1 + hc.c2 + hc.c3 - 2 * q - 2
                 assert hc.total == sum(hc.e) - 4 * q - 4
-                c1, c2, c3, total = direct_counts(params, j)
+                c1, c2, c3, total = direct_counts(split.params, j)
                 assert hc.c1 == c1
                 assert hc.c2 == c2
                 assert hc.c3 == c3
@@ -212,8 +211,8 @@ def test_acceptance_08_mod4(capsys):
             j = rng.choice((1, 2, 3))
             n1 = legendre_count_fp(LegendreCurve.from_ints(p, theta, lam))
             assert zeta_lift(n1, p, j) % 4 == 0
-        for params in _sample_params():
-            assert howe_counts(decompose_genus5(params), 1).total % 4 == 0
+        for split in _sample_splits():
+            assert howe_counts(split, 1).total % 4 == 0
     _announce(capsys, 8, "mod-4", body)
 
 

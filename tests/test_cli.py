@@ -84,7 +84,8 @@ class TestVerifyTables:
         (["--data", "{dir}/t.csv"], "verify-tables --data needs the table number the rows claim"),
         (["1", "--data", "{dir}/none.csv"], "[Errno 2] No such file or directory: '{dir}/none.csv'"),
         (["1", "--data", "{dir}/t.csv"], "{dir}/t.csv:1: bad header ['p', 'alpha1', 'nope']"),
-    ], ids=["usage", "missing-file", "bad-header"])
+        (["1", "--data", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+    ], ids=["usage", "missing-file", "bad-header", "directory"])
     def test_usage_errors_print_one_line_and_exit_2(self, tmp_path, capsys, args, err):
         (tmp_path / "t.csv").write_text("p,alpha1,nope\n1,2,3\n")
         args = [a.format(dir=tmp_path) for a in args]
@@ -128,6 +129,21 @@ class TestDecompose:
         assert main(["decompose", "--from-json", str(f), "--json"]) == 0
         again = json.loads(capsys.readouterr().out)
         assert again["verdicts"] == json.loads(blob)["verdicts"]
+
+    @pytest.mark.parametrize("blob,err", [
+        ({"p": 11, "alpha1": 4, "a": [5, 3, 10, 7, 6, 8], "b": [9, 2]},
+         "parameters lack the key 'alpha2'"),
+        ([11, 4, 6], "parameters must be a JSON object with integers p, alpha1, "
+                     "alpha2 and integer lists a, b"),
+        ({"p": 11, "alpha1": 4, "alpha2": 6, "a": [5.5, 3, 10, 7, 6, 8], "b": [9, 2]},
+         "parameters must be a JSON object with integers p, alpha1, "
+         "alpha2 and integer lists a, b"),
+    ], ids=["missing-key", "not-an-object", "float-root"])
+    def test_bad_json_is_usage_error(self, tmp_path, capsys, blob, err):
+        f = tmp_path / "params.json"
+        f.write_text(json.dumps(blob))
+        assert main(["decompose", "--from-json", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_invalid_params_exit_1(self, capsys):
         rc = main(["decompose", "--p", "11", "--alpha1", "1", "--alpha2", "1",
@@ -229,6 +245,13 @@ class TestSearchCommand:
         header = csv_path.read_text().splitlines()[0]
         assert header == "p,alpha1,alpha2,a1,a2,a3,a4,a5,a6,b5,b6"
         assert len(jsonl_path.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("flag", ["--out", "--jsonl"])
+    def test_output_path_is_a_directory(self, tmp_path, capsys, flag):
+        rc = main(["search", "--target", "maximal-fp2", "--p-min", "11",
+                   "--p-max", "11", "--max-hits", "1", "--quiet", flag, str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_quiet_suppresses_rows(self, capsys):
         rc = main(["search", "--target", "maximal-fp2", "--p-min", "11",

@@ -8,7 +8,7 @@ from conftest import ROW_P11, ROW_P37, ROW_P499, naive_count_fp
 from howe5 import howe_factory
 from howe5.curve_models import HyperellipticModel, count_points
 from howe5.errors import DecompositionMismatch, NonSquareObstruction
-from howe5.field_arith import legendre_symbol
+from howe5.field_arith import is_prime, legendre_symbol, prime_modulus
 from howe5.hasse_serre import (
     attains_serre_fp,
     attains_serre_fp3,
@@ -98,7 +98,7 @@ class TestValidate:
         assert info["chi_product_a4_a5"] == info["chi_a_ab"]
         assert info["chi_product_a4_b5"] == info["chi_a_ac"]
 
-    def test_invalid_results_carry_no_split(self, monkeypatch):
+    def test_invalid_results_carry_no_split(self):
         for params in (
             HoweParams.from_ints(11, 1, 1, (0, 1, 2, 3, 4, 5), (4, 7)),
             HoweParams.from_ints(11, 4, 6, (5, 3, 10, 7, 6, 8), (9, 4)),
@@ -107,18 +107,45 @@ class TestValidate:
             res = validate(params)
             assert not res.ok and res.split is None
         assert validate(_params(ROW_P11)).split is not None
-        # A degenerate lambda is reported before a factor curve is built.
-        real = howe_factory._split_pair
 
-        def second_lambda_one(theta, lam, mu):
-            tw, lam_plus, _ = real(theta, lam, mu)
-            return tw, lam_plus, lam.mod(1)
+    @pytest.mark.parametrize("p", [p for p in range(5, 48) if is_prime(p)])
+    def test_split_pair_degenerates_only_at_d_equal_one(self, p):
+        """Over the cross-ratios a, b (not 0 or 1) with a(a - b) a nonzero
+        square, a pair's factors degenerate exactly when
+        d = a(1 - b)/(1 - a) = 1, the frame image of a6 = a3: validate's
+        input checks leave no factor degenerate."""
+        mod = prime_modulus(p)
+        for a in map(mod, range(2, p)):
+            for b in map(mod, range(2, p)):
+                if legendre_symbol(a * (a - b)) != 1:
+                    continue
+                theta, lam_plus, lam_minus = howe_factory._split_pair(mod(1), a, b)
+                degenerate = theta.value == 0 or {lam_plus.value, lam_minus.value} & {0, 1}
+                assert bool(degenerate) == (a * (1 - b) == 1 - a), (a, b)
 
-        monkeypatch.setattr(howe_factory, "_split_pair", second_lambda_one)
-        res = validate(_params(ROW_P11))
-        assert [(v.code, v.detail) for v in res.violations] == [
-            ("DegenerateLambda", "lambda_2 = 1"), ("DegenerateLambda", "lambda_4 = 1")]
-        assert res.split is None
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([7, 11, 13, 23, 31]))
+    def test_frame_solved_sets_validate_or_split(self, data, p):
+        """Distinct a1..a5, b5 with a6 and b6 solved in the frame
+        y = cr(a1, a2, a3, x): validate reports an input violation or
+        returns the split, and never raises."""
+        mod = prime_modulus(p)
+        a1, a2, a3, a4, a5, b5 = map(mod, data.draw(
+            st.lists(st.integers(0, p - 1), min_size=6, max_size=6, unique=True)))
+        alphas = data.draw(st.tuples(st.integers(1, p - 1), st.integers(1, p - 1)))
+        k = (a1 - a3) / (a2 - a3)
+        a, b, c = (k * (a2 - x) / (a1 - x) for x in (a4, a5, b5))
+        d, e = a * (1 - b) / (1 - a), a * (1 - c) / (1 - a)
+        assume(k not in (d, e))  # the frame sends x = infinity to k
+        a6, b6 = ((k * a2 - y * a1) / (k - y) for y in (d, e))
+        params = HoweParams(mod, mod(alphas[0]), mod(alphas[1]),
+                            (a1, a2, a3, a4, a5, a6), (b5, b6))
+        res = validate(params)
+        if res.ok:
+            assert len(res.split.curves) == 5
+        else:
+            assert res.split is None
+            assert {v.code for v in res.violations} <= {"Degenerate", "NonSquareObstruction"}
 
     def test_raise_if_invalid(self):
         good = validate(_params(ROW_P37))
@@ -202,9 +229,9 @@ class TestHoweCounts:
     def test_cubic_lift_matches_oracle(self, p):
         rng = random.Random(300 + p)
         for _ in range(2):
-            params = random_valid_params(p, rng)
-            hc = howe_counts(decompose_genus5(params), 3)
-            assert direct_counts(params, 3) == (hc.c1, hc.c2, hc.c3, hc.total)
+            split = random_valid_params(p, rng)
+            hc = howe_counts(split, 3)
+            assert direct_counts(split.params, 3) == (hc.c1, hc.c2, hc.c3, hc.total)
 
     def test_lift_needs_base_field_counts(self):
         with pytest.raises(ValueError):
@@ -246,8 +273,9 @@ def test_affine_maps_preserve_the_decomposition(data, p):
     """x -> ux + v on all eight roots, twists kept, keeps every cross-ratio
     and scales each beta by u^4, a square: the image validates with the same
     five lambda, the same chi(theta_i), counts and verdicts."""
-    params = random_valid_params(p, random.Random(data.draw(st.integers(0, 2 ** 32), label="seed")))
-    assume(params is not None)
+    split = random_valid_params(p, random.Random(data.draw(st.integers(0, 2 ** 32), label="seed")))
+    assume(split is not None)
+    params = split.params
     u = data.draw(st.integers(1, p - 1), label="u")
     v = data.draw(st.integers(0, p - 1), label="v")
     _, alpha1, alpha2, *roots = params.row()
@@ -255,7 +283,7 @@ def test_affine_maps_preserve_the_decomposition(data, p):
     image = HoweParams.from_ints(p, alpha1, alpha2, moved[:6], moved[6:])
     result = validate(image)
     assert result.ok
-    split, split_image = validate(params).split, result.split
+    split_image = result.split
     assert [E.lam.value for E in split_image.curves] == [E.lam.value for E in split.curves]
     assert ([legendre_symbol(E.theta) for E in split_image.curves]
             == [legendre_symbol(E.theta) for E in split.curves])
@@ -294,14 +322,12 @@ class TestVerdicts:
 
     def test_aggregate_is_conjunction(self):
         rng = random.Random(41)
-        from howe5.search_engine import random_valid_params
-
         for p in (29, 31, 37):
-            params = random_valid_params(p, rng)
-            if params is None:
+            split = random_valid_params(p, rng)
+            if split is None:
                 continue
-            v = serre_verdicts(params)
-            curves = decompose_genus5(params).curves
+            v = serre_verdicts(split.params)
+            curves = split.curves
             assert v.serre_fp == all(attains_serre_fp(E) for E in curves)
             assert v.maximal_fp2 == all(maximal_fp2(E) for E in curves)
             assert v.serre_fp3 == all(attains_serre_fp3(E) for E in curves)

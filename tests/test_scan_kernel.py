@@ -90,7 +90,7 @@ def test_kernel_matches_scalar_oracle(quick_confirm, target, fixed):
     (Target.SERRE_FP, 17),
     (Target.SERRE_FP3, 13),
 ], ids=lambda v: getattr(v, "value", v))
-def test_quota_and_hit_cap_across_blocks(quick_confirm, target, p):
+def test_quota_and_hit_cap_across_pairs(quick_confirm, target, p):
     # quotas every 7 probes up to 12 rows' worth, so that quota cuts and
     # hit-cap stops fall on every row of the first (a2, a3) pairs and in
     # later pairs (at p = 11 about one maximal-fp2 probe in ten emits)

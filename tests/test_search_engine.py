@@ -447,12 +447,12 @@ class TestRandomParams:
         rng = random.Random(77)
         found = 0
         for p in (11, 13, 17, 19, 23):
-            params = random_valid_params(p, rng)
-            if params is None:
+            split = random_valid_params(p, rng)
+            if split is None:
                 continue
             found += 1
-            assert validate(params).ok
-            assert params.mod.p == p
+            assert validate(split.params).split == split
+            assert split.params.mod.p == p
         assert found >= 4  # tiny primes rarely fail at this sample size
 
     def test_deterministic_for_fixed_rng_state(self):
