@@ -7,6 +7,7 @@ infeasible, 2 for usage and configuration errors (argparse uses 2 as well).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -288,7 +289,14 @@ def cmd_search(ns) -> int:
     except ValueError as exc:
         print(f"bad search configuration: {exc}", file=sys.stderr)
         return 2
-    hits, stats = run_search(config)
+    with contextlib.ExitStack() as stack:
+        # opened before the search, so an unwritable path fails at once
+        outputs = [(write, stack.enter_context(open(path, "w")))
+                   for path, write in ((ns.out, write_hits_csv), (ns.jsonl, write_hits_jsonl))
+                   if path]
+        hits, stats = run_search(config)
+        for write, fh in outputs:
+            write(hits, fh)
     if not ns.quiet:
         for h in hits:
             row = h.row()
@@ -298,10 +306,6 @@ def cmd_search(ns) -> int:
                 f"a={','.join(str(v) for v in row[3:9])} "
                 f"b={','.join(str(v) for v in row[9:])} {counts}"
             )
-    if ns.out:
-        write_hits_csv(hits, ns.out)
-    if ns.jsonl:
-        write_hits_jsonl(hits, ns.jsonl)
     print(
         f"search {config.target.value} p in [{config.p_min}, {config.p_max}]: "
         f"{stats.hits} hit(s), {stats.probes} probes, "

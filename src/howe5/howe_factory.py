@@ -49,6 +49,12 @@ class HoweParams:
 
     @classmethod
     def from_ints(cls, p: int, alpha1: int, alpha2: int, a, b) -> "HoweParams":
+        """The parameters with these residues; ValueError names an operand
+        that is not an int."""
+        a, b = tuple(a), tuple(b)
+        for v in (p, alpha1, alpha2, *a, *b):
+            if not isinstance(v, int):
+                raise ValueError(f"parameters must be integers, got {v!r}")
         mod = prime_modulus(p)
         return cls(
             mod=mod,

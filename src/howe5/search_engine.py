@@ -29,9 +29,12 @@ when they are fewer than the table's a values, else it maps each table a
 back to its a4.  The b5 filter reads the same roots, since b5 enters the
 conditions through the same map as a5; only the candidates that pass go
 through the scalar remainder (lambda5, twist classes, and for a candidate
-emitted a6, b6 and confirmation).  Probes are counted by index, so a
-chunk's quota cuts its scan at the same probe as a scan one probe at a
-time would.
+emitted a6, b6 and confirmation).  Whether a row can emit depends on its
+a alone, except that k drops the (b, c) with k in {b, c, d, e}; so each
+table a is tallied once (_row_tally), and a row whose a cannot emit is
+counted, not scanned, when the quota does not cut inside it and a5 and b5
+are free.  Probes are counted by index, so a chunk's quota cuts its scan
+at the same probe as a scan one probe at a time would.
 
 A prime without admissible pairs has no survivor, and most primes have
 none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
@@ -58,12 +61,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -379,6 +381,64 @@ def _row_roots(p: int, a1: int, a2: int, k: int, entry: tuple) -> list:
     return [(_from_frame(p, inv, a1, a2, k, b), bits, b) for b, bits in entry if b != k]
 
 
+@functools.lru_cache(maxsize=1)
+def _row_tallies(p: int, target: Target) -> dict:
+    """_row_tally's values at p, each computed the first time a row asks
+    for it.  Cached for the current prime only."""
+    return {}
+
+
+def _twist_classes(m12: int, m34: int, m5: int, chi5: int) -> list:
+    """The (e1, e2) that the mask bits m12 and m34 of the first two factor
+    pairs allow and that make the fifth twist class e1 e2 chi5 one m5
+    allows."""
+    return [(e1, e2) for e1 in (1, -1) if m12 & (1 if e1 == 1 else 2)
+            for e2 in (1, -1) if m34 & (1 if e2 == 1 else 2)
+            and m5 & (1 if e1 * e2 * chi5 == 1 else 2)]
+
+
+def _row_tally(p: int, target: Target, a: int) -> Optional[tuple[int, dict]]:
+    """What a row with cross-ratio a, an a of _admissible_pairs, can give:
+    None when some (b, c) of its entry passes every check of _scan_chunk's
+    tail that k does not enter, lambda5's mask and, but for maximal-fp2, a
+    twist class pair, so that the row may emit.  Else (n, hist): n counts
+    the (b, c) with d != 1, c not in {b, d} and e not in {1, b}, and
+    hist[v] those of them with v in {b, c, d, e}, four distinct values.
+    The remaining checks drop the (b, c) with k = cr(a1, a2, a3, infinity)
+    in {b, c, d, e}, so a row of the pair with that k holds n -
+    hist.get(k, 0) tuples and no hit when both fifth roots are free.
+    Computed once per a and cached per prime (_row_tallies)."""
+    tallies = _row_tallies(p, target)
+    if a in tallies:
+        return tallies[a]
+    inv, _, chi, _ = _tables(p)
+    mask = _class_masks(p, target)
+    maximal = target is Target.MAXIMAL_FP2
+    entry = _admissible_pairs(p, target)[a]
+    frame = a * inv[(1 - a) % p] % p
+    n, hist = 0, {}
+    for b, m12 in entry:
+        d = frame * (1 - b) % p
+        if d == 1:
+            continue
+        for c, m34 in entry:
+            if c == b or c == d:
+                continue
+            e = frame * (1 - c) % p
+            if e == 1 or e == b:
+                continue
+            den = (b - e) * (d - c) % p
+            m5 = mask[(b - c) * (d - e) % p * inv[den] % p]
+            if m5 and (maximal or _twist_classes(m12, m34, m5, chi[den * (1 - b) * (1 - c) % p])):
+                tallies[a] = None
+                return None
+            n += 1
+            for v in (b, c, d, e):
+                hist[v] = hist.get(v, 0) + 1
+    tallies[a] = n, hist
+    return tallies[a]
+
+
 def _pair_rows(p: int, arrays: _ScanArrays, a1: int, a2: int, a3: int, k: int,
                reach: int) -> list:
     """(row, a4, a) for each of the first reach rows of the pair (a2, a3) of
@@ -423,6 +483,8 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     row's b5 candidates.  Each survivor goes through the scalar tail in the
     frame: d, b5 over the candidates, e, lambda5, the twist classes, and
     only for a candidate emitted a6, b6 and the twists' square classes.
+    A row whose a cannot emit (_row_tally), with a5 and b5 free and all its
+    probes within the quota, lists no roots: it adds n - hist[k] tuples.
     When deadline, a time.monotonic() value, has passed after a pair, the
     chunk stops there, truncated.  The chunk whose a1 is the pinned a5 has
     no probe, so a quota never ends its scan; enumerate_hits counts it
@@ -436,6 +498,8 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     _, a2s, a3s, a4s, a5s, b5s = arrays.visit
     pos4, pos5, pos_b5 = arrays.at[3:]
     n4, n5, nb5 = len(a4s), len(a5s), len(b5s)
+    free = n5 == nb5 == p
+    tallies = _row_tallies(p, cfg.target)
 
     prefixes = probes = tuples = confirm_failures = 0
     hits: list[tuple[HoweParams, dict]] = []
@@ -481,6 +545,13 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
             # a pair without probes holds no survivor
             for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
                 start = probes + r * per - (hole < r)
+                # a row the quota does not cut inside, with both fifth roots
+                # free, is counted when it cannot emit
+                if free and (not cut or start + per <= quota):
+                    tally = tallies[a] if a in tallies else _row_tally(p, cfg.target, a)
+                    if tally is not None:
+                        tuples += tally[0] - tally[1].get(k, 0)
+                        continue
                 roots = _row_roots(p, a1, a2, k, pairs[a])
                 inv_one_minus_a = inv[(1 - a) % p]
                 frame = a * inv_one_minus_a % p
@@ -515,13 +586,8 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                         m5 = mask[(b - c) * (d - e) % p * inv[den] % p]
                         if not m5:
                             continue
-                        if maximal:
-                            twists = ((1, 1),)
-                        else:
-                            chi5 = chi[den * (1 - b) * (1 - c) % p]
-                            twists = [(e1, e2) for e1 in (1, -1) if m12 & (1 if e1 == 1 else 2)
-                                      for e2 in (1, -1) if m34 & (1 if e2 == 1 else 2)
-                                      and m5 & (1 if e1 * e2 * chi5 == 1 else 2)]
+                        twists = ((1, 1),) if maximal else _twist_classes(
+                            m12, m34, m5, chi[den * (1 - b) * (1 - c) % p])
                         if not twists:
                             continue
                         a6, b6 = (_from_frame(p, inv, a1, a2, k, y) for y in (d, e))
@@ -658,18 +724,17 @@ def random_valid_params(
     return None
 
 
-def write_hits_csv(hits: list[SearchHit], out: str | os.PathLike) -> None:
-    """Table-layout CSV; content depends only on the hit list."""
-    with open(out, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for h in hits:
-            fh.write(",".join(str(v) for v in h.row()) + "\n")
+def write_hits_csv(hits: list[SearchHit], fh: TextIO) -> None:
+    """Table-layout CSV into the open text file fh; content depends only on
+    the hit list."""
+    fh.write(CSV_HEADER + "\n")
+    for h in hits:
+        fh.write(",".join(str(v) for v in h.row()) + "\n")
 
 
-def write_hits_jsonl(hits: list[SearchHit], out: str | os.PathLike) -> None:
-    """One JSON object per hit; keys sorted, no timing fields, so repeated
-    runs produce identical bytes."""
-    with open(out, "w") as fh:
-        for h in hits:
-            fh.write(json.dumps(h.to_json_dict(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+def write_hits_jsonl(hits: list[SearchHit], fh: TextIO) -> None:
+    """One JSON object per hit into the open text file fh; keys sorted, no
+    timing fields, so repeated runs produce identical bytes."""
+    for h in hits:
+        fh.write(json.dumps(h.to_json_dict(), sort_keys=True, separators=(",", ":")))
+        fh.write("\n")

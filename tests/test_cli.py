@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from howe5 import tables
+from howe5 import cli, tables
 from howe5.cli import build_parser, main
 from howe5.curve_models import count_points
 from howe5.hasse_serre import LegendreCurve
@@ -252,6 +252,16 @@ class TestSearchCommand:
                    "--p-max", "11", "--max-hits", "1", "--quiet", flag, str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_unwritable_output_fails_before_the_search(self, monkeypatch, capsys):
+        def unreachable(config):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "run_search", unreachable)
+        rc = main(["search", "--target", "maximal-fp2", "--p-min", "11", "--p-max", "11",
+                   "--quiet", "--out", "/nonexistent/x.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_quiet_suppresses_rows(self, capsys):
         rc = main(["search", "--target", "maximal-fp2", "--p-min", "11",

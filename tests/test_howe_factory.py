@@ -45,6 +45,16 @@ class TestHoweParams:
         p2 = HoweParams.from_ints(11, 4, 6, (5, 3, 10, 7, 6, 8), (9, 2))
         assert p1 == p2
 
+    @pytest.mark.parametrize("args", [
+        (11, 4, 6, (5.5, 3, 10, 7, 6, 8), (9, 2)),
+        (11, 4, "6", (5, 3, 10, 7, 6, 8), (9, 2)),
+        (11.0, 4, 6, (5, 3, 10, 7, 6, 8), (9, 2)),
+        (11, 4, 6, (5, 3, 10, 7, 6, 8), (9, None)),
+    ], ids=["float-root", "str-twist", "float-prime", "none-root"])
+    def test_from_ints_rejects_non_integers(self, args):
+        with pytest.raises(ValueError, match="parameters must be integers"):
+            HoweParams.from_ints(*args)
+
 
 class TestValidate:
     @pytest.mark.parametrize("row", [ROW_P499, ROW_P11, ROW_P37])

@@ -22,6 +22,8 @@ from howe5.field_arith import residue_tables
 from howe5.search_engine import (
     SearchConfig,
     Target,
+    _admissible_pairs,
+    _tables,
     _visit_orders,
     primes_in,
     run_search,
@@ -103,7 +105,7 @@ def test_quota_and_hit_cap_across_pairs(quick_confirm, target, p):
 
 
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
-def test_kernel_matches_scalar_oracle_past_a_block(quick_confirm, target):
+def test_kernel_matches_scalar_oracle_past_the_first_pair(quick_confirm, target):
     # At p = 101 a pair has 98 rows of 97 probes, and of the targets only
     # serre-fp3 has admissible pairs, with 83 a values.  In the unseeded
     # order the first chunk's first a3 equals its first a2 and is skipped.
@@ -143,6 +145,101 @@ def test_windowed_kernel_matches_scalar_oracle_on_every_chunk(
             for quota in quotas:
                 for a1 in _visit_orders(p, cfg)[0]:
                     _same_chunk(p, cfg, a1, quota)
+
+
+def _listed_rows(p, cfg, a1, count):
+    """The indices, over the rows of chunk a1 in scan order, of its first
+    count rows whose cross-ratio a has admissible pairs."""
+    inv, pairs = _tables(p)[0], _admissible_pairs(p, cfg.target)
+    _, a2s, a3s, a4s, _, _ = _visit_orders(p, cfg)
+    rows = ((a2, a3, a4) for a2 in a2s for a3 in a3s for a4 in a4s
+            if len({a1, a2, a3, a4}) == 4)
+    found = []
+    for row, (a2, a3, a4) in enumerate(rows):
+        if (a1 - a3) * (a2 - a4) * inv[(a2 - a3) * (a1 - a4) % p] % p in pairs:
+            found.append(row)
+            if len(found) == count:
+                break
+    return found
+
+
+@pytest.mark.parametrize("fixed", [(), (("a4", 5),)], ids=["free", "a4"])
+@pytest.mark.parametrize("target,p", [
+    (Target.MAXIMAL_FP2, 19),
+    (Target.MAXIMAL_FP2, 67),
+    (Target.SERRE_FP, 89),
+    (Target.SERRE_FP, 233),
+], ids=lambda v: getattr(v, "value", v))
+def test_counted_rows_match_the_scalar_kernel(monkeypatch, target, p, fixed):
+    # At these primes no row can emit, so each listed row is counted from its
+    # tally unless the quota cuts inside it.  Per chunk, one quota ends
+    # exactly at the end of the first listed row, one a probe short of it,
+    # and one cuts the second in its middle; a row has p - 4 probes.  With
+    # a4 pinned to 5 the chunk a1 = 5 has no row.  Without a quota the
+    # scalar kernel walks a chunk's probes one by one, too many but at p =
+    # 19, and there with a4 free only for the first two chunks.  At p = 233
+    # the first listed row is about the 33rd, so only the first chunks run.
+    # The rows that are scanned, not counted, list their roots: at most the
+    # one cut row per chunk.
+    listed = []
+    real = search_engine._row_roots
+
+    def recorded(*args):
+        listed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search_engine, "_row_roots", recorded)
+    per, chunks = p - 4, 24 if p > 200 else p
+    for seed in (None, 3):
+        cfg = SearchConfig(p, p, target, seed=seed, fixed=fixed)
+        for pos, a1 in enumerate(_visit_orders(p, cfg)[0][:chunks]):
+            rows = _listed_rows(p, cfg, a1, 2)
+            quotas = [q for r in rows[:1] for q in ((r + 1) * per - 1, (r + 1) * per)]
+            quotas += [r * per + per // 2 for r in rows[1:]]
+            if p < 20 and (fixed or pos < 2):
+                quotas.append(None)
+            for quota in quotas:
+                listed.clear()
+                _same_chunk(p, cfg, a1, quota)
+                assert len(listed) <= (quota is not None), (seed, a1, quota)
+
+
+@pytest.mark.parametrize("target,p,kinds", [
+    (Target.MAXIMAL_FP2, 19, {False}),
+    (Target.MAXIMAL_FP2, 23, {False, True}),
+    (Target.SERRE_FP3, 37, {False, True}),
+    (Target.SERRE_FP3, 67, {False, True}),
+], ids=["maximal-fp2-19", "maximal-fp2-23", "serre-fp3-37", "serre-fp3-67"])
+def test_row_tally_matches_the_scalar_kernel_on_every_row(monkeypatch, target, p, kinds):
+    # For each a of the table and each k = cr(a1, a2, a3, infinity) outside
+    # {0, 1, a}, the one row with a2 = 0, a3 = 1, a1 = 1 - k and a4 =
+    # a a1 / (a - k), scanned by the scalar kernel with every candidate
+    # confirmed: the tally is None exactly when a row of that a emits for
+    # some k, and otherwise n - hist[k] is the row's tuples.  No a emits at
+    # maximal-fp2 p = 19; at the other primes some do and some do not, and
+    # at serre-fp3 p = 67 some that do not have candidates whose lambda5 is
+    # admissible but no twist class pair.
+    monkeypatch.setattr(scalar_kernel, "_confirm", lambda params, target: {})
+    inv = _tables(p)[0]
+    seen = set()
+    for a in _admissible_pairs(p, target):
+        tally = search_engine._row_tally(p, target, a)
+        emits = False
+        for k in range(2, p):
+            if k == a:
+                continue
+            a1 = (1 - k) % p
+            a4 = a * a1 * inv[(a - k) % p] % p
+            cfg = SearchConfig(p, p, target, fixed=(("a2", 0), ("a3", 1), ("a4", a4)))
+            hits, (prefixes, _, tuples, _, _) = scalar_kernel._scan_chunk(p, cfg, a1, None)
+            assert prefixes == 1
+            emits = emits or bool(hits)
+            if tally is not None:
+                n, hist = tally
+                assert not hits and tuples == n - hist.get(k, 0), (a, k)
+        assert (tally is None) == emits, a
+        seen.add(emits)
+    assert seen == kinds
 
 
 def test_a5_pinned_search_skips_the_chunk_without_probes():

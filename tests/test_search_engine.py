@@ -267,12 +267,13 @@ def test_class_masks_match_predicates(target):
 
 
 def test_per_prime_caches_are_bounded():
-    """_tables and _class_masks hold the current prime only, the shared
-    per-prime tables at most TABLE_CACHE primes, fewer than this search
-    visits."""
+    """_tables, _class_masks and _row_tallies hold the current prime only,
+    the shared per-prime tables at most TABLE_CACHE primes, fewer than this
+    search visits."""
     run_search(SearchConfig(3, 300, "maximal-fp2", max_candidates=1, fixed=(("a1", 0),)))
     assert len(primes_in(3, 300)) > TABLE_CACHE
-    for cached in (search_engine._tables, search_engine._class_masks):
+    for cached in (search_engine._tables, search_engine._class_masks,
+                   search_engine._row_tallies):
         assert cached.cache_info().currsize == 1
     for cached in (residue_tables, legendre_traces, hasse_poly_coeffs):
         assert cached.cache_info().maxsize == TABLE_CACHE
@@ -469,7 +470,8 @@ class TestWriters:
     def test_csv_roundtrip(self, tmp_path):
         hits = self._some_hits()
         out = tmp_path / "hits.csv"
-        write_hits_csv(hits, out)
+        with open(out, "w") as fh:
+            write_hits_csv(hits, fh)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(hits)
@@ -482,7 +484,8 @@ class TestWriters:
     def test_jsonl_excludes_timing(self, tmp_path):
         hits = self._some_hits()
         out = tmp_path / "hits.jsonl"
-        write_hits_jsonl(hits, out)
+        with open(out, "w") as fh:
+            write_hits_jsonl(hits, fh)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == len(hits)
         for line, h in zip(lines, hits):
@@ -498,6 +501,7 @@ class TestWriters:
         blobs = []
         for name in ("one", "two"):
             hits = self._some_hits()
-            write_hits_jsonl(hits, tmp_path / name)
+            with open(tmp_path / name, "w") as fh:
+                write_hits_jsonl(hits, fh)
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
