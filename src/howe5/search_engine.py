@@ -33,8 +33,11 @@ emitted a6, b6 and confirmation).  Whether a row can emit depends on its
 a alone, except that k drops the (b, c) with k in {b, c, d, e}; so each
 table a is tallied once (_row_tally), and a row whose a cannot emit is
 counted, not scanned, when the quota does not cut inside it and a5 and b5
-are free.  Probes are counted by index, so a chunk's quota cuts its scan
-at the same probe as a scan one probe at a time would.
+are free.  At a prime where no a can emit, a pair the quota does not cut,
+with a4, a5 and b5 free, is counted whole: its rows take every a but 0, 1
+and k once, so its tuples depend on k alone (_pair_tuples).  Probes are
+counted by index, so a chunk's quota cuts its scan at the same probe as a
+scan one probe at a time would.
 
 A prime without admissible pairs has no survivor, and most primes have
 none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
@@ -439,6 +442,30 @@ def _row_tally(p: int, target: Target, a: int) -> Optional[tuple[int, dict]]:
     return tallies[a]
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_tuples(p: int, target: Target) -> Optional[tuple[int, ...]]:
+    """t[k], the tuples of a whole pair with k = cr(a1, a2, a3, infinity),
+    at a prime where no row can emit; None when some a of _admissible_pairs
+    may emit (_row_tally), decided at the first such a.  With a4 free a
+    pair's rows take a = cr(a1, a2, a3, a4) at every value but 0, 1 and k
+    once, so with a5 and b5 free and no quota cut inside the pair it holds
+    the sum over the table's a != k of n - hist[k] and no hit; hist_a[a]
+    is 0, since the table holds no b = a.  Cached for the current prime
+    only."""
+    tallies = []
+    for a in _admissible_pairs(p, target):
+        tally = _row_tally(p, target, a)
+        if tally is None:
+            return None
+        tallies.append((a, tally))
+    t = [sum(n for _, (n, _) in tallies)] * p
+    for a, (n, hist) in tallies:
+        t[a] -= n
+        for v, count in hist.items():
+            t[v] -= count
+    return tuple(t)
+
+
 def _pair_rows(p: int, arrays: _ScanArrays, a1: int, a2: int, a3: int, k: int,
                reach: int) -> list:
     """(row, a4, a) for each of the first reach rows of the pair (a2, a3) of
@@ -485,6 +512,9 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     only for a candidate emitted a6, b6 and the twists' square classes.
     A row whose a cannot emit (_row_tally), with a5 and b5 free and all its
     probes within the quota, lists no roots: it adds n - hist[k] tuples.
+    At a prime where no row can emit, decided at the chunk's first pair
+    within the quota, such a pair with a4 free too lists no rows: it adds
+    the tuples of its k (_pair_tuples).
     When deadline, a time.monotonic() value, has passed after a pair, the
     chunk stops there, truncated.  The chunk whose a1 is the pinned a5 has
     no probe, so a quota never ends its scan; enumerate_hits counts it
@@ -500,6 +530,9 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     n4, n5, nb5 = len(a4s), len(a5s), len(b5s)
     free = n5 == nb5 == p
     tallies = _row_tallies(p, cfg.target)
+    # the tuples of a whole pair per k (_pair_tuples), looked up at the first
+    # pair the quota does not cut when a4 is free too
+    undecided, whole = free and n4 == p, None
 
     prefixes = probes = tuples = confirm_failures = 0
     hits: list[tuple[HoweParams, dict]] = []
@@ -540,74 +573,80 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 q = (quota - probes) // per
                 reach = q + (hole <= q) + 1
             k = (a1 - a3) * inv[(a2 - a3) % p] % p
-            # the a5 positions skipped by index: those of a1..a3, and a4's per row
-            skip = sorted((pos5[a1], pos5[a2], pos5[a3]))
-            # a pair without probes holds no survivor
-            for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
-                start = probes + r * per - (hole < r)
-                # a row the quota does not cut inside, with both fifth roots
-                # free, is counted when it cannot emit
-                if free and (not cut or start + per <= quota):
-                    tally = tallies[a] if a in tallies else _row_tally(p, cfg.target, a)
-                    if tally is not None:
-                        tuples += tally[0] - tally[1].get(k, 0)
-                        continue
-                roots = _row_roots(p, a1, a2, k, pairs[a])
-                inv_one_minus_a = inv[(1 - a) % p]
-                frame = a * inv_one_minus_a % p
-                b5_cands = None  # admissible (b5 position, b5, c, mask bits), in b5 order
-                at4 = pos5[a4]
-                for j, a5, b, m12 in sorted((pos5[x], x, b, m12) for x, m12, b in roots
-                                            if pos5[x] < n5):
-                    probe = start + j + 1 - bisect_left(skip, j) - (at4 < j)
-                    if cut and probe > quota:
-                        break
-                    # a6 at d: d = 1 would put it at a3, d = k at infinity
-                    d = frame * (1 - b) % p
-                    if d == 1 or d == k:
-                        continue
-                    if b5_cands is None:
-                        b5_cands = sorted((pos_b5[x], x, c, m34) for x, m34, c in roots
-                                          if pos_b5[x] < nb5)
-                    for _, b5, c, m34 in b5_cands:
-                        if c == b or c == d:
+            if undecided and not cut:
+                undecided, whole = False, _pair_tuples(p, cfg.target)
+            if whole is not None and not cut:
+                # no row can emit, so the pair is counted whole
+                tuples += whole[k]
+            else:
+                # the a5 positions skipped by index: those of a1..a3, and a4's per row
+                skip = sorted((pos5[a1], pos5[a2], pos5[a3]))
+                # a pair without probes holds no survivor
+                for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
+                    start = probes + r * per - (hole < r)
+                    # a row the quota does not cut inside, with both fifth roots
+                    # free, is counted when it cannot emit
+                    if free and (not cut or start + per <= quota):
+                        tally = tallies[a] if a in tallies else _row_tally(p, cfg.target, a)
+                        if tally is not None:
+                            tuples += tally[0] - tally[1].get(k, 0)
                             continue
-                        # b6 at e, which must miss a3, infinity and a5 (e = d,
-                        # b6 = a6, would need c = b)
-                        e = frame * (1 - c) % p
-                        if e == 1 or e == k or e == b:
+                    roots = _row_roots(p, a1, a2, k, pairs[a])
+                    inv_one_minus_a = inv[(1 - a) % p]
+                    frame = a * inv_one_minus_a % p
+                    b5_cands = None  # admissible (b5 position, b5, c, mask bits), in b5 order
+                    at4 = pos5[a4]
+                    for j, a5, b, m12 in sorted((pos5[x], x, b, m12) for x, m12, b in roots
+                                                if pos5[x] < n5):
+                        probe = start + j + 1 - bisect_left(skip, j) - (at4 < j)
+                        if cut and probe > quota:
+                            break
+                        # a6 at d: d = 1 would put it at a3, d = k at infinity
+                        d = frame * (1 - b) % p
+                        if d == 1 or d == k:
                             continue
-                        tuples += 1
-                        # lambda5 is a cross-ratio, so the frame keeps it, and
-                        # the fifth twist class is e1 e2 chi5, where chi5 =
-                        # chi((b-e)(d-c)(1-b)(1-c)) is chi_u1 chi_u2 chi_w5 of
-                        # the roots
-                        den = (b - e) * (d - c) % p
-                        m5 = mask[(b - c) * (d - e) % p * inv[den] % p]
-                        if not m5:
-                            continue
-                        twists = ((1, 1),) if maximal else _twist_classes(
-                            m12, m34, m5, chi[den * (1 - b) * (1 - c) % p])
-                        if not twists:
-                            continue
-                        a6, b6 = (_from_frame(p, inv, a1, a2, k, y) for y in (d, e))
-                        base6 = (a1, a2, a3, a4, a5, a6)
-                        chi_u1 = chi_u2 = 1
-                        if not maximal:
-                            g = (a2 - a3) * (a1 - a4) * inv_one_minus_a % p
-                            chi_u1 = chi[g * (a1 - a5) * (a1 - a6) * (1 - b) % p]
-                            chi_u2 = chi[g * (a1 - b5) * (a1 - b6) * (1 - c) % p]
-                        for e1, e2 in twists:
-                            alpha1 = 1 if e1 * chi_u1 == 1 else nonres
-                            alpha2 = 1 if e2 * chi_u2 == 1 else nonres
-                            if emit(alpha1, alpha2, base6, b5, b6):
-                                prefixes += r + 1
-                                probes = probe
-                                return hits, stats()
-            if cut:
-                prefixes += reach
-                probes = quota + 1
-                return hits, stats(truncated=True)
+                        if b5_cands is None:
+                            b5_cands = sorted((pos_b5[x], x, c, m34) for x, m34, c in roots
+                                              if pos_b5[x] < nb5)
+                        for _, b5, c, m34 in b5_cands:
+                            if c == b or c == d:
+                                continue
+                            # b6 at e, which must miss a3, infinity and a5 (e = d,
+                            # b6 = a6, would need c = b)
+                            e = frame * (1 - c) % p
+                            if e == 1 or e == k or e == b:
+                                continue
+                            tuples += 1
+                            # lambda5 is a cross-ratio, so the frame keeps it, and
+                            # the fifth twist class is e1 e2 chi5, where chi5 =
+                            # chi((b-e)(d-c)(1-b)(1-c)) is chi_u1 chi_u2 chi_w5 of
+                            # the roots
+                            den = (b - e) * (d - c) % p
+                            m5 = mask[(b - c) * (d - e) % p * inv[den] % p]
+                            if not m5:
+                                continue
+                            twists = ((1, 1),) if maximal else _twist_classes(
+                                m12, m34, m5, chi[den * (1 - b) * (1 - c) % p])
+                            if not twists:
+                                continue
+                            a6, b6 = (_from_frame(p, inv, a1, a2, k, y) for y in (d, e))
+                            base6 = (a1, a2, a3, a4, a5, a6)
+                            chi_u1 = chi_u2 = 1
+                            if not maximal:
+                                g = (a2 - a3) * (a1 - a4) * inv_one_minus_a % p
+                                chi_u1 = chi[g * (a1 - a5) * (a1 - a6) * (1 - b) % p]
+                                chi_u2 = chi[g * (a1 - b5) * (a1 - b6) * (1 - c) % p]
+                            for e1, e2 in twists:
+                                alpha1 = 1 if e1 * chi_u1 == 1 else nonres
+                                alpha2 = 1 if e2 * chi_u2 == 1 else nonres
+                                if emit(alpha1, alpha2, base6, b5, b6):
+                                    prefixes += r + 1
+                                    probes = probe
+                                    return hits, stats()
+                if cut:
+                    prefixes += reach
+                    probes = quota + 1
+                    return hits, stats(truncated=True)
             prefixes += rows
             probes += pair_probes
             if deadline is not None and time.monotonic() > deadline:

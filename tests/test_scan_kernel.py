@@ -147,6 +147,20 @@ def test_windowed_kernel_matches_scalar_oracle_on_every_chunk(
                     _same_chunk(p, cfg, a1, quota)
 
 
+def _record(monkeypatch, name):
+    """The argument tuples of the calls of search_engine's function name
+    from now on, in call order."""
+    calls = []
+    real = getattr(search_engine, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search_engine, name, recorded)
+    return calls
+
+
 def _listed_rows(p, cfg, a1, count):
     """The indices, over the rows of chunk a1 in scan order, of its first
     count rows whose cross-ratio a has admissible pairs."""
@@ -181,14 +195,7 @@ def test_counted_rows_match_the_scalar_kernel(monkeypatch, target, p, fixed):
     # the first listed row is about the 33rd, so only the first chunks run.
     # The rows that are scanned, not counted, list their roots: at most the
     # one cut row per chunk.
-    listed = []
-    real = search_engine._row_roots
-
-    def recorded(*args):
-        listed.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(search_engine, "_row_roots", recorded)
+    listed = _record(monkeypatch, "_row_roots")
     per, chunks = p - 4, 24 if p > 200 else p
     for seed in (None, 3):
         cfg = SearchConfig(p, p, target, seed=seed, fixed=fixed)
@@ -202,6 +209,68 @@ def test_counted_rows_match_the_scalar_kernel(monkeypatch, target, p, fixed):
                 listed.clear()
                 _same_chunk(p, cfg, a1, quota)
                 assert len(listed) <= (quota is not None), (seed, a1, quota)
+
+
+# primes with admissible pairs where no row can emit
+DEAD = [(Target.MAXIMAL_FP2, 19), (Target.MAXIMAL_FP2, 67), (Target.SERRE_FP, 89),
+        (Target.SERRE_FP, 181)]
+
+
+@pytest.mark.parametrize("target,p,part", [
+    *((target, p, None) for target, p in DEAD[:3]),
+    *((Target.SERRE_FP, 181, part) for part in range(4)),
+], ids=[f"{t.value}-{p}" for t, p in DEAD[:3]] + [f"serre-fp-181-k%4={i}" for i in range(4)])
+def test_whole_pairs_at_dead_primes_match_the_scalar_kernel(monkeypatch, target, p, part):
+    # The chunk with a2 = 0 and a3 = 1 pinned and a1 = 1 - k has one pair,
+    # and its cross-ratio cr(a1, a2, a3, infinity) = (a1 - a3) / (a2 - a3)
+    # is k, for each k outside {0, 1}.  No row can emit here, so without a
+    # quota the pair is counted whole from its k and lists no row and no
+    # root.  The scalar kernel takes about 30 ms a chunk at p = 181, so
+    # there the k are split in four parts by k mod 4.
+    listed = _record(monkeypatch, "_pair_rows")
+    rooted = _record(monkeypatch, "_row_roots")
+    cfg = SearchConfig(p, p, target, fixed=(("a2", 0), ("a3", 1)))
+    for k in range(2, p):
+        if part is None or k % 4 == part:
+            _same_chunk(p, cfg, (1 - k) % p, None)
+    assert search_engine._pair_tuples(p, target) is not None
+    assert not listed and not rooted
+
+
+@pytest.mark.parametrize("target,p", [*DEAD, (Target.MAXIMAL_FP2, 23)],
+                         ids=lambda v: getattr(v, "value", v))
+def test_quotas_at_pair_boundaries(quick_confirm, monkeypatch, target, p):
+    # With a4 and a5 free every pair holds (p - 3)(p - 4) probes.  Quotas
+    # one short of i pairs, of exactly i pairs and one past, for i = 1, 2,
+    # cut the i-th pair or the next one in its first row.  At a dead prime
+    # the pairs before the cut are counted whole, so only the cut pair lists
+    # its rows; at maximal-fp2 p = 23, where some rows emit, every pair the
+    # chunk reaches lists them.  Every chunk below 30, else the first two of
+    # each order.
+    listed = _record(monkeypatch, "_pair_rows")
+    dead = (target, p) in DEAD
+    size = (p - 3) * (p - 4)
+    for seed in (None, 3):
+        cfg = SearchConfig(p, p, target, seed=seed)
+        for a1 in _visit_orders(p, cfg)[0][:None if p < 30 else 2]:
+            for i in (1, 2):
+                for quota in (i * size - 1, i * size, i * size + 1):
+                    listed.clear()
+                    _same_chunk(p, cfg, a1, quota)
+                    reached = i + (quota >= i * size)
+                    assert len(listed) == (1 if dead else reached), (seed, a1, quota)
+    assert (search_engine._pair_tuples(p, target) is None) == (not dead)
+
+
+def test_an_uncapped_chunk_at_a_dead_prime_counts_whole_pairs():
+    # serre-fp has admissible pairs at 181 but no row that can emit, so each
+    # of the 179 * 178 pairs of the chunk is counted whole; counting its
+    # rows one by one took about 0.45 s
+    t0 = time.perf_counter()
+    hits, stats = run_search(SearchConfig(181, 181, Target.SERRE_FP, fixed=(("a1", 0),),
+                                          max_hits=10**6))
+    assert time.perf_counter() - t0 < 0.25
+    assert (len(hits), stats.tuples) == (0, 501120)
 
 
 @pytest.mark.parametrize("target,p,kinds", [
@@ -379,7 +448,7 @@ def test_frame_roots_match_the_linear_solve(case):
     (Target.SERRE_FP, 1187, 10_000, 1),
     (Target.MAXIMAL_FP2, 1031, 1031, None),
 ], ids=["scan-181", "tiny-1187", "unseeded-1031"])
-def test_small_quotas_take_a_few_block_passes_per_prime(target, p, max_candidates, seed):
+def test_small_quotas_take_a_few_pairs_per_prime(target, p, max_candidates, seed):
     """The benchmark's scan settings at p = 181, a tiny quota at p = 1187
     (ten probes per chunk) and one probe per chunk in the unseeded order,
     where every chunk skips its first a3, which equals its first a2: the

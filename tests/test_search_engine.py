@@ -267,13 +267,16 @@ def test_class_masks_match_predicates(target):
 
 
 def test_per_prime_caches_are_bounded():
-    """_tables, _class_masks and _row_tallies hold the current prime only,
-    the shared per-prime tables at most TABLE_CACHE primes, fewer than this
-    search visits."""
+    """_tables, _class_masks, _row_tallies and _pair_tuples hold the current
+    prime only, the shared per-prime tables at most TABLE_CACHE primes,
+    fewer than the first search visits.  Its quota of one probe cuts every
+    pair, so the uncapped second search looks up _pair_tuples, at seven
+    primes with admissible pairs."""
     run_search(SearchConfig(3, 300, "maximal-fp2", max_candidates=1, fixed=(("a1", 0),)))
     assert len(primes_in(3, 300)) > TABLE_CACHE
+    run_search(SearchConfig(19, 67, "maximal-fp2", max_hits=1, fixed=(("a1", 0),)))
     for cached in (search_engine._tables, search_engine._class_masks,
-                   search_engine._row_tallies):
+                   search_engine._row_tallies, search_engine._pair_tuples):
         assert cached.cache_info().currsize == 1
     for cached in (residue_tables, legendre_traces, hasse_poly_coeffs):
         assert cached.cache_info().maxsize == TABLE_CACHE
