@@ -23,6 +23,7 @@ from .field_arith import (
     build_extension,
     legendre_symbol,
     prime_modulus,
+    require_ints,
     residue_tables,
 )
 
@@ -89,6 +90,8 @@ class HyperellipticModel:
 
     @classmethod
     def from_ints(cls, p: int, alpha: int, roots) -> "HyperellipticModel":
+        roots = tuple(roots)
+        require_ints(p, alpha, *roots)
         mod = prime_modulus(p)
         return cls(mod=mod, alpha=mod(alpha), roots=tuple(mod(r) for r in roots))
 
@@ -101,40 +104,35 @@ class HyperellipticModel:
         return (self.degree - 1) // 2
 
 
-def _mul(a, b, poly, p):
-    """Product of coefficient vectors a, b (c_0 first) in F_p[x] modulo the
-    monic x^k + poly[k-1] x^(k-1) + .. + poly[0].  Coefficients may be ints
-    or int64 arrays; p < 2^20 keeps every partial sum below 2^45."""
-    k = len(poly)
-    d = [0] * (2 * k - 1)
-    for i in range(k):
-        for j in range(k):
-            d[i + j] = d[i + j] + a[i] * b[j]
-    # x^i = x^(i-k) * x^k = -x^(i-k) * (poly[0] + .. + poly[k-1] x^(k-1))
-    for i in range(2 * k - 2, k - 1, -1):
-        c = d[i] % p
-        for j in range(k):
-            d[i - k + j] = d[i - k + j] - c * poly[j]
-    return [c % p for c in d[:k]]
-
-
 @functools.lru_cache(maxsize=1)
 def _char_table(p: int, k: int) -> np.ndarray:
     """int8 quadratic character of F_{p^k}, indexed by c_0 + c_1 p (+ c_2 p^2):
-    1 on nonzero squares, -1 on non-squares, 0 at zero.  x and -x have one
-    square, so only x whose top nonzero coefficient c_i is at most (p-1)/2,
-    the indices [p^i, (p+1)/2 p^i), are squared.  Built in blocks, so no
-    temporary has q entries; cached for the current field only."""
-    q = p ** k
-    table = np.full(q, -1, dtype=np.int8)
-    poly = build_extension(p, k).poly
-    for top in range(k):
-        hi = (p + 1) // 2 * p ** top
-        for lo in range(p ** top, hi, _BLOCK):
-            idx = np.arange(lo, min(lo + _BLOCK, hi), dtype=np.int64)
-            u = [idx // p ** i % p for i in range(k)]
-            table[sum(c * p ** i for i, c in enumerate(_mul(u, u, poly, p)))] = 1
-    table[0] = 0
+    1 on nonzero squares, -1 on non-squares, 0 at zero.  x is a square iff
+    its norm N(x) = x^(1 + p + .. + p^(k-1)) is one in F_p, as x^((q-1)/2) =
+    N(x)^((p-1)/2).  N is a form in the c_i with coefficients in e1 = -f_{k-1},
+    e2 = f_{k-2}, e3 = -f_0, the symmetric functions of the roots of the
+    defining x^k + f_{k-1} x^(k-1) + .. + f_0.  Built in blocks of the top
+    coefficient, so no temporary has q entries; cached for the current field only."""
+    f = build_extension(p, k).poly
+    e1, e2, e3 = -f[-1] % p, f[-2], -f[0] % p
+    chi, c0 = residue_tables(p).chi.astype(np.int8), np.arange(p, dtype=np.int64)
+    size = p ** (k - 1)  # entries per value of the top coefficient
+    step, table = max(1, _BLOCK // size), np.empty(p ** k, dtype=np.int8)
+    for lo in range(0, p, step):
+        top = np.arange(lo, min(lo + step, p), dtype=np.int64)[:, None]
+        if k == 2:  # N = c0^2 + e1 c0 c1 + e2 c1^2, c1 = top
+            coeffs = (e1 * top, e2 * top % p * top)
+        else:  # N = c0^3 + A c0^2 + B c0 + C, with A, B, C over (c2, c1) = (top, c0)
+            c1, c2 = c0, top
+            coeffs = (e1 * c1 + (e1 * e1 - 2 * e2) % p * c2,
+                      (e2 * c1 + (e1 * e2 - 3 * e3) % p * c2) % p * c1
+                      + (e2 * e2 - 2 * e1 * e3) % p * c2 % p * c2,
+                      e3 * (((c1 + e1 * c2) % p * c1 + e2 * c2 % p * c2) % p * c1
+                            + e3 * c2 % p * c2 % p * c2) % p)
+        n = 1  # Horner in c0 on coefficients in [0, p) stays below 2 p^3 < 2^61
+        for a in coeffs:
+            n = n * c0 + a.reshape(-1, 1) % p
+        table[lo * size : lo * size + n.size] = chi[n % p].ravel()
     table.flags.writeable = False
     return table
 

@@ -66,6 +66,13 @@ def prime_modulus(p: int) -> PrimeModulus:
     return PrimeModulus(p)
 
 
+def require_ints(*values) -> None:
+    """Raise ValueError naming the first operand that is not an int."""
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"parameters must be integers, got {v!r}")
+
+
 class FieldElement:
     """A canonical residue in [0, p)."""
 
@@ -213,23 +220,18 @@ def sqrt_mod_p(a: FieldElement) -> FieldElement:
 # extensions of degree 2 and 3
 
 
-def _poly_eval_monic(coeffs: tuple[int, ...], x: int, p: int) -> int:
-    acc = 1
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree k, coefficients scanned in
     lexicographic order from the x^(k-1) coefficient down to the constant.
-
-    For k in {2, 3} irreducibility is equivalent to having no root in F_p.
-    """
+    For k in {2, 3} irreducibility is equivalent to having no root in F_p,
+    checked at every x at once by Horner's rule."""
+    x = np.arange(p, dtype=np.int64)
     for high_first in itertools.product(range(p), repeat=k):
-        cand = high_first[::-1]
-        if all(_poly_eval_monic(cand, x, p) != 0 for x in range(p)):
-            return cand
+        value = np.ones(p, dtype=np.int64)
+        for c in high_first:
+            value = (value * x + c) % p
+        if value.all():
+            return high_first[::-1]
     raise RuntimeError("no irreducible polynomial found")  # cannot happen
 
 
@@ -239,9 +241,9 @@ class ExtensionField:
 
     poly holds the low-order coefficients (c_0, .., c_{k-1}) of the modulus
     x^k + c_{k-1} x^{k-1} + .. + c_0, chosen deterministically, so two builds
-    of the same field agree.  Elements are coefficient vectors; the only
-    arithmetic on them is the vectorised kernel of the direct counting oracle
-    in curve_models.
+    of the same field agree.  Elements are coefficient vectors; the direct
+    counting oracle in curve_models does no arithmetic on them, and reads
+    the quadratic character off the norm form these coefficients define.
     """
 
     base: PrimeModulus
@@ -254,15 +256,8 @@ class ExtensionField:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_extension_cached(p: int, k: int) -> ExtensionField:
-    mod = prime_modulus(p)
-    poly = _find_irreducible(p, k)
-    return ExtensionField(mod, k, poly)
-
-
-def build_extension(mod: Union[PrimeModulus, int], k: int) -> ExtensionField:
+def build_extension(p: int, k: int) -> ExtensionField:
     """F_{p^k} for k in {2, 3}, with a deterministically chosen modulus poly."""
     if k not in (2, 3):
         raise ValueError(f"extension degree must be 2 or 3, got {k}")
-    p = mod.p if isinstance(mod, PrimeModulus) else int(mod)
-    return _build_extension_cached(p, k)
+    return ExtensionField(prime_modulus(p), k, _find_irreducible(p, k))

@@ -22,7 +22,9 @@ import numpy as np
 
 from . import curve_models
 from .errors import HasseViolation, HypothesisViolated, InexactTraces
-from .field_arith import TABLE_CACHE, FieldElement, PrimeModulus, prime_modulus, residue_tables
+from .field_arith import (
+    TABLE_CACHE, FieldElement, PrimeModulus, prime_modulus, require_ints, residue_tables,
+)
 
 
 class Target(Enum):
@@ -72,6 +74,7 @@ class LegendreCurve:
 
     @classmethod
     def from_ints(cls, p: int, theta: int, lam: int) -> "LegendreCurve":
+        require_ints(p, theta, lam)
         mod = prime_modulus(p)
         return cls(mod=mod, theta=mod(theta), lam=mod(lam))
 
@@ -113,12 +116,15 @@ def hasse_poly_eval(mod: PrimeModulus, lam: FieldElement) -> FieldElement:
 def legendre_traces(p: int) -> np.ndarray:
     """Read-only int64 array t[v] = -sum_x chi(x (x - 1)) chi(x - v), v in
     [0, p), the trace of y^2 = x (x - 1) (x - v) for v not in {0, 1}: one
-    cyclic cross-correlation of two +-1 vectors by a real FFT pair, rounded.
-    Raises InexactTraces when a sum lies 1/4 or more from an integer or a
-    trace breaks the Hasse bound."""
+    cyclic cross-correlation of two +-1 vectors by a real FFT pair of
+    power-of-two length, rounded.  Raises InexactTraces when a sum lies 1/4
+    or more from an integer or a trace breaks the Hasse bound."""
     chi = residue_tables(p).chi
-    # s[v] = sum_x g[x] chi[x - v] with g[x] = chi[x] chi[x - 1]
-    s = np.fft.irfft(np.fft.rfft(chi * np.roll(chi, 1)) * np.conj(np.fft.rfft(chi)), n=p)
+    # s[v] = sum_x g[x] chi[x - v] with g[x] = chi[x] chi[x - 1]; x - v + p
+    # lies in [1, 2p), so s[v] is lag p - v of g against chi repeated twice
+    n = 1 << (2 * p - 1).bit_length()
+    g_hat = np.fft.rfft(chi * np.roll(chi, 1), n)
+    s = np.fft.irfft(np.conj(g_hat) * np.fft.rfft(np.concatenate((chi, chi)), n), n)[p:0:-1]
     t = -np.rint(s).astype(np.int64)
     if np.abs(s + t).max() >= 0.25 or (t * t).max() > 4 * p:
         raise InexactTraces(f"the trace table at p={p} is not exact")

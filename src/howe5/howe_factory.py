@@ -26,7 +26,9 @@ from .errors import (
     NonSquareObstruction,
     ValidationError,
 )
-from .field_arith import FieldElement, PrimeModulus, legendre_symbol, prime_modulus, sqrt_mod_p
+from .field_arith import (
+    FieldElement, PrimeModulus, legendre_symbol, prime_modulus, require_ints, sqrt_mod_p,
+)
 from .hasse_serre import LegendreCurve, Target, zeta_lift
 
 
@@ -52,9 +54,7 @@ class HoweParams:
         """The parameters with these residues; ValueError names an operand
         that is not an int."""
         a, b = tuple(a), tuple(b)
-        for v in (p, alpha1, alpha2, *a, *b):
-            if not isinstance(v, int):
-                raise ValueError(f"parameters must be integers, got {v!r}")
+        require_ints(p, alpha1, alpha2, *a, *b)
         mod = prime_modulus(p)
         return cls(
             mod=mod,

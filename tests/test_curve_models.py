@@ -2,6 +2,7 @@
 naive enumerator from conftest."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from conftest import naive_count_ext, naive_count_fp
 from howe5.curve_models import (
     COUNT_CAP,
     _char_table,
-    _mul,
     CountMethod,
     HyperellipticModel,
     PointCount,
@@ -19,7 +19,9 @@ from howe5.curve_models import (
     weil_interval,
 )
 from howe5.errors import CapExceeded, HasseViolation, Howe5Error
-from howe5.field_arith import build_extension
+from howe5.field_arith import build_extension, is_prime, residue_tables
+from howe5.hasse_serre import LegendreCurve
+from square_reference import mul
 
 
 class TestModelConstruction:
@@ -44,6 +46,19 @@ class TestModelConstruction:
         # 3 through 6 roots all fine
         for d in range(3, 7):
             HyperellipticModel.from_ints(11, 4, tuple(range(d)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: HyperellipticModel.from_ints(11, 2.5, (1, 2, 3)),
+        lambda: HyperellipticModel.from_ints(11, 2, (1, 2.0, 3)),
+        lambda: HyperellipticModel.from_ints(11.0, 2, (1, 2, 3)),
+        lambda: LegendreCurve.from_ints(11, 3, 4.0),
+        lambda: LegendreCurve.from_ints(11, "3", 4),
+        lambda: LegendreCurve.from_ints(11.0, 3, 4),
+    ], ids=["float-alpha", "float-root", "float-prime", "float-lambda", "str-theta",
+            "float-prime-legendre"])
+    def test_from_ints_rejects_non_integers(self, build):
+        with pytest.raises(ValueError, match="parameters must be integers"):
+            build()
 
     def test_genus(self):
         gs = {3: 1, 4: 1, 5: 2, 6: 2}
@@ -112,17 +127,30 @@ def test_count_matches_naive_enumeration(data, p, j):
     assert count_points(m, j).count == want
 
 
-@pytest.mark.parametrize("p,k", [(5, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(3, 60) if is_prime(p) for k in (2, 3)])
 def test_char_table_squares_every_element(p, k):
-    """The table built from one of each pair {x, -x} against squaring every
-    element of F_{p^k}."""
+    """The table read off the norm form against squaring every element of
+    F_{p^k}, at every odd prime below 60."""
     q = p ** k
     idx = np.arange(q, dtype=np.int64)
     u = [idx // p ** i % p for i in range(k)]
     want = np.full(q, -1, dtype=np.int8)
-    want[sum(c * p ** i for i, c in enumerate(_mul(u, u, build_extension(p, k).poly, p)))] = 1
+    want[sum(c * p ** i for i, c in enumerate(mul(u, u, build_extension(p, k).poly, p)))] = 1
     want[0] = 0
     assert np.array_equal(_char_table(p, k), want)
+
+
+def test_char_table_has_no_field_sized_temporary():
+    """Built in blocks: the build peaks below one int64 array of q entries."""
+    p, k = 97, 3
+    residue_tables(p), build_extension(p, k)  # cached, so the peak is the build's
+    tracemalloc.start()
+    try:
+        table = _char_table.__wrapped__(p, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == p ** k and peak < 8 * p ** k
 
 
 class TestCapAndErrors:

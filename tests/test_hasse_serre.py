@@ -106,6 +106,16 @@ class TestLegendreTraces:
         for v in random.Random(7).sample(range(2, p), 4):
             assert int(t[v]) == _direct_trace(p, chi, v)
 
+    @pytest.mark.parametrize("p", [509, 521, 1021, 1031, 2039, 2053])
+    def test_matches_direct_trace_across_padded_lengths(self, p):
+        """Primes on both sides of a step in the power-of-two transform
+        length (1024, 2048, 4096, 8192): the end lags v = 0, 1, p - 1 and
+        a sample of the others."""
+        chi = _chi_by_squares(p)
+        t = legendre_traces(p)
+        for v in (0, 1, p - 1, *random.Random(p).sample(range(2, p - 1), 12)):
+            assert int(t[v]) == _direct_trace(p, chi, v), v
+
     def test_read_only(self):
         with pytest.raises(ValueError):
             legendre_traces(11)[2] = 0

@@ -127,7 +127,7 @@ def test_kernel_matches_scalar_oracle_past_the_first_pair(quick_confirm, target)
     (Target.SERRE_FP, 173, (1, 169, 1200)),
     (Target.SERRE_FP3, 13, (1, 9, 80, None)),
 ], ids=lambda v: getattr(v, "value", v))
-def test_windowed_kernel_matches_scalar_oracle_on_every_chunk(
+def test_kernel_matches_scalar_oracle_on_every_chunk(
         quick_confirm, target, p, quotas, fixed):
     # Every chunk of the prime, in a1 order as enumerate_hits scans them.  A
     # pair's rows are listed by walking them when the quota reaches fewer
