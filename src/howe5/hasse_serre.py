@@ -7,8 +7,9 @@ by theta has trace chi(theta) t.  Each bound target, over F_{p^j}, is one
 rule: lift_trace(chi(theta) t, p, j) = -floor(2 sqrt(p^j)).  The predicates,
 the paper's per-curve criteria, decide the same from congruences mod p; Target
 is the one definition of each target, its degree j, the least prime its
-predicate decides from, and the predicate over all five factors.  The
-zeta-recursion lift turns an exact count over F_p into counts over F_{p^j}.
+predicate decides from, the traces a passing factor can have (goal_traces)
+and the predicate over all five factors.  The zeta-recursion lift turns an
+exact count over F_p into counts over F_{p^j}.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ class Target(Enum):
     def min_prime(self) -> int:
         """The least p at which the predicate decides attainment."""
         return (17, 3, 11)[self.degree - 1]
+
+    def goal_traces(self, p: int) -> tuple[int, ...]:
+        """The traces t over F_p, t^2 <= 4p, that a factor passing the target
+        can have: lift_trace(t, p, j) = -floor(2 sqrt(p^j)), and 4 divides p
+        + 1 - t, since the factor's 2-torsion points 0, 1 and lambda are
+        rational.  Empty when no factor at p passes, so no curve attains
+        the target there.  O(sqrt(p)) work, no table."""
+        j, bound = self.degree, math.isqrt(4 * p)
+        goal = -floor_two_sqrt(p ** j)
+        return tuple(t for t in range(-bound, bound + 1)
+                     if lift_trace(t, p, j) == goal and (p + 1 - t) % 4 == 0)
 
     def attained(self, curves: tuple[LegendreCurve, ...]) -> bool | None:
         """Whether all five factors pass the predicate; None below min_prime.

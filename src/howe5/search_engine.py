@@ -41,9 +41,12 @@ scan one probe at a time would.
 
 A prime without admissible pairs has no survivor, and most primes have
 none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
-for maximal-fp2 and 404 of 426 in [11, 3000] for serre-fp3.  Its chunks
-are counted, not scanned (_count_chunks): a slot pinned to a value not
-taken yet takes that one value and a free slot any residue not taken yet,
+for maximal-fp2 and 404 of 426 in [11, 3000] for serre-fp3.  Most of them
+are known from p alone, before any per-prime table is built: 308 of the
+343, 211 of the 213 and all 404 have no goal trace (Target.goal_traces),
+no trace that lifts to the bound and leaves 4 | p + 1 - t.  Its chunks are
+counted, not scanned (_count_chunks): a slot pinned to a value not taken
+yet takes that one value and a free slot any residue not taken yet,
 so rows and probes are falling factorials (_fill), and the row where the
 quota cuts is a closed form, or a descent over the a2, a3 and a4 orders
 when a5 is pinned.  The chunk whose a1 is the pinned a5, which has no
@@ -73,8 +76,8 @@ from typing import Iterator, NamedTuple, Optional, TextIO, Union
 import numpy as np
 
 from . import howe_factory
-from .field_arith import PRIME_CAP, is_prime, legendre_symbol, residue_tables
-from .hasse_serre import Target, floor_two_sqrt, legendre_traces, lift_trace, serre_bound
+from .field_arith import PRIME_CAP, is_prime, legendre_symbol, require_ints, residue_tables
+from .hasse_serre import Target, legendre_traces, serre_bound
 from .howe_factory import HoweParams
 from .tables import EXPECTED_HEADER
 
@@ -87,7 +90,10 @@ CSV_HEADER = ",".join(EXPECTED_HEADER)
 class SearchConfig:
     """Search settings.  max_candidates caps (a1..a5) probes per prime,
     split into equal per-chunk quotas; max_hits caps emitted hits per prime.
-    fixed pins enumerated slots to constants, e.g. (("a1", 2), ("a2", 1))."""
+    fixed pins enumerated slots to constants, e.g. (("a1", 2), ("a2", 1)),
+    and is kept as a tuple of pairs.  Bounds, caps, pins and the seed must
+    be ints: a config compares equal to one with 1.0 for 1, so a float
+    would share its cached visit orders but draw others in a new process."""
 
     p_min: int
     p_max: int
@@ -100,6 +106,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", Target(self.target))
+        try:
+            fixed = tuple((slot, value) for slot, value in self.fixed)
+        except (TypeError, ValueError):
+            raise ValueError(f"fixed must hold (slot, value) pairs, got {self.fixed!r}") from None
+        object.__setattr__(self, "fixed", fixed)
+        require_ints(self.p_min, self.p_max, *(value for _, value in fixed), *(
+            v for v in (self.max_candidates, self.max_hits, self.seed) if v is not None))
         if self.p_min > self.p_max:
             raise ValueError(f"empty prime range [{self.p_min}, {self.p_max}]")
         if self.p_max >= PRIME_CAP:
@@ -177,11 +190,12 @@ def _tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], 
 def _class_masks(p: int, target: Target) -> tuple[int, ...]:
     """mask[v]: bit 1 set when lambda=v is admissible with chi(theta)=+1,
     bit 2 with chi(theta)=-1.  Entries 0 and 1 are always 0.  The factor's
-    trace is chi(theta) t[v]; it is admissible when its lift to F_{p^j}
-    is -floor(2 sqrt(p^j)), j the target's degree."""
-    t, j = legendre_traces(p), target.degree
-    goal = -floor_two_sqrt(p ** j)
-    mask = (lift_trace(t, p, j) == goal) + 2 * (lift_trace(-t, p, j) == goal)
+    trace is chi(theta) t[v]; it is admissible when it is one of the
+    target's goal traces."""
+    t = legendre_traces(p)
+    mask = np.zeros(p, dtype=np.int64)
+    for goal in target.goal_traces(p):
+        mask |= (t == goal) + 2 * (t == -goal)
     mask[:2] = 0
     return tuple(mask.tolist())
 
@@ -263,7 +277,11 @@ def _admissible_pairs(p: int, target: Target) -> dict[int, tuple[tuple[int, int]
     is (2r + 1 - w)^2 = d = 1 + w^2 - (lam1+lam2).  Every admissible (a, b) so
     comes from an unordered pair lam1 != lam2 with a common mask bit and a
     root w of lam1 lam2; of the (a, b) found, the forward formula keeps
-    those it accepts, so B is exact."""
+    those it accepts, so B is exact.  A prime without goal traces has no
+    admissible lambda, so its table is empty without any per-prime table
+    being built."""
+    if not target.goal_traces(p):
+        return {}
     t = residue_tables(p)
     mask = np.array(_class_masks(p, target), dtype=np.int64)
     lam = np.flatnonzero(mask)

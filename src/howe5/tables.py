@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from .errors import CapExceeded
 from .hasse_serre import Target
 from .howe_factory import HoweParams
 
@@ -21,7 +22,8 @@ EXPECTED_HEADER = ["p", "alpha1", "alpha2", "a1", "a2", "a3", "a4", "a5", "a6", 
 
 
 def parse_rows(text: str, source: str = "<data>") -> list[HoweParams]:
-    """Parse a parameter CSV; errors name the offending line."""
+    """Parse a parameter CSV; errors, a prime past the cap among them, are
+    ValueErrors that name the offending line."""
     rows: list[HoweParams] = []
     lines = text.splitlines()
     if not lines:
@@ -36,7 +38,7 @@ def parse_rows(text: str, source: str = "<data>") -> list[HoweParams]:
         parts = line.split(",")
         try:
             rows.append(HoweParams.from_row(parts))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, CapExceeded) as exc:
             raise ValueError(f"{source}:{ln}: {exc}") from exc
     return rows
 

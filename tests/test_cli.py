@@ -8,6 +8,7 @@ import pytest
 from howe5 import cli, tables
 from howe5.cli import build_parser, main
 from howe5.curve_models import count_points
+from howe5.field_arith import PRIME_CAP
 from howe5.hasse_serre import LegendreCurve
 
 
@@ -91,6 +92,14 @@ class TestVerifyTables:
         args = [a.format(dir=tmp_path) for a in args]
         assert main(["verify-tables", *args]) == 2
         assert capsys.readouterr().err == f"error: {err.format(dir=tmp_path)}\n"
+
+    def test_row_past_the_prime_cap_exits_2(self, tmp_path, capsys):
+        """Like every other bad row, a prime past the cap names its line."""
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(tables.EXPECTED_HEADER) + f"\n{PRIME_CAP},1,1,0,1,2,3,4,5,6,7\n")
+        assert main(["verify-tables", "2", "--data", str(rows)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {rows}:2: modulus {PRIME_CAP} exceeds the cap {PRIME_CAP}\n")
 
     def test_data_needs_table_number(self, capsys):
         """Rows read with --data are checked against one claimed target,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_ext, naive_count_fp
-from howe5 import hasse_serre
+from howe5 import hasse_serre, tables
 from howe5.errors import HasseViolation, HypothesisViolated, InexactTraces
 from howe5.field_arith import FieldElement, is_prime, legendre_symbol, prime_modulus
 from howe5.hasse_serre import (
@@ -203,6 +203,33 @@ class TestTarget:
         assert Target.MAXIMAL_FP2.attained((good,) * 4 + (bad,)) is False
 
 
+class TestGoalTraces:
+    """Target.goal_traces(p): the traces a passing factor can have, the
+    lift rule together with 4 | p + 1 - t, from p alone."""
+
+    def test_values(self):
+        # 499 + 1 + 44 = 4 * 136 and 503 + 1 + 44 = 4 * 137, but 509 + 1 + 45
+        # = 555 is odd
+        assert [Target.SERRE_FP.goal_traces(p) for p in (499, 503, 509)] == [(-44,), (-44,), ()]
+        # the rule over F_p^2 is t = 0, so 4 | p + 1 needs p = 3 mod 4
+        assert [Target.MAXIMAL_FP2.goal_traces(p) for p in (3, 5, 11, 13)] == [(0,), (), (0,), ()]
+        # 6^3 - 3 * 37 * 6 = -450 = -floor(2 sqrt(37^3)), and 37 + 1 - 6 = 32
+        assert Target.SERRE_FP3.goal_traces(37) == (6,)
+        assert floor_two_sqrt(37 ** 3) == 450
+
+    @pytest.mark.parametrize("target,ruled_out,primes", [
+        (Target.SERRE_FP, 308, 424), (Target.MAXIMAL_FP2, 211, 429), (Target.SERRE_FP3, 404, 426),
+    ])
+    def test_primes_ruled_out_up_to_3000(self, target, ruled_out, primes):
+        ps = [p for p in range(target.min_prime, 3001) if is_prime(p)]
+        assert (sum(not target.goal_traces(p) for p in ps), len(ps)) == (ruled_out, primes)
+
+    def test_every_bundled_row_passes_its_tables_congruence(self):
+        for n, target in tables.TABLE_TARGETS.items():
+            for params in tables.load_table(n):
+                assert target.goal_traces(params.mod.p), (n, params.mod.p)
+
+
 class TestSerreBound:
     def test_floor_two_sqrt_exact(self):
         assert floor_two_sqrt(499) == 44
@@ -394,6 +421,13 @@ class TestTraceSequence:
 
 
 class TestMod4:
+    @pytest.mark.parametrize("p", [11, 13, 179, 181, 499, 1187])
+    def test_traces_and_twists_leave_p_plus_one_divisible_by_4(self, p):
+        """Both y^2 = x (x-1) (x-lambda) and its twist have the 2-torsion
+        points 0, 1 and lambda, so 4 | p + 1 -+ t[lambda]."""
+        t = legendre_traces(p)[2:]
+        assert not ((p + 1 - t) % 4).any() and not ((p + 1 + t) % 4).any()
+
     def test_holds_for_samples(self):
         """Full rational 2-torsion forces 4 | N over every extension."""
         rng = random.Random(23)

@@ -12,8 +12,10 @@ from howe5.hasse_serre import (
     LegendreCurve,
     attains_serre_fp,
     attains_serre_fp3,
+    floor_two_sqrt,
     hasse_poly_coeffs,
     legendre_traces,
+    lift_trace,
     maximal_fp2,
 )
 from howe5.howe_factory import DecompositionReport, HoweParams, direct_counts, serre_verdicts, validate
@@ -129,6 +131,25 @@ class TestSearchConfig:
     def test_caps_must_be_positive(self, cap):
         with pytest.raises(ValueError):
             SearchConfig(p_min=11, p_max=11, target="maximal-fp2", **cap)
+
+    def test_fixed_is_kept_as_a_tuple_of_pairs(self):
+        """A list of pins, or pins given as lists, is hashable once kept, so
+        the per-prime caches keyed on the configuration take it."""
+        cfg = SearchConfig(11, 13, "maximal-fp2", max_candidates=100, fixed=[["a1", 0], ("a2", 1)])
+        assert cfg.fixed == (("a1", 0), ("a2", 1))
+        same = SearchConfig(11, 13, "maximal-fp2", max_candidates=100, fixed=(("a1", 0), ("a2", 1)))
+        assert cfg == same and hash(cfg) == hash(same)
+        assert run_search(cfg)[1].probes == run_search(same)[1].probes > 0
+
+    @pytest.mark.parametrize("bad", [
+        {"fixed": (("a1", 0.5),)}, {"fixed": (("a5", "3"),)},
+        {"max_candidates": 10.5}, {"max_hits": 2.0},
+        {"p_min": 11.0}, {"p_max": "13"}, {"seed": 1.0},
+        {"fixed": ("a1", 0)}, {"fixed": 5},
+    ])
+    def test_non_int_settings_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers|pairs"):
+            SearchConfig(**{"p_min": 11, "p_max": 13, "target": "maximal-fp2", **bad})
 
     def test_smallest_caps_accepted(self):
         SearchConfig(p_min=11, p_max=11, target="maximal-fp2",
@@ -264,6 +285,83 @@ def test_class_masks_match_predicates(target):
                 assert bool(mask[v] & bit) == admissible, (p, theta, v)
                 seen |= bit if admissible else 0
     assert seen == 3  # both twist classes occur, so the check is not vacuous
+
+
+def _lift_mask(p: int, target: Target) -> tuple[int, ...]:
+    """The class masks by the lift rule alone, without the congruence: bit 1
+    where t[v] lifts to -floor(2 sqrt(p^j)), bit 2 where -t[v] does."""
+    t, j = legendre_traces(p), target.degree
+    goal = -floor_two_sqrt(p ** j)
+    mask = (lift_trace(t, p, j) == goal) + 2 * (lift_trace(-t, p, j) == goal)
+    mask[:2] = 0
+    return tuple(mask.tolist())
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_class_masks_equal_the_lift_rule(target):
+    for p in primes_in(target.min_prime, 400):
+        assert _class_masks(p, target) == _lift_mask(p, target), p
+
+
+@pytest.mark.parametrize("target,passing_without_pairs", [
+    (Target.SERRE_FP, [19, 29, 53, 67, 71, 103, 107, 151, 173, 199, 229, 263, 293, 331, 487,
+                       491, 683, 733, 787, 907, 1031, 1093, 1163, 1229, 1303, 1373, 1447,
+                       1451, 1607, 2029, 2213, 2311, 2503, 2707, 2711]),
+    (Target.MAXIMAL_FP2, [3, 7]),
+    (Target.SERRE_FP3, []),
+])
+def test_congruence_rules_out_only_primes_without_admissible_lambdas(target, passing_without_pairs):
+    """Up to 3000, a prime without goal traces has no admissible lambda by
+    the lift rule alone, so the congruence drops no prime that has one.  Of
+    the primes that pass it few have no admissible pairs: 35 for serre-fp,
+    so the congruence decides 308 of its 343 empty primes, maximal-fp2's 3
+    and 7, and none for serre-fp3."""
+    passing = []
+    for p in primes_in(target.min_prime, 3000):
+        if not target.goal_traces(p):
+            assert not any(_lift_mask(p, target)) and not any(_class_masks(p, target)), p
+        elif not search_engine._admissible_pairs(p, target):
+            passing.append(p)
+    assert passing == passing_without_pairs
+
+
+class TestRuledOutPrimes:
+    """A prime without goal traces is counted (_count_chunks) before any
+    per-prime table is built."""
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError(f"a per-prime table was built at p={p}")
+
+        for module in (search_engine, hasse_serre):
+            for name in ("legendre_traces", "residue_tables"):
+                monkeypatch.setattr(module, name, refuse)
+        for cached in (search_engine._tables, search_engine._class_masks,
+                       search_engine._admissible_pairs, search_engine._scan_arrays):
+            cached.cache_clear()
+
+    # hunt's primes p = 1 mod 4, scan's 179 and 191, and every prime of
+    # [11, 60] but 37 for serre-fp3
+    SEARCHES = ([("maximal-fp2", p) for p in (5, 13, 17, 29, 37, 41)]
+                + [("serre-fp", 179), ("serre-fp", 191)]
+                + [("serre-fp3", p) for p in (11, 13, 17, 19, 23, 29, 31, 41, 43, 47, 53, 59)])
+
+    @pytest.mark.parametrize("settings", [
+        {"max_candidates": 100_000, "seed": 3},
+        {},
+        {"max_candidates": 1000, "seed": 3, "fixed": (("a5", 4),)},
+    ], ids=["capped", "uncapped", "a5-pinned"])
+    def test_counted_without_tables(self, no_tables, settings):
+        for target, p in self.SEARCHES:
+            cfg = SearchConfig(p, p, target, **settings)
+            assert not cfg.target.goal_traces(p)
+            hits, stats = run_search(cfg)
+            quota = None if cfg.max_candidates is None else -(-cfg.max_candidates // p)
+            want = search_engine._count_chunks(p, cfg, range(p), quota)
+            got = (stats.prefixes, stats.probes, stats.tuples, stats.confirm_failures,
+                   stats.truncated)
+            assert (hits, stats.primes, got) == ([], 1, want), (target, p)
 
 
 def test_per_prime_caches_are_bounded():
