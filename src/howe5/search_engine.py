@@ -27,17 +27,20 @@ roots are its table entries mapped back to roots.  A pair lists those rows
 from the smaller side (_pair_rows): it walks the rows the quota reaches
 when they are fewer than the table's a values, else it maps each table a
 back to its a4.  The b5 filter reads the same roots, since b5 enters the
-conditions through the same map as a5; only the candidates that pass go
-through the scalar remainder (lambda5, twist classes, and for a candidate
-emitted a6, b6 and confirmation).  Whether a row can emit depends on its
-a alone, except that k drops the (b, c) with k in {b, c, d, e}; so each
-table a is tallied once (_row_tally), and a row whose a cannot emit is
-counted, not scanned, when the quota does not cut inside it and a5 and b5
-are free.  At a prime where no a can emit, a pair the quota does not cut,
-with a4, a5 and b5 free, is counted whole: its rows take every a but 0, 1
-and k once, so its tuples depend on k alone (_pair_tuples).  Probes are
-counted by index, so a chunk's quota cuts its scan at the same probe as a
-scan one probe at a time would.
+conditions through the same map as a5.  Every other check of a row's (b,
+c) (d, e, lambda5 and the twist classes) depends on its a alone, except
+that k drops the (b, c) with k in {b, c, d, e}.  So one funnel per table
+a applies them once (_row_funnel): the (b, c) that pass, their count n,
+hist[v] of them with v in {b, c, d, e}, and whether one has twists to
+emit (live).  A row whose a is not live is counted, not scanned, when the
+quota does not cut inside it and a5 and b5 are free: it holds n - hist[k]
+tuples.  Every other row walks its funnel's passing (b, c) at their roots
+in the a5 and b5 orders, and only a tuple with twists derives a6, b6 and
+the twists and goes to confirmation.  At a prime where no a is live, a
+pair the quota does not cut, with a4, a5 and b5 free, is counted whole:
+its rows take every a but 0, 1 and k once, so its tuples depend on k
+alone (_pair_tuples).  Probes are counted by index, so a chunk's quota
+cuts its scan at the same probe as a scan one probe at a time would.
 
 A prime without admissible pairs has no survivor, and most primes have
 none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
@@ -67,9 +70,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import random
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, TextIO, Union
 
@@ -93,7 +98,8 @@ class SearchConfig:
     fixed pins enumerated slots to constants, e.g. (("a1", 2), ("a2", 1)),
     and is kept as a tuple of pairs.  Bounds, caps, pins and the seed must
     be ints: a config compares equal to one with 1.0 for 1, so a float
-    would share its cached visit orders but draw others in a new process."""
+    would share its cached visit orders but draw others in a new process.
+    time_budget is in seconds, a real number but not a bool or NaN."""
 
     p_min: int
     p_max: int
@@ -127,9 +133,14 @@ class SearchConfig:
                 raise ValueError(f"cannot pin slot {slot!r}")
             if any(slot == earlier for earlier, _ in self.fixed[:i]):
                 raise ValueError(f"slot {slot!r} is pinned more than once")
+        budget = self.time_budget
+        if budget is not None and (isinstance(budget, bool)
+                                   or not isinstance(budget, numbers.Real)):
+            raise ValueError(f"time_budget must be a number of seconds, got {budget!r}")
         for cap, least in (("max_candidates", 1), ("max_hits", 1), ("time_budget", 0)):
             value = getattr(self, cap)
-            if value is not None and value < least:
+            # not value >= least, so that a NaN budget fails too
+            if value is not None and not value >= least:
                 raise ValueError(f"{cap} must be at least {least}, got {value}")
 
     def fixed_value(self, slot: str) -> Optional[int]:
@@ -392,20 +403,10 @@ def _from_frame(p: int, inv, a1: int, a2: int, k: int, y: int) -> int:
     return (k * a2 - y * a1) * inv[(k - y) % p] % p
 
 
-def _row_roots(p: int, a1: int, a2: int, k: int, entry: tuple) -> list:
-    """A row's admissible fifth roots, for the row (a1, a2, ...) with k =
-    (a1-a3)/(a2-a3) and table entry entry = _admissible_pairs(p, target)[a]:
-    the (x, bits, b) with b the cross-ratio of x.  The table holds no b in
-    {0, 1, a}, the images of a2, a3 and a4, and b = k is skipped, so no
-    root is in {a1, a2, a3, a4}."""
-    inv = _tables(p)[0]
-    return [(_from_frame(p, inv, a1, a2, k, b), bits, b) for b, bits in entry if b != k]
-
-
 @functools.lru_cache(maxsize=1)
-def _row_tallies(p: int, target: Target) -> dict:
-    """_row_tally's values at p, each computed the first time a row asks
-    for it.  Cached for the current prime only."""
+def _funnels(p: int, target: Target) -> dict:
+    """_row_funnel's values at p, each filled the first time a row asks for
+    it.  Cached for the current prime only."""
     return {}
 
 
@@ -418,66 +419,67 @@ def _twist_classes(m12: int, m34: int, m5: int, chi5: int) -> list:
             and m5 & (1 if e1 * e2 * chi5 == 1 else 2)]
 
 
-def _row_tally(p: int, target: Target, a: int) -> Optional[tuple[int, dict]]:
-    """What a row with cross-ratio a, an a of _admissible_pairs, can give:
-    None when some (b, c) of its entry passes every check of _scan_chunk's
-    tail that k does not enter, lambda5's mask and, but for maximal-fp2, a
-    twist class pair, so that the row may emit.  Else (n, hist): n counts
-    the (b, c) with d != 1, c not in {b, d} and e not in {1, b}, and
-    hist[v] those of them with v in {b, c, d, e}, four distinct values.
-    The remaining checks drop the (b, c) with k = cr(a1, a2, a3, infinity)
-    in {b, c, d, e}, so a row of the pair with that k holds n -
-    hist.get(k, 0) tuples and no hit when both fifth roots are free.
-    Computed once per a and cached per prime (_row_tallies)."""
-    tallies = _row_tallies(p, target)
-    if a in tallies:
-        return tallies[a]
+def _row_funnel(p: int, target: Target, a: int) -> tuple[int, Counter, list, bool]:
+    """(n, hist, passing, live) for a row with cross-ratio a, an a of
+    _admissible_pairs: every check of a row's (b, c) that k = cr(a1, a2,
+    a3, infinity) does not enter, applied once per a.  passing holds the
+    (b, c, d, e, twists) of the entry's (b, c) with d != 1, c not in {b, d}
+    and e not in {1, b}; twists are the (e1, e2) to emit, empty unless
+    lambda5's mask is nonzero and, but for maximal-fp2, a twist class pair
+    passes.  n = len(passing), hist[v] counts those with v in {b, c, d,
+    e}, four distinct values, and live is whether one has twists.  k drops
+    the (b, c) with k in {b, c, d, e}, so a row of the pair with that k
+    holds n - hist[k] tuples, and no hit unless live.  Filled once per a
+    and cached per prime (_funnels)."""
+    funnels = _funnels(p, target)
+    if a in funnels:
+        return funnels[a]
     inv, _, chi, _ = _tables(p)
     mask = _class_masks(p, target)
     maximal = target is Target.MAXIMAL_FP2
-    entry = _admissible_pairs(p, target)[a]
     frame = a * inv[(1 - a) % p] % p
-    n, hist = 0, {}
-    for b, m12 in entry:
-        d = frame * (1 - b) % p
+    # a6 sits at d = frame (1-b) and b6 at e = frame (1-c)
+    entry = [(b, bits, frame * (1 - b) % p) for b, bits in _admissible_pairs(p, target)[a]]
+    passing = []
+    for b, m12, d in entry:
+        # d = 1 would put a6 at a3
         if d == 1:
             continue
-        for c, m34 in entry:
-            if c == b or c == d:
+        for c, m34, e in entry:
+            # b6 must miss a5, a6 and a3 (e = d, b6 = a6, would need c = b)
+            if c == b or c == d or e == 1 or e == b:
                 continue
-            e = frame * (1 - c) % p
-            if e == 1 or e == b:
-                continue
+            # lambda5 is a cross-ratio, so the frame keeps it, and the fifth
+            # twist class is e1 e2 chi5, where chi5 = chi((b-e)(d-c)(1-b)(1-c))
+            # is chi_u1 chi_u2 chi_w5 of the roots
             den = (b - e) * (d - c) % p
             m5 = mask[(b - c) * (d - e) % p * inv[den] % p]
-            if m5 and (maximal or _twist_classes(m12, m34, m5, chi[den * (1 - b) * (1 - c) % p])):
-                tallies[a] = None
-                return None
-            n += 1
-            for v in (b, c, d, e):
-                hist[v] = hist.get(v, 0) + 1
-    tallies[a] = n, hist
-    return tallies[a]
+            twists = () if not m5 else ((1, 1),) if maximal else _twist_classes(
+                m12, m34, m5, chi[den * (1 - b) * (1 - c) % p])
+            passing.append((b, c, d, e, twists))
+    hist = Counter([v for t in passing for v in t[:4]])
+    funnels[a] = len(passing), hist, passing, any(t[4] for t in passing)
+    return funnels[a]
 
 
 @functools.lru_cache(maxsize=1)
 def _pair_tuples(p: int, target: Target) -> Optional[tuple[int, ...]]:
     """t[k], the tuples of a whole pair with k = cr(a1, a2, a3, infinity),
     at a prime where no row can emit; None when some a of _admissible_pairs
-    may emit (_row_tally), decided at the first such a.  With a4 free a
+    is live (_row_funnel), decided at the first such a.  With a4 free a
     pair's rows take a = cr(a1, a2, a3, a4) at every value but 0, 1 and k
     once, so with a5 and b5 free and no quota cut inside the pair it holds
     the sum over the table's a != k of n - hist[k] and no hit; hist_a[a]
     is 0, since the table holds no b = a.  Cached for the current prime
     only."""
-    tallies = []
+    funnels = []
     for a in _admissible_pairs(p, target):
-        tally = _row_tally(p, target, a)
-        if tally is None:
+        n, hist, _, live = _row_funnel(p, target, a)
+        if live:
             return None
-        tallies.append((a, tally))
-    t = [sum(n for _, (n, _) in tallies)] * p
-    for a, (n, hist) in tallies:
+        funnels.append((a, n, hist))
+    t = [sum(n for _, n, _ in funnels)] * p
+    for a, n, hist in funnels:
         t[a] -= n
         for v, count in hist.items():
             t[v] -= count
@@ -523,14 +525,14 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     probe at a time.  Only the rows whose a has admissible pairs can hold a
     survivor (_pair_rows); a row's admissible fifth roots are the b of its
     table entry mapped back to x (_from_frame), so no filter is evaluated
-    at a root that cannot pass.  The roots in the a5 order, in visit order,
-    are the a5 survivors; the roots in the b5 order, in that order, are the
-    row's b5 candidates.  Each survivor goes through the scalar tail in the
-    frame: d, b5 over the candidates, e, lambda5, the twist classes, and
-    only for a candidate emitted a6, b6 and the twists' square classes.
-    A row whose a cannot emit (_row_tally), with a5 and b5 free and all its
-    probes within the quota, lists no roots: it adds n - hist[k] tuples.
-    At a prime where no row can emit, decided at the chunk's first pair
+    at a root that cannot pass.  A row whose a is not live (_row_funnel),
+    with a5 and b5 free and all its probes within the quota, lists no
+    roots: it adds n - hist[k] tuples.  Every other row keeps its funnel's
+    passing (b, c, d, e) with k not among them whose b maps to a root in
+    the a5 order and c to one in the b5 order, in the order of those
+    positions; each adds a tuple until the probe of its a5 passes the
+    quota, and its twists, if any, are emitted with a6 and b6 at d and e.
+    At a prime where no a is live, decided at the chunk's first pair
     within the quota, such a pair with a4 free too lists no rows: it adds
     the tuples of its k (_pair_tuples).
     When deadline, a time.monotonic() value, has passed after a pair, the
@@ -539,15 +541,12 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     instead (_chunks).
     """
     inv, _, chi, nonres = _tables(p)
-    mask = _class_masks(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
     arrays = _scan_arrays(p, cfg)
-    pairs = arrays.pairs
     _, a2s, a3s, a4s, a5s, b5s = arrays.visit
     pos4, pos5, pos_b5 = arrays.at[3:]
     n4, n5, nb5 = len(a4s), len(a5s), len(b5s)
     free = n5 == nb5 == p
-    tallies = _row_tallies(p, cfg.target)
     # the tuples of a whole pair per k (_pair_tuples), looked up at the first
     # pair the quota does not cut when a4 is free too
     undecided, whole = free and n4 == p, None
@@ -602,65 +601,47 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 # a pair without probes holds no survivor
                 for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
                     start = probes + r * per - (hole < r)
-                    # a row the quota does not cut inside, with both fifth roots
-                    # free, is counted when it cannot emit
-                    if free and (not cut or start + per <= quota):
-                        tally = tallies[a] if a in tallies else _row_tally(p, cfg.target, a)
-                        if tally is not None:
-                            tuples += tally[0] - tally[1].get(k, 0)
+                    n, hist, passing, live = _row_funnel(p, cfg.target, a)
+                    # a row that cannot emit, with both fifth roots free, is
+                    # counted when the quota does not cut inside it
+                    if free and not live and (not cut or start + per <= quota):
+                        tuples += n - hist[k]
+                        continue
+                    # each table b's root; no root maps to k, the image of infinity
+                    root = {y: _from_frame(p, inv, a1, a2, k, y)
+                            for y, _ in arrays.pairs[a] if y != k}
+                    # the passing (b, c) that k leaves, at their roots in the a5
+                    # and b5 orders, in scan order
+                    kept = []
+                    for b, c, d, e, twists in passing:
+                        if k == b or k == c or k == d or k == e:
                             continue
-                    roots = _row_roots(p, a1, a2, k, pairs[a])
-                    inv_one_minus_a = inv[(1 - a) % p]
-                    frame = a * inv_one_minus_a % p
-                    b5_cands = None  # admissible (b5 position, b5, c, mask bits), in b5 order
+                        a5, b5 = root[b], root[c]
+                        if pos5[a5] < n5 and pos_b5[b5] < nb5:
+                            kept.append((pos5[a5], pos_b5[b5], a5, b5, b, c, d, e, twists))
+                    kept.sort()
                     at4 = pos5[a4]
-                    for j, a5, b, m12 in sorted((pos5[x], x, b, m12) for x, m12, b in roots
-                                                if pos5[x] < n5):
+                    for j, _, a5, b5, b, c, d, e, twists in kept:
                         probe = start + j + 1 - bisect_left(skip, j) - (at4 < j)
                         if cut and probe > quota:
                             break
-                        # a6 at d: d = 1 would put it at a3, d = k at infinity
-                        d = frame * (1 - b) % p
-                        if d == 1 or d == k:
+                        tuples += 1
+                        if not twists:
                             continue
-                        if b5_cands is None:
-                            b5_cands = sorted((pos_b5[x], x, c, m34) for x, m34, c in roots
-                                              if pos_b5[x] < nb5)
-                        for _, b5, c, m34 in b5_cands:
-                            if c == b or c == d:
-                                continue
-                            # b6 at e, which must miss a3, infinity and a5 (e = d,
-                            # b6 = a6, would need c = b)
-                            e = frame * (1 - c) % p
-                            if e == 1 or e == k or e == b:
-                                continue
-                            tuples += 1
-                            # lambda5 is a cross-ratio, so the frame keeps it, and
-                            # the fifth twist class is e1 e2 chi5, where chi5 =
-                            # chi((b-e)(d-c)(1-b)(1-c)) is chi_u1 chi_u2 chi_w5 of
-                            # the roots
-                            den = (b - e) * (d - c) % p
-                            m5 = mask[(b - c) * (d - e) % p * inv[den] % p]
-                            if not m5:
-                                continue
-                            twists = ((1, 1),) if maximal else _twist_classes(
-                                m12, m34, m5, chi[den * (1 - b) * (1 - c) % p])
-                            if not twists:
-                                continue
-                            a6, b6 = (_from_frame(p, inv, a1, a2, k, y) for y in (d, e))
-                            base6 = (a1, a2, a3, a4, a5, a6)
-                            chi_u1 = chi_u2 = 1
-                            if not maximal:
-                                g = (a2 - a3) * (a1 - a4) * inv_one_minus_a % p
-                                chi_u1 = chi[g * (a1 - a5) * (a1 - a6) * (1 - b) % p]
-                                chi_u2 = chi[g * (a1 - b5) * (a1 - b6) * (1 - c) % p]
-                            for e1, e2 in twists:
-                                alpha1 = 1 if e1 * chi_u1 == 1 else nonres
-                                alpha2 = 1 if e2 * chi_u2 == 1 else nonres
-                                if emit(alpha1, alpha2, base6, b5, b6):
-                                    prefixes += r + 1
-                                    probes = probe
-                                    return hits, stats()
+                        a6, b6 = (_from_frame(p, inv, a1, a2, k, y) for y in (d, e))
+                        base6 = (a1, a2, a3, a4, a5, a6)
+                        chi_u1 = chi_u2 = 1
+                        if not maximal:
+                            g = (a2 - a3) * (a1 - a4) * inv[(1 - a) % p] % p
+                            chi_u1 = chi[g * (a1 - a5) * (a1 - a6) * (1 - b) % p]
+                            chi_u2 = chi[g * (a1 - b5) * (a1 - b6) * (1 - c) % p]
+                        for e1, e2 in twists:
+                            alpha1 = 1 if e1 * chi_u1 == 1 else nonres
+                            alpha2 = 1 if e2 * chi_u2 == 1 else nonres
+                            if emit(alpha1, alpha2, base6, b5, b6):
+                                prefixes += r + 1
+                                probes = probe
+                                return hits, stats()
                 if cut:
                     prefixes += reach
                     probes = quota + 1

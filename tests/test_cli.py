@@ -234,7 +234,8 @@ class TestSearchCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("cap", [["--max-hits", "-1"], ["--max-hits", "0"],
-                                     ["--max-candidates", "-5"], ["--time-budget", "-1"]])
+                                     ["--max-candidates", "-5"], ["--time-budget", "-1"],
+                                     ["--time-budget", "nan"]])
     def test_non_positive_cap_is_usage_error(self, capsys, cap):
         rc = main(["search", "--target", "maximal-fp2", "--p-min", "11",
                    "--p-max", "11", *cap])

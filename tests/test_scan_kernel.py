@@ -161,6 +161,28 @@ def _record(monkeypatch, name):
     return calls
 
 
+def _record_scans(monkeypatch):
+    """The a of each row whose funnel entries search_engine scans from now
+    on, in scan order: a row that is counted reads its funnel's n and hist
+    but never iterates its passing entries."""
+    scans = []
+    real = search_engine._row_funnel
+
+    class Entries(tuple):
+        def __iter__(self):
+            scans.append(self.a)
+            return super().__iter__()
+
+    def funnel(p, target, a):
+        n, hist, passing, live = real(p, target, a)
+        entries = Entries(passing)
+        entries.a = a
+        return n, hist, entries, live
+
+    monkeypatch.setattr(search_engine, "_row_funnel", funnel)
+    return scans
+
+
 def _listed_rows(p, cfg, a1, count):
     """The indices, over the rows of chunk a1 in scan order, of its first
     count rows whose cross-ratio a has admissible pairs."""
@@ -186,16 +208,16 @@ def _listed_rows(p, cfg, a1, count):
 ], ids=lambda v: getattr(v, "value", v))
 def test_counted_rows_match_the_scalar_kernel(monkeypatch, target, p, fixed):
     # At these primes no row can emit, so each listed row is counted from its
-    # tally unless the quota cuts inside it.  Per chunk, one quota ends
+    # funnel unless the quota cuts inside it.  Per chunk, one quota ends
     # exactly at the end of the first listed row, one a probe short of it,
     # and one cuts the second in its middle; a row has p - 4 probes.  With
     # a4 pinned to 5 the chunk a1 = 5 has no row.  Without a quota the
     # scalar kernel walks a chunk's probes one by one, too many but at p =
     # 19, and there with a4 free only for the first two chunks.  At p = 233
     # the first listed row is about the 33rd, so only the first chunks run.
-    # The rows that are scanned, not counted, list their roots: at most the
-    # one cut row per chunk.
-    listed = _record(monkeypatch, "_row_roots")
+    # The rows that are scanned, not counted, iterate their funnel's entries:
+    # at most the one cut row per chunk.
+    scanned = _record_scans(monkeypatch)
     per, chunks = p - 4, 24 if p > 200 else p
     for seed in (None, 3):
         cfg = SearchConfig(p, p, target, seed=seed, fixed=fixed)
@@ -206,9 +228,9 @@ def test_counted_rows_match_the_scalar_kernel(monkeypatch, target, p, fixed):
             if p < 20 and (fixed or pos < 2):
                 quotas.append(None)
             for quota in quotas:
-                listed.clear()
+                scanned.clear()
                 _same_chunk(p, cfg, a1, quota)
-                assert len(listed) <= (quota is not None), (seed, a1, quota)
+                assert len(scanned) <= (quota is not None), (seed, a1, quota)
 
 
 # primes with admissible pairs where no row can emit
@@ -224,17 +246,17 @@ def test_whole_pairs_at_dead_primes_match_the_scalar_kernel(monkeypatch, target,
     # The chunk with a2 = 0 and a3 = 1 pinned and a1 = 1 - k has one pair,
     # and its cross-ratio cr(a1, a2, a3, infinity) = (a1 - a3) / (a2 - a3)
     # is k, for each k outside {0, 1}.  No row can emit here, so without a
-    # quota the pair is counted whole from its k and lists no row and no
-    # root.  The scalar kernel takes about 30 ms a chunk at p = 181, so
+    # quota the pair is counted whole from its k and lists no row and scans
+    # no funnel.  The scalar kernel takes about 30 ms a chunk at p = 181, so
     # there the k are split in four parts by k mod 4.
     listed = _record(monkeypatch, "_pair_rows")
-    rooted = _record(monkeypatch, "_row_roots")
+    scanned = _record_scans(monkeypatch)
     cfg = SearchConfig(p, p, target, fixed=(("a2", 0), ("a3", 1)))
     for k in range(2, p):
         if part is None or k % 4 == part:
             _same_chunk(p, cfg, (1 - k) % p, None)
     assert search_engine._pair_tuples(p, target) is not None
-    assert not listed and not rooted
+    assert not listed and not scanned
 
 
 @pytest.mark.parametrize("target,p", [*DEAD, (Target.MAXIMAL_FP2, 23)],
@@ -279,20 +301,23 @@ def test_an_uncapped_chunk_at_a_dead_prime_counts_whole_pairs():
     (Target.SERRE_FP3, 37, {False, True}),
     (Target.SERRE_FP3, 67, {False, True}),
 ], ids=["maximal-fp2-19", "maximal-fp2-23", "serre-fp3-37", "serre-fp3-67"])
-def test_row_tally_matches_the_scalar_kernel_on_every_row(monkeypatch, target, p, kinds):
+def test_row_funnel_matches_the_scalar_kernel_on_every_row(monkeypatch, target, p, kinds):
     # For each a of the table and each k = cr(a1, a2, a3, infinity) outside
     # {0, 1, a}, the one row with a2 = 0, a3 = 1, a1 = 1 - k and a4 =
     # a a1 / (a - k), scanned by the scalar kernel with every candidate
-    # confirmed: the tally is None exactly when a row of that a emits for
-    # some k, and otherwise n - hist[k] is the row's tuples.  No a emits at
-    # maximal-fp2 p = 19; at the other primes some do and some do not, and
-    # at serre-fp3 p = 67 some that do not have candidates whose lambda5 is
+    # confirmed: n - hist[k] is the row's tuples, live or not, and its hits
+    # are the twists of the passing entries that k leaves, so some k's row
+    # emits exactly when the funnel is live.  No a is live at maximal-fp2
+    # p = 19; at the other primes some are and some are not, and at
+    # serre-fp3 p = 67 some that are not have entries whose lambda5 is
     # admissible but no twist class pair.
     monkeypatch.setattr(scalar_kernel, "_confirm", lambda params, target: {})
     inv = _tables(p)[0]
     seen = set()
     for a in _admissible_pairs(p, target):
-        tally = search_engine._row_tally(p, target, a)
+        n, hist, passing, live = search_engine._row_funnel(p, target, a)
+        assert n == len(passing) and sum(hist.values()) == 4 * n
+        assert live == any(twists for *_, twists in passing)
         emits = False
         for k in range(2, p):
             if k == a:
@@ -303,10 +328,10 @@ def test_row_tally_matches_the_scalar_kernel_on_every_row(monkeypatch, target, p
             hits, (prefixes, _, tuples, _, _) = scalar_kernel._scan_chunk(p, cfg, a1, None)
             assert prefixes == 1
             emits = emits or bool(hits)
-            if tally is not None:
-                n, hist = tally
-                assert not hits and tuples == n - hist.get(k, 0), (a, k)
-        assert (tally is None) == emits, a
+            assert tuples == n - hist[k], (a, k)
+            twists = sum(len(t) for *values, t in passing if k not in values)
+            assert len(hits) == twists, (a, k)
+        assert live == emits, a
         seen.add(emits)
     assert seen == kinds
 
@@ -488,10 +513,10 @@ def test_a_quota_of_one_row_walks_it_past_a_large_table():
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
 @pytest.mark.parametrize("p", [11, 23, 181])
 def test_pair_masks_match_scalar_filters(target, p):
-    """The fifth roots a row's admissible pairs give, with their mask bits
-    and cross-ratios b, against the scalar a5 filter at every x: a root
-    absent from the row has bits 0, including every x in {a1, a2, a3,
-    a4}."""
+    """The fifth roots a row's admissible pairs give, each table b != k
+    mapped back to its x (_from_frame), with their mask bits and
+    cross-ratios b, against the scalar a5 filter at every x: a root absent
+    from the row has bits 0, including every x in {a1, a2, a3, a4}."""
     rng = random.Random(p)
     inv, sqrt_tab, _, _ = search_engine._tables(p)
     mask = search_engine._class_masks(p, target)
@@ -509,7 +534,8 @@ def test_pair_masks_match_scalar_filters(target, p):
             bits = mask[pref * (b - 2 * want_a + 2 * s) % p] & mask[pref * (b - 2 * want_a - 2 * s) % p]
             want.append(0 if s == 0 or x in (a1, a2, a3, a4) else bits)
             want_b.append(b)
-        roots = search_engine._row_roots(p, a1, a2, want_k, pairs.get(want_a, ()))
+        roots = [(search_engine._from_frame(p, inv, a1, a2, want_k, b), bits, b)
+                 for b, bits in pairs.get(want_a, ()) if b != want_k]
         got = {x: (bits, b) for x, bits, b in roots}
         assert len(got) == len(roots)
         assert [got.get(x, (0,))[0] for x in range(p)] == want

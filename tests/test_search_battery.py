@@ -38,6 +38,15 @@ BATTERY = {
                                       fixed=(("a1", 0),)),
     "serre-fp p = 191 uncapped": dict(target="serre-fp", p_min=191, p_max=191,
                                       fixed=(("a1", 0),)),
+    # live rows, which emit through the twist classes
+    "README search": dict(target="maximal-fp2", p_min=3, p_max=13, max_candidates=1_000_000,
+                          max_hits=20, seed=7),
+    "serre-fp3 p = 37 live": dict(target="serre-fp3", p_min=37, p_max=37, max_hits=40,
+                                  fixed=(("a1", 0),)),
+    "serre-fp p = 271 live": dict(target="serre-fp", p_min=271, p_max=271, max_hits=8,
+                                  fixed=(("a1", 0),)),
+    "maximal-fp2 p = 23 live": dict(target="maximal-fp2", p_min=23, p_max=23, max_hits=60,
+                                    max_candidates=200_000, fixed=(("a1", 0),)),
 }
 
 

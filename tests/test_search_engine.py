@@ -151,6 +151,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="integers|pairs"):
             SearchConfig(**{"p_min": 11, "p_max": 13, "target": "maximal-fp2", **bad})
 
+    @pytest.mark.parametrize("budget", ["1", True, float("nan"), 1j])
+    def test_time_budget_must_be_a_number(self, budget):
+        """A NaN budget would pass a < 0 check and never be reached."""
+        with pytest.raises(ValueError, match="time_budget"):
+            SearchConfig(11, 13, "maximal-fp2", time_budget=budget)
+
     def test_smallest_caps_accepted(self):
         SearchConfig(p_min=11, p_max=11, target="maximal-fp2",
                      max_candidates=1, max_hits=1, time_budget=0)
@@ -365,7 +371,7 @@ class TestRuledOutPrimes:
 
 
 def test_per_prime_caches_are_bounded():
-    """_tables, _class_masks, _row_tallies and _pair_tuples hold the current
+    """_tables, _class_masks, _funnels and _pair_tuples hold the current
     prime only, the shared per-prime tables at most TABLE_CACHE primes,
     fewer than the first search visits.  Its quota of one probe cuts every
     pair, so the uncapped second search looks up _pair_tuples, at seven
@@ -374,7 +380,7 @@ def test_per_prime_caches_are_bounded():
     assert len(primes_in(3, 300)) > TABLE_CACHE
     run_search(SearchConfig(19, 67, "maximal-fp2", max_hits=1, fixed=(("a1", 0),)))
     for cached in (search_engine._tables, search_engine._class_masks,
-                   search_engine._row_tallies, search_engine._pair_tuples):
+                   search_engine._funnels, search_engine._pair_tuples):
         assert cached.cache_info().currsize == 1
     for cached in (residue_tables, legendre_traces, hasse_poly_coeffs):
         assert cached.cache_info().maxsize == TABLE_CACHE
