@@ -5,6 +5,12 @@ degree, two or zero for even degree depending on whether alpha is a square
 in the counting field.  Direct counting is capped at 10^7 field elements.
 Over F_p it is the production count; over F_{p^2} and F_{p^3} it is the
 oracle that lifted counts are checked against.
+
+Every count is one character sum, sum_x chi(alpha) prod_i chi(x - r_i),
+taken by one kernel (_root_products) a block of about _BLOCK field
+elements at a time: count_points multiplies a model's rows once per root,
+and count_quotients counts a fibre product's three quotients from shared
+rows, so no temporary holds q entries.
 """
 
 from __future__ import annotations
@@ -137,45 +143,95 @@ def _char_table(p: int, k: int) -> np.ndarray:
     return table
 
 
-def _char_sum(model: HyperellipticModel, j: int) -> int:
-    """Sum over x in F_{p^j} of chi(alpha) * prod_i chi(x - r_i).
+def _root_products(p: int, j: int, *root_sets):
+    """Per block of about _BLOCK entries of F_{p^j}, one array per nonempty
+    root set R of prod_{r in R} chi(x - r) over the block's x.
 
-    chi is multiplicative, so this is sum_x chi(f(x)), the affine count
-    minus q.  Each r_i lies in F_p, so x - r_i only moves the constant
-    coefficient c_0 of x: with the table viewed as rows of p entries (c_0
-    along a row), chi(x - r) is the row rotated by r, and the product needs
-    no field arithmetic."""
-    p = model.mod.p
+    Each r lies in F_p, so x - r only moves the constant coefficient c_0 of
+    x: with the character table viewed as rows of p entries (c_0 along a
+    row), chi(x - r) is the row rotated by r, and a product needs no field
+    arithmetic.  Every root set costs one rotate-and-multiply pass per root,
+    and no temporary holds more than a block of rows."""
     chi = residue_tables(p).chi if j == 1 else _char_table(p, j)
     rows = chi.reshape(-1, p)
-    acc = np.full_like(rows, chi[model.alpha.value])
-    for root in model.roots:
-        r = root.value
-        acc[:, r:] *= rows[:, : p - r]
-        acc[:, :r] *= rows[:, p - r :]
-    return int(acc.sum())
+    step = max(1, _BLOCK // p)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        products = []
+        for first, *rest in root_sets:
+            acc = np.empty_like(block)
+            acc[:, first:], acc[:, :first] = block[:, : p - first], block[:, p - first :]
+            for r in rest:
+                acc[:, r:] *= block[:, : p - r]
+                acc[:, :r] *= block[:, p - r :]
+            products.append(acc)
+        yield products
+
+
+def _chi_ext(alpha: FieldElement, j: int) -> int:
+    """The quadratic character of alpha in F_p* over F_{p^j}: every alpha is
+    a square in F_{p^2}; for odd j, (p^j - 1)/2 is (p - 1)/2 times the odd
+    number 1 + p + .. + p^(j-1), so alpha is a square in F_{p^j} iff it is
+    one in F_p."""
+    return 1 if j % 2 == 0 else legendre_symbol(alpha)
+
+
+def _check_field(p: int, j: int) -> None:
+    """Raise unless j is in {1, 2, 3} and p^j is within the cap."""
+    if j not in (1, 2, 3):
+        raise ValueError(f"extension degree must be 1, 2 or 3, got {j}")
+    if p ** j > COUNT_CAP:
+        raise CapExceeded(
+            f"direct counting over {p ** j} elements exceeds the cap {COUNT_CAP}"
+        )
+
+
+def _brute_count(model: HyperellipticModel, j: int, root_sum: int) -> PointCount:
+    """The smooth-model count over F_{p^j} from root_sum, the sum over x of
+    prod_i chi(x - r_i): the affine count is q + chi(alpha) root_sum."""
+    q = model.mod.p ** j
+    total = q + _chi_ext(model.alpha, j) * root_sum + _points_at_infinity(model, j)
+    return PointCount(q=q, count=total, method=CountMethod.BRUTE_FORCE, genus=model.genus)
 
 
 def _points_at_infinity(model: HyperellipticModel, j: int) -> int:
-    """Even degree: two points iff alpha is a square in F_{p^j}.  Every
-    alpha in F_p* is a square in F_{p^2}; for odd j, (p^j - 1)/2 is
-    (p - 1)/2 times the odd number 1 + p + .. + p^(j-1), so alpha is a
-    square in F_{p^j} iff it is one in F_p."""
+    """Even degree: two points iff alpha is a square in F_{p^j}."""
     if model.degree % 2 == 1:
         return 1
-    if j % 2 == 0 or legendre_symbol(model.alpha) == 1:
-        return 2
-    return 0
+    return 2 if _chi_ext(model.alpha, j) == 1 else 0
 
 
 def count_points(model: HyperellipticModel, j: int = 1) -> PointCount:
     """Brute-force smooth-model count of y^2 = f(x) over F_{p^j}, j in {1,2,3}."""
-    if j not in (1, 2, 3):
-        raise ValueError(f"extension degree must be 1, 2 or 3, got {j}")
-    q = model.mod.p ** j
-    if q > COUNT_CAP:
-        raise CapExceeded(
-            f"direct counting over {q} elements exceeds the cap {COUNT_CAP}"
-        )
-    total = q + _char_sum(model, j) + _points_at_infinity(model, j)
-    return PointCount(q=q, count=total, method=CountMethod.BRUTE_FORCE, genus=model.genus)
+    _check_field(model.mod.p, j)
+    roots = [r.value for r in model.roots]
+    root_sum = sum(int(prod.sum()) for prod, in _root_products(model.mod.p, j, roots))
+    return _brute_count(model, j, root_sum)
+
+
+def count_quotients(
+    c1: HyperellipticModel, c2: HyperellipticModel, c3: HyperellipticModel, j: int = 1
+) -> tuple[PointCount, PointCount, PointCount]:
+    """Brute-force counts over F_{p^j} of three models whose roots are S + A,
+    S + B and A + B for nonempty S, A, B: S the roots C1 and C2 share, as
+    for the quotients of a fibre product.  Each block's rows are multiplied
+    over S, A and B once, and the three sums are of S A, S B and A B, so the
+    quotients take |S| + |A| + |B| root passes, not the 2 (|S| + |A| + |B|)
+    of three count_points calls.  Raises ValueError when the roots do not
+    have this shape."""
+    p = c1.mod.p
+    roots1, roots2 = [r.value for r in c1.roots], [r.value for r in c2.roots]
+    shared = [r for r in roots1 if r in roots2]
+    only1 = [r for r in roots1 if r not in roots2]
+    only2 = [r for r in roots2 if r not in roots1]
+    if (not (shared and only1 and only2) or c2.mod.p != p or c3.mod.p != p
+            or {r.value for r in c3.roots} != {*only1, *only2}):
+        raise ValueError("the models' roots must be S + A, S + B and A + B "
+                         "for nonempty S, A, B, all over one field")
+    _check_field(p, j)
+    sums = [0, 0, 0]
+    for s, a, b in _root_products(p, j, shared, only1, only2):
+        sums[0] += int((s * a).sum())
+        sums[1] += int((s * b).sum())
+        sums[2] += int((a * b).sum())
+    return tuple(_brute_count(m, j, n) for m, n in zip((c1, c2, c3), sums))

@@ -67,9 +67,11 @@ def prime_modulus(p: int) -> PrimeModulus:
 
 
 def require_ints(*values) -> None:
-    """Raise ValueError naming the first operand that is not an int."""
+    """Raise ValueError naming the first operand that is not an int.  A bool
+    is refused too: True compares and hashes as 1, so it would share 1's
+    cached results while printing and hashing to strings as "True"."""
     for v in values:
-        if not isinstance(v, int):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"parameters must be integers, got {v!r}")
 
 

@@ -5,7 +5,9 @@ y^2 = theta * x (x - 1) (x - lambda) over F_p.
 legendre_traces holds the exact trace t(lambda) for every lambda; the twist
 by theta has trace chi(theta) t.  Each bound target, over F_{p^j}, is one
 rule: lift_trace(chi(theta) t, p, j) = -floor(2 sqrt(p^j)).  The predicates,
-the paper's per-curve criteria, decide the same from congruences mod p; Target
+the paper's per-curve criteria, decide the same from congruences mod p on
+H_p(lambda), which each LegendreCurve evaluates once (its hasse property)
+however many targets are decided for it; Target
 is the one definition of each target, its degree j, the least prime its
 predicate decides from, the traces a passing factor can have (goal_traces)
 and the predicate over all five factors.  The zeta-recursion lift turns an
@@ -90,6 +92,12 @@ class LegendreCurve:
         mod = prime_modulus(p)
         return cls(mod=mod, theta=mod(theta), lam=mod(lam))
 
+    @functools.cached_property
+    def hasse(self) -> int:
+        """H_p(lambda) as a canonical residue, evaluated once per curve: the
+        predicates over every target read it."""
+        return hasse_poly_eval(self.mod, self.lam).value
+
     def model(self) -> curve_models.HyperellipticModel:
         zero = FieldElement(0, self.mod)
         one = FieldElement(1, self.mod)
@@ -102,14 +110,15 @@ class LegendreCurve:
 def hasse_poly_coeffs(p: int) -> tuple[int, ...]:
     """Coefficients of sum_i binom(m, i)^2 t^i mod p, with m = (p - 1) / 2.
 
-    binom(m, i) is built by the multiplicative recurrence; every inverse
-    taken is of some i <= m < p, so it exists.
+    binom(m, i) is built by the multiplicative recurrence, its inverses of
+    i <= m < p read from the residue table.
     """
     m = (p - 1) // 2
+    inv = residue_tables(p).inv[: m + 1].tolist()
     coeffs = [1]
     b = 1
     for i in range(1, m + 1):
-        b = b * (m - i + 1) % p * pow(i, p - 2, p) % p
+        b = b * (m - i + 1) * inv[i] % p
         coeffs.append(b * b % p)
     return tuple(coeffs)
 
@@ -175,8 +184,7 @@ def trace_mod_p(curve: LegendreCurve) -> FieldElement:
     the Frobenius trace of the curve mod p."""
     p = curve.mod.p
     m = curve.mod.m
-    h = hasse_poly_eval(curve.mod, curve.lam).value
-    t = pow(p - curve.theta.value, m, p) * h % p
+    t = pow(p - curve.theta.value, m, p) * curve.hasse % p
     return FieldElement(t, curve.mod)
 
 
@@ -191,7 +199,7 @@ def attains_serre_fp(curve: LegendreCurve) -> bool:
 
 def maximal_fp2(curve: LegendreCurve) -> bool:
     """Maximality over F_{p^2}; holds iff H_p(lambda) = 0, independent of theta."""
-    return hasse_poly_eval(curve.mod, curve.lam).value == 0
+    return curve.hasse == 0
 
 
 def attains_serre_fp3(curve: LegendreCurve) -> bool:

@@ -10,6 +10,13 @@ a1..a6, b5, b6 in F_p.  The three quotient curves are
 
 and #C(F_q) = #C1 + #C2 + #C3 - 2q - 2 = sum #E_i - 4q - 4 once C1 and C2
 split further into Legendre pairs and C3 is put in Legendre form.
+
+validate checks a parameter set on plain residues mod p, reading the
+quadratic character and square roots from the residue tables, and builds
+field elements only for the split it returns.  C1 and C2 share a1..a4 and
+C3 is exactly a5, a6, b5, b6, so howe_counts and the direct_counts oracle
+count the three quotients together from shared character rows
+(curve_models.count_quotients).
 """
 
 from __future__ import annotations
@@ -23,11 +30,12 @@ from .errors import (
     CrossRatioFailed,
     DecompositionMismatch,
     Degenerate,
+    NonResidue,
     NonSquareObstruction,
     ValidationError,
 )
 from .field_arith import (
-    FieldElement, PrimeModulus, legendre_symbol, prime_modulus, require_ints, sqrt_mod_p,
+    FieldElement, PrimeModulus, legendre_symbol, prime_modulus, require_ints, residue_tables,
 )
 from .hasse_serre import LegendreCurve, Target, zeta_lift
 
@@ -155,30 +163,22 @@ class ValidationResult:
             raise v.error(v.detail)
 
 
-def _cross_ratio(x1: FieldElement, x2: FieldElement, x3: FieldElement, x4: FieldElement) -> FieldElement:
-    return (x1 - x3) * (x2 - x4) / ((x2 - x3) * (x1 - x4))
-
-
-def _split_pair(
-    theta: FieldElement, lam: FieldElement, mu: FieldElement
-) -> tuple[FieldElement, FieldElement, FieldElement]:
+def _split_pair(p: int, theta: int, lam: int, mu: int) -> tuple[int, int, int]:
     """Twist and the two Legendre parameters of the elliptic quotients of
-    s^2 = theta t (t - 1) (t - lam) (t - mu) ... in cross-ratio form.
+    s^2 = theta t (t - 1) (t - lam) (t - mu) ... in cross-ratio form, as
+    residues mod p.
 
     Returns (theta', lam_plus, lam_minus) where the plus branch uses the
     canonical square root of lam (lam - mu); raises NonResidue when that is
     not a nonzero square.
     """
-    s = sqrt_mod_p(lam * (lam - mu))
-    tw = theta * (1 - mu) / (1 - lam)
-    pref = (1 - lam) / (mu - 1)
-    lam_plus = pref * (mu - 2 * lam + 2 * s)
-    lam_minus = pref * (mu - 2 * lam - 2 * s)
-    return tw, lam_plus, lam_minus
-
-
-def _quartet(w: FieldElement, x: FieldElement, y: FieldElement, z: FieldElement) -> FieldElement:
-    return (w - x) * (x - y) * (y - z) * (z - w)
+    v = lam * (lam - mu) % p
+    s = int(residue_tables(p).sqrt[v])
+    if s == 0:
+        raise NonResidue(f"{v} is not a nonzero square mod {p}")
+    tw = theta * (1 - mu) * pow(1 - lam, -1, p) % p
+    pref = (1 - lam) * pow(mu - 1, -1, p)
+    return tw, pref * (mu - 2 * lam + 2 * s) % p, pref * (mu - 2 * lam - 2 * s) % p
 
 
 def validate(params: HoweParams) -> ValidationResult:
@@ -195,86 +195,75 @@ def validate(params: HoweParams) -> ValidationResult:
     - (1 - lambda+)(1 - lambda-)(b - 1)^2 = (ab - 2a + 1)^2 vanishes only at
       d = a(1 - b)/(1 - a) = 1, and d = cr(a1, a2, a3, a6) by the a-tuple
       condition, so that needs a6 = a3; in the pair (a, c) it needs b6 = a3.
-    LegendreCurve keeps its own check as a backstop.
+    LegendreCurve keeps its own check as a backstop.  The checks run on
+    plain residues mod p; only the split is built of field elements.
     """
     res = ValidationResult(params=params)
-    a1, a2, a3, a4, a5, a6 = params.a
-    b5, b6 = params.b
+    mod = params.mod
+    p = mod.p
+    alpha1, alpha2 = params.alpha1.value, params.alpha2.value
+    points = [x.value for x in (*params.a, *params.b)]
+    a1, a2, a3, a4, a5, a6, b5, b6 = points
 
-    if params.alpha1.value == 0 or params.alpha2.value == 0:
+    if alpha1 == 0 or alpha2 == 0:
         res.violations.append(Violation(Degenerate, "twist scalar is zero"))
-    points = [a1, a2, a3, a4, a5, a6, b5, b6]
     names = ["a1", "a2", "a3", "a4", "a5", "a6", "b5", "b6"]
     seen: dict[int, str] = {}
     for name, x in zip(names, points):
-        if x.value in seen:
-            res.violations.append(
-                Violation(Degenerate, f"{seen[x.value]} = {name} = {x.value}")
-            )
+        if x in seen:
+            res.violations.append(Violation(Degenerate, f"{seen[x]} = {name} = {x}"))
         else:
-            seen[x.value] = name
+            seen[x] = name
     if res.violations:
         return res
 
-    lhs1 = (a2 - a4) * (a1 - a6) * (a3 - a5)
-    rhs1 = (a2 - a6) * (a1 - a5) * (a3 - a4)
-    if lhs1 != rhs1:
+    if ((a2 - a4) * (a1 - a6) * (a3 - a5) - (a2 - a6) * (a1 - a5) * (a3 - a4)) % p:
         res.violations.append(
             Violation(CrossRatioFailed, "a-tuple compatibility condition fails")
         )
-    lhs2 = (a2 - a4) * (a1 - b6) * (a3 - b5)
-    rhs2 = (a2 - b6) * (a1 - b5) * (a3 - a4)
-    if lhs2 != rhs2:
+    if ((a2 - a4) * (a1 - b6) * (a3 - b5) - (a2 - b6) * (a1 - b5) * (a3 - a4)) % p:
         res.violations.append(
             Violation(CrossRatioFailed, "b-tuple compatibility condition fails")
         )
 
-    a = _cross_ratio(a1, a2, a3, a4)
-    b = _cross_ratio(a1, a2, a3, a5)
-    c = _cross_ratio(a1, a2, a3, b5)
-    chi_ab = legendre_symbol(a * (a - b))
-    chi_ac = legendre_symbol(a * (a - c))
+    # a, b, c = cr(a1, a2, a3, x) = k (a2 - x) / (a1 - x) for x = a4, a5, b5
+    k = (a1 - a3) * pow(a2 - a3, -1, p)
+    a, b, c = (k * (a2 - x) * pow(a1 - x, -1, p) % p for x in (a4, a5, b5))
+    ab, ac = a * (a - b) % p, a * (a - c) % p
+    chi = residue_tables(p).chi
+    chi_ab, chi_ac = int(chi[ab]), int(chi[ac])
 
     # Square certificates in root form: for any distinct points, a(a - b)
     # is the quartet a1a2a4a5 times a square, and a(a - c) the quartet
     # a1a2a4b5 times a square.
-    p45 = _quartet(a1, a2, a4, a5)
-    p4b5 = _quartet(a1, a2, a4, b5)
+    p45 = (a1 - a2) * (a2 - a4) * (a4 - a5) * (a5 - a1) % p
+    p4b5 = (a1 - a2) * (a2 - a4) * (a4 - b5) * (b5 - a1) % p
     res.info = {
         "chi_a_ab": chi_ab,
         "chi_a_ac": chi_ac,
-        "product_a4_a5": p45.value,
-        "chi_product_a4_a5": legendre_symbol(p45),
-        "product_a4_b5": p4b5.value,
-        "chi_product_a4_b5": legendre_symbol(p4b5),
+        "product_a4_a5": p45,
+        "chi_product_a4_a5": int(chi[p45]),
+        "product_a4_b5": p4b5,
+        "chi_product_a4_b5": int(chi[p4b5]),
     }
 
-    if chi_ab != 1:
-        res.violations.append(
-            Violation(
-                NonSquareObstruction,
-                f"a(a - b) = {(a * (a - b)).value} is not a nonzero square",
+    for label, value, sign in (("a(a - b)", ab, chi_ab), ("a(a - c)", ac, chi_ac)):
+        if sign != 1:
+            res.violations.append(
+                Violation(NonSquareObstruction, f"{label} = {value} is not a nonzero square")
             )
-        )
-    if chi_ac != 1:
-        res.violations.append(
-            Violation(
-                NonSquareObstruction,
-                f"a(a - c) = {(a * (a - c)).value} is not a nonzero square",
-            )
-        )
     if not res.ok:
         return res
 
-    beta1 = params.alpha1 * (a2 - a3) * (a1 - a4) * (a1 - a5) * (a1 - a6)
-    beta2 = params.alpha2 * (a2 - a3) * (a1 - a4) * (a1 - b5) * (a1 - b6)
-    th12, l1, l2 = _split_pair(beta1, a, b)
-    th34, l3, l4 = _split_pair(beta2, a, c)
-    th5 = params.alpha1 * params.alpha2 * (a5 - b6) * (a6 - b5)
-    l5 = (a5 - b5) * (a6 - b6) / ((a5 - b6) * (a6 - b5))
+    beta1 = alpha1 * (a2 - a3) * (a1 - a4) * (a1 - a5) * (a1 - a6) % p
+    beta2 = alpha2 * (a2 - a3) * (a1 - a4) * (a1 - b5) * (a1 - b6) % p
+    th12, l1, l2 = _split_pair(p, beta1, a, b)
+    th34, l3, l4 = _split_pair(p, beta2, a, c)
+    th5 = alpha1 * alpha2 * (a5 - b6) * (a6 - b5)
+    l5 = (a5 - b5) * (a6 - b6) * pow((a5 - b6) * (a6 - b5), -1, p)
     pairs = ((th12, l1), (th12, l2), (th34, l3), (th34, l4), (th5, l5))
-    curves = tuple(LegendreCurve(params.mod, th, lm) for th, lm in pairs)
-    res.split = SplitData(params, a, b, c, beta1, beta2, curves)
+    curves = tuple(LegendreCurve(mod, mod(th), mod(lm)) for th, lm in pairs)
+    res.split = SplitData(params, mod(a), mod(b), mod(c), mod(beta1), mod(beta2), curves)
     return res
 
 
@@ -302,7 +291,7 @@ def direct_counts(params: HoweParams, j: int) -> tuple[int, int, int, int]:
     the three quotient models, using neither the factors nor a lift.  Subject
     to the direct-counting cap."""
     q = params.mod.p ** j
-    c1, c2, c3 = (curve_models.count_points(m, j).count for m in howe_models(params))
+    c1, c2, c3 = (pc.count for pc in curve_models.count_quotients(*howe_models(params), j))
     return c1, c2, c3, c1 + c2 + c3 - 2 * q - 2
 
 
@@ -345,7 +334,7 @@ def howe_counts(split: SplitData, j: int = 1) -> HoweCounts:
     params = split.params
     p = params.mod.p
     t = hasse_serre.legendre_traces(p)
-    n_c = tuple(curve_models.count_points(m, 1).count for m in howe_models(params))
+    n_c = tuple(pc.count for pc in curve_models.count_quotients(*howe_models(params), 1))
     n_e = tuple(p + 1 - legendre_symbol(E.theta) * int(t[E.lam.value]) for E in split.curves)
     from_factors = (n_e[0] + n_e[1] - p - 1, n_e[2] + n_e[3] - p - 1, n_e[4])
     if n_c != from_factors:

@@ -97,8 +97,9 @@ class SearchConfig:
     split into equal per-chunk quotas; max_hits caps emitted hits per prime.
     fixed pins enumerated slots to constants, e.g. (("a1", 2), ("a2", 1)),
     and is kept as a tuple of pairs.  Bounds, caps, pins and the seed must
-    be ints: a config compares equal to one with 1.0 for 1, so a float
-    would share its cached visit orders but draw others in a new process.
+    be ints, not floats or bools: a config compares equal to one with 1.0
+    or True for 1, so it would share its cached visit orders but draw
+    others in a new process.
     time_budget is in seconds, a real number but not a bool or NaN."""
 
     p_min: int

@@ -10,17 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_ext, naive_count_fp
 from howe5.curve_models import (
+    _BLOCK,
     COUNT_CAP,
     _char_table,
     CountMethod,
     HyperellipticModel,
     PointCount,
     count_points,
+    count_quotients,
     weil_interval,
 )
 from howe5.errors import CapExceeded, HasseViolation, Howe5Error
 from howe5.field_arith import build_extension, is_prime, residue_tables
-from howe5.hasse_serre import LegendreCurve
+from howe5.hasse_serre import LegendreCurve, zeta_lift
 from square_reference import mul
 
 
@@ -151,6 +153,72 @@ def test_char_table_has_no_field_sized_temporary():
     finally:
         tracemalloc.stop()
     assert len(table) == p ** k and peak < 8 * p ** k
+
+
+# (p, j): small fields, and F_47^3 and F_263^2, which span two blocks
+QUOTIENT_FIELDS = [(5, 1), (13, 1), (101, 1), (7, 2), (23, 2), (263, 2), (5, 3), (11, 3),
+                   (47, 3)]
+# (|S|, |A|, |B|) with 3 to 6 roots in each model
+QUOTIENT_SHAPES = [(n_s, n_a, n_b) for n_s in range(1, 6) for n_a in range(1, 6)
+                   for n_b in range(1, 6)
+                   if all(3 <= n <= 6 for n in (n_s + n_a, n_s + n_b, n_a + n_b))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), field=st.sampled_from(QUOTIENT_FIELDS))
+def test_quotient_counts_match_count_points(data, field):
+    """Three models with roots S + A, S + B and A + B counted from shared
+    rows give each model's count_points count, for every shape that fits."""
+    p, j = field
+    n_s, n_a, n_b = data.draw(st.sampled_from([n for n in QUOTIENT_SHAPES if sum(n) <= p]),
+                              label="shape")
+    roots = data.draw(st.permutations(range(p)), label="roots")
+    s, a, b = roots[:n_s], roots[n_s:n_s + n_a], roots[n_s + n_a:n_s + n_a + n_b]
+    alphas = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3), label="alphas")
+    models = [HyperellipticModel.from_ints(p, alpha, rs)
+              for alpha, rs in zip(alphas, (s + a, b + s, a + b))]
+    counts = count_quotients(*models, j)
+    assert counts == tuple(count_points(m, j) for m in models)
+    for m, pc in zip(models, counts):
+        if m.genus == 1:  # from the count over F_p, one row, so one block
+            assert pc.count == zeta_lift(count_points(m, 1).count, p, j)
+
+
+def test_quotient_count_has_no_field_sized_temporary():
+    """Counted a block at a time: over F_97^3 (912673 elements), with the
+    table cached, the three quotients peak below eight blocks of bytes."""
+    p = 97
+    models = [HyperellipticModel.from_ints(p, alpha, roots) for alpha, roots in
+              ((3, (1, 2, 3, 4, 5, 6)), (5, (1, 2, 3, 4, 7, 8)), (15, (5, 6, 7, 8)))]
+    _char_table(p, 3)
+    tracemalloc.start()
+    try:
+        counts = count_quotients(*models, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == tuple(count_points(m, 3) for m in models)
+    assert peak < 8 * _BLOCK
+
+
+def test_quotient_count_is_capped():
+    p = 3163  # p^2 just past the cap
+    models = [HyperellipticModel.from_ints(p, 1, rs)
+              for rs in ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))]
+    with pytest.raises(CapExceeded):
+        count_quotients(*models, 2)
+
+
+@pytest.mark.parametrize("roots", [
+    ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5)),  # C3 lacks a root
+    ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 7)),  # C3 has a foreign root
+    ((1, 2, 3), (4, 5, 6), (1, 2, 3, 4, 5, 6)),  # no shared root
+    ((1, 2, 3), (1, 2, 3, 4), (4, 5, 6)),  # C1 inside C2
+], ids=["missing", "foreign", "disjoint", "nested"])
+def test_quotient_count_rejects_other_shapes(roots):
+    models = [HyperellipticModel.from_ints(11, 1, rs) for rs in roots]
+    with pytest.raises(ValueError, match="S \\+ A"):
+        count_quotients(*models, 1)
 
 
 class TestCapAndErrors:

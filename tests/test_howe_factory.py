@@ -50,7 +50,8 @@ class TestHoweParams:
         (11, 4, "6", (5, 3, 10, 7, 6, 8), (9, 2)),
         (11.0, 4, 6, (5, 3, 10, 7, 6, 8), (9, 2)),
         (11, 4, 6, (5, 3, 10, 7, 6, 8), (9, None)),
-    ], ids=["float-root", "str-twist", "float-prime", "none-root"])
+        (11, True, 6, (5, 3, 10, 7, 6, 8), (9, 2)),
+    ], ids=["float-root", "str-twist", "float-prime", "none-root", "bool-twist"])
     def test_from_ints_rejects_non_integers(self, args):
         with pytest.raises(ValueError, match="parameters must be integers"):
             HoweParams.from_ints(*args)
@@ -129,7 +130,8 @@ class TestValidate:
             for b in map(mod, range(2, p)):
                 if legendre_symbol(a * (a - b)) != 1:
                     continue
-                theta, lam_plus, lam_minus = howe_factory._split_pair(mod(1), a, b)
+                theta, lam_plus, lam_minus = map(
+                    mod, howe_factory._split_pair(p, 1, a.value, b.value))
                 degenerate = theta.value == 0 or {lam_plus.value, lam_minus.value} & {0, 1}
                 assert bool(degenerate) == (a * (1 - b) == 1 - a), (a, b)
 

@@ -151,6 +151,14 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="integers|pairs"):
             SearchConfig(**{"p_min": 11, "p_max": 13, "target": "maximal-fp2", **bad})
 
+    @pytest.mark.parametrize("bad", [{"seed": True}, {"max_hits": True},
+                                     {"fixed": (("a1", True),)}],
+                             ids=["seed", "max_hits", "pin"])
+    def test_bool_settings_rejected(self, bad):
+        """True equals 1 but would draw other visit orders in a new process."""
+        with pytest.raises(ValueError, match="integers"):
+            SearchConfig(**{"p_min": 11, "p_max": 13, "target": "maximal-fp2", **bad})
+
     @pytest.mark.parametrize("budget", ["1", True, float("nan"), 1j])
     def test_time_budget_must_be_a_number(self, budget):
         """A NaN budget would pass a < 0 check and never be reached."""
