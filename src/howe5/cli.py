@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -288,6 +289,10 @@ def cmd_search(ns) -> int:
         )
     except ValueError as exc:
         print(f"bad search configuration: {exc}", file=sys.stderr)
+        return 2
+    # two writers on one file would interleave their lines
+    if ns.out and ns.jsonl and os.path.realpath(ns.out) == os.path.realpath(ns.jsonl):
+        print(f"error: --out and --jsonl name the same file: {ns.out}", file=sys.stderr)
         return 2
     with contextlib.ExitStack() as stack:
         # opened before the search, so an unwritable path fails at once

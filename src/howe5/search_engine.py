@@ -30,17 +30,15 @@ back to its a4.  The b5 filter reads the same roots, since b5 enters the
 conditions through the same map as a5.  Every other check of a row's (b,
 c) (d, e, lambda5 and the twist classes) depends on its a alone, except
 that k drops the (b, c) with k in {b, c, d, e}.  So one funnel per table
-a applies them once (_row_funnel): the (b, c) that pass, their count n,
-hist[v] of them with v in {b, c, d, e}, and whether one has twists to
-emit (live).  A row whose a is not live is counted, not scanned, when the
-quota does not cut inside it and a5 and b5 are free: it holds n - hist[k]
-tuples.  Every other row walks its funnel's passing (b, c) at their roots
-in the a5 and b5 orders, and only a tuple with twists derives a6, b6 and
-the twists and goes to confirmation.  At a prime where no a is live, a
-pair the quota does not cut, with a4, a5 and b5 free, is counted whole:
-its rows take every a but 0, 1 and k once, so its tuples depend on k
-alone (_pair_tuples).  Probes are counted by index, so a chunk's quota
-cuts its scan at the same probe as a scan one probe at a time would.
+a applies them once (_row_funnel), and keeps the (b, c) that pass with
+the twist classes each may emit.  Every listed row walks its funnel's
+passing (b, c) that k leaves, at their roots in the a5 and b5 orders, and
+only a tuple with twists derives a6, b6 and the twists and goes to
+confirmation.  At a prime where no passing (b, c) has twists, a pair the
+quota does not cut, with a4, a5 and b5 free, is counted whole: its rows
+take every a but 0, 1 and k once, so its tuples depend on k alone
+(_pair_tuples).  Probes are counted by index, so a chunk's quota cuts its
+scan at the same probe as a scan one probe at a time would.
 
 A prime without admissible pairs has no survivor, and most primes have
 none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
@@ -74,7 +72,6 @@ import numbers
 import random
 import time
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, TextIO, Union
 
@@ -190,12 +187,12 @@ def primes_in(lo: int, hi: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
-    """(inv, sqrt, chi, nonres) of residue_tables(p), with the arrays as
-    tuples: the scan kernel is scalar, and indexes a tuple about six times
-    faster than a numpy array."""
+def _tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(inv, chi, nonres) of residue_tables(p), with the arrays as tuples:
+    the scan kernel is scalar, and indexes a tuple about six times faster
+    than a numpy array."""
     t = residue_tables(p)
-    return tuple(t.inv.tolist()), tuple(t.sqrt.tolist()), tuple(t.chi.tolist()), t.nonres
+    return tuple(t.inv.tolist()), tuple(t.chi.tolist()), t.nonres
 
 
 @functools.lru_cache(maxsize=1)
@@ -420,22 +417,20 @@ def _twist_classes(m12: int, m34: int, m5: int, chi5: int) -> list:
             and m5 & (1 if e1 * e2 * chi5 == 1 else 2)]
 
 
-def _row_funnel(p: int, target: Target, a: int) -> tuple[int, Counter, list, bool]:
-    """(n, hist, passing, live) for a row with cross-ratio a, an a of
+def _row_funnel(p: int, target: Target, a: int) -> list:
+    """The passing (b, c, d, e, twists) of a row with cross-ratio a, an a of
     _admissible_pairs: every check of a row's (b, c) that k = cr(a1, a2,
-    a3, infinity) does not enter, applied once per a.  passing holds the
-    (b, c, d, e, twists) of the entry's (b, c) with d != 1, c not in {b, d}
-    and e not in {1, b}; twists are the (e1, e2) to emit, empty unless
+    a3, infinity) does not enter, applied once per a.  It holds the entry's
+    (b, c) with d != 1, c not in {b, d} and e not in {1, b}, d and e the
+    images of a6 and b6; twists are the (e1, e2) to emit, empty unless
     lambda5's mask is nonzero and, but for maximal-fp2, a twist class pair
-    passes.  n = len(passing), hist[v] counts those with v in {b, c, d,
-    e}, four distinct values, and live is whether one has twists.  k drops
-    the (b, c) with k in {b, c, d, e}, so a row of the pair with that k
-    holds n - hist[k] tuples, and no hit unless live.  Filled once per a
-    and cached per prime (_funnels)."""
+    passes.  b, c, d and e are four distinct values, and k drops the (b, c)
+    with k among them.  Filled once per a and cached per prime
+    (_funnels)."""
     funnels = _funnels(p, target)
     if a in funnels:
         return funnels[a]
-    inv, _, chi, _ = _tables(p)
+    inv, chi, _ = _tables(p)
     mask = _class_masks(p, target)
     maximal = target is Target.MAXIMAL_FP2
     frame = a * inv[(1 - a) % p] % p
@@ -458,33 +453,33 @@ def _row_funnel(p: int, target: Target, a: int) -> tuple[int, Counter, list, boo
             twists = () if not m5 else ((1, 1),) if maximal else _twist_classes(
                 m12, m34, m5, chi[den * (1 - b) * (1 - c) % p])
             passing.append((b, c, d, e, twists))
-    hist = Counter([v for t in passing for v in t[:4]])
-    funnels[a] = len(passing), hist, passing, any(t[4] for t in passing)
-    return funnels[a]
+    funnels[a] = passing
+    return passing
 
 
 @functools.lru_cache(maxsize=1)
 def _pair_tuples(p: int, target: Target) -> Optional[tuple[int, ...]]:
     """t[k], the tuples of a whole pair with k = cr(a1, a2, a3, infinity),
     at a prime where no row can emit; None when some a of _admissible_pairs
-    is live (_row_funnel), decided at the first such a.  With a4 free a
-    pair's rows take a = cr(a1, a2, a3, a4) at every value but 0, 1 and k
-    once, so with a5 and b5 free and no quota cut inside the pair it holds
-    the sum over the table's a != k of n - hist[k] and no hit; hist_a[a]
-    is 0, since the table holds no b = a.  Cached for the current prime
-    only."""
-    funnels = []
+    has a passing entry with twists (_row_funnel), decided at the first
+    such a.  With a4 free a pair's rows take a = cr(a1, a2, a3, a4) at
+    every value but 0, 1 and k once, and with a5 and b5 free a row keeps
+    each of its a's passing entries that does not hold k.  So the pair
+    holds the entries of every table a, less those of a = k and those that
+    hold k, and no hit.  No entry of a holds a: the table holds no b = a,
+    and d = a or e = a would need b = a or c = a.  Cached for the current
+    prime only."""
+    total, t = 0, [0] * p
     for a in _admissible_pairs(p, target):
-        n, hist, _, live = _row_funnel(p, target, a)
-        if live:
-            return None
-        funnels.append((a, n, hist))
-    t = [sum(n for _, n, _ in funnels)] * p
-    for a, n, hist in funnels:
-        t[a] -= n
-        for v, count in hist.items():
-            t[v] -= count
-    return tuple(t)
+        passing = _row_funnel(p, target, a)
+        total += len(passing)
+        t[a] -= len(passing)
+        for *values, twists in passing:
+            if twists:
+                return None
+            for v in values:
+                t[v] -= 1
+    return tuple(total + v for v in t)
 
 
 def _pair_rows(p: int, arrays: _ScanArrays, a1: int, a2: int, a3: int, k: int,
@@ -526,31 +521,33 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     probe at a time.  Only the rows whose a has admissible pairs can hold a
     survivor (_pair_rows); a row's admissible fifth roots are the b of its
     table entry mapped back to x (_from_frame), so no filter is evaluated
-    at a root that cannot pass.  A row whose a is not live (_row_funnel),
-    with a5 and b5 free and all its probes within the quota, lists no
-    roots: it adds n - hist[k] tuples.  Every other row keeps its funnel's
-    passing (b, c, d, e) with k not among them whose b maps to a root in
-    the a5 order and c to one in the b5 order, in the order of those
+    at a root that cannot pass.  Each listed row keeps its funnel's passing
+    (b, c, d, e) (_row_funnel) with k not among them whose b maps to a root
+    in the a5 order and c to one in the b5 order, in the order of those
     positions; each adds a tuple until the probe of its a5 passes the
     quota, and its twists, if any, are emitted with a6 and b6 at d and e.
-    At a prime where no a is live, decided at the chunk's first pair
-    within the quota, such a pair with a4 free too lists no rows: it adds
-    the tuples of its k (_pair_tuples).
+    With a4, a5 and b5 free every pair holds (p - 3)(p - 4) probes; when
+    the quota does not cut the first pair and no passing entry of the
+    prime has twists (_pair_tuples, looked up once at the chunk's start),
+    each pair the quota does not cut lists no rows: it adds the tuples of
+    its k.
     When deadline, a time.monotonic() value, has passed after a pair, the
     chunk stops there, truncated.  The chunk whose a1 is the pinned a5 has
     no probe, so a quota never ends its scan; enumerate_hits counts it
     instead (_chunks).
     """
-    inv, _, chi, nonres = _tables(p)
+    inv, chi, nonres = _tables(p)
     maximal = cfg.target is Target.MAXIMAL_FP2
     arrays = _scan_arrays(p, cfg)
     _, a2s, a3s, a4s, a5s, b5s = arrays.visit
     pos4, pos5, pos_b5 = arrays.at[3:]
     n4, n5, nb5 = len(a4s), len(a5s), len(b5s)
-    free = n5 == nb5 == p
-    # the tuples of a whole pair per k (_pair_tuples), looked up at the first
-    # pair the quota does not cut when a4 is free too
-    undecided, whole = free and n4 == p, None
+    # the tuples of a whole pair per k (_pair_tuples), when a4, a5 and b5
+    # are free, so every pair holds (p - 3)(p - 4) probes, and the quota
+    # does not cut the first pair
+    whole = None
+    if n4 == n5 == nb5 == p and (quota is None or quota >= (p - 3) * (p - 4)):
+        whole = _pair_tuples(p, cfg.target)
 
     prefixes = probes = tuples = confirm_failures = 0
     hits: list[tuple[HoweParams, dict]] = []
@@ -591,8 +588,6 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 q = (quota - probes) // per
                 reach = q + (hole <= q) + 1
             k = (a1 - a3) * inv[(a2 - a3) % p] % p
-            if undecided and not cut:
-                undecided, whole = False, _pair_tuples(p, cfg.target)
             if whole is not None and not cut:
                 # no row can emit, so the pair is counted whole
                 tuples += whole[k]
@@ -602,19 +597,13 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 # a pair without probes holds no survivor
                 for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
                     start = probes + r * per - (hole < r)
-                    n, hist, passing, live = _row_funnel(p, cfg.target, a)
-                    # a row that cannot emit, with both fifth roots free, is
-                    # counted when the quota does not cut inside it
-                    if free and not live and (not cut or start + per <= quota):
-                        tuples += n - hist[k]
-                        continue
                     # each table b's root; no root maps to k, the image of infinity
                     root = {y: _from_frame(p, inv, a1, a2, k, y)
                             for y, _ in arrays.pairs[a] if y != k}
                     # the passing (b, c) that k leaves, at their roots in the a5
                     # and b5 orders, in scan order
                     kept = []
-                    for b, c, d, e, twists in passing:
+                    for b, c, d, e, twists in _row_funnel(p, cfg.target, a):
                         if k == b or k == c or k == d or k == e:
                             continue
                         a5, b5 = root[b], root[c]

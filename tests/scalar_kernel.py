@@ -12,6 +12,7 @@ works in, so the equality checks the frame against an independent
 derivation.
 """
 
+from howe5.field_arith import residue_tables
 from howe5.howe_factory import HoweParams
 from howe5.search_engine import (
     Target,
@@ -40,7 +41,8 @@ def solve_missing_root(x1, x2, x3, x4, w, p, inv):
 def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
     """Scan every candidate with the given a1; returns (hits, stats), each hit
     (params, counts)."""
-    inv, sqrt_tab, chi, nonres = _tables(p)
+    inv, chi, nonres = _tables(p)
+    sqrt_tab = residue_tables(p).sqrt.tolist()
     mask = _class_masks(p, cfg.target)
     maximal = cfg.target is Target.MAXIMAL_FP2
     _, ord_a2, ord_a3, ord_a4, ord_a5, ord_b5 = _visit_orders(p, cfg)

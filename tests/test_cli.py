@@ -273,6 +273,24 @@ class TestSearchCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("jsonl", ["hits.csv", "./sub/../hits.csv", "link.csv"])
+    def test_out_and_jsonl_on_one_file_fails_before_the_search(
+            self, tmp_path, monkeypatch, capsys, jsonl):
+        # the same file by name, by another spelling and through a symlink;
+        # both writers on it used to leave a corrupt file and exit 0
+        def unreachable(config):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "run_search", unreachable)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "hits.csv")
+        rc = main(["search", "--target", "maximal-fp2", "--p-min", "11", "--p-max", "11",
+                   "--quiet", "--out", "hits.csv", "--jsonl", jsonl])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "hits.csv").exists()
+
     def test_quiet_suppresses_rows(self, capsys):
         rc = main(["search", "--target", "maximal-fp2", "--p-min", "11",
                    "--p-max", "11", "--max-candidates", "20000",

@@ -2,6 +2,7 @@
 (scalar_kernel.py), its table of admissible cross-ratio pairs against the
 forward formula, and the benchmark's scan reference totals."""
 
+import collections
 import importlib.util
 import itertools
 import json
@@ -148,36 +149,36 @@ def test_kernel_matches_scalar_oracle_on_every_chunk(
 
 
 def _record(monkeypatch, name):
-    """The argument tuples of the calls of search_engine's function name
-    from now on, in call order."""
+    """The (arguments, result) of the calls of search_engine's function
+    name from now on, in call order."""
     calls = []
     real = getattr(search_engine, name)
 
     def recorded(*args):
-        calls.append(args)
-        return real(*args)
+        calls.append((args, real(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(search_engine, name, recorded)
     return calls
 
 
-def _record_scans(monkeypatch):
+def _record_scans(monkeypatch, p, target):
     """The a of each row whose funnel entries search_engine scans from now
-    on, in scan order: a row that is counted reads its funnel's n and hist
-    but never iterates its passing entries."""
+    on at p, in scan order.  The prime's whole-pair sums (_pair_tuples),
+    which read every funnel once, are formed first, so only rows count."""
+    search_engine._pair_tuples(p, target)
     scans = []
     real = search_engine._row_funnel
 
-    class Entries(tuple):
+    class Entries(list):
         def __iter__(self):
             scans.append(self.a)
             return super().__iter__()
 
     def funnel(p, target, a):
-        n, hist, passing, live = real(p, target, a)
-        entries = Entries(passing)
+        entries = Entries(real(p, target, a))
         entries.a = a
-        return n, hist, entries, live
+        return entries
 
     monkeypatch.setattr(search_engine, "_row_funnel", funnel)
     return scans
@@ -207,17 +208,19 @@ def _listed_rows(p, cfg, a1, count):
     (Target.SERRE_FP, 233),
 ], ids=lambda v: getattr(v, "value", v))
 def test_counted_rows_match_the_scalar_kernel(monkeypatch, target, p, fixed):
-    # At these primes no row can emit, so each listed row is counted from its
-    # funnel unless the quota cuts inside it.  Per chunk, one quota ends
-    # exactly at the end of the first listed row, one a probe short of it,
-    # and one cuts the second in its middle; a row has p - 4 probes.  With
-    # a4 pinned to 5 the chunk a1 = 5 has no row.  Without a quota the
-    # scalar kernel walks a chunk's probes one by one, too many but at p =
-    # 19, and there with a4 free only for the first two chunks.  At p = 233
-    # the first listed row is about the 33rd, so only the first chunks run.
-    # The rows that are scanned, not counted, iterate their funnel's entries:
-    # at most the one cut row per chunk.
-    scanned = _record_scans(monkeypatch)
+    # At these primes no row can emit, and each listed row walks its
+    # funnel's entries, whether the quota cuts inside it or not.  Per chunk,
+    # one quota ends exactly at the end of the first listed row, one a probe
+    # short of it, and one cuts the second in its middle; a row has p - 4
+    # probes.  With a4 pinned to 5 the chunk a1 = 5 has no row.  Without a
+    # quota the scalar kernel walks a chunk's probes one by one, too many
+    # but at p = 19, and there with a4 free only for the first two chunks,
+    # whose pairs are counted whole and list no row.  At p = 233 the first
+    # listed row is about the 33rd, so only the first chunks run.  Every
+    # listed row, and no other, iterates its funnel's entries, once and in
+    # list order.
+    scanned = _record_scans(monkeypatch, p, target)
+    listed = _record(monkeypatch, "_pair_rows")
     per, chunks = p - 4, 24 if p > 200 else p
     for seed in (None, 3):
         cfg = SearchConfig(p, p, target, seed=seed, fixed=fixed)
@@ -229,8 +232,9 @@ def test_counted_rows_match_the_scalar_kernel(monkeypatch, target, p, fixed):
                 quotas.append(None)
             for quota in quotas:
                 scanned.clear()
+                listed.clear()
                 _same_chunk(p, cfg, a1, quota)
-                assert len(scanned) <= (quota is not None), (seed, a1, quota)
+                assert scanned == [a for _, rows in listed for *_, a in rows], (seed, a1, quota)
 
 
 # primes with admissible pairs where no row can emit
@@ -250,7 +254,7 @@ def test_whole_pairs_at_dead_primes_match_the_scalar_kernel(monkeypatch, target,
     # no funnel.  The scalar kernel takes about 30 ms a chunk at p = 181, so
     # there the k are split in four parts by k mod 4.
     listed = _record(monkeypatch, "_pair_rows")
-    scanned = _record_scans(monkeypatch)
+    scanned = _record_scans(monkeypatch, p, target)
     cfg = SearchConfig(p, p, target, fixed=(("a2", 0), ("a3", 1)))
     for k in range(2, p):
         if part is None or k % 4 == part:
@@ -305,19 +309,22 @@ def test_row_funnel_matches_the_scalar_kernel_on_every_row(monkeypatch, target, 
     # For each a of the table and each k = cr(a1, a2, a3, infinity) outside
     # {0, 1, a}, the one row with a2 = 0, a3 = 1, a1 = 1 - k and a4 =
     # a a1 / (a - k), scanned by the scalar kernel with every candidate
-    # confirmed: n - hist[k] is the row's tuples, live or not, and its hits
-    # are the twists of the passing entries that k leaves, so some k's row
-    # emits exactly when the funnel is live.  No a is live at maximal-fp2
-    # p = 19; at the other primes some are and some are not, and at
-    # serre-fp3 p = 67 some that are not have entries whose lambda5 is
-    # admissible but no twist class pair.
+    # confirmed: with n the passing entries, hist[v] those that hold v and
+    # live whether one has twists, n - hist[k] is the row's tuples, live or
+    # not, and its hits are the twists of the passing entries that k leaves,
+    # so some k's row emits exactly when the funnel is live.  No a is live
+    # at maximal-fp2 p = 19; at the other primes some are and some are not,
+    # and at serre-fp3 p = 67 some that are not have entries whose lambda5
+    # is admissible but no twist class pair.
     monkeypatch.setattr(scalar_kernel, "_confirm", lambda params, target: {})
     inv = _tables(p)[0]
     seen = set()
     for a in _admissible_pairs(p, target):
-        n, hist, passing, live = search_engine._row_funnel(p, target, a)
-        assert n == len(passing) and sum(hist.values()) == 4 * n
-        assert live == any(twists for *_, twists in passing)
+        passing = search_engine._row_funnel(p, target, a)
+        n = len(passing)
+        hist = collections.Counter(v for *values, _ in passing for v in values)
+        live = any(twists for *_, twists in passing)
+        assert all(len(set(values)) == 4 for *values, _ in passing)
         emits = False
         for k in range(2, p):
             if k == a:
@@ -449,7 +456,7 @@ def test_frame_roots_match_the_linear_solve(case):
     Moebius map keeps cross-ratios; and the reference kernel's fifth twist
     class chi_u1 chi_u2 chi_w5 equals chi((b-e)(d-c)(1-b)(1-c))."""
     p, (a1, a2, a3, a4, a5, b5) = case
-    inv, _, chi, _ = search_engine._tables(p)
+    inv, chi, _ = search_engine._tables(p)
     k = (a1 - a3) * inv[(a2 - a3) % p] % p
     a, b, c = (k * (a2 - x) % p * inv[(a1 - x) % p] % p for x in (a4, a5, b5))
     frame = a * inv[(1 - a) % p] % p
@@ -518,7 +525,7 @@ def test_pair_masks_match_scalar_filters(target, p):
     cross-ratios b, against the scalar a5 filter at every x: a root absent
     from the row has bits 0, including every x in {a1, a2, a3, a4}."""
     rng = random.Random(p)
-    inv, sqrt_tab, _, _ = search_engine._tables(p)
+    inv, sqrt_tab = search_engine._tables(p)[0], residue_tables(p).sqrt
     mask = search_engine._class_masks(p, target)
     pairs = search_engine._admissible_pairs(p, target)
     for _ in range(20):

@@ -47,6 +47,13 @@ BATTERY = {
                                   fixed=(("a1", 0),)),
     "maximal-fp2 p = 23 live": dict(target="maximal-fp2", p_min=23, p_max=23, max_hits=60,
                                     max_candidates=200_000, fixed=(("a1", 0),)),
+    # many listed rows whose a cannot emit, with a5 and b5 free
+    "maximal-fp2 p = 19 a4 pinned": dict(target="maximal-fp2", p_min=19, p_max=19,
+                                         fixed=(("a4", 5),)),
+    "serre-fp p = 181 a4 pinned": dict(target="serre-fp", p_min=181, p_max=181,
+                                       fixed=(("a1", 0), ("a4", 5))),
+    "maximal-fp2 [11, 47] seed 5": dict(target="maximal-fp2", p_min=11, p_max=47,
+                                        max_candidates=1_000_000, max_hits=50, seed=5),
 }
 
 
