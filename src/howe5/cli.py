@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import tables
 from .curve_models import COUNT_CAP, CountMethod, HyperellipticModel, PointCount, count_points
-from .errors import Howe5Error
+from .errors import CapExceeded, Howe5Error
 from .hasse_serre import LegendreCurve, Target, serre_bound, zeta_lift
 from .howe_factory import DecompositionReport, HoweParams, direct_counts, howe_counts, validate
 from .search_engine import (
@@ -31,6 +31,17 @@ SHALLOW_DIRECT_LIMIT = 100_000
 
 class SystemExit2(Exception):
     """Usage error discovered after argparse."""
+
+
+@contextlib.contextmanager
+def _prime_cap_is_usage():
+    """A prime at or past the cap while the parameters are read is a usage
+    error, exit 2, as in search --p-max and verify-tables --data; a count
+    past the element cap stays a failure, exit 1."""
+    try:
+        yield
+    except CapExceeded as exc:
+        raise SystemExit2(str(exc)) from None
 
 
 def _ints_csv(n: int, what: str):
@@ -195,7 +206,7 @@ def cmd_verify_tables(ns) -> int:
 
 def _params_from_ns(ns) -> HoweParams:
     if ns.from_json:
-        with open(ns.from_json) as fh:
+        with open(ns.from_json) as fh, _prime_cap_is_usage():
             return HoweParams.from_json_dict(json.load(fh))
     missing = [
         name
@@ -205,7 +216,8 @@ def _params_from_ns(ns) -> HoweParams:
     ]
     if missing:
         raise SystemExit2(f"decompose needs {', '.join(missing)} (or --from-json)")
-    return HoweParams.from_ints(ns.p, ns.alpha1, ns.alpha2, ns.a, ns.b)
+    with _prime_cap_is_usage():
+        return HoweParams.from_ints(ns.p, ns.alpha1, ns.alpha2, ns.a, ns.b)
 
 
 def cmd_decompose(ns) -> int:
@@ -229,7 +241,7 @@ def cmd_decompose(ns) -> int:
         parts = " + ".join(str(n) for n in c.e)
         print(f"counts over F_p^{j}: C1={c.c1} C2={c.c2} C3={c.c3} | "
               f"E: {parts} | C = {c.total}")
-    v = report.verdicts.to_dict()
+    v = report.verdicts._asdict()
     def show(x):
         return "n/a" if x is None else ("yes" if x else "no")
     print(f"meets the genus-5 bound over F_p:   {show(v['serre_fp'])}")
@@ -250,7 +262,8 @@ def cmd_count(ns) -> int:
     if legendre_style:
         if ns.theta is None or ns.lam is None:
             raise SystemExit2("count needs both --theta and --lambda")
-        model = LegendreCurve.from_ints(ns.p, ns.theta, ns.lam).model()
+        with _prime_cap_is_usage():
+            model = LegendreCurve.from_ints(ns.p, ns.theta, ns.lam).model()
     else:
         if ns.alpha is None or ns.roots is None:
             raise SystemExit2("count needs both --alpha and --roots")
@@ -258,7 +271,8 @@ def cmd_count(ns) -> int:
             roots = tuple(int(t) for t in ns.roots.split(","))
         except ValueError:
             raise SystemExit2(f"--roots: expected integers, got {ns.roots!r}")
-        model = HyperellipticModel.from_ints(ns.p, ns.alpha, roots)
+        with _prime_cap_is_usage():
+            model = HyperellipticModel.from_ints(ns.p, ns.alpha, roots)
     j = ns.ext
     if model.genus == 1 and j > 1:
         n1 = count_points(model, 1).count

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
 
 from .errors import CapExceeded, HasseViolation
 from .field_arith import (
+    CheckedRecord,
     FieldElement,
     PrimeModulus,
     build_extension,
@@ -49,50 +50,47 @@ def weil_interval(q: int, genus: int) -> tuple[int, int]:
     return q + 1 - half, q + 1 + half
 
 
-@dataclass(frozen=True)
-class PointCount:
+class PointCount(CheckedRecord, namedtuple("PointCount", "q count method genus")):
     """A point count over F_q, checked against the Hasse-Weil interval when
     the genus is known."""
 
-    q: int
-    count: int
-    method: CountMethod
-    genus: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.genus is not None:
-            lo, hi = weil_interval(self.q, self.genus)
-            if not lo <= self.count <= hi:
+    def __new__(cls, q: int, count: int, method: CountMethod,
+                genus: int | None = None) -> "PointCount":
+        if genus is not None:
+            lo, hi = weil_interval(q, genus)
+            if not lo <= count <= hi:
                 raise HasseViolation(
-                    f"count {self.count} outside the Hasse-Weil interval for "
-                    f"q={self.q}, genus {self.genus}"
+                    f"count {count} outside the Hasse-Weil interval for "
+                    f"q={q}, genus {genus}"
                 )
+        return tuple.__new__(cls, (q, count, method, genus))
 
     @property
     def trace(self) -> int:
         return self.q + 1 - self.count
 
 
-@dataclass(frozen=True)
-class HyperellipticModel:
+class HyperellipticModel(CheckedRecord, namedtuple("HyperellipticModel", "mod alpha roots")):
     """y^2 = alpha * (x - r_1) .. (x - r_d) over F_p, 3 <= d <= 6."""
 
-    mod: PrimeModulus
-    alpha: FieldElement
-    roots: tuple[FieldElement, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha.mod.p != self.mod.p:
+    def __new__(cls, mod: PrimeModulus, alpha: FieldElement,
+                roots: tuple[FieldElement, ...]) -> "HyperellipticModel":
+        if alpha.mod.p != mod.p:
             raise ValueError("alpha has the wrong modulus")
-        if self.alpha.value == 0:
+        if alpha.value == 0:
             raise ValueError("alpha must be nonzero")
-        if not 3 <= len(self.roots) <= 6:
-            raise ValueError(f"need 3..6 roots, got {len(self.roots)}")
-        for r in self.roots:
-            if r.mod.p != self.mod.p:
+        if not 3 <= len(roots) <= 6:
+            raise ValueError(f"need 3..6 roots, got {len(roots)}")
+        for r in roots:
+            if r.mod.p != mod.p:
                 raise ValueError("root has the wrong modulus")
-        if len({r.value for r in self.roots}) != len(self.roots):
+        if len({r.value for r in roots}) != len(roots):
             raise ValueError("roots must be pairwise distinct")
+        return tuple.__new__(cls, (mod, alpha, roots))
 
     @classmethod
     def from_ints(cls, p: int, alpha: int, roots) -> "HyperellipticModel":

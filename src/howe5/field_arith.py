@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -38,17 +38,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
+class CheckedRecord:
+    """Base of a record that checks its fields: a namedtuple subclass whose
+    __new__ takes the fields, with their types, and checks them.  _make,
+    and with it _replace, builds through __new__, so it checks too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+
+class PrimeModulus(CheckedRecord, namedtuple("PrimeModulus", "p")):
     """An odd prime p together with m = (p - 1) / 2."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p >= PRIME_CAP:
-            raise CapExceeded(f"modulus {self.p} exceeds the cap {PRIME_CAP}")
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"modulus must be an odd prime, got {self.p}")
+    def __new__(cls, p: int) -> "PrimeModulus":
+        if p >= PRIME_CAP:
+            raise CapExceeded(f"modulus {p} exceeds the cap {PRIME_CAP}")
+        if p < 3 or p % 2 == 0 or not is_prime(p):
+            raise ValueError(f"modulus must be an odd prime, got {p}")
+        return tuple.__new__(cls, (p,))
 
     @property
     def m(self) -> int:
@@ -56,9 +68,6 @@ class PrimeModulus:
 
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
-
-    def __repr__(self) -> str:
-        return f"PrimeModulus({self.p})"
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,8 +246,7 @@ def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # cannot happen
 
 
-@dataclass(frozen=True)
-class ExtensionField:
+class ExtensionField(NamedTuple):
     """F_{p^k} as F_p[x] modulo a fixed monic irreducible of degree k.
 
     poly holds the low-order coefficients (c_0, .., c_{k-1}) of the modulus

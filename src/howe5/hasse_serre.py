@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -26,7 +26,8 @@ import numpy as np
 from . import curve_models
 from .errors import HasseViolation, HypothesisViolated, InexactTraces
 from .field_arith import (
-    TABLE_CACHE, FieldElement, PrimeModulus, prime_modulus, require_ints, residue_tables,
+    TABLE_CACHE, CheckedRecord, FieldElement, PrimeModulus, prime_modulus, require_ints,
+    residue_tables,
 )
 
 
@@ -70,21 +71,18 @@ class Target(Enum):
         return all(predicate(E) for E in curves)
 
 
-@dataclass(frozen=True)
-class LegendreCurve:
-    """y^2 = theta * x (x - 1) (x - lam) with theta != 0 and lam not in {0, 1}."""
+class LegendreCurve(CheckedRecord, namedtuple("LegendreCurve", "mod theta lam")):
+    """y^2 = theta * x (x - 1) (x - lam) with theta != 0 and lam not in {0, 1}.
+    Unlike the other records it has an instance __dict__, for hasse."""
 
-    mod: PrimeModulus
-    theta: FieldElement
-    lam: FieldElement
-
-    def __post_init__(self) -> None:
-        if self.theta.mod.p != self.mod.p or self.lam.mod.p != self.mod.p:
+    def __new__(cls, mod: PrimeModulus, theta: FieldElement, lam: FieldElement) -> "LegendreCurve":
+        if theta.mod.p != mod.p or lam.mod.p != mod.p:
             raise ValueError("parameter has the wrong modulus")
-        if self.theta.value == 0:
+        if theta.value == 0:
             raise ValueError("theta must be nonzero")
-        if self.lam.value in (0, 1):
-            raise ValueError(f"lambda must avoid 0 and 1, got {self.lam.value}")
+        if lam.value in (0, 1):
+            raise ValueError(f"lambda must avoid 0 and 1, got {lam.value}")
+        return tuple.__new__(cls, (mod, theta, lam))
 
     @classmethod
     def from_ints(cls, p: int, theta: int, lam: int) -> "LegendreCurve":

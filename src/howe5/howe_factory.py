@@ -22,7 +22,8 @@ count the three quotients together from shared character rows
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from . import curve_models, hasse_serre
 from .curve_models import HyperellipticModel
@@ -35,27 +36,25 @@ from .errors import (
     ValidationError,
 )
 from .field_arith import (
-    FieldElement, PrimeModulus, legendre_symbol, prime_modulus, require_ints, residue_tables,
+    CheckedRecord, FieldElement, PrimeModulus, legendre_symbol, prime_modulus, require_ints,
+    residue_tables,
 )
 from .hasse_serre import LegendreCurve, Target, zeta_lift
 
 
-@dataclass(frozen=True)
-class HoweParams:
+class HoweParams(CheckedRecord, namedtuple("HoweParams", "mod alpha1 alpha2 a b")):
     """Raw construction data; use validate() to certify it."""
 
-    mod: PrimeModulus
-    alpha1: FieldElement
-    alpha2: FieldElement
-    a: tuple[FieldElement, ...]
-    b: tuple[FieldElement, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.a) != 6 or len(self.b) != 2:
+    def __new__(cls, mod: PrimeModulus, alpha1: FieldElement, alpha2: FieldElement,
+                a: tuple[FieldElement, ...], b: tuple[FieldElement, ...]) -> "HoweParams":
+        if len(a) != 6 or len(b) != 2:
             raise ValueError("need six a-values and two b-values")
-        for x in (self.alpha1, self.alpha2, *self.a, *self.b):
-            if x.mod.p != self.mod.p:
+        for x in (alpha1, alpha2, *a, *b):
+            if x.mod.p != mod.p:
                 raise ValueError("value has the wrong modulus")
+        return tuple.__new__(cls, (mod, alpha1, alpha2, a, b))
 
     @classmethod
     def from_ints(cls, p: int, alpha1: int, alpha2: int, a, b) -> "HoweParams":
@@ -115,8 +114,7 @@ class HoweParams:
         return cls.from_ints(p, alpha1, alpha2, a, b)
 
 
-@dataclass(frozen=True)
-class SplitData:
+class SplitData(NamedTuple):
     """The validated decomposition of params: the cross-ratios a, b, c, the
     pair twists beta1, beta2, and the five Legendre factors in pair order,
     with the canonical-root branch first within each pair."""
@@ -130,8 +128,7 @@ class SplitData:
     curves: tuple[LegendreCurve, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A failed invariant: error, the class raise_if_invalid raises for it,
     and detail; code, the class name, is the violation's JSON code."""
 
@@ -143,15 +140,18 @@ class Violation:
         return self.error.__name__
 
 
-@dataclass
 class ValidationResult:
     """Every violation found, square-class diagnostics, and, when there is
-    no violation, the decomposition; split is None otherwise."""
+    no violation, the decomposition; split is None otherwise.  validate
+    fills it in."""
 
-    params: HoweParams
-    violations: list[Violation] = field(default_factory=list)
-    info: dict = field(default_factory=dict)
-    split: SplitData | None = None
+    __slots__ = ("params", "violations", "info", "split")
+
+    def __init__(self, params: HoweParams) -> None:
+        self.params = params
+        self.violations: list[Violation] = []
+        self.info: dict = {}
+        self.split: SplitData | None = None
 
     @property
     def ok(self) -> bool:
@@ -295,8 +295,7 @@ def direct_counts(params: HoweParams, j: int) -> tuple[int, int, int, int]:
     return c1, c2, c3, c1 + c2 + c3 - 2 * q - 2
 
 
-@dataclass(frozen=True)
-class HoweCounts:
+class HoweCounts(NamedTuple):
     """Counts of the quotients, the factors, and the genus-5 curve over F_q."""
 
     q: int
@@ -347,8 +346,7 @@ def howe_counts(split: SplitData, j: int = 1) -> HoweCounts:
     return base if j == 1 else base.lift(j)
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(NamedTuple):
     """Bound verdicts for one parameter set.  serre_fp and serre_fp3 are None
     when p is below the threshold of the deciding congruence."""
 
@@ -358,15 +356,6 @@ class VerdictRecord:
     count_mod4_ok: bool
     p_mod4: int
 
-    def to_dict(self) -> dict:
-        return {
-            "serre_fp": self.serre_fp,
-            "maximal_fp2": self.maximal_fp2,
-            "serre_fp3": self.serre_fp3,
-            "count_mod4_ok": self.count_mod4_ok,
-            "p_mod4": self.p_mod4,
-        }
-
 
 def serre_verdicts(params: HoweParams) -> VerdictRecord:
     """Congruence verdicts for all five factors, plus the mandatory mod-4
@@ -374,8 +363,11 @@ def serre_verdicts(params: HoweParams) -> VerdictRecord:
     return DecompositionReport.build(params).verdicts
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
+    """A validated parameter set with its counts over each F_{p^j} asked
+    for, keyed by j, and its verdicts; build makes one, or raises the first
+    violation, and to_json renders it as a report."""
+
     validation: ValidationResult
     counts: dict[int, HoweCounts]
     verdicts: VerdictRecord
@@ -414,7 +406,7 @@ class DecompositionReport:
                 }
                 for j, hc in sorted(self.counts.items())
             },
-            "verdicts": self.verdicts.to_dict(),
+            "verdicts": self.verdicts._asdict(),
             "validation": {
                 "ok": self.validation.ok,
                 "violations": [

@@ -72,13 +72,15 @@ import numbers
 import random
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
 from . import howe_factory
-from .field_arith import PRIME_CAP, is_prime, legendre_symbol, require_ints, residue_tables
+from .field_arith import (
+    PRIME_CAP, CheckedRecord, is_prime, legendre_symbol, require_ints, residue_tables,
+)
 from .hasse_serre import Target, legendre_traces, serre_bound
 from .howe_factory import HoweParams
 from .tables import EXPECTED_HEADER
@@ -88,8 +90,8 @@ ENUMERATED_SLOTS = ("a1", "a2", "a3", "a4", "a5", "b5")
 CSV_HEADER = ",".join(EXPECTED_HEADER)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(CheckedRecord, namedtuple(
+        "SearchConfig", "p_min p_max target max_candidates max_hits time_budget seed fixed")):
     """Search settings.  max_candidates caps (a1..a5) probes per prime,
     split into equal per-chunk quotas; max_hits caps emitted hits per prime.
     fixed pins enumerated slots to constants, e.g. (("a1", 2), ("a2", 1)),
@@ -99,54 +101,47 @@ class SearchConfig:
     others in a new process.
     time_budget is in seconds, a real number but not a bool or NaN."""
 
-    p_min: int
-    p_max: int
-    target: Target
-    max_candidates: Optional[int] = None
-    max_hits: Optional[int] = None
-    time_budget: Optional[float] = None
-    seed: Optional[int] = None
-    fixed: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "target", Target(self.target))
+    def __new__(cls, p_min: int, p_max: int, target: Target,
+                max_candidates: Optional[int] = None, max_hits: Optional[int] = None,
+                time_budget: Optional[float] = None, seed: Optional[int] = None,
+                fixed: tuple[tuple[str, int], ...] = ()) -> "SearchConfig":
+        target = Target(target)
         try:
-            fixed = tuple((slot, value) for slot, value in self.fixed)
+            pins = tuple((slot, value) for slot, value in fixed)
         except (TypeError, ValueError):
-            raise ValueError(f"fixed must hold (slot, value) pairs, got {self.fixed!r}") from None
-        object.__setattr__(self, "fixed", fixed)
-        require_ints(self.p_min, self.p_max, *(value for _, value in fixed), *(
-            v for v in (self.max_candidates, self.max_hits, self.seed) if v is not None))
-        if self.p_min > self.p_max:
-            raise ValueError(f"empty prime range [{self.p_min}, {self.p_max}]")
-        if self.p_max >= PRIME_CAP:
-            raise ValueError(f"p_max must be below {PRIME_CAP}, got {self.p_max}")
-        floor = self.target.min_prime
-        if self.p_min < floor:
-            raise ValueError(
-                f"target {self.target.value} needs p >= {floor}, got p_min={self.p_min}"
-            )
-        for i, (slot, _) in enumerate(self.fixed):
+            raise ValueError(f"fixed must hold (slot, value) pairs, got {fixed!r}") from None
+        require_ints(p_min, p_max, *(value for _, value in pins), *(
+            v for v in (max_candidates, max_hits, seed) if v is not None))
+        if p_min > p_max:
+            raise ValueError(f"empty prime range [{p_min}, {p_max}]")
+        if p_max >= PRIME_CAP:
+            raise ValueError(f"p_max must be below {PRIME_CAP}, got {p_max}")
+        floor = target.min_prime
+        if p_min < floor:
+            raise ValueError(f"target {target.value} needs p >= {floor}, got p_min={p_min}")
+        for i, (slot, _) in enumerate(pins):
             if slot not in ENUMERATED_SLOTS:
                 raise ValueError(f"cannot pin slot {slot!r}")
-            if any(slot == earlier for earlier, _ in self.fixed[:i]):
+            if any(slot == earlier for earlier, _ in pins[:i]):
                 raise ValueError(f"slot {slot!r} is pinned more than once")
-        budget = self.time_budget
-        if budget is not None and (isinstance(budget, bool)
-                                   or not isinstance(budget, numbers.Real)):
-            raise ValueError(f"time_budget must be a number of seconds, got {budget!r}")
-        for cap, least in (("max_candidates", 1), ("max_hits", 1), ("time_budget", 0)):
-            value = getattr(self, cap)
+        if time_budget is not None and (isinstance(time_budget, bool)
+                                        or not isinstance(time_budget, numbers.Real)):
+            raise ValueError(f"time_budget must be a number of seconds, got {time_budget!r}")
+        for cap, value, least in (("max_candidates", max_candidates, 1),
+                                  ("max_hits", max_hits, 1), ("time_budget", time_budget, 0)):
             # not value >= least, so that a NaN budget fails too
             if value is not None and not value >= least:
                 raise ValueError(f"{cap} must be at least {least}, got {value}")
+        return tuple.__new__(cls, (p_min, p_max, target, max_candidates, max_hits,
+                                   time_budget, seed, pins))
 
     def fixed_value(self, slot: str) -> Optional[int]:
         return dict(self.fixed).get(slot)
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     """A confirmed parameter tuple.  index is the enumeration position
     (prime, chunk, sequence inside the chunk)."""
 
@@ -166,16 +161,23 @@ class SearchHit:
         }
 
 
-@dataclass
 class SearchStats:
-    primes: int = 0
-    prefixes: int = 0
-    probes: int = 0
-    tuples: int = 0
-    hits: int = 0
-    confirm_failures: int = 0
-    truncated: bool = False
-    elapsed: float = 0.0
+    """What a search did, filled in as it runs: primes searched, (a1..a4)
+    prefixes and (a1..a5) probes visited, root tuples passed to the fifth
+    lambda check, hits emitted, candidates that failed confirmation,
+    whether a cap or the time budget cut the search short, and its wall
+    time in seconds.  COUNTERS names every field but elapsed: they repeat
+    exactly for a fixed seed without a time budget."""
+
+    COUNTERS = ("primes", "prefixes", "probes", "tuples", "hits", "confirm_failures",
+                "truncated")
+    __slots__ = COUNTERS + ("elapsed",)
+
+    def __init__(self) -> None:
+        self.primes = self.prefixes = self.probes = self.tuples = 0
+        self.hits = self.confirm_failures = 0
+        self.truncated = False
+        self.elapsed = 0.0
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

@@ -11,6 +11,10 @@ from howe5.curve_models import count_points
 from howe5.field_arith import PRIME_CAP
 from howe5.hasse_serre import LegendreCurve
 
+# the least prime past the cap
+PAST_CAP = 1048583
+PAST_CAP_ERR = f"error: modulus {PAST_CAP} exceeds the cap {PRIME_CAP}\n"
+
 
 class TestBundledTables:
     def test_row_counts(self):
@@ -168,6 +172,18 @@ class TestDecompose:
         d = json.loads(capsys.readouterr().out)
         assert d["counts"]["3"]["q"] == 499 ** 3
 
+    def test_prime_past_the_cap_exits_2(self, capsys):
+        assert main(["decompose", "--p", str(PAST_CAP), "--alpha1", "1", "--alpha2", "1",
+                     "--a", "0,1,2,3,4,5", "--b", "6,7"]) == 2
+        assert capsys.readouterr().err == PAST_CAP_ERR
+
+    def test_from_json_prime_past_the_cap_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "params.json"
+        f.write_text(json.dumps({"p": PAST_CAP, "alpha1": 1, "alpha2": 1,
+                                 "a": [0, 1, 2, 3, 4, 5], "b": [6, 7]}))
+        assert main(["decompose", "--from-json", str(f)]) == 2
+        assert capsys.readouterr().err == PAST_CAP_ERR
+
     def test_missing_flags_usage_error(self, capsys):
         rc = main(["decompose", "--p", "11"])
         assert rc == 2
@@ -200,6 +216,15 @@ class TestCount:
 
     def test_no_curve_given(self):
         assert main(["count", "--p", "11"]) == 2
+
+    @pytest.mark.parametrize("curve", [["--theta", "1", "--lambda", "5"],
+                                       ["--alpha", "1", "--roots", "0,1,2"]],
+                             ids=["legendre", "general"])
+    def test_prime_past_the_cap_exits_2(self, capsys, curve):
+        """A prime past the cap is a usage error; a count past the element
+        cap (below) is a failure."""
+        assert main(["count", "--p", str(PAST_CAP), *curve]) == 2
+        assert capsys.readouterr().err == PAST_CAP_ERR
 
     def test_genus2_over_cap_fails(self, capsys):
         rc = main(["count", "--p", "3307", "--alpha", "1",

@@ -11,7 +11,6 @@ file as a script to record the battery again:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -61,11 +60,10 @@ def outcome(settings: dict) -> dict:
     """The search's hits (row, counts, index) and its statistics but elapsed,
     in JSON types."""
     hits, stats = run_search(SearchConfig(**settings))
-    fields = [f.name for f in dataclasses.fields(SearchStats) if f.name != "elapsed"]
     return {
         "hits": [[list(h.row()), {str(j): n for j, n in sorted(h.counts.items())}, list(h.index)]
                  for h in hits],
-        "stats": {name: getattr(stats, name) for name in fields},
+        "stats": {name: getattr(stats, name) for name in SearchStats.COUNTERS},
     }
 
 
