@@ -1,17 +1,16 @@
-"""Hasse polynomial machinery, Serre-bound arithmetic, the exact trace
-table, and the three attainment predicates for twisted Legendre curves
+"""Hasse polynomial machinery, Serre-bound arithmetic, exact traces, and
+the three attainment predicates for twisted Legendre curves
 y^2 = theta * x (x - 1) (x - lambda) over F_p.
 
-legendre_traces holds the exact trace t(lambda) for every lambda; the twist
-by theta has trace chi(theta) t.  Each bound target, over F_{p^j}, is one
-rule: lift_trace(chi(theta) t, p, j) = -floor(2 sqrt(p^j)).  The predicates,
-the paper's per-curve criteria, decide the same from congruences mod p on
-H_p(lambda), which each LegendreCurve evaluates once (its hasse property)
-however many targets are decided for it; Target
-is the one definition of each target, its degree j, the least prime its
-predicate decides from, the traces a passing factor can have (goal_traces)
-and the predicate over all five factors.  The zeta-recursion lift turns an
-exact count over F_p into counts over F_{p^j}.
+Each LegendreCurve evaluates H_p(lambda) once (its hasse property);
+exact_trace reads its trace t off that residue, and legendre_traces, the FFT
+table of t(lambda) for every lambda, serves only the search.  Each bound
+target, over F_{p^j}, is one rule: lift_trace(t, p, j) = -floor(2 sqrt(p^j)).
+The predicates, the paper's per-curve criteria, decide the same from
+congruences mod p on H_p(lambda); Target is the one definition of each
+target, its degree j, the least prime its predicate decides from, the traces
+a passing factor can have (goal_traces) and the predicate over all five
+factors.  The zeta lift turns an exact count over F_p into one over F_{p^j}.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class Target(Enum):
     @property
     def degree(self) -> int:
         """j such that the target is the genus-5 Serre bound over F_{p^j}."""
-        return list(Target).index(self) + 1
+        return _DEGREES[self]
 
     @property
     def min_prime(self) -> int:
@@ -69,6 +68,9 @@ class Target(Enum):
             return None
         predicate = (attains_serre_fp, maximal_fp2, attains_serre_fp3)[self.degree - 1]
         return all(predicate(E) for E in curves)
+
+
+_DEGREES = {target: j for j, target in enumerate(Target, 1)}
 
 
 class LegendreCurve(CheckedRecord, namedtuple("LegendreCurve", "mod theta lam")):
@@ -184,6 +186,20 @@ def trace_mod_p(curve: LegendreCurve) -> FieldElement:
     m = curve.mod.m
     t = pow(p - curve.theta.value, m, p) * curve.hasse % p
     return FieldElement(t, curve.mod)
+
+
+def exact_trace(curve: LegendreCurve) -> int:
+    """The trace t over F_p: t = h mod p, h the residue of trace_mod_p,
+    4 | p + 1 - t (the 2-torsion is rational) and t^2 <= 4p, unique as 4p
+    exceeds the Hasse interval.  Raises HasseViolation when h admits no t."""
+    p = curve.mod.p
+    h = pow(p - curve.theta.value, curve.mod.m, p) * curve.hasse % p
+    t = h + p * ((p + 1 - h) * p % 4)
+    if t > 2 * p:
+        t -= 4 * p
+    if t * t > 4 * p:
+        raise HasseViolation(f"Hasse residue {h} admits no trace for p={p}")
+    return t
 
 
 def attains_serre_fp(curve: LegendreCurve) -> bool:

@@ -13,10 +13,11 @@ split further into Legendre pairs and C3 is put in Legendre form.
 
 validate checks a parameter set on plain residues mod p, reading the
 quadratic character and square roots from the residue tables, and builds
-field elements only for the split it returns.  C1 and C2 share a1..a4 and
-C3 is exactly a5, a6, b5, b6, so howe_counts and the direct_counts oracle
-count the three quotients together from shared character rows
-(curve_models.count_quotients).
+field elements only for the split it returns.  howe_counts reads the five
+factor counts over F_p off the factors' Hasse residues (exact_trace) and
+checks them against the three quotients, counted together with shared
+character rows (curve_models.count_quotients), as C1 and C2 share a1..a4
+and C3 is exactly a5, a6, b5, b6; the direct_counts oracle counts so too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 from collections import namedtuple
 from typing import NamedTuple
 
-from . import curve_models, hasse_serre
+from . import curve_models
 from .curve_models import HyperellipticModel
 from .errors import (
     CrossRatioFailed,
@@ -36,10 +37,9 @@ from .errors import (
     ValidationError,
 )
 from .field_arith import (
-    CheckedRecord, FieldElement, PrimeModulus, legendre_symbol, prime_modulus, require_ints,
-    residue_tables,
+    CheckedRecord, FieldElement, PrimeModulus, prime_modulus, require_ints, residue_tables,
 )
-from .hasse_serre import LegendreCurve, Target, zeta_lift
+from .hasse_serre import LegendreCurve, Target, exact_trace, zeta_lift
 
 
 class HoweParams(CheckedRecord, namedtuple("HoweParams", "mod alpha1 alpha2 a b")):
@@ -326,15 +326,14 @@ class HoweCounts(NamedTuple):
 
 
 def howe_counts(split: SplitData, j: int = 1) -> HoweCounts:
-    """Counts over F_{p^j}.  The five factor counts over F_p are read from
-    the trace table, #E = p + 1 - chi(theta) t[lambda]; the three quotients
-    are counted over F_p and checked against them, which cross-checks the
-    table; the counts over F_{p^j} are lifted from the factors' traces."""
+    """Counts over F_{p^j}.  The five factor counts over F_p are p + 1 - t,
+    t read off the factor's Hasse residue (exact_trace); the three quotients
+    are counted over F_p and must agree with them (DecompositionMismatch);
+    the counts over F_{p^j} are lifted from the factors' traces."""
     params = split.params
     p = params.mod.p
-    t = hasse_serre.legendre_traces(p)
     n_c = tuple(pc.count for pc in curve_models.count_quotients(*howe_models(params), 1))
-    n_e = tuple(p + 1 - legendre_symbol(E.theta) * int(t[E.lam.value]) for E in split.curves)
+    n_e = tuple(p + 1 - exact_trace(E) for E in split.curves)
     from_factors = (n_e[0] + n_e[1] - p - 1, n_e[2] + n_e[3] - p - 1, n_e[4])
     if n_c != from_factors:
         raise DecompositionMismatch(

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import naive_count_ext, naive_count_fp
 from howe5 import hasse_serre, tables
 from howe5.errors import HasseViolation, HypothesisViolated, InexactTraces
-from howe5.field_arith import FieldElement, is_prime, legendre_symbol, prime_modulus
+from howe5.field_arith import FieldElement, is_prime, legendre_symbol, prime_modulus, residue_tables
 from howe5.hasse_serre import (
     LegendreCurve,
     Target,
     attains_serre_fp,
     attains_serre_fp3,
+    exact_trace,
     floor_two_sqrt,
     hasse_poly_coeffs,
     hasse_poly_eval,
@@ -127,6 +128,37 @@ class TestLegendreTraces:
         monkeypatch.setattr(hasse_serre.np.fft, "irfft", lambda *a, **k: skew(irfft(*a, **k)))
         with pytest.raises(InexactTraces):
             legendre_traces.__wrapped__(101)
+
+
+class TestExactTrace:
+    def test_matches_the_trace_table(self):
+        """The trace read off the Hasse residue is chi(theta) t[lambda] of the
+        FFT table, for both twist classes and every lambda not in {0, 1}."""
+        for p in (p for p in range(3, 150) if is_prime(p)):
+            t = legendre_traces(p).tolist()
+            for theta, sign in ((1, 1), (residue_tables(p).nonres, -1)):
+                got = [exact_trace(LegendreCurve.from_ints(p, theta, v)) for v in range(2, p)]
+                assert got == [sign * tv for tv in t[2:]], (p, theta)
+
+    def test_every_residue_gives_its_one_trace_or_raises(self):
+        """Set as the curve's Hasse value, each residue mod p returns the one
+        t = it mod p with 4 | p + 1 - t and t^2 <= 4p, or, when there is
+        none, raises HasseViolation: at every odd prime below 60, and at
+        1187, where most residues admit no trace."""
+        for p in [p for p in range(3, 60) if is_prime(p)] + [1187]:
+            traces = [t for t in range(-2 * p, 2 * p + 1)
+                      if t * t <= 4 * p and (p + 1 - t) % 4 == 0]
+            for h in range(p):
+                curve = LegendreCurve.from_ints(p, 1, 2)
+                # theta = 1, so trace_mod_p is (-1)^m times the Hasse value
+                curve.__dict__["hasse"] = (-1) ** ((p - 1) // 2) * h % p
+                want = [t for t in traces if (t - h) % p == 0]
+                assert len(want) <= 1, (p, h)
+                if want:
+                    assert exact_trace(curve) == want[0], (p, h)
+                else:
+                    with pytest.raises(HasseViolation, match="admits no trace"):
+                        exact_trace(curve)
 
 
 def _attaining_curves(p: int, j: int) -> list[tuple[int, int]]:

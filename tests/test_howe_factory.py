@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,6 +30,9 @@ from howe5.howe_factory import (
     validate,
 )
 from howe5.search_engine import random_valid_params
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _params(row):
@@ -378,3 +384,23 @@ class TestReport:
         d = DecompositionReport.build(_params(ROW_P499)).to_json_dict()
         assert d["verdicts"]["serre_fp"] is True
         assert d["verdicts"]["maximal_fp2"] is False
+
+
+def test_decomposition_path_leaves_numpy_fft_unimported():
+    """The factor counts come from the Hasse residues, so checking the
+    bundled tables and building a report run no FFT: numpy.fft, which
+    numpy loads on first use, stays out of sys.modules."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import contextlib, io\n"
+        "from howe5 import cli, tables\n"
+        "from howe5.howe_factory import DecompositionReport\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['verify-tables'])\n"
+        "DecompositionReport.build(tables.load_table(1)[0], (1, 2))\n"
+        "print(status, 'numpy.fft' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
