@@ -7,10 +7,14 @@ Over F_p it is the production count; over F_{p^2} and F_{p^3} it is the
 oracle that lifted counts are checked against.
 
 Every count is one character sum, sum_x chi(alpha) prod_i chi(x - r_i),
-taken by one kernel (_root_products) a block of about _BLOCK field
-elements at a time: count_points multiplies a model's rows once per root,
-and count_quotients counts a fibre product's three quotients from shared
-rows, so no temporary holds q entries.
+taken by one kernel (_root_sums) a block of about _BLOCK field elements at
+a time: count_points multiplies a model's rows once per root, and
+count_quotients counts a fibre product's three quotients from shared rows,
+so no temporary holds q entries.  The chi table of F_{p^k} is read off the
+norm form and built from two of its symmetries: over F_{p^2}, whose modulus
+is always x^2 + f_0, Frobenius makes rows c_1 and p - c_1 equal, so the
+sums walk rows 0..(p-1)/2 only; over F_{p^3} the norm is homogeneous of
+degree 3, so every slab of the top coefficient is slab 1 rescaled.
 """
 
 from __future__ import annotations
@@ -113,46 +117,73 @@ def _char_table(p: int, k: int) -> np.ndarray:
     """int8 quadratic character of F_{p^k}, indexed by c_0 + c_1 p (+ c_2 p^2):
     1 on nonzero squares, -1 on non-squares, 0 at zero.  x is a square iff
     its norm N(x) = x^(1 + p + .. + p^(k-1)) is one in F_p, as x^((q-1)/2) =
-    N(x)^((p-1)/2).  N is a form in the c_i with coefficients in e1 = -f_{k-1},
-    e2 = f_{k-2}, e3 = -f_0, the symmetric functions of the roots of the
-    defining x^k + f_{k-1} x^(k-1) + .. + f_0.  Built in blocks of the top
-    coefficient, so no temporary has q entries; cached for the current field only."""
+    N(x)^((p-1)/2).  No temporary has q entries; cached for the current
+    field only.
+
+    k = 2: the modulus is x^2 + f_0 (build_extension), so N = c0^2 + f_0 c1^2
+    with both terms in [0, p), and each row of c1 reads chi off a doubled
+    table at their sum, which needs no reduction mod p.  Frobenius maps
+    c0 + c1 x to c0 - c1 x, of the same norm, so row p - c1 equals row c1:
+    rows 0..(p-1)/2 are built and the rest mirrored.
+
+    k = 3: N is a cubic form in the c_i with coefficients in e1 = -f_2,
+    e2 = f_1, e3 = -f_0, the symmetric functions of the roots of the modulus
+    x^3 + f_2 x^2 + f_1 x + f_0, evaluated by Horner in c0 on the slabs
+    c2 = 0 and c2 = 1.  N(u x) = u^3 N(x) for u in F_p*, so slab c2 = c != 0
+    is chi(c) times slab 1 read at (c0/c, c1/c)."""
     f = build_extension(p, k).poly
-    e1, e2, e3 = -f[-1] % p, f[-2], -f[0] % p
     chi, c0 = residue_tables(p).chi.astype(np.int8), np.arange(p, dtype=np.int64)
-    size = p ** (k - 1)  # entries per value of the top coefficient
-    step, table = max(1, _BLOCK // size), np.empty(p ** k, dtype=np.int8)
-    for lo in range(0, p, step):
-        top = np.arange(lo, min(lo + step, p), dtype=np.int64)[:, None]
-        if k == 2:  # N = c0^2 + e1 c0 c1 + e2 c1^2, c1 = top
-            coeffs = (e1 * top, e2 * top % p * top)
-        else:  # N = c0^3 + A c0^2 + B c0 + C, with A, B, C over (c2, c1) = (top, c0)
-            c1, c2 = c0, top
-            coeffs = (e1 * c1 + (e1 * e1 - 2 * e2) % p * c2,
-                      (e2 * c1 + (e1 * e2 - 3 * e3) % p * c2) % p * c1
-                      + (e2 * e2 - 2 * e1 * e3) % p * c2 % p * c2,
-                      e3 * (((c1 + e1 * c2) % p * c1 + e2 * c2 % p * c2) % p * c1
-                            + e3 * c2 % p * c2 % p * c2) % p)
+    table = np.empty(p ** k, dtype=np.int8)
+    if k == 2:
+        if f[1]:
+            raise RuntimeError(f"the modulus of F_{p}^2 has an x term: {f}")
+        rows, half, chi2 = table.reshape(p, p), (p + 1) // 2, np.concatenate((chi, chi))
+        step, squares = max(1, _BLOCK // p), c0 * c0 % p
+        for lo in range(0, half, step):
+            c1 = c0[lo : min(lo + step, half), None]
+            rows[lo : lo + len(c1)] = chi2[f[0] * c1 * c1 % p + squares]
+        rows[half:] = rows[half - 1 : 0 : -1]
+    else:
+        # N = c0^3 + A c0^2 + B c0 + C, with A, B, C over (c2, c1), c2 in {0, 1}
+        e1, e2, e3 = -f[2] % p, f[1], -f[0] % p
+        c1, c2 = c0, np.array([[0], [1]], dtype=np.int64)
+        coeffs = (e1 * c1 + (e1 * e1 - 2 * e2) % p * c2,
+                  (e2 * c1 + (e1 * e2 - 3 * e3) % p * c2) % p * c1
+                  + (e2 * e2 - 2 * e1 * e3) % p * c2 % p * c2,
+                  e3 * (((c1 + e1 * c2) % p * c1 + e2 * c2 % p * c2) % p * c1
+                        + e3 * c2 % p * c2 % p * c2) % p)
         n = 1  # Horner in c0 on coefficients in [0, p) stays below 2 p^3 < 2^61
         for a in coeffs:
             n = n * c0 + a.reshape(-1, 1) % p
-        table[lo * size : lo * size + n.size] = chi[n % p].ravel()
+        slabs, inv = table.reshape(p, p, p), residue_tables(p).inv
+        slabs[:2] = chi[n % p].reshape(2, p, p)
+        one, minus_one = slabs[1], -slabs[1]
+        for c in range(2, p):
+            at = inv[c] * c0 % p
+            slabs[c] = (one if chi[c] > 0 else minus_one)[at][:, at]
     table.flags.writeable = False
     return table
 
 
-def _root_products(p: int, j: int, *root_sets):
-    """Per block of about _BLOCK entries of F_{p^j}, one array per nonempty
-    root set R of prod_{r in R} chi(x - r) over the block's x.
+def _root_sums(p: int, j: int, root_sets, terms) -> list[int]:
+    """Per term, a tuple of indices into root_sets (nonempty and pairwise
+    disjoint), the sum over x in F_{p^j} of prod_r chi(x - r), r running
+    over the sets the term names.
 
     Each r lies in F_p, so x - r only moves the constant coefficient c_0 of
     x: with the character table viewed as rows of p entries (c_0 along a
     row), chi(x - r) is the row rotated by r, and a product needs no field
-    arithmetic.  Every root set costs one rotate-and-multiply pass per root,
-    and no temporary holds more than a block of rows."""
+    arithmetic.  The rows are taken a block of about _BLOCK entries at a
+    time; per block every root set costs one rotate-and-multiply pass per
+    root, and no temporary holds more than a block of rows.  Over F_{p^2}
+    rows c_1 and p - c_1 of the table are equal (_char_table), and so are
+    their products: only rows 0..(p-1)/2 are walked, row 0 counted once and
+    every other row twice."""
     chi = residue_tables(p).chi if j == 1 else _char_table(p, j)
     rows = chi.reshape(-1, p)
-    step = max(1, _BLOCK // p)
+    if j == 2:
+        rows = rows[: (p + 1) // 2]
+    step, sums = max(1, _BLOCK // p), [0] * len(terms)
     for lo in range(0, len(rows), step):
         block = rows[lo : lo + step]
         products = []
@@ -163,7 +194,15 @@ def _root_products(p: int, j: int, *root_sets):
                 acc[:, r:] *= block[:, : p - r]
                 acc[:, :r] *= block[:, p - r :]
             products.append(acc)
-        yield products
+        for i, (head, *tail) in enumerate(terms):
+            prod = products[head]
+            for t in tail:
+                prod = prod * products[t]
+            n = int(prod.sum())
+            if j == 2:
+                n = 2 * n - (int(prod[0].sum()) if lo == 0 else 0)
+            sums[i] += n
+    return sums
 
 
 def _chi_ext(alpha: FieldElement, j: int) -> int:
@@ -203,7 +242,7 @@ def count_points(model: HyperellipticModel, j: int = 1) -> PointCount:
     """Brute-force smooth-model count of y^2 = f(x) over F_{p^j}, j in {1,2,3}."""
     _check_field(model.mod.p, j)
     roots = [r.value for r in model.roots]
-    root_sum = sum(int(prod.sum()) for prod, in _root_products(model.mod.p, j, roots))
+    root_sum, = _root_sums(model.mod.p, j, [roots], [(0,)])
     return _brute_count(model, j, root_sum)
 
 
@@ -227,9 +266,5 @@ def count_quotients(
         raise ValueError("the models' roots must be S + A, S + B and A + B "
                          "for nonempty S, A, B, all over one field")
     _check_field(p, j)
-    sums = [0, 0, 0]
-    for s, a, b in _root_products(p, j, shared, only1, only2):
-        sums[0] += int((s * a).sum())
-        sums[1] += int((s * b).sum())
-        sums[2] += int((a * b).sum())
+    sums = _root_sums(p, j, (shared, only1, only2), ((0, 1), (0, 2), (1, 2)))
     return tuple(_brute_count(m, j, n) for m, n in zip((c1, c2, c3), sums))

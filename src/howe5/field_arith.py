@@ -267,7 +267,10 @@ class ExtensionField(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def build_extension(p: int, k: int) -> ExtensionField:
-    """F_{p^k} for k in {2, 3}, with a deterministically chosen modulus poly."""
+    """F_{p^k} for k in {2, 3}, with a deterministically chosen modulus poly.
+    For k = 2 the modulus is always x^2 + f_0: the scan tries the x
+    coefficient 0 first, and x^2 + f_0 is irreducible whenever -f_0 is a
+    non-residue, which some f_0 in [1, p) is for every odd p."""
     if k not in (2, 3):
         raise ValueError(f"extension degree must be 2 or 3, got {k}")
     return ExtensionField(prime_modulus(p), k, _find_irreducible(p, k))

@@ -179,21 +179,24 @@ def serre_bound(q: int, genus: int) -> int:
     return q + 1 + genus * floor_two_sqrt(q)
 
 
+def _trace_residue(curve: LegendreCurve) -> int:
+    """(-theta)^m * H_p(lambda) mod p, in [0, p): the Frobenius trace of the
+    curve mod p."""
+    p = curve.mod.p
+    return pow(p - curve.theta.value, curve.mod.m, p) * curve.hasse % p
+
+
 def trace_mod_p(curve: LegendreCurve) -> FieldElement:
     """(-theta)^m * H_p(lambda) as a canonical residue; this is congruent to
     the Frobenius trace of the curve mod p."""
-    p = curve.mod.p
-    m = curve.mod.m
-    t = pow(p - curve.theta.value, m, p) * curve.hasse % p
-    return FieldElement(t, curve.mod)
+    return FieldElement(_trace_residue(curve), curve.mod)
 
 
 def exact_trace(curve: LegendreCurve) -> int:
-    """The trace t over F_p: t = h mod p, h the residue of trace_mod_p,
+    """The trace t over F_p: t = h mod p, h = (-theta)^m H_p(lambda) mod p,
     4 | p + 1 - t (the 2-torsion is rational) and t^2 <= 4p, unique as 4p
     exceeds the Hasse interval.  Raises HasseViolation when h admits no t."""
-    p = curve.mod.p
-    h = pow(p - curve.theta.value, curve.mod.m, p) * curve.hasse % p
+    p, h = curve.mod.p, _trace_residue(curve)
     t = h + p * ((p + 1 - h) * p % 4)
     if t > 2 * p:
         t -= 4 * p
@@ -208,7 +211,7 @@ def attains_serre_fp(curve: LegendreCurve) -> bool:
     p, least = curve.mod.p, Target.SERRE_FP.min_prime
     if p < least:
         raise HypothesisViolated(f"predicate needs p >= {least}, got {p}")
-    return trace_mod_p(curve).value == (-floor_two_sqrt(p)) % p
+    return _trace_residue(curve) == (-floor_two_sqrt(p)) % p
 
 
 def maximal_fp2(curve: LegendreCurve) -> bool:
@@ -222,7 +225,7 @@ def attains_serre_fp3(curve: LegendreCurve) -> bool:
     p, least = curve.mod.p, Target.SERRE_FP3.min_prime
     if p < least:
         raise HypothesisViolated(f"predicate needs p >= {least}, got {p}")
-    return lift_trace(trace_mod_p(curve).value, p, 3) == -floor_two_sqrt(p ** 3)
+    return lift_trace(_trace_residue(curve), p, 3) == -floor_two_sqrt(p ** 3)
 
 
 def zeta_lift(n1: int, p: int, j: int) -> int:

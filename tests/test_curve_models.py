@@ -1,14 +1,17 @@
 """Point counting for y^2 = alpha * prod (x - r_i), checked against the
 naive enumerator from conftest."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_ext, naive_count_fp
+from howe5 import curve_models
 from howe5.curve_models import (
     _BLOCK,
     COUNT_CAP,
@@ -129,10 +132,12 @@ def test_count_matches_naive_enumeration(data, p, j):
     assert count_points(m, j).count == want
 
 
-@pytest.mark.parametrize("p,k", [(p, k) for p in range(3, 60) if is_prime(p) for k in (2, 3)])
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(3, 60) if is_prime(p) for k in (2, 3)]
+                         + [(97, 3), (367, 2)])
 def test_char_table_squares_every_element(p, k):
     """The table read off the norm form against squaring every element of
-    F_{p^k}, at every odd prime below 60."""
+    F_{p^k}, at every odd prime below 60, at F_97^3 and at F_367^2, whose
+    rows 0..(p-1)/2 span two blocks."""
     q = p ** k
     idx = np.arange(q, dtype=np.int64)
     u = [idx // p ** i % p for i in range(k)]
@@ -140,6 +145,66 @@ def test_char_table_squares_every_element(p, k):
     want[sum(c * p ** i for i, c in enumerate(mul(u, u, build_extension(p, k).poly, p)))] = 1
     want[0] = 0
     assert np.array_equal(_char_table(p, k), want)
+
+
+def test_quadratic_modulus_has_no_x_term_and_mirrored_rows():
+    """At every odd prime below 3000 F_{p^2} is defined by x^2 + f_0, so
+    Frobenius, c0 + c1 x -> c0 - c1 x, keeps the norm and rows c1 and p - c1
+    of the table are equal."""
+    for p in range(3, 3000):
+        if is_prime(p):
+            assert build_extension(p, 2).poly[1] == 0, p
+            rows = _char_table(p, 2).reshape(p, p)
+            assert np.array_equal(rows[1:], rows[:0:-1]), p
+
+
+def _full_count(p, alpha, roots):
+    """The count over F_{p^2} from a character sum over all p rows of the
+    table, each factor chi(x - r) the rows rotated by r.  Every alpha in F_p
+    is a square in F_{p^2}, so an even-degree model has two points at
+    infinity."""
+    rows = _char_table(p, 2).reshape(p, p)
+    prod = np.ones_like(rows)
+    for r in roots:
+        prod *= np.roll(rows, r, axis=1)
+    return p * p + int(prod.sum(dtype=np.int64)) + (1 if len(roots) % 2 else 2)
+
+
+@pytest.mark.parametrize("p", [3, 367, 1031])
+def test_quadratic_counts_match_the_full_row_sum(p):
+    """count_points and count_quotients walk rows 0..(p-1)/2 over F_{p^2},
+    counting every row but 0 twice: the same counts as the sum over all p
+    rows, at p = 3 (two rows walked), 367 and 1031 (several blocks)."""
+    shapes = [(1, (0, 1, 2)), (2, (2, 0, 1))]
+    if p > 3:
+        shapes += [(2, (0, 1, 2, p - 1)), (3, (1, 4, 9, 16, 25, p - 3))]
+    for alpha, roots in shapes:
+        model = HyperellipticModel.from_ints(p, alpha, roots)
+        assert count_points(model, 2).count == _full_count(p, alpha, roots)
+    if p > 3:
+        s, a, b = (3, 5, 7, p - 2), (1, p - 1), (0, 11)
+        models = [HyperellipticModel.from_ints(p, alpha, rs)
+                  for alpha, rs in ((3, s + a), (5, b + s), (15, a + b))]
+        assert [pc.count for pc in count_quotients(*models, 2)] == [
+            _full_count(p, m.alpha.value, [r.value for r in m.roots]) for m in models]
+
+
+def test_oracle_imports_only_the_field_layer():
+    """The brute-force oracle stays separate from what it checks: from the
+    package, curve_models imports only errors and field_arith, so it reads
+    no trace, lift or Hasse value."""
+    tree = ast.parse(Path(curve_models.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module.split(".")[0]} if node.module
+                         else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "howe5":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "howe5"}
+    assert imported == {"errors", "field_arith"}
 
 
 def test_char_table_has_no_field_sized_temporary():
@@ -155,9 +220,10 @@ def test_char_table_has_no_field_sized_temporary():
     assert len(table) == p ** k and peak < 8 * p ** k
 
 
-# (p, j): small fields, and F_47^3 and F_263^2, which span two blocks
-QUOTIENT_FIELDS = [(5, 1), (13, 1), (101, 1), (7, 2), (23, 2), (263, 2), (5, 3), (11, 3),
-                   (47, 3)]
+# (p, j): small fields, F_263^2, and F_47^3 and F_367^2, which span two
+# blocks (over F_{p^2} only rows 0..(p-1)/2 are walked)
+QUOTIENT_FIELDS = [(5, 1), (13, 1), (101, 1), (7, 2), (23, 2), (263, 2), (367, 2), (5, 3),
+                   (11, 3), (47, 3)]
 # (|S|, |A|, |B|) with 3 to 6 roots in each model
 QUOTIENT_SHAPES = [(n_s, n_a, n_b) for n_s in range(1, 6) for n_a in range(1, 6)
                    for n_b in range(1, 6)
