@@ -1,6 +1,7 @@
 """Prime fields F_p with their per-prime residue tables (quadratic
-character, canonical square roots, inverses), and the defining polynomials
-of F_{p^2} and F_{p^3}.
+character, canonical square roots, inverses, all read off the power table of
+the least primitive root), and the defining polynomials of F_{p^2} and
+F_{p^3}.
 
 All arithmetic is exact integer arithmetic on canonical residues.  Moduli are
 capped at 2**20 so that every intermediate value used by the bulk counting
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
 from typing import NamedTuple, Union
 
@@ -176,39 +178,69 @@ class FieldElement:
 
 
 class ResidueTables(NamedTuple):
-    """Read-only int64 arrays indexed by residue v in [0, p), and the least
-    quadratic non-residue.  chi[v] is the quadratic character, sqrt[v] the
-    canonical root in [1, (p-1)/2] (0 for zero and non-squares), inv[v] the
-    inverse (inv[0] = 0)."""
+    """Read-only arrays indexed by residue v in [0, p), the power table of
+    the least primitive root g, and the least quadratic non-residue.  chi[v]
+    is the quadratic character, sqrt[v] the canonical root in [1, (p-1)/2]
+    (0 for zero and non-squares), inv[v] the inverse (inv[0] = 0), all int64.
+    powers[k] = g^k for k in [0, p - 1) and log[v] = k with g^k = v (log[0] =
+    0, as 0 has no logarithm) are int32, as every value lies below 2^20:
+    form products of them in int64."""
 
     chi: np.ndarray
     sqrt: np.ndarray
     inv: np.ndarray
     nonres: int
+    powers: np.ndarray
+    log: np.ndarray
+
+
+def _least_primitive_root(p: int) -> int:
+    """The least g whose powers fill F_p^*: g^((p-1)/q) != 1 for every prime
+    q dividing p - 1, found by trial division."""
+    n = rest = p - 1
+    factors, d = [], 2
+    while d * d <= rest:
+        if rest % d == 0:
+            factors.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        factors.append(rest)
+    return next(g for g in range(2, p) if all(pow(g, n // q, p) != 1 for q in factors))
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)
 def residue_tables(p: int) -> ResidueTables:
-    """The residue tables of F_p, built once per prime."""
+    """The residue tables of F_p, built once per prime.  The power table is
+    built by baby and giant steps: g^(s i + j) is row i, column j of the
+    outer product of g^(s i) and g^j, with s about sqrt(p), so O(sqrt(p))
+    interpreted steps.  The rest is read off it: g^k is a square iff k is
+    even, g^(2i) has the roots +-g^i, and g^k has the inverse g^(-k)."""
     p = prime_modulus(p).p
-    roots = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    n, m, g = p - 1, (p - 1) // 2, _least_primitive_root(p)
+    s = math.isqrt(n - 1) + 1
+    baby = [1]
+    for _ in range(s - 1):
+        baby.append(baby[-1] * g % p)
+    step, giant = baby[-1] * g % p, [1]
+    for _ in range(s - 1):
+        giant.append(giant[-1] * step % p)
+    # products of two residues below 2^20 stay below 2^40
+    powers = (np.multiply.outer(giant, baby) % p).ravel()[:n].astype(np.int32)
+    log = np.zeros(p, dtype=np.int32)
+    log[powers] = np.arange(n, dtype=np.int32)
+    chi = np.zeros(p, dtype=np.int64)
+    chi[powers[::2]], chi[powers[1::2]] = 1, -1
     sqrt = np.zeros(p, dtype=np.int64)
-    # x and p - x are the only roots of x^2, and just one lies in [1, (p-1)/2]
-    sqrt[roots * roots % p] = roots
-    chi = np.where(sqrt > 0, 1, -1)
-    chi[0] = 0
-    # Fermat inverses v^(p-2); p < 2^20 keeps every product below 2^40
-    inv = np.ones(p, dtype=np.int64)
-    base, e = np.arange(p, dtype=np.int64), p - 2
-    while e:
-        if e & 1:
-            inv = inv * base % p
-        base = base * base % p
-        e >>= 1
-    inv[0] = 0
-    for table in (chi, sqrt, inv):
+    # g^(i + m) = -g^i, as g^m = -1
+    sqrt[powers[::2]] = np.minimum(powers[:m], powers[m:])
+    inv = np.zeros(p, dtype=np.int64)
+    inv[1], inv[powers[1:]] = 1, powers[:0:-1]
+    for table in (chi, sqrt, inv, powers, log):
         table.flags.writeable = False
-    return ResidueTables(chi, sqrt, inv, int(np.argmax(chi == -1)))
+    # the non-residues are the odd powers of g
+    return ResidueTables(chi, sqrt, inv, int(np.minimum.reduce(powers[1::2])), powers, log)
 
 
 def legendre_symbol(a: FieldElement) -> int:

@@ -2,15 +2,19 @@
 the three attainment predicates for twisted Legendre curves
 y^2 = theta * x (x - 1) (x - lambda) over F_p.
 
-Each LegendreCurve evaluates H_p(lambda) once (its hasse property);
-exact_trace reads its trace t off that residue, and legendre_traces, the FFT
-table of t(lambda) for every lambda, serves only the search.  Each bound
-target, over F_{p^j}, is one rule: lift_trace(t, p, j) = -floor(2 sqrt(p^j)).
-The predicates, the paper's per-curve criteria, decide the same from
-congruences mod p on H_p(lambda); Target is the one definition of each
-target, its degree j, the least prime its predicate decides from, the traces
-a passing factor can have (goal_traces) and the predicate over all five
-factors.  The zeta lift turns an exact count over F_p into one over F_{p^j}.
+H_p(lambda) is read off the power table of the least primitive root g:
+with lambda = g^k and binom(m, i)^2 = g^e[i], it is the sum of g^(e[i] + ik)
+over i (hasse_residues), one numpy gather for any number of lambdas.
+Each LegendreCurve holds its value once (its hasse property; validate
+evaluates a split's five together); exact_trace reads its trace t off that
+residue, and legendre_traces, the FFT table of t(lambda) for every lambda,
+serves only the search.  Each bound target, over F_{p^j}, is one rule:
+lift_trace(t, p, j) = -floor(2 sqrt(p^j)).  The predicates, the paper's
+per-curve criteria, decide the same from congruences mod p on H_p(lambda);
+Target is the one definition of each target, its degree j, the least prime
+its predicate decides from, the traces a passing factor can have
+(goal_traces) and the predicate over all five factors.  The zeta lift turns
+an exact count over F_p into one over F_{p^j}.
 """
 
 from __future__ import annotations
@@ -95,8 +99,9 @@ class LegendreCurve(CheckedRecord, namedtuple("LegendreCurve", "mod theta lam"))
     @functools.cached_property
     def hasse(self) -> int:
         """H_p(lambda) as a canonical residue, evaluated once per curve: the
-        predicates over every target read it."""
-        return hasse_poly_eval(self.mod, self.lam).value
+        predicates over every target read it.  validate stores it for the
+        five factors of a split, evaluated together (hasse_residues)."""
+        return hasse_residues(self.mod.p, [self.lam.value])[0]
 
     def model(self) -> curve_models.HyperellipticModel:
         zero = FieldElement(0, self.mod)
@@ -107,30 +112,45 @@ class LegendreCurve(CheckedRecord, namedtuple("LegendreCurve", "mod theta lam"))
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)
-def hasse_poly_coeffs(p: int) -> tuple[int, ...]:
-    """Coefficients of sum_i binom(m, i)^2 t^i mod p, with m = (p - 1) / 2.
+def _hasse_gather(p: int) -> tuple:
+    """What hasse_residues reads at p: the log and power tables of g, the
+    least primitive root, i in [0, m] and e, g^e[i] = binom(m, i)^2 with m =
+    (p - 1) / 2.  log binom(m, i) is the running sum of log(m - j + 1) -
+    log(j) over j <= i, every factor being in [1, m]."""
+    m, t = (p - 1) // 2, residue_tables(p)
+    e = np.zeros(m + 1, dtype=np.int64)
+    np.add.accumulate(t.log[m:0:-1] - t.log[1 : m + 1], out=e[1:])
+    e *= 2
+    e %= p - 1
+    return t.log, t.powers, np.arange(m + 1, dtype=np.int64), e
 
-    binom(m, i) is built by the multiplicative recurrence, its inverses of
-    i <= m < p read from the residue table.
-    """
-    m = (p - 1) // 2
-    inv = residue_tables(p).inv[: m + 1].tolist()
-    coeffs = [1]
-    b = 1
-    for i in range(1, m + 1):
-        b = b * (m - i + 1) * inv[i] % p
-        coeffs.append(b * b % p)
-    return tuple(coeffs)
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def hasse_poly_coeffs(p: int) -> np.ndarray:
+    """Coefficients of sum_i binom(m, i)^2 t^i mod p, with m = (p - 1) / 2,
+    as a read-only int64 array read off the power table."""
+    _, powers, _, e = _hasse_gather(p)
+    coeffs = powers[e].astype(np.int64)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def hasse_residues(p: int, lams) -> list[int]:
+    """H_p(lam) mod p for each residue lam in [0, p), in one numpy pass: with
+    lam = g^k, H_p(lam) = sum_i g^(e[i] + i k), e the coefficient
+    logarithms, exponents taken mod p - 1.  H_p(0) = 1, 0 having no log."""
+    log, powers, steps, e = _hasse_gather(p)
+    x = log[lams][:, None] * steps
+    x += e
+    x %= p - 1
+    # m + 1 terms below p sum to under 2^39
+    h = (np.add.reduce(powers[x], axis=-1) % p).tolist()
+    return [1 if lam == 0 else v for lam, v in zip(lams, h)] if 0 in lams else h
 
 
 def hasse_poly_eval(mod: PrimeModulus, lam: FieldElement) -> FieldElement:
     """The Hasse polynomial evaluated at lam, as a canonical residue."""
-    p = mod.p
-    acc = 0
-    x = lam.value % p
-    for c in reversed(hasse_poly_coeffs(p)):
-        acc = (acc * x + c) % p
-    return FieldElement(acc, mod)
+    return FieldElement(hasse_residues(mod.p, [lam.value])[0], mod)
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)

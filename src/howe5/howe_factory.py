@@ -13,7 +13,8 @@ split further into Legendre pairs and C3 is put in Legendre form.
 
 validate checks a parameter set on plain residues mod p, reading the
 quadratic character and square roots from the residue tables, and builds
-field elements only for the split it returns.  howe_counts reads the five
+field elements only for the split it returns, whose five Hasse residues it
+evaluates in one pass (hasse_residues).  howe_counts reads the five
 factor counts over F_p off the factors' Hasse residues (exact_trace) and
 checks them against the three quotients, counted together with shared
 character rows (curve_models.count_quotients), as C1 and C2 share a1..a4
@@ -22,8 +23,8 @@ and C3 is exactly a5, a6, b5, b6; the direct_counts oracle counts so too.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import curve_models
@@ -39,7 +40,7 @@ from .errors import (
 from .field_arith import (
     CheckedRecord, FieldElement, PrimeModulus, prime_modulus, require_ints, residue_tables,
 )
-from .hasse_serre import LegendreCurve, Target, exact_trace, zeta_lift
+from .hasse_serre import LegendreCurve, Target, exact_trace, hasse_residues, zeta_lift
 
 
 class HoweParams(CheckedRecord, namedtuple("HoweParams", "mod alpha1 alpha2 a b")):
@@ -196,7 +197,9 @@ def validate(params: HoweParams) -> ValidationResult:
       d = a(1 - b)/(1 - a) = 1, and d = cr(a1, a2, a3, a6) by the a-tuple
       condition, so that needs a6 = a3; in the pair (a, c) it needs b6 = a3.
     LegendreCurve keeps its own check as a backstop.  The checks run on
-    plain residues mod p; only the split is built of field elements.
+    plain residues mod p; only the split is built of field elements, and
+    its five factors' Hasse residues are evaluated together and stored as
+    each curve's hasse.
     """
     res = ValidationResult(params=params)
     mod = params.mod
@@ -263,6 +266,8 @@ def validate(params: HoweParams) -> ValidationResult:
     l5 = (a5 - b5) * (a6 - b6) * pow((a5 - b6) * (a6 - b5), -1, p)
     pairs = ((th12, l1), (th12, l2), (th34, l3), (th34, l4), (th5, l5))
     curves = tuple(LegendreCurve(mod, mod(th), mod(lm)) for th, lm in pairs)
+    for E, h in zip(curves, hasse_residues(p, [E.lam.value for E in curves])):
+        E.hasse = h
     res.split = SplitData(params, mod(a), mod(b), mod(c), mod(beta1), mod(beta2), curves)
     return res
 
@@ -417,5 +422,33 @@ class DecompositionReport(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_json_dict())
 
+
+def _json_text(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, for
+    values of exactly the types dict (with str keys), list, int, str, bool
+    and None; TypeError for any other.  json.dumps encodes indented output
+    with its pure-Python encoder, which this does with fewer calls."""
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(value[k], inner)
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -182,8 +183,46 @@ class TestResidueTables:
     def test_shared_tables_are_read_only(self):
         t = residue_tables(11)
         assert residue_tables(11) is t
-        with pytest.raises(ValueError):
-            t.chi[2] = 1
+        for table in (t.chi, t.sqrt, t.inv, t.powers, t.log):
+            with pytest.raises(ValueError):
+                table[2] = 1
+
+    # the least primitive root of each prime: 1048573 is the largest prime
+    # below the cap, and 409 and 71761 have large least roots
+    LEAST_ROOTS = {3: 2, 5: 2, 409: 21, 65537: 3, 71761: 44, 1048573: 2}
+
+    @pytest.mark.parametrize("p", sorted(LEAST_ROOTS))
+    def test_against_euler_and_fermat_at_every_residue(self, p):
+        """Every table against Euler's criterion v^m and the Fermat inverse
+        v^(p-2), raised by a square-and-multiply ladder over all v at once,
+        and the power table against the pinned least primitive root."""
+        t, m, v = residue_tables(p), (p - 1) // 2, np.arange(p, dtype=np.int64)
+
+        def ladder(e):
+            acc, base = np.ones(p, dtype=np.int64), v.copy()
+            while e:
+                if e & 1:
+                    acc = acc * base % p
+                base = base * base % p
+                e >>= 1
+            return acc
+
+        euler, fermat = ladder(m), ladder(p - 2)
+        chi = np.where(euler == 1, 1, -1)
+        chi[0] = 0
+        assert (t.chi == chi).all() and (t.inv == fermat).all()
+        assert t.nonres == int(np.argmax(chi == -1))
+        r = np.arange(1, m + 1, dtype=np.int64)
+        sqrt = np.zeros(p, dtype=np.int64)
+        sqrt[r * r % p] = r
+        assert (t.sqrt == sqrt).all()
+        g = self.LEAST_ROOTS[p]
+        assert t.powers.dtype == t.log.dtype == np.int32 and len(t.powers) == p - 1
+        assert t.powers[0] == 1 and (t.powers.astype(np.int64) * g % p == np.roll(t.powers, -1)).all()
+        assert (np.sort(t.powers) == v[1:]).all()
+        assert t.log[0] == 0 and (t.log[t.powers] == v[:-1]).all()
+        # h = g^k generates F_p^* iff gcd(k, p - 1) = 1
+        assert all(math.gcd(int(t.log[h]), p - 1) > 1 for h in range(2, g))
 
 
 # Elements of F_{p^k} are coefficient tuples (c_0, .., c_{k-1}), multiplied

@@ -20,6 +20,7 @@ from howe5.hasse_serre import (
     hasse_poly_coeffs,
     hasse_poly_eval,
     hasse_poly_table,
+    hasse_residues,
     legendre_count_fp,
     legendre_traces,
     lift_trace,
@@ -35,10 +36,32 @@ def _H(p: int, v: int) -> int:
     return hasse_poly_eval(mod, FieldElement(v, mod)).value
 
 
+def _binomial_squares(p: int) -> list[int]:
+    """binom(m, i)^2 mod p for i in [0, m], m = (p - 1) / 2, by the
+    multiplicative recurrence binom(m, i) = binom(m, i - 1) (m - i + 1) / i,
+    with the inverses from inv(i) = -(p // i) inv(p mod i)."""
+    m, inv = (p - 1) // 2, [0, 1]
+    for i in range(2, m + 1):
+        inv.append(-(p // i) * inv[p % i] % p)
+    coeffs, b = [1], 1
+    for i in range(1, m + 1):
+        b = b * (m - i + 1) * inv[i] % p
+        coeffs.append(b * b % p)
+    return coeffs
+
+
+def _horner(coeffs: list[int], p: int, v: int) -> int:
+    """The polynomial with these coefficients, lowest first, at v mod p."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * v + c) % p
+    return acc
+
+
 class TestHassePolynomial:
     def test_coeffs_p11(self):
         # binom(5, i)^2 mod 11 for i = 0..5
-        assert hasse_poly_coeffs(11) == (1, 3, 1, 1, 3, 1)
+        assert hasse_poly_coeffs(11).tolist() == [1, 3, 1, 1, 3, 1]
 
     def test_eval_frozen_values(self):
         assert _H(11, 0) == 1
@@ -62,6 +85,29 @@ class TestHassePolynomial:
 
     def test_degree(self):
         assert len(hasse_poly_coeffs(13)) == (13 - 1) // 2 + 1
+
+    def test_coeffs_match_the_recurrence(self):
+        """At every odd prime below 3000 and at 10007, 99991 and 1048573,
+        the largest prime below the cap."""
+        for p in [*(p for p in range(3, 3000) if is_prime(p)), 10007, 99991, 1048573]:
+            coeffs = hasse_poly_coeffs(p)
+            assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
+            assert coeffs.tolist() == _binomial_squares(p), p
+
+    def test_residues_match_horner_at_every_lambda(self):
+        for p in (p for p in range(3, 200) if is_prime(p)):
+            coeffs = _binomial_squares(p)
+            want = [_horner(coeffs, p, v) for v in range(p)]
+            assert hasse_residues(p, list(range(p))) == want, p
+            assert [_H(p, v) for v in range(p)] == want, p
+
+    @pytest.mark.parametrize("p", [10007, 1048573])
+    def test_residues_match_horner_at_sampled_lambdas(self, p):
+        coeffs = _binomial_squares(p)
+        lams = [0, 1, p - 1, *random.Random(p).sample(range(2, p - 1), 3)]
+        want = [_horner(coeffs, p, v) for v in lams]
+        assert hasse_residues(p, lams) == want
+        assert [_H(p, v) for v in lams] == want
 
 
 def _chi_by_squares(p: int) -> np.ndarray:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ROW_P11, ROW_P37, ROW_P499, naive_count_fp
-from howe5 import howe_factory
+from howe5 import howe_factory, tables
 from howe5.curve_models import HyperellipticModel, count_points
 from howe5.errors import DecompositionMismatch, NonSquareObstruction
 from howe5.field_arith import is_prime, legendre_symbol, prime_modulus
 from howe5.hasse_serre import (
+    LegendreCurve,
     attains_serre_fp,
     attains_serre_fp3,
     legendre_count_fp,
@@ -171,6 +172,16 @@ class TestValidate:
         bad = validate(HoweParams.from_ints(11, 1, 1, (0, 1, 2, 3, 5, 6), (8, 9)))
         with pytest.raises(NonSquareObstruction):
             bad.raise_if_invalid()
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_validate_stores_each_factors_standalone_hasse(table):
+    """validate evaluates the five factors' Hasse residues together and
+    stores them; each equals the residue a standalone curve evaluates."""
+    for params in tables.load_table(table):
+        for E in validate(params).split.curves:
+            assert "hasse" in vars(E)
+            assert E.hasse == LegendreCurve(E.mod, E.theta, E.lam).hasse
 
 
 class TestDecompose:
@@ -379,6 +390,17 @@ class TestReport:
         monkeypatch.setattr(howe_factory, "validate", counted)
         DecompositionReport.build(_params(ROW_P11), exts=(1, 2, 3))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("table", [1, 2, 3])
+    def test_json_text_is_json_dumps(self, table):
+        for params in tables.load_table(table):
+            d = DecompositionReport.build(params, exts=(1, 2)).to_json_dict()
+            assert howe_factory._json_text(d) == json.dumps(d, indent=2, sort_keys=True)
+        d = {"b": [], "a": {}, "c": [None, True, False, -3, "x\u00e9\"\n", {"z": [1, [2, {}]]}], "": 0}
+        assert howe_factory._json_text(d) == json.dumps(d, indent=2, sort_keys=True)
+        for bad in (1.5, (1,), {1: 2}, [{"a": 1.0}]):
+            with pytest.raises(TypeError):
+                howe_factory._json_text(bad)
 
     def test_verdicts_serialized(self):
         d = DecompositionReport.build(_params(ROW_P499)).to_json_dict()

@@ -390,7 +390,8 @@ def test_per_prime_caches_are_bounded():
     for cached in (search_engine._tables, search_engine._class_masks,
                    search_engine._funnels, search_engine._pair_tuples):
         assert cached.cache_info().currsize == 1
-    for cached in (residue_tables, legendre_traces, hasse_poly_coeffs):
+    for cached in (residue_tables, legendre_traces, hasse_poly_coeffs,
+                   hasse_serre._hasse_gather):
         assert cached.cache_info().maxsize == TABLE_CACHE
         assert cached.cache_info().currsize <= TABLE_CACHE
 
