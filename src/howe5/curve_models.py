@@ -7,11 +7,14 @@ Over F_p it is the production count; over F_{p^2} and F_{p^3} it is the
 oracle that lifted counts are checked against.
 
 Every count is one character sum, sum_x chi(alpha) prod_i chi(x - r_i),
-taken by one kernel (_root_sums) a block of about _BLOCK field elements at
-a time: count_points multiplies a model's rows once per root, and
-count_quotients counts a fibre product's three quotients from shared rows,
-so no temporary holds q entries.  The chi table of F_{p^k} is read off the
-norm form and built from two of its symmetries: over F_{p^2}, whose modulus
+taken by one kernel (_root_sums) for any number of candidates at once, over
+an extension a block of about _BLOCK field elements per candidate at a
+time: count_points multiplies a model's rows once per root, and
+count_quotients_many counts the three quotients of fibre products from
+shared rows, so no temporary holds q entries; count_points and
+count_quotients are its case of one candidate.  The chi table of F_{p^k}
+is read off the norm form and built from two of its symmetries: over
+F_{p^2}, whose modulus
 is always x^2 + f_0, Frobenius makes rows c_1 and p - c_1 equal, so the
 sums walk rows 0..(p-1)/2 only; over F_{p^3} the norm is homogeneous of
 degree 3, so every slab of the top coefficient is slab 1 rescaled.
@@ -28,6 +31,7 @@ import numpy as np
 
 from .errors import CapExceeded, HasseViolation
 from .field_arith import (
+    TABLE_CACHE,
     CheckedRecord,
     FieldElement,
     PrimeModulus,
@@ -132,7 +136,7 @@ def _char_table(p: int, k: int) -> np.ndarray:
     c2 = 0 and c2 = 1.  N(u x) = u^3 N(x) for u in F_p*, so slab c2 = c != 0
     is chi(c) times slab 1 read at (c0/c, c1/c)."""
     f = build_extension(p, k).poly
-    chi, c0 = residue_tables(p).chi.astype(np.int8), np.arange(p, dtype=np.int64)
+    chi, c0 = residue_tables(p).chi, np.arange(p, dtype=np.int64)
     table = np.empty(p ** k, dtype=np.int8)
     if k == 2:
         if f[1]:
@@ -165,44 +169,86 @@ def _char_table(p: int, k: int) -> np.ndarray:
     return table
 
 
-def _root_sums(p: int, j: int, root_sets, terms) -> list[int]:
-    """Per term, a tuple of indices into root_sets (nonempty and pairwise
-    disjoint), the sum over x in F_{p^j} of prod_r chi(x - r), r running
-    over the sets the term names.
+def _rotations(rows: np.ndarray) -> np.ndarray:
+    """The rotations of each int8 row of rows (n, p), an (n, p, p) view of
+    the rows doubled: [i, r] is row i rotated by r, that is chi(x - r) at x
+    for a row of chi, the window of p entries from p - r, so consecutive r
+    step back by one entry.  Built by hand, as numpy's sliding_window_view
+    costs ten times as long per call."""
+    n, p = rows.shape
+    return np.ndarray((n, p, p), np.int8, np.concatenate((rows, rows), axis=1), offset=p,
+                      strides=(2 * p, -1, 1))
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _chi_rotations(p: int) -> np.ndarray:
+    """_rotations of the chi table of F_p, read-only and cached per prime:
+    row r holds chi(x - r) at x."""
+    rotations = _rotations(residue_tables(p).chi[None])[0]
+    rotations.flags.writeable = False
+    return rotations
+
+
+def _root_sums(p: int, j: int, root_sets, terms) -> np.ndarray:
+    """The character sums of K candidates at once: root_sets holds (K, s)
+    arrays of residues, one row per candidate, and per term, a tuple of
+    indices into root_sets (nonempty and pairwise disjoint), entry [t, i]
+    of the int64 result is the sum over x in F_{p^j} of prod_r chi(x - r),
+    r running over row i of the sets term t names.
 
     Each r lies in F_p, so x - r only moves the constant coefficient c_0 of
     x: with the character table viewed as rows of p entries (c_0 along a
-    row), chi(x - r) is the row rotated by r, and a product needs no field
-    arithmetic.  The rows are taken a block of about _BLOCK entries at a
-    time; per block every root set costs one rotate-and-multiply pass per
-    root, and no temporary holds more than a block of rows.  Over F_{p^2}
-    rows c_1 and p - c_1 of the table are equal (_char_table), and so are
-    their products: only rows 0..(p-1)/2 are walked, row 0 counted once and
-    every other row twice."""
-    chi = residue_tables(p).chi if j == 1 else _char_table(p, j)
-    rows = chi.reshape(-1, p)
+    row), chi(x - r) is the row rotated by r, a window of the row doubled
+    (_rotations; over F_p the rotations are cached per prime), and a
+    product needs no field arithmetic.  Over F_p all roots of all
+    candidates are gathered at once; over an extension the rows are taken
+    a block of about _BLOCK entries per candidate at a time, one gather per
+    root, so no temporary holds more than a block of rows per candidate.
+    Over F_{p^2} rows c_1 and p - c_1 of the table are equal (_char_table),
+    and so are their products: only rows 0..(p-1)/2 are walked, row 0
+    counted once and every other row twice."""
+    sizes = [len(roots[0]) for roots in root_sets]
+    # every candidate's roots side by side
+    at = np.concatenate(root_sets, axis=1, dtype=np.int64)
+    if j == 1:
+        # one row per candidate, so all roots in one gather (over an
+        # extension that would hold a block per root)
+        rotated = _chi_rotations(p)[at]
+        return _block_sums(lambda i: rotated[:, i], sizes, terms)
+    rows = _char_table(p, j).reshape(-1, p)
     if j == 2:
         rows = rows[: (p + 1) // 2]
-    step, sums = max(1, _BLOCK // p), [0] * len(terms)
+    step, columns, sums = max(1, _BLOCK // (p * len(at))), list(at.T), 0
     for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        products = []
-        for first, *rest in root_sets:
-            acc = np.empty_like(block)
-            acc[:, first:], acc[:, :first] = block[:, : p - first], block[:, p - first :]
-            for r in rest:
-                acc[:, r:] *= block[:, : p - r]
-                acc[:, :r] *= block[:, p - r :]
-            products.append(acc)
-        for i, (head, *tail) in enumerate(terms):
-            prod = products[head]
-            for t in tail:
-                prod = prod * products[t]
-            n = int(prod.sum())
-            if j == 2:
-                n = 2 * n - (int(prod[0].sum()) if lo == 0 else 0)
-            sums[i] += n
-    return sums
+        rotations = _rotations(rows[lo : lo + step])
+        block = _block_sums(lambda i: rotations[:, columns[i]], sizes, terms)
+        sums = sums + block.sum(axis=1)
+        if lo == 0:
+            first = block[:, 0]
+    return 2 * sums - first if j == 2 else sums
+
+
+def _block_sums(rotated, sizes, terms) -> np.ndarray:
+    """Per term, the sum along the last axis (c_0) of the product over the
+    roots of the sets the term names of rotated(i), the int8 rows of root i
+    rotated by it, for every candidate (and row of a block), in int64.
+    rotated(i) is a fresh array or a view no later call reads, as the
+    products are formed in it; the roots of the sets lie side by side in
+    the order of sizes."""
+    products, lo = [], 0
+    for size in sizes:
+        prod = rotated(lo)
+        for i in range(lo + 1, lo + size):
+            prod *= rotated(i)
+        products.append(prod)
+        lo += size
+    sums = []
+    for head, *tail in terms:
+        prod = products[head]
+        for u in tail:
+            prod = prod * products[u]
+        sums.append(prod.sum(axis=-1, dtype=np.int64))
+    return np.array(sums)
 
 
 def _chi_ext(alpha: FieldElement, j: int) -> int:
@@ -241,9 +287,8 @@ def _points_at_infinity(model: HyperellipticModel, j: int) -> int:
 def count_points(model: HyperellipticModel, j: int = 1) -> PointCount:
     """Brute-force smooth-model count of y^2 = f(x) over F_{p^j}, j in {1,2,3}."""
     _check_field(model.mod.p, j)
-    roots = [r.value for r in model.roots]
-    root_sum, = _root_sums(model.mod.p, j, [roots], [(0,)])
-    return _brute_count(model, j, root_sum)
+    roots = [[r.value for r in model.roots]]
+    return _brute_count(model, j, int(_root_sums(model.mod.p, j, [roots], [(0,)])[0, 0]))
 
 
 def count_quotients(
@@ -256,15 +301,30 @@ def count_quotients(
     quotients take |S| + |A| + |B| root passes, not the 2 (|S| + |A| + |B|)
     of three count_points calls.  Raises ValueError when the roots do not
     have this shape."""
-    p = c1.mod.p
-    roots1, roots2 = [r.value for r in c1.roots], [r.value for r in c2.roots]
-    shared = [r for r in roots1 if r in roots2]
-    only1 = [r for r in roots1 if r not in roots2]
-    only2 = [r for r in roots2 if r not in roots1]
-    if (not (shared and only1 and only2) or c2.mod.p != p or c3.mod.p != p
-            or {r.value for r in c3.roots} != {*only1, *only2}):
-        raise ValueError("the models' roots must be S + A, S + B and A + B "
-                         "for nonempty S, A, B, all over one field")
+    return count_quotients_many([(c1, c2, c3)], j)[0]
+
+
+def count_quotients_many(triples, j: int = 1) -> list[tuple[PointCount, ...]]:
+    """count_quotients of each model triple (c1, c2, c3) of triples, from
+    one pass of _root_sums over all of them.  Every triple is checked as
+    count_quotients checks it, and all must lie over one field and have
+    the same numbers of roots in S, A and B; ValueError otherwise."""
+    if not triples:
+        return []
+    p, sets = triples[0][0].mod.p, []
+    for c1, c2, c3 in triples:
+        roots1, roots2 = [r.value for r in c1.roots], [r.value for r in c2.roots]
+        shared = [r for r in roots1 if r in roots2]
+        only1 = [r for r in roots1 if r not in roots2]
+        only2 = [r for r in roots2 if r not in roots1]
+        if (not (shared and only1 and only2) or {c1.mod.p, c2.mod.p, c3.mod.p} != {p}
+                or {r.value for r in c3.roots} != {*only1, *only2}):
+            raise ValueError("the models' roots must be S + A, S + B and A + B "
+                             "for nonempty S, A, B, all over one field")
+        sets.append((shared, only1, only2))
+    if len({tuple(map(len, roots)) for roots in sets}) > 1:
+        raise ValueError("the triples must have the same numbers of roots in S, A and B")
     _check_field(p, j)
-    sums = _root_sums(p, j, (shared, only1, only2), ((0, 1), (0, 2), (1, 2)))
-    return tuple(_brute_count(m, j, n) for m, n in zip((c1, c2, c3), sums))
+    sums = _root_sums(p, j, list(zip(*sets)), ((0, 1), (0, 2), (1, 2)))
+    return [tuple(_brute_count(m, j, n) for m, n in zip(models, col))
+            for models, col in zip(triples, sums.T.tolist())]

@@ -180,11 +180,13 @@ class FieldElement:
 class ResidueTables(NamedTuple):
     """Read-only arrays indexed by residue v in [0, p), the power table of
     the least primitive root g, and the least quadratic non-residue.  chi[v]
-    is the quadratic character, sqrt[v] the canonical root in [1, (p-1)/2]
-    (0 for zero and non-squares), inv[v] the inverse (inv[0] = 0), all int64.
-    powers[k] = g^k for k in [0, p - 1) and log[v] = k with g^k = v (log[0] =
-    0, as 0 has no logarithm) are int32, as every value lies below 2^20:
-    form products of them in int64."""
+    is the quadratic character, stored as int8: accumulate sums of it in
+    int64 (sum with dtype=np.int64; einsum and dot would keep int8).  sqrt[v]
+    is the canonical root in [1, (p-1)/2] (0 for zero and non-squares) and
+    inv[v] the inverse (inv[0] = 0), both int64.  powers[k] = g^k for k in
+    [0, p - 1) and log[v] = k with g^k = v (log[0] = 0, as 0 has no
+    logarithm) are int32, as every value lies below 2^20: form products of
+    them in int64."""
 
     chi: np.ndarray
     sqrt: np.ndarray
@@ -230,7 +232,7 @@ def residue_tables(p: int) -> ResidueTables:
     powers = (np.multiply.outer(giant, baby) % p).ravel()[:n].astype(np.int32)
     log = np.zeros(p, dtype=np.int32)
     log[powers] = np.arange(n, dtype=np.int32)
-    chi = np.zeros(p, dtype=np.int64)
+    chi = np.zeros(p, dtype=np.int8)
     chi[powers[::2]], chi[powers[1::2]] = 1, -1
     sqrt = np.zeros(p, dtype=np.int64)
     # g^(i + m) = -g^i, as g^m = -1

@@ -19,6 +19,11 @@ factor counts over F_p off the factors' Hasse residues (exact_trace) and
 checks them against the three quotients, counted together with shared
 character rows (curve_models.count_quotients), as C1 and C2 share a1..a4
 and C3 is exactly a5, a6, b5, b6; the direct_counts oracle counts so too.
+validate_many and howe_counts_many do the same for any number of parameter
+sets at one prime, each set checked on its own, with one Hasse gather for
+all their factors and one character-sum pass for all their quotients
+(curve_models.count_quotients_many); validate and howe_counts are their
+case of one set, and the search confirms its candidates through them.
 """
 
 from __future__ import annotations
@@ -199,8 +204,29 @@ def validate(params: HoweParams) -> ValidationResult:
     LegendreCurve keeps its own check as a backstop.  The checks run on
     plain residues mod p; only the split is built of field elements, and
     its five factors' Hasse residues are evaluated together and stored as
-    each curve's hasse.
+    each curve's hasse.  This is validate_many of one parameter set.
     """
+    return validate_many([params])[0]
+
+
+def validate_many(batch) -> list[ValidationResult]:
+    """validate of each parameter set of batch, all at one prime (ValueError
+    otherwise).  Each set is checked on its own, as validate describes, and
+    the Hasse residues of the five factors of every passing set come from
+    one hasse_residues gather."""
+    if len({params.mod.p for params in batch}) > 1:
+        raise ValueError("the parameter sets must share one prime")
+    results = [_check(params) for params in batch]
+    curves = [E for res in results if res.split is not None for E in res.split.curves]
+    if curves:
+        for E, h in zip(curves, hasse_residues(curves[0].mod.p, [E.lam.value for E in curves])):
+            E.hasse = h
+    return results
+
+
+def _check(params: HoweParams) -> ValidationResult:
+    """validate without the Hasse residues: the split's curves are built but
+    their hasse is left for validate_many to store."""
     res = ValidationResult(params=params)
     mod = params.mod
     p = mod.p
@@ -266,8 +292,6 @@ def validate(params: HoweParams) -> ValidationResult:
     l5 = (a5 - b5) * (a6 - b6) * pow((a5 - b6) * (a6 - b5), -1, p)
     pairs = ((th12, l1), (th12, l2), (th34, l3), (th34, l4), (th5, l5))
     curves = tuple(LegendreCurve(mod, mod(th), mod(lm)) for th, lm in pairs)
-    for E, h in zip(curves, hasse_residues(p, [E.lam.value for E in curves])):
-        E.hasse = h
     res.split = SplitData(params, mod(a), mod(b), mod(c), mod(beta1), mod(beta2), curves)
     return res
 
@@ -334,20 +358,33 @@ def howe_counts(split: SplitData, j: int = 1) -> HoweCounts:
     """Counts over F_{p^j}.  The five factor counts over F_p are p + 1 - t,
     t read off the factor's Hasse residue (exact_trace); the three quotients
     are counted over F_p and must agree with them (DecompositionMismatch);
-    the counts over F_{p^j} are lifted from the factors' traces."""
-    params = split.params
-    p = params.mod.p
-    n_c = tuple(pc.count for pc in curve_models.count_quotients(*howe_models(params), 1))
-    n_e = tuple(p + 1 - exact_trace(E) for E in split.curves)
-    from_factors = (n_e[0] + n_e[1] - p - 1, n_e[2] + n_e[3] - p - 1, n_e[4])
-    if n_c != from_factors:
-        raise DecompositionMismatch(
-            f"quotient counts {n_c} over F_{p} disagree with the factor "
-            f"counts {from_factors}"
-        )
-    c1, c2, c3 = n_c
-    base = HoweCounts(q=p, j=1, c1=c1, c2=c2, c3=c3, e=n_e, total=c1 + c2 + c3 - 2 * p - 2)
-    return base if j == 1 else base.lift(j)
+    the counts over F_{p^j} are lifted from the factors' traces.  This is
+    howe_counts_many of one split."""
+    return howe_counts_many([split], j)[0]
+
+
+def howe_counts_many(splits, j: int = 1) -> list[HoweCounts]:
+    """howe_counts of each split of splits, all at one prime: the quotients
+    of every split are counted over F_p in one pass of the character-sum
+    kernel (curve_models.count_quotients_many), and each split is checked
+    against its factor counts in order, the first mismatch raised."""
+    quotients = curve_models.count_quotients_many([howe_models(s.params) for s in splits], 1)
+    out = []
+    for split, counts in zip(splits, quotients):
+        p = split.params.mod.p
+        n_c = tuple(pc.count for pc in counts)
+        n_e = tuple(p + 1 - exact_trace(E) for E in split.curves)
+        from_factors = (n_e[0] + n_e[1] - p - 1, n_e[2] + n_e[3] - p - 1, n_e[4])
+        if n_c != from_factors:
+            raise DecompositionMismatch(
+                f"quotient counts {n_c} over F_{p} disagree with the factor "
+                f"counts {from_factors}"
+            )
+        c1, c2, c3 = n_c
+        base = HoweCounts(q=p, j=1, c1=c1, c2=c2, c3=c3, e=n_e,
+                          total=c1 + c2 + c3 - 2 * p - 2)
+        out.append(base if j == 1 else base.lift(j))
+    return out
 
 
 class VerdictRecord(NamedTuple):

@@ -11,7 +11,14 @@ Legendre parameters of a candidate depend only on the roots, and the bound
 rules depend on the twist scalars only through their square class, so each
 passing root tuple is emitted with canonical twist representatives for each
 admissible class pair.  Every hit is confirmed by exact point counts before
-it is emitted.
+it is emitted.  A chunk confirms its candidates in batches (_confirm), so
+the fixed numpy cost of a confirmation, one Hasse gather and one F_p
+character-sum pass, is paid once per batch: a candidate is queued with the
+statistics the chunk reports if it stops there, and the queue is confirmed
+once it holds as many candidates as the hit cap has room for, or
+_CONFIRM_BLOCK // p with no cap, and before the chunk returns.  The results
+are walked in order, so the hits, the failures, the stop and the number of
+confirmations are those of confirming each candidate as it comes.
 
 Work is partitioned into one chunk per a1-value; the chunks run in the a1
 visit order, which depends on the seed alone.  Inside a chunk the (a2,
@@ -45,7 +52,9 @@ none: 343 of the 424 in [17, 3000] for serre-fp, 213 of 429 in [3, 3000]
 for maximal-fp2 and 404 of 426 in [11, 3000] for serre-fp3.  Most of them
 are known from p alone, before any per-prime table is built: 308 of the
 343, 211 of the 213 and all 404 have no goal trace (Target.goal_traces),
-no trace that lifts to the bound and leaves 4 | p + 1 - t.  Its chunks are
+no trace that lifts to the bound and leaves 4 | p + 1 - t, and the other
+two, maximal-fp2's 3 and 7, lie below 8, too few residues for eight
+distinct branch points.  Its chunks are
 counted, not scanned (_count_chunks): a slot pinned to a value not taken
 yet takes that one value and a free slot any residue not taken yet,
 so rows and probes are falling factorials (_fill), and the row where the
@@ -88,6 +97,11 @@ from .tables import EXPECTED_HEADER
 ENUMERATED_SLOTS = ("a1", "a2", "a3", "a4", "a5", "b5")
 
 CSV_HEADER = ",".join(EXPECTED_HEADER)
+
+# A chunk confirms its candidates in batches of about this many field
+# elements, _CONFIRM_BLOCK // p candidates, or fewer when the hit cap has
+# room for fewer.
+_CONFIRM_BLOCK = 1 << 16
 
 
 class SearchConfig(CheckedRecord, namedtuple(
@@ -215,17 +229,28 @@ def _class_masks(p: int, target: Target) -> tuple[int, ...]:
 # candidate confirmation
 
 
-def _confirm(params: HoweParams, target: Target) -> Optional[dict]:
-    """Recheck the Hasse-polynomial predicates and confirm with exact counts:
-    over F_{p^j}, j the target's degree, the count must be the genus-5 Serre
-    bound.  Returns the counts over F_p and F_{p^j}, or None on any miss."""
-    split = howe_factory.validate(params).split
-    if split is None or not target.attained(split.curves):
-        return None
-    base = howe_factory.howe_counts(split, 1)
-    j = target.degree
-    counts = {1: base.total, j: base.lift(j).total}
-    return counts if counts[j] == serre_bound(params.mod.p ** j, 5) else None
+def _confirm(batch: list, target: Target) -> list:
+    """Recheck the Hasse-polynomial predicates and confirm with exact counts,
+    for each parameter set of batch, all at one prime: over F_{p^j}, j the
+    target's degree, the count must be the genus-5 Serre bound.  Returns,
+    per set, the counts over F_p and F_{p^j}, or None on any miss.  The sets
+    are validated together (validate_many) and the ones that attain the
+    target counted together (howe_counts_many), so the numpy work is paid
+    once per batch, not once per set."""
+    splits = [res.split for res in howe_factory.validate_many(batch)]
+    attained = [split is not None and target.attained(split.curves) for split in splits]
+    counted = iter(howe_factory.howe_counts_many(
+        [split for split, ok in zip(splits, attained) if ok], 1))
+    j, out = target.degree, []
+    for params, ok in zip(batch, attained):
+        counts = None
+        if ok:
+            base = next(counted)
+            counts = {1: base.total, j: base.lift(j).total}
+            if counts[j] != serre_bound(params.mod.p ** j, 5):
+                counts = None
+        out.append(counts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +314,9 @@ def _admissible_pairs(p: int, target: Target) -> dict[int, tuple[tuple[int, int]
     comes from an unordered pair lam1 != lam2 with a common mask bit and a
     root w of lam1 lam2; of the (a, b) found, the forward formula keeps
     those it accepts, so B is exact.  A prime without goal traces has no
-    admissible lambda, so its table is empty without any per-prime table
-    being built."""
-    if not target.goal_traces(p):
+    admissible lambda, and a prime below 8 no eight distinct branch points,
+    so their tables are empty without any per-prime table being built."""
+    if p < 8 or not target.goal_traces(p):
         return {}
     t = residue_tables(p)
     mask = np.array(_class_masks(p, target), dtype=np.int64)
@@ -526,17 +551,19 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     at a root that cannot pass.  Each listed row keeps its funnel's passing
     (b, c, d, e) (_row_funnel) with k not among them whose b maps to a root
     in the a5 order and c to one in the b5 order, in the order of those
-    positions; each adds a tuple until the probe of its a5 passes the
-    quota, and its twists, if any, are emitted with a6 and b6 at d and e.
+    positions (only the b and c of those entries are mapped, so a row
+    whose entries k all drops maps none); each adds a tuple until the probe
+    of its a5 passes the quota, and its twists, if any, are queued with a6
+    and b6 at d and e and confirmed in batches (see the module docstring).
     With a4, a5 and b5 free every pair holds (p - 3)(p - 4) probes; when
     the quota does not cut the first pair and no passing entry of the
     prime has twists (_pair_tuples, looked up once at the chunk's start),
     each pair the quota does not cut lists no rows: it adds the tuples of
     its k.
     When deadline, a time.monotonic() value, has passed after a pair, the
-    chunk stops there, truncated.  The chunk whose a1 is the pinned a5 has
-    no probe, so a quota never ends its scan; enumerate_hits counts it
-    instead (_chunks).
+    chunk confirms its queue and stops there, truncated.  The chunk whose
+    a1 is the pinned a5 has no probe, so a quota never ends its scan;
+    enumerate_hits counts it instead (_chunks).
     """
     inv, chi, nonres = _tables(p)
     maximal = cfg.target is Target.MAXIMAL_FP2
@@ -554,20 +581,44 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     prefixes = probes = tuples = confirm_failures = 0
     hits: list[tuple[HoweParams, dict]] = []
     max_hits = cfg.max_hits
+    # candidates waiting for confirmation, each with the (prefixes, probes)
+    # the chunk reports if it stops there
+    queue: list = []
+    batch = max(1, _CONFIRM_BLOCK // p)
 
-    def emit(alpha1: int, alpha2: int, roots6, b5: int, b6: int) -> bool:
-        """Confirm and record; returns True when the chunk should stop."""
-        nonlocal confirm_failures
-        params = HoweParams.from_ints(p, alpha1, alpha2, roots6, (b5, b6))
-        counts = _confirm(params, cfg.target)
-        if counts is None:
-            confirm_failures += 1
-            return False
-        hits.append((params, counts))
-        return max_hits is not None and len(hits) >= max_hits
+    def flush() -> bool:
+        """Confirm the queue as one batch and walk the results in order;
+        returns True when the hit cap stops the chunk, with prefixes and
+        probes set to where it stops."""
+        nonlocal prefixes, probes, confirm_failures
+        waiting = queue.copy()
+        queue.clear()
+        for (params, stop), counts in zip(waiting, _confirm([c for c, _ in waiting], cfg.target)):
+            if counts is None:
+                confirm_failures += 1
+                continue
+            hits.append((params, counts))
+            if max_hits is not None and len(hits) >= max_hits:
+                prefixes, probes = stop
+                return True
+        return False
 
-    def stats(truncated: bool = False) -> tuple:
-        return prefixes, probes, tuples, confirm_failures, truncated
+    def emit(alpha1: int, alpha2: int, roots6, b5: int, b6: int, stop: tuple) -> bool:
+        """Queue a candidate, and confirm the queue once it holds batch
+        candidates or as many as the hit cap has room for, so no candidate
+        past the cap's stop is confirmed; returns True when the chunk
+        should stop."""
+        queue.append((HoweParams.from_ints(p, alpha1, alpha2, roots6, (b5, b6)), stop))
+        room = batch if max_hits is None else min(batch, max_hits - len(hits))
+        return len(queue) >= room and flush()
+
+    def finish(truncated: bool = False) -> tuple[list, tuple]:
+        """Confirm what is queued and return (hits, stats).  The queue is
+        empty after a stop, and otherwise holds fewer candidates than the
+        hit cap has room for, so this never stops on the cap."""
+        if queue:
+            flush()
+        return hits, (prefixes, probes, tuples, confirm_failures, truncated)
 
     for a2 in a2s:
         if a2 == a1:
@@ -599,16 +650,19 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 # a pair without probes holds no survivor
                 for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
                     start = probes + r * per - (hole < r)
-                    # each table b's root; no root maps to k, the image of infinity
-                    root = {y: _from_frame(p, inv, a1, a2, k, y)
-                            for y, _ in arrays.pairs[a] if y != k}
                     # the passing (b, c) that k leaves, at their roots in the a5
-                    # and b5 orders, in scan order
-                    kept = []
+                    # and b5 orders, in scan order; each b and c is mapped to its
+                    # root once, when an entry first needs it
+                    kept, root = [], {}
                     for b, c, d, e, twists in _row_funnel(p, cfg.target, a):
                         if k == b or k == c or k == d or k == e:
                             continue
-                        a5, b5 = root[b], root[c]
+                        a5 = root.get(b)
+                        if a5 is None:
+                            a5 = root[b] = _from_frame(p, inv, a1, a2, k, b)
+                        b5 = root.get(c)
+                        if b5 is None:
+                            b5 = root[c] = _from_frame(p, inv, a1, a2, k, c)
                         if pos5[a5] < n5 and pos_b5[b5] < nb5:
                             kept.append((pos5[a5], pos_b5[b5], a5, b5, b, c, d, e, twists))
                     kept.sort()
@@ -630,19 +684,17 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                         for e1, e2 in twists:
                             alpha1 = 1 if e1 * chi_u1 == 1 else nonres
                             alpha2 = 1 if e2 * chi_u2 == 1 else nonres
-                            if emit(alpha1, alpha2, base6, b5, b6):
-                                prefixes += r + 1
-                                probes = probe
-                                return hits, stats()
+                            if emit(alpha1, alpha2, base6, b5, b6, (prefixes + r + 1, probe)):
+                                return finish()
                 if cut:
                     prefixes += reach
                     probes = quota + 1
-                    return hits, stats(truncated=True)
+                    return finish(truncated=True)
             prefixes += rows
             probes += pair_probes
             if deadline is not None and time.monotonic() > deadline:
-                return hits, stats(truncated=True)
-    return hits, stats()
+                return finish(truncated=True)
+    return finish()
 
 
 def _chunks(p: int, cfg: SearchConfig, quota: Optional[int],

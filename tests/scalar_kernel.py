@@ -56,7 +56,7 @@ def _scan_chunk(p, cfg, a1, quota) -> tuple[list, tuple]:
         """Confirm and record; returns True when the chunk should stop."""
         nonlocal tuples, confirm_failures
         params = HoweParams.from_ints(p, alpha1, alpha2, roots6, (b5, b6))
-        counts = _confirm(params, cfg.target)
+        counts, = _confirm([params], cfg.target)
         if counts is None:
             confirm_failures += 1
             return False

@@ -3,6 +3,7 @@ naive enumerator from conftest."""
 
 import ast
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -16,11 +17,13 @@ from howe5.curve_models import (
     _BLOCK,
     COUNT_CAP,
     _char_table,
+    _root_sums,
     CountMethod,
     HyperellipticModel,
     PointCount,
     count_points,
     count_quotients,
+    count_quotients_many,
     weil_interval,
 )
 from howe5.errors import CapExceeded, HasseViolation, Howe5Error
@@ -248,6 +251,69 @@ def test_quotient_counts_match_count_points(data, field):
     for m, pc in zip(models, counts):
         if m.genus == 1:  # from the count over F_p, one row, so one block
             assert pc.count == zeta_lift(count_points(m, 1).count, p, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), field=st.sampled_from(QUOTIENT_FIELDS), k=st.integers(2, 5))
+def test_root_sums_of_a_batch_match_one_at_a_time(data, field, k):
+    """_root_sums of k candidates, each root set a (k, s) array, equals the
+    sums of each candidate on its own, over F_p, F_p^2 and F_p^3; at (367,
+    2) a batch's block holds fewer rows than one candidate's, so its rows
+    0..(p-1)/2 span several blocks."""
+    p, j = field
+    sizes = data.draw(st.sampled_from([n for n in QUOTIENT_SHAPES if sum(n) <= p]),
+                      label="shape")
+    candidates = []
+    for _ in range(k):
+        roots = data.draw(st.permutations(range(p)), label="roots")
+        candidates.append((roots[: sizes[0]], roots[sizes[0] : sum(sizes[:2])],
+                           roots[sum(sizes[:2]) : sum(sizes)]))
+    terms = ((0, 1), (0, 2), (1, 2), (1,), (0, 1, 2))
+    sums = _root_sums(p, j, [np.array(column) for column in zip(*candidates)], terms)
+    assert sums.shape == (len(terms), k) and sums.dtype == np.int64
+    for i, sets in enumerate(candidates):
+        assert sums[:, i].tolist() == _root_sums(p, j, [[r] for r in sets], terms)[:, 0].tolist()
+
+
+@pytest.mark.parametrize("p,j", [(13, 1), (101, 1), (23, 2), (11, 3)])
+def test_quotient_counts_of_a_batch_match_one_at_a_time(p, j):
+    rng = random.Random(p * j)
+    triples = []
+    for _ in range(4):
+        r = rng.sample(range(p), 8)
+        triples.append(tuple(HyperellipticModel.from_ints(p, rng.randrange(1, p), rs)
+                             for rs in (r[:6], r[:4] + r[6:], r[4:])))
+    assert count_quotients_many(triples, j) == [count_quotients(*t, j) for t in triples]
+    assert count_quotients_many([], j) == []
+
+
+def test_quotient_counts_of_a_batch_share_one_field_and_shape():
+    one = [HyperellipticModel.from_ints(11, 1, rs)
+           for rs in ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 7, 8), (5, 6, 7, 8))]
+    other_shape = [HyperellipticModel.from_ints(11, 1, rs)
+                   for rs in ((1, 2, 3, 5, 6), (1, 2, 3, 7, 8), (5, 6, 7, 8))]
+    other_field = [HyperellipticModel.from_ints(13, 1, [r.value for r in m.roots]) for m in one]
+    for pair in ((one, other_shape), (one, other_field)):
+        with pytest.raises(ValueError):
+            count_quotients_many([tuple(models) for models in pair], 1)
+
+
+def test_count_sums_past_int8_at_a_large_prime():
+    """The chi table of F_p is int8 and so are the products of its rows;
+    the sums are taken in int64.  At p = 16411 > 2^14 the genus-2 model
+    with roots 1, 2, 3, 5, 8, 13 has the root sum 279, past int8, and its
+    count, alone and in a batch, matches a sum over every x in int64."""
+    p, roots = 16411, (1, 2, 3, 5, 8, 13)
+    x = np.arange(p, dtype=np.int64)
+    chi = -np.ones(p, dtype=np.int64)
+    chi[x * x % p] = 1
+    chi[0] = 0
+    want = np.prod([chi[(x - r) % p] for r in roots], axis=0).sum()
+    assert want == 279 and residue_tables(p).chi.dtype == np.int8
+    model = HyperellipticModel.from_ints(p, 1, roots)
+    assert count_points(model, 1).count == p + want + 2
+    batch = _root_sums(p, 1, [[roots, (0, 1, 2, 3, 4, 5)]], [(0,)])
+    assert batch[0, 0] == want
 
 
 def test_quotient_count_has_no_field_sized_temporary():

@@ -26,9 +26,11 @@ from howe5.howe_factory import (
     decompose_genus5,
     direct_counts,
     howe_counts,
+    howe_counts_many,
     howe_models,
     serre_verdicts,
     validate,
+    validate_many,
 )
 from howe5.search_engine import random_valid_params
 
@@ -182,6 +184,45 @@ def test_validate_stores_each_factors_standalone_hasse(table):
         for E in validate(params).split.curves:
             assert "hasse" in vars(E)
             assert E.hasse == LegendreCurve(E.mod, E.theta, E.lam).hasse
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), p=st.sampled_from([11, 23, 37, 101]),
+       kinds=st.lists(st.booleans(), min_size=2, max_size=6))
+def test_batches_match_one_at_a_time(seed, p, kinds):
+    """validate_many and howe_counts_many of parameter sets at one prime,
+    valid ones (True in kinds) mixed with random and mostly invalid ones,
+    equal validate and howe_counts of each set: the violations, the
+    info, the split with its factors' stored Hasse residues, and the counts
+    over F_p, F_p^2 and F_p^3."""
+    rng = random.Random(seed)
+    batch = []
+    for valid in kinds:
+        split = random_valid_params(p, rng) if valid else None
+        batch.append(split.params if split is not None else HoweParams.from_ints(
+            p, rng.randrange(p), rng.randrange(p), rng.sample(range(p), 6),
+            rng.sample(range(p), 2)))
+    many = validate_many(batch)
+    assert len(many) == len(batch)
+    for params, got in zip(batch, many):
+        want = validate(params)
+        assert (got.params, got.violations, got.info, got.split) == (
+            want.params, want.violations, want.info, want.split)
+        if want.split is not None:
+            assert [E.hasse for E in got.split.curves] == [E.hasse for E in want.split.curves]
+            assert all("hasse" in vars(E) for E in got.split.curves)
+    splits = [res.split for res in many if res.split is not None]
+    for j in (1, 2, 3):
+        assert howe_counts_many(splits, j) == [howe_counts(split, j) for split in splits]
+
+
+def test_batches_share_one_prime():
+    assert validate_many([]) == [] and howe_counts_many([]) == []
+    with pytest.raises(ValueError, match="one prime"):
+        validate_many([_params(ROW_P11), _params(ROW_P37)])
+    splits = [decompose_genus5(_params(row)) for row in (ROW_P11, ROW_P37)]
+    with pytest.raises(ValueError):
+        howe_counts_many(splits)
 
 
 class TestDecompose:

@@ -42,12 +42,13 @@ PINS = {
 }
 
 
-def _quick_confirm(params, target):
-    """A stand-in for _confirm that rejects about a third of the candidates,
-    so that the comparison covers the order of emitted hits and the failure
-    count without point counts."""
-    row = params.row()
-    return None if sum(row) % 3 == 0 else {1: sum(row)}
+def _quick_confirm(batch, target):
+    """A stand-in for _confirm, with its batch signature, that rejects about
+    a third of the candidates, so that the comparison covers the order of
+    emitted hits and the failure count, under a hit cap too, without point
+    counts."""
+    return [None if sum(params.row()) % 3 == 0 else {1: sum(params.row())}
+            for params in batch]
 
 
 def _same_chunk(p, cfg, a1, quota):
@@ -316,7 +317,7 @@ def test_row_funnel_matches_the_scalar_kernel_on_every_row(monkeypatch, target, 
     # at maximal-fp2 p = 19; at the other primes some are and some are not,
     # and at serre-fp3 p = 67 some that are not have entries whose lambda5
     # is admissible but no twist class pair.
-    monkeypatch.setattr(scalar_kernel, "_confirm", lambda params, target: {})
+    monkeypatch.setattr(scalar_kernel, "_confirm", lambda batch, target: [{}] * len(batch))
     inv = _tables(p)[0]
     seen = set()
     for a in _admissible_pairs(p, target):

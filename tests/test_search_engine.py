@@ -378,6 +378,37 @@ class TestRuledOutPrimes:
             assert (hits, stats.primes, got) == ([], 1, want), (target, p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_primes_below_eleven_build_no_table(monkeypatch, p):
+    """Eight pairwise-distinct branch points need p >= 8, so at p = 3, 5
+    and 7 _admissible_pairs is empty for every target before any per-prime
+    table is built, and the chunks, counted, report the scalar kernel's
+    statistics; maximal-fp2 has goal traces at 3 and 7."""
+    for target in Target:
+        cfg = SearchConfig(target.min_prime, target.min_prime, target, seed=2)
+        for quota in (None, 5):
+            want = [0, 0, 0, 0, False]
+            for a1 in _visit_orders(p, cfg)[0]:
+                hits, stats = scalar_kernel._scan_chunk(p, cfg, a1, quota)
+                assert not hits
+                want = [w + v for w, v in zip(want[:4], stats[:4])] + [want[4] or stats[4]]
+
+            def refuse(p):
+                raise AssertionError(f"a per-prime table was built at p={p}")
+
+            with monkeypatch.context() as patched:
+                for module in (search_engine, hasse_serre):
+                    for name in ("legendre_traces", "residue_tables"):
+                        patched.setattr(module, name, refuse)
+                for cached in (search_engine._tables, search_engine._class_masks,
+                               search_engine._admissible_pairs, search_engine._scan_arrays):
+                    cached.cache_clear()
+                assert search_engine._admissible_pairs(p, target) == {}
+                (_, hits, stats), = search_engine._chunks(p, cfg, quota, None)
+            assert not hits and list(stats) == want, (target, quota)
+    assert Target.MAXIMAL_FP2.goal_traces(3) and Target.MAXIMAL_FP2.goal_traces(7)
+
+
 def test_per_prime_caches_are_bounded():
     """_tables, _class_masks, _funnels and _pair_tuples hold the current
     prime only, the shared per-prime tables at most TABLE_CACHE primes,
@@ -478,17 +509,45 @@ class TestConfirm:
     ])
     def test_validates_once(self, monkeypatch, row, target, j):
         calls = []
-        real = howe_factory.validate
+        real = howe_factory.validate_many
 
-        def counted(params):
-            calls.append(params)
-            return real(params)
+        def counted(batch):
+            calls.extend(batch)
+            return real(batch)
 
-        monkeypatch.setattr(howe_factory, "validate", counted)
+        monkeypatch.setattr(howe_factory, "validate_many", counted)
         p, a1, a2, a, b = row
-        counts = _confirm(HoweParams.from_ints(p, a1, a2, a, b), target)
+        counts, = _confirm([HoweParams.from_ints(p, a1, a2, a, b)], target)
         assert counts is not None and j in counts
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("row,target", [
+        (ROW_P11, Target.MAXIMAL_FP2),
+        (ROW_P37, Target.SERRE_FP3),
+    ])
+    def test_a_mixed_batch_matches_one_at_a_time(self, monkeypatch, row, target):
+        """A batch that mixes invalid, non-attaining and passing parameter
+        sets confirms as each set does alone, in order; with every factor
+        made to pass the predicate, the non-attaining sets are counted and
+        then fail on the bound."""
+        p, a1, a2, a, b = row
+        passing = HoweParams.from_ints(p, a1, a2, a, b)
+        invalid = [HoweParams.from_ints(p, 1, 1, (0, 1, 2, 3, 5, 6), (8, 9)),
+                   HoweParams.from_ints(p, 1, 1, (0, 1, 2, 3, 4, 5), (5, 6))]
+        rng, missing = random.Random(p), []
+        while len(missing) < 2:
+            split = search_engine.random_valid_params(p, rng)
+            if not target.attained(split.curves):
+                missing.append(split.params)
+        batch = [invalid[0], passing, missing[0], invalid[1], passing, missing[1]]
+        alone = [_confirm([params], target)[0] for params in batch]
+        assert _confirm(batch, target) == alone
+        assert [counts is None for counts in alone] == [True, False, True, True, False, True]
+        predicate = (hasse_serre.attains_serre_fp, hasse_serre.maximal_fp2,
+                     hasse_serre.attains_serre_fp3)[target.degree - 1]
+        monkeypatch.setattr(hasse_serre, predicate.__name__, lambda curve: True)
+        assert _confirm(batch, target) == alone
+        assert _confirm(missing, target) == [None, None]
 
     def test_predicate_rebound_on_hasse_serre_is_called(self, monkeypatch):
         """A wrapper bound over the module global hasse_serre.maximal_fp2, as
@@ -506,7 +565,7 @@ class TestConfirm:
         params = HoweParams.from_ints(p, a1, a2, a, b)
         assert serre_verdicts(params).maximal_fp2 is True
         assert len(calls) == 5
-        assert _confirm(params, Target.MAXIMAL_FP2) == {1: 12, 2: 232}
+        assert _confirm([params], Target.MAXIMAL_FP2) == [{1: 12, 2: 232}]
         assert len(calls) == 10
 
 

@@ -13,13 +13,14 @@ from howe5.search_engine import SearchConfig, Target, run_search
 @pytest.fixture
 def validate_calls(monkeypatch):
     """The parameter sets validated, counted through every howe5 module that
-    bound validate, as the benchmark's layer tracer wraps it."""
-    real = howe_factory.validate
+    bound validate_many, which validate and the search's batch confirmation
+    both call, as the benchmark's layer tracer wraps a function."""
+    real = howe_factory.validate_many
     calls = []
 
-    def counted(params):
-        calls.append(params)
-        return real(params)
+    def counted(batch):
+        calls.extend(batch)
+        return real(batch)
 
     for name, module in list(sys.modules.items()):
         if name == "howe5" or name.startswith("howe5."):
