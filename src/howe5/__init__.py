@@ -29,7 +29,6 @@ from .errors import (
 )
 from .field_arith import (
     ExtensionField,
-    FieldElement,
     PrimeModulus,
     build_extension,
     is_prime,

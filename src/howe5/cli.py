@@ -229,13 +229,13 @@ def cmd_decompose(ns) -> int:
         return 0
     p = params.mod.p
     print(f"p = {p}")
-    print(f"twists: alpha1 = {int(params.alpha1)}, alpha2 = {int(params.alpha2)}")
-    print(f"roots A: {' '.join(str(int(v)) for v in params.a)}")
-    print(f"roots B: {' '.join(str(int(v)) for v in params.b)}")
+    print(f"twists: alpha1 = {params.alpha1}, alpha2 = {params.alpha2}")
+    print(f"roots A: {' '.join(map(str, params.a))}")
+    print(f"roots B: {' '.join(map(str, params.b))}")
     sd = report.split
-    print(f"cross-ratios: a = {int(sd.a)} b = {int(sd.b)} c = {int(sd.c)}")
+    print(f"cross-ratios: a = {sd.a} b = {sd.b} c = {sd.c}")
     for i, E in enumerate(sd.curves, start=1):
-        print(f"  E{i}: y^2 = {int(E.theta)} x (x-1) (x-{int(E.lam)})")
+        print(f"  E{i}: y^2 = {E.theta} x (x-1) (x-{E.lam})")
     for j in exts:
         c = report.counts[j]
         parts = " + ".join(str(n) for n in c.e)
@@ -351,7 +351,7 @@ def cmd_selftest(ns) -> int:
     print("worked example, p = 11:")
     rep = DecompositionReport.build(
         HoweParams.from_ints(11, 4, 6, (5, 3, 10, 7, 6, 8), (9, 2)), exts=(1, 2))
-    pairs = [(int(e.theta), int(e.lam)) for e in rep.split.curves]
+    pairs = [(e.theta, e.lam) for e in rep.split.curves]
     ok = check("factor curves", pairs, [(8, 6), (8, 2), (8, 2), (8, 10), (3, 10)])
     ok &= check("#C(F_11)", rep.counts[1].total, 12)
     ok &= check("#C(F_121)", rep.counts[2].total, 232)

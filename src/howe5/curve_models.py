@@ -33,12 +33,12 @@ from .errors import CapExceeded, HasseViolation
 from .field_arith import (
     TABLE_CACHE,
     CheckedRecord,
-    FieldElement,
     PrimeModulus,
     build_extension,
     legendre_symbol,
     prime_modulus,
     require_ints,
+    require_residues,
     residue_tables,
 )
 
@@ -81,22 +81,19 @@ class PointCount(CheckedRecord, namedtuple("PointCount", "q count method genus")
 
 
 class HyperellipticModel(CheckedRecord, namedtuple("HyperellipticModel", "mod alpha roots")):
-    """y^2 = alpha * (x - r_1) .. (x - r_d) over F_p, 3 <= d <= 6."""
+    """y^2 = alpha * (x - r_1) .. (x - r_d) over F_p, 3 <= d <= 6, alpha and
+    the roots residues."""
 
     __slots__ = ()
 
-    def __new__(cls, mod: PrimeModulus, alpha: FieldElement,
-                roots: tuple[FieldElement, ...]) -> "HyperellipticModel":
-        if alpha.mod.p != mod.p:
-            raise ValueError("alpha has the wrong modulus")
-        if alpha.value == 0:
+    def __new__(cls, mod: PrimeModulus, alpha: int,
+                roots: tuple[int, ...]) -> "HyperellipticModel":
+        require_residues(mod.p, alpha, *roots)
+        if alpha == 0:
             raise ValueError("alpha must be nonzero")
         if not 3 <= len(roots) <= 6:
             raise ValueError(f"need 3..6 roots, got {len(roots)}")
-        for r in roots:
-            if r.mod.p != mod.p:
-                raise ValueError("root has the wrong modulus")
-        if len({r.value for r in roots}) != len(roots):
+        if len(set(roots)) != len(roots):
             raise ValueError("roots must be pairwise distinct")
         return tuple.__new__(cls, (mod, alpha, roots))
 
@@ -104,8 +101,7 @@ class HyperellipticModel(CheckedRecord, namedtuple("HyperellipticModel", "mod al
     def from_ints(cls, p: int, alpha: int, roots) -> "HyperellipticModel":
         roots = tuple(roots)
         require_ints(p, alpha, *roots)
-        mod = prime_modulus(p)
-        return cls(mod=mod, alpha=mod(alpha), roots=tuple(mod(r) for r in roots))
+        return cls(prime_modulus(p), alpha % p, tuple(r % p for r in roots))
 
     @property
     def degree(self) -> int:
@@ -251,12 +247,12 @@ def _block_sums(rotated, sizes, terms) -> np.ndarray:
     return np.array(sums)
 
 
-def _chi_ext(alpha: FieldElement, j: int) -> int:
+def _chi_ext(p: int, alpha: int, j: int) -> int:
     """The quadratic character of alpha in F_p* over F_{p^j}: every alpha is
     a square in F_{p^2}; for odd j, (p^j - 1)/2 is (p - 1)/2 times the odd
     number 1 + p + .. + p^(j-1), so alpha is a square in F_{p^j} iff it is
     one in F_p."""
-    return 1 if j % 2 == 0 else legendre_symbol(alpha)
+    return 1 if j % 2 == 0 else legendre_symbol(p, alpha)
 
 
 def _check_field(p: int, j: int) -> None:
@@ -272,23 +268,24 @@ def _check_field(p: int, j: int) -> None:
 def _brute_count(model: HyperellipticModel, j: int, root_sum: int) -> PointCount:
     """The smooth-model count over F_{p^j} from root_sum, the sum over x of
     prod_i chi(x - r_i): the affine count is q + chi(alpha) root_sum."""
-    q = model.mod.p ** j
-    total = q + _chi_ext(model.alpha, j) * root_sum + _points_at_infinity(model, j)
+    p = model.mod.p
+    q, chi_alpha = p ** j, _chi_ext(p, model.alpha, j)
+    total = q + chi_alpha * root_sum + _points_at_infinity(model.degree, chi_alpha)
     return PointCount(q=q, count=total, method=CountMethod.BRUTE_FORCE, genus=model.genus)
 
 
-def _points_at_infinity(model: HyperellipticModel, j: int) -> int:
-    """Even degree: two points iff alpha is a square in F_{p^j}."""
-    if model.degree % 2 == 1:
+def _points_at_infinity(degree: int, chi_alpha: int) -> int:
+    """Odd degree: one point; even degree: two iff alpha is a square in the
+    counting field, chi_alpha its quadratic character there."""
+    if degree % 2 == 1:
         return 1
-    return 2 if _chi_ext(model.alpha, j) == 1 else 0
+    return 2 if chi_alpha == 1 else 0
 
 
 def count_points(model: HyperellipticModel, j: int = 1) -> PointCount:
     """Brute-force smooth-model count of y^2 = f(x) over F_{p^j}, j in {1,2,3}."""
     _check_field(model.mod.p, j)
-    roots = [[r.value for r in model.roots]]
-    return _brute_count(model, j, int(_root_sums(model.mod.p, j, [roots], [(0,)])[0, 0]))
+    return _brute_count(model, j, int(_root_sums(model.mod.p, j, [[model.roots]], [(0,)])[0, 0]))
 
 
 def count_quotients(
@@ -313,12 +310,12 @@ def count_quotients_many(triples, j: int = 1) -> list[tuple[PointCount, ...]]:
         return []
     p, sets = triples[0][0].mod.p, []
     for c1, c2, c3 in triples:
-        roots1, roots2 = [r.value for r in c1.roots], [r.value for r in c2.roots]
+        roots1, roots2 = c1.roots, c2.roots
         shared = [r for r in roots1 if r in roots2]
         only1 = [r for r in roots1 if r not in roots2]
         only2 = [r for r in roots2 if r not in roots1]
         if (not (shared and only1 and only2) or {c1.mod.p, c2.mod.p, c3.mod.p} != {p}
-                or {r.value for r in c3.roots} != {*only1, *only2}):
+                or set(c3.roots) != {*only1, *only2}):
             raise ValueError("the models' roots must be S + A, S + B and A + B "
                              "for nonempty S, A, B, all over one field")
         sets.append((shared, only1, only2))

@@ -3,10 +3,11 @@ character, canonical square roots, inverses, all read off the power table of
 the least primitive root), and the defining polynomials of F_{p^2} and
 F_{p^3}.
 
-All arithmetic is exact integer arithmetic on canonical residues.  Moduli are
-capped at 2**20 so that every intermediate value used by the bulk counting
-kernels stays far below 2**63; a modulus beyond the cap raises CapExceeded
-instead of being accepted.
+Residues are plain ints in [0, p), the records that hold them check that
+range (require_residues), and all arithmetic on them is exact integer
+arithmetic.  Moduli are capped at 2**20 so that every intermediate value
+used by the bulk counting kernels stays far below 2**63; a modulus beyond
+the cap raises CapExceeded instead of being accepted.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +69,6 @@ class PrimeModulus(CheckedRecord, namedtuple("PrimeModulus", "p")):
     def m(self) -> int:
         return (self.p - 1) // 2
 
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
 
 @functools.lru_cache(maxsize=None)
 def prime_modulus(p: int) -> PrimeModulus:
@@ -86,95 +84,12 @@ def require_ints(*values) -> None:
             raise ValueError(f"parameters must be integers, got {v!r}")
 
 
-class FieldElement:
-    """A canonical residue in [0, p)."""
-
-    __slots__ = ("value", "mod")
-
-    def __init__(self, value: int, mod: PrimeModulus) -> None:
-        self.value = value % mod.p
-        self.mod = mod
-
-    def _coerce(self, other: Union["FieldElement", int]) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.mod.p != self.mod.p:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.mod)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.mod)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.mod)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(o.value - self.value, self.mod)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.mod)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.mod)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldElement(pow(self.value, self.mod.p - 2, self.mod.p), self.mod)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FieldElement(pow(self.value, e, self.mod.p), self.mod)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.mod.p == other.mod.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.mod.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.mod.p))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.mod.p})"
+def require_residues(p: int, *values) -> None:
+    """Raise ValueError naming the first value that is not a residue in
+    [0, p): a record holds each residue mod p in that one form."""
+    for v in values:
+        if not 0 <= v < p:
+            raise ValueError(f"residue {v} lies outside [0, {p})")
 
 
 class ResidueTables(NamedTuple):
@@ -245,20 +160,21 @@ def residue_tables(p: int) -> ResidueTables:
     return ResidueTables(chi, sqrt, inv, int(np.minimum.reduce(powers[1::2])), powers, log)
 
 
-def legendre_symbol(a: FieldElement) -> int:
-    """Quadratic character of a modulo p, one of -1, 0, +1."""
-    return int(residue_tables(a.mod.p).chi[a.value])
+def legendre_symbol(p: int, v: int) -> int:
+    """Quadratic character of v modulo p, one of -1, 0, +1."""
+    return int(residue_tables(p).chi[v % p])
 
 
-def sqrt_mod_p(a: FieldElement) -> FieldElement:
-    """Canonical square root of a, the representative in [1, (p-1)/2].
+def sqrt_mod_p(p: int, v: int) -> int:
+    """Canonical square root of v modulo p, the representative in
+    [1, (p-1)/2].
 
-    Raises NonResidue when a is not a nonzero square.
+    Raises NonResidue when v is not a nonzero square mod p.
     """
-    r = int(residue_tables(a.mod.p).sqrt[a.value])
+    r = int(residue_tables(p).sqrt[v % p])
     if r == 0:
-        raise NonResidue(f"{a.value} is not a nonzero square mod {a.mod.p}")
-    return FieldElement(r, a.mod)
+        raise NonResidue(f"{v % p} is not a nonzero square mod {p}")
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from . import curve_models
 from .errors import HasseViolation, HypothesisViolated, InexactTraces
 from .field_arith import (
-    TABLE_CACHE, CheckedRecord, FieldElement, PrimeModulus, prime_modulus, require_ints,
+    TABLE_CACHE, CheckedRecord, PrimeModulus, prime_modulus, require_ints, require_residues,
     residue_tables,
 )
 
@@ -78,37 +78,32 @@ _DEGREES = {target: j for j, target in enumerate(Target, 1)}
 
 
 class LegendreCurve(CheckedRecord, namedtuple("LegendreCurve", "mod theta lam")):
-    """y^2 = theta * x (x - 1) (x - lam) with theta != 0 and lam not in {0, 1}.
-    Unlike the other records it has an instance __dict__, for hasse."""
+    """y^2 = theta * x (x - 1) (x - lam) with residues theta != 0 and lam not
+    in {0, 1}.  Unlike the other records it has an instance __dict__, for
+    hasse."""
 
-    def __new__(cls, mod: PrimeModulus, theta: FieldElement, lam: FieldElement) -> "LegendreCurve":
-        if theta.mod.p != mod.p or lam.mod.p != mod.p:
-            raise ValueError("parameter has the wrong modulus")
-        if theta.value == 0:
+    def __new__(cls, mod: PrimeModulus, theta: int, lam: int) -> "LegendreCurve":
+        require_residues(mod.p, theta, lam)
+        if theta == 0:
             raise ValueError("theta must be nonzero")
-        if lam.value in (0, 1):
-            raise ValueError(f"lambda must avoid 0 and 1, got {lam.value}")
+        if lam in (0, 1):
+            raise ValueError(f"lambda must avoid 0 and 1, got {lam}")
         return tuple.__new__(cls, (mod, theta, lam))
 
     @classmethod
     def from_ints(cls, p: int, theta: int, lam: int) -> "LegendreCurve":
         require_ints(p, theta, lam)
-        mod = prime_modulus(p)
-        return cls(mod=mod, theta=mod(theta), lam=mod(lam))
+        return cls(prime_modulus(p), theta % p, lam % p)
 
     @functools.cached_property
     def hasse(self) -> int:
         """H_p(lambda) as a canonical residue, evaluated once per curve: the
         predicates over every target read it.  validate stores it for the
         five factors of a split, evaluated together (hasse_residues)."""
-        return hasse_residues(self.mod.p, [self.lam.value])[0]
+        return hasse_residues(self.mod.p, [self.lam])[0]
 
     def model(self) -> curve_models.HyperellipticModel:
-        zero = FieldElement(0, self.mod)
-        one = FieldElement(1, self.mod)
-        return curve_models.HyperellipticModel(
-            mod=self.mod, alpha=self.theta, roots=(zero, one, self.lam)
-        )
+        return curve_models.HyperellipticModel(self.mod, self.theta, (0, 1, self.lam))
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)
@@ -148,9 +143,9 @@ def hasse_residues(p: int, lams) -> list[int]:
     return [1 if lam == 0 else v for lam, v in zip(lams, h)] if 0 in lams else h
 
 
-def hasse_poly_eval(mod: PrimeModulus, lam: FieldElement) -> FieldElement:
-    """The Hasse polynomial evaluated at lam, as a canonical residue."""
-    return FieldElement(hasse_residues(mod.p, [lam.value])[0], mod)
+def hasse_poly_eval(p: int, lam: int) -> int:
+    """The Hasse polynomial evaluated at lam mod p, as a residue in [0, p)."""
+    return hasse_residues(p, [lam % p])[0]
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)
@@ -199,24 +194,18 @@ def serre_bound(q: int, genus: int) -> int:
     return q + 1 + genus * floor_two_sqrt(q)
 
 
-def _trace_residue(curve: LegendreCurve) -> int:
+def trace_mod_p(curve: LegendreCurve) -> int:
     """(-theta)^m * H_p(lambda) mod p, in [0, p): the Frobenius trace of the
     curve mod p."""
     p = curve.mod.p
-    return pow(p - curve.theta.value, curve.mod.m, p) * curve.hasse % p
-
-
-def trace_mod_p(curve: LegendreCurve) -> FieldElement:
-    """(-theta)^m * H_p(lambda) as a canonical residue; this is congruent to
-    the Frobenius trace of the curve mod p."""
-    return FieldElement(_trace_residue(curve), curve.mod)
+    return pow(p - curve.theta, curve.mod.m, p) * curve.hasse % p
 
 
 def exact_trace(curve: LegendreCurve) -> int:
     """The trace t over F_p: t = h mod p, h = (-theta)^m H_p(lambda) mod p,
     4 | p + 1 - t (the 2-torsion is rational) and t^2 <= 4p, unique as 4p
     exceeds the Hasse interval.  Raises HasseViolation when h admits no t."""
-    p, h = curve.mod.p, _trace_residue(curve)
+    p, h = curve.mod.p, trace_mod_p(curve)
     t = h + p * ((p + 1 - h) * p % 4)
     if t > 2 * p:
         t -= 4 * p
@@ -231,7 +220,7 @@ def attains_serre_fp(curve: LegendreCurve) -> bool:
     p, least = curve.mod.p, Target.SERRE_FP.min_prime
     if p < least:
         raise HypothesisViolated(f"predicate needs p >= {least}, got {p}")
-    return _trace_residue(curve) == (-floor_two_sqrt(p)) % p
+    return trace_mod_p(curve) == (-floor_two_sqrt(p)) % p
 
 
 def maximal_fp2(curve: LegendreCurve) -> bool:
@@ -245,7 +234,7 @@ def attains_serre_fp3(curve: LegendreCurve) -> bool:
     p, least = curve.mod.p, Target.SERRE_FP3.min_prime
     if p < least:
         raise HypothesisViolated(f"predicate needs p >= {least}, got {p}")
-    return lift_trace(_trace_residue(curve), p, 3) == -floor_two_sqrt(p ** 3)
+    return lift_trace(trace_mod_p(curve), p, 3) == -floor_two_sqrt(p ** 3)
 
 
 def zeta_lift(n1: int, p: int, j: int) -> int:

@@ -11,10 +11,10 @@ a1..a6, b5, b6 in F_p.  The three quotient curves are
 and #C(F_q) = #C1 + #C2 + #C3 - 2q - 2 = sum #E_i - 4q - 4 once C1 and C2
 split further into Legendre pairs and C3 is put in Legendre form.
 
-validate checks a parameter set on plain residues mod p, reading the
-quadratic character and square roots from the residue tables, and builds
-field elements only for the split it returns, whose five Hasse residues it
-evaluates in one pass (hasse_residues).  howe_counts reads the five
+Every record holds its residues as ints in [0, p).  validate checks a
+parameter set on them, reading the quadratic character and square roots
+from the residue tables, and returns the split, whose five Hasse residues
+it evaluates in one pass (hasse_residues).  howe_counts reads the five
 factor counts over F_p off the factors' Hasse residues (exact_trace) and
 checks them against the three quotients, counted together with shared
 character rows (curve_models.count_quotients), as C1 and C2 share a1..a4
@@ -43,49 +43,35 @@ from .errors import (
     ValidationError,
 )
 from .field_arith import (
-    CheckedRecord, FieldElement, PrimeModulus, prime_modulus, require_ints, residue_tables,
+    CheckedRecord, PrimeModulus, prime_modulus, require_ints, require_residues, residue_tables,
 )
 from .hasse_serre import LegendreCurve, Target, exact_trace, hasse_residues, zeta_lift
 
 
 class HoweParams(CheckedRecord, namedtuple("HoweParams", "mod alpha1 alpha2 a b")):
-    """Raw construction data; use validate() to certify it."""
+    """Raw construction data, residues mod p; use validate() to certify it."""
 
     __slots__ = ()
 
-    def __new__(cls, mod: PrimeModulus, alpha1: FieldElement, alpha2: FieldElement,
-                a: tuple[FieldElement, ...], b: tuple[FieldElement, ...]) -> "HoweParams":
+    def __new__(cls, mod: PrimeModulus, alpha1: int, alpha2: int,
+                a: tuple[int, ...], b: tuple[int, ...]) -> "HoweParams":
         if len(a) != 6 or len(b) != 2:
             raise ValueError("need six a-values and two b-values")
-        for x in (alpha1, alpha2, *a, *b):
-            if x.mod.p != mod.p:
-                raise ValueError("value has the wrong modulus")
+        require_residues(mod.p, alpha1, alpha2, *a, *b)
         return tuple.__new__(cls, (mod, alpha1, alpha2, a, b))
 
     @classmethod
     def from_ints(cls, p: int, alpha1: int, alpha2: int, a, b) -> "HoweParams":
-        """The parameters with these residues; ValueError names an operand
-        that is not an int."""
+        """The parameters with these values reduced mod p; ValueError names
+        an operand that is not an int."""
         a, b = tuple(a), tuple(b)
         require_ints(p, alpha1, alpha2, *a, *b)
-        mod = prime_modulus(p)
-        return cls(
-            mod=mod,
-            alpha1=mod(alpha1),
-            alpha2=mod(alpha2),
-            a=tuple(mod(x) for x in a),
-            b=tuple(mod(x) for x in b),
-        )
+        return cls(prime_modulus(p), alpha1 % p, alpha2 % p,
+                   tuple(x % p for x in a), tuple(x % p for x in b))
 
     def row(self) -> tuple[int, ...]:
-        """(p, alpha1, alpha2, a1..a6, b5, b6) as plain ints."""
-        return (
-            self.mod.p,
-            self.alpha1.value,
-            self.alpha2.value,
-            *(x.value for x in self.a),
-            *(x.value for x in self.b),
-        )
+        """(p, alpha1, alpha2, a1..a6, b5, b6)."""
+        return (self.mod.p, self.alpha1, self.alpha2, *self.a, *self.b)
 
     @classmethod
     def from_row(cls, row) -> "HoweParams":
@@ -98,10 +84,10 @@ class HoweParams(CheckedRecord, namedtuple("HoweParams", "mod alpha1 alpha2 a b"
         """The JSON layout of a parameter set: p, alpha1, alpha2, a and b."""
         return {
             "p": self.mod.p,
-            "alpha1": self.alpha1.value,
-            "alpha2": self.alpha2.value,
-            "a": [x.value for x in self.a],
-            "b": [x.value for x in self.b],
+            "alpha1": self.alpha1,
+            "alpha2": self.alpha2,
+            "a": list(self.a),
+            "b": list(self.b),
         }
 
     @classmethod
@@ -126,11 +112,11 @@ class SplitData(NamedTuple):
     with the canonical-root branch first within each pair."""
 
     params: HoweParams
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    beta1: FieldElement
-    beta2: FieldElement
+    a: int
+    b: int
+    c: int
+    beta1: int
+    beta2: int
     curves: tuple[LegendreCurve, ...]
 
 
@@ -201,10 +187,10 @@ def validate(params: HoweParams) -> ValidationResult:
     - (1 - lambda+)(1 - lambda-)(b - 1)^2 = (ab - 2a + 1)^2 vanishes only at
       d = a(1 - b)/(1 - a) = 1, and d = cr(a1, a2, a3, a6) by the a-tuple
       condition, so that needs a6 = a3; in the pair (a, c) it needs b6 = a3.
-    LegendreCurve keeps its own check as a backstop.  The checks run on
-    plain residues mod p; only the split is built of field elements, and
-    its five factors' Hasse residues are evaluated together and stored as
-    each curve's hasse.  This is validate_many of one parameter set.
+    LegendreCurve keeps its own check as a backstop.  The checks run on the
+    residues mod p, and the split's five factors' Hasse residues are
+    evaluated together and stored as each curve's hasse.  This is
+    validate_many of one parameter set.
     """
     return validate_many([params])[0]
 
@@ -219,7 +205,7 @@ def validate_many(batch) -> list[ValidationResult]:
     results = [_check(params) for params in batch]
     curves = [E for res in results if res.split is not None for E in res.split.curves]
     if curves:
-        for E, h in zip(curves, hasse_residues(curves[0].mod.p, [E.lam.value for E in curves])):
+        for E, h in zip(curves, hasse_residues(curves[0].mod.p, [E.lam for E in curves])):
             E.hasse = h
     return results
 
@@ -230,8 +216,8 @@ def _check(params: HoweParams) -> ValidationResult:
     res = ValidationResult(params=params)
     mod = params.mod
     p = mod.p
-    alpha1, alpha2 = params.alpha1.value, params.alpha2.value
-    points = [x.value for x in (*params.a, *params.b)]
+    alpha1, alpha2 = params.alpha1, params.alpha2
+    points = [*params.a, *params.b]
     a1, a2, a3, a4, a5, a6, b5, b6 = points
 
     if alpha1 == 0 or alpha2 == 0:
@@ -288,11 +274,11 @@ def _check(params: HoweParams) -> ValidationResult:
     beta2 = alpha2 * (a2 - a3) * (a1 - a4) * (a1 - b5) * (a1 - b6) % p
     th12, l1, l2 = _split_pair(p, beta1, a, b)
     th34, l3, l4 = _split_pair(p, beta2, a, c)
-    th5 = alpha1 * alpha2 * (a5 - b6) * (a6 - b5)
-    l5 = (a5 - b5) * (a6 - b6) * pow((a5 - b6) * (a6 - b5), -1, p)
+    th5 = alpha1 * alpha2 * (a5 - b6) * (a6 - b5) % p
+    l5 = (a5 - b5) * (a6 - b6) * pow((a5 - b6) * (a6 - b5), -1, p) % p
     pairs = ((th12, l1), (th12, l2), (th34, l3), (th34, l4), (th5, l5))
-    curves = tuple(LegendreCurve(mod, mod(th), mod(lm)) for th, lm in pairs)
-    res.split = SplitData(params, mod(a), mod(b), mod(c), mod(beta1), mod(beta2), curves)
+    curves = tuple(LegendreCurve(mod, th, lm) for th, lm in pairs)
+    res.split = SplitData(params, a, b, c, beta1, beta2, curves)
     return res
 
 
@@ -310,7 +296,7 @@ def howe_models(params: HoweParams) -> tuple[HyperellipticModel, ...]:
     c1 = HyperellipticModel(params.mod, params.alpha1, (a1, a2, a3, a4, a5, a6))
     c2 = HyperellipticModel(params.mod, params.alpha2, (a1, a2, a3, a4, b5, b6))
     c3 = HyperellipticModel(
-        params.mod, params.alpha1 * params.alpha2, (a5, a6, b5, b6)
+        params.mod, params.alpha1 * params.alpha2 % params.mod.p, (a5, a6, b5, b6)
     )
     return c1, c2, c3
 
@@ -434,7 +420,7 @@ class DecompositionReport(NamedTuple):
         return {
             **self.validation.params.to_json_dict(),
             "factors": [
-                {"theta": E.theta.value, "lambda": E.lam.value} for E in self.split.curves
+                {"theta": E.theta, "lambda": E.lam} for E in self.split.curves
             ],
             "counts": {
                 str(j): {

@@ -777,8 +777,9 @@ def orbit_key(params: HoweParams) -> tuple[int, ...]:
     Both are invariant under a Moebius map of the roots that rescales the
     twists to match, so isomorphic parameter sets share their key."""
     split = howe_factory.decompose_genus5(params)
-    return (params.mod.p, split.a.value, split.b.value, split.c.value,
-            legendre_symbol(split.curves[0].theta), legendre_symbol(split.curves[2].theta))
+    p = params.mod.p
+    return (p, split.a, split.b, split.c,
+            legendre_symbol(p, split.curves[0].theta), legendre_symbol(p, split.curves[2].theta))
 
 
 def random_valid_params(

@@ -134,15 +134,13 @@ class TestValidate:
         square, a pair's factors degenerate exactly when
         d = a(1 - b)/(1 - a) = 1, the frame image of a6 = a3: validate's
         input checks leave no factor degenerate."""
-        mod = prime_modulus(p)
-        for a in map(mod, range(2, p)):
-            for b in map(mod, range(2, p)):
-                if legendre_symbol(a * (a - b)) != 1:
+        for a in range(2, p):
+            for b in range(2, p):
+                if legendre_symbol(p, a * (a - b)) != 1:
                     continue
-                theta, lam_plus, lam_minus = map(
-                    mod, howe_factory._split_pair(p, 1, a.value, b.value))
-                degenerate = theta.value == 0 or {lam_plus.value, lam_minus.value} & {0, 1}
-                assert bool(degenerate) == (a * (1 - b) == 1 - a), (a, b)
+                theta, lam_plus, lam_minus = howe_factory._split_pair(p, 1, a, b)
+                degenerate = theta == 0 or {lam_plus, lam_minus} & {0, 1}
+                assert bool(degenerate) == ((a * (1 - b) - (1 - a)) % p == 0), (a, b)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), p=st.sampled_from([7, 11, 13, 23, 31]))
@@ -150,17 +148,19 @@ class TestValidate:
         """Distinct a1..a5, b5 with a6 and b6 solved in the frame
         y = cr(a1, a2, a3, x): validate reports an input violation or
         returns the split, and never raises."""
-        mod = prime_modulus(p)
-        a1, a2, a3, a4, a5, b5 = map(mod, data.draw(
-            st.lists(st.integers(0, p - 1), min_size=6, max_size=6, unique=True)))
+        a1, a2, a3, a4, a5, b5 = data.draw(
+            st.lists(st.integers(0, p - 1), min_size=6, max_size=6, unique=True))
         alphas = data.draw(st.tuples(st.integers(1, p - 1), st.integers(1, p - 1)))
-        k = (a1 - a3) / (a2 - a3)
-        a, b, c = (k * (a2 - x) / (a1 - x) for x in (a4, a5, b5))
-        d, e = a * (1 - b) / (1 - a), a * (1 - c) / (1 - a)
+
+        def div(x, y):
+            return x * pow(y, -1, p) % p
+
+        k = div(a1 - a3, a2 - a3)
+        a, b, c = (div(k * (a2 - x), a1 - x) for x in (a4, a5, b5))
+        d, e = div(a * (1 - b), 1 - a), div(a * (1 - c), 1 - a)
         assume(k not in (d, e))  # the frame sends x = infinity to k
-        a6, b6 = ((k * a2 - y * a1) / (k - y) for y in (d, e))
-        params = HoweParams(mod, mod(alphas[0]), mod(alphas[1]),
-                            (a1, a2, a3, a4, a5, a6), (b5, b6))
+        a6, b6 = (div(k * a2 - y * a1, k - y) for y in (d, e))
+        params = HoweParams(prime_modulus(p), *alphas, (a1, a2, a3, a4, a5, a6), (b5, b6))
         res = validate(params)
         if res.ok:
             assert len(res.split.curves) == 5
@@ -314,9 +314,9 @@ class TestHoweCounts:
 
         def twisted_c3(params):
             c1, c2, c3 = real(params)
-            nonsquare = next(v for v in range(2, params.mod.p)
-                             if legendre_symbol(params.mod(v)) == -1)
-            return c1, c2, HyperellipticModel(c3.mod, c3.alpha * nonsquare, c3.roots)
+            p = params.mod.p
+            nonsquare = next(v for v in range(2, p) if legendre_symbol(p, v) == -1)
+            return c1, c2, HyperellipticModel(c3.mod, c3.alpha * nonsquare % p, c3.roots)
 
         monkeypatch.setattr(howe_factory, "howe_models", twisted_c3)
         with pytest.raises(DecompositionMismatch):
@@ -332,9 +332,7 @@ class TestHoweCounts:
         hc = howe_counts(decompose_genus5(params), 1)
         models = howe_models(params)
         for m, expect in zip(models, (hc.c1, hc.c2, hc.c3)):
-            alpha = int(m.alpha)
-            roots = tuple(int(r) for r in m.roots)
-            assert naive_count_fp(11, alpha, roots) == expect
+            assert naive_count_fp(11, m.alpha, m.roots) == expect
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,9 +352,9 @@ def test_affine_maps_preserve_the_decomposition(data, p):
     result = validate(image)
     assert result.ok
     split_image = result.split
-    assert [E.lam.value for E in split_image.curves] == [E.lam.value for E in split.curves]
-    assert ([legendre_symbol(E.theta) for E in split_image.curves]
-            == [legendre_symbol(E.theta) for E in split.curves])
+    assert [E.lam for E in split_image.curves] == [E.lam for E in split.curves]
+    assert ([legendre_symbol(p, E.theta) for E in split_image.curves]
+            == [legendre_symbol(p, E.theta) for E in split.curves])
     for j in (1, 2, 3):
         assert howe_counts(split_image, j).total == howe_counts(split, j).total
     assert serre_verdicts(image) == serre_verdicts(params)

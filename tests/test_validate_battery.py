@@ -85,8 +85,8 @@ def outcome(row: list[int]) -> list:
     assert list(res.info) in ([], INFO_KEYS)
     split = res.split
     if split is not None:
-        split = [*(x.value for x in (split.a, split.b, split.c, split.beta1, split.beta2)),
-                 [[E.theta.value, E.lam.value] for E in split.curves]]
+        split = [split.a, split.b, split.c, split.beta1, split.beta2,
+                 [[E.theta, E.lam] for E in split.curves]]
     return [[[v.code, v.detail] for v in res.violations], list(res.info.values()), split]
 
 
