@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .field_arith import (
-    ExtensionField,
     PrimeModulus,
     build_extension,
     is_prime,
@@ -42,8 +41,6 @@ from .hasse_serre import (
     attains_serre_fp,
     attains_serre_fp3,
     floor_two_sqrt,
-    hasse_poly_eval,
-    legendre_count_fp,
     maximal_fp2,
     serre_bound,
     trace_mod_p,
@@ -59,7 +56,6 @@ from .howe_factory import (
     direct_counts,
     howe_counts,
     howe_models,
-    serre_verdicts,
     validate,
 )
 from .search_engine import (
@@ -67,7 +63,6 @@ from .search_engine import (
     SearchHit,
     SearchStats,
     enumerate_hits,
-    random_valid_params,
 )
 
 __version__ = "0.1.0"

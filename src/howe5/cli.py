@@ -18,13 +18,7 @@ from .curve_models import COUNT_CAP, CountMethod, HyperellipticModel, PointCount
 from .errors import CapExceeded, Howe5Error
 from .hasse_serre import LegendreCurve, Target, serre_bound, zeta_lift
 from .howe_factory import DecompositionReport, HoweParams, direct_counts, howe_counts, validate
-from .search_engine import (
-    ENUMERATED_SLOTS,
-    SearchConfig,
-    run_search,
-    write_hits_csv,
-    write_hits_jsonl,
-)
+from .search_engine import CSV_HEADER, ENUMERATED_SLOTS, SearchConfig, SearchStats, enumerate_hits
 
 SHALLOW_DIRECT_LIMIT = 100_000
 
@@ -156,7 +150,7 @@ def _verify_row(params: HoweParams, table: int, deep: bool, out) -> bool:
         out(f"  p={p}: FAIL invalid ({'; '.join(v.code for v in vr.violations)})")
         return False
     try:
-        base = howe_counts(vr.split, 1)
+        base = howe_counts(vr.split)
         target = tables.TABLE_TARGETS[table]
         j = target.degree
         field, label = f"F_p^{j}" if j > 1 else "F_p", "maximal" if j == 2 else "bound"
@@ -308,23 +302,27 @@ def cmd_search(ns) -> int:
     if ns.out and ns.jsonl and os.path.realpath(ns.out) == os.path.realpath(ns.jsonl):
         print(f"error: --out and --jsonl name the same file: {ns.out}", file=sys.stderr)
         return 2
+    stats = SearchStats()
     with contextlib.ExitStack() as stack:
         # opened before the search, so an unwritable path fails at once
-        outputs = [(write, stack.enter_context(open(path, "w")))
-                   for path, write in ((ns.out, write_hits_csv), (ns.jsonl, write_hits_jsonl))
-                   if path]
-        hits, stats = run_search(config)
-        for write, fh in outputs:
-            write(hits, fh)
-    if not ns.quiet:
-        for h in hits:
-            row = h.row()
-            counts = " ".join(f"N{j}={n}" for j, n in sorted(h.counts.items()))
-            print(
-                f"p={row[0]} alpha1={row[1]} alpha2={row[2]} "
-                f"a={','.join(str(v) for v in row[3:9])} "
-                f"b={','.join(str(v) for v in row[9:])} {counts}"
-            )
+        csv_fh, jsonl_fh = (stack.enter_context(open(path, "w")) if path else None
+                            for path in (ns.out, ns.jsonl))
+        if csv_fh:
+            csv_fh.write(CSV_HEADER + "\n")
+        # each hit is written as it is found, so no list of hits is kept
+        for h in enumerate_hits(config, stats):
+            if csv_fh:
+                csv_fh.write(h.csv_line())
+            if jsonl_fh:
+                jsonl_fh.write(h.jsonl_line())
+            if not ns.quiet:
+                row = h.row()
+                counts = " ".join(f"N{j}={n}" for j, n in sorted(h.counts.items()))
+                print(
+                    f"p={row[0]} alpha1={row[1]} alpha2={row[2]} "
+                    f"a={','.join(str(v) for v in row[3:9])} "
+                    f"b={','.join(str(v) for v in row[9:])} {counts}"
+                )
     print(
         f"search {config.target.value} p in [{config.p_min}, {config.p_max}]: "
         f"{stats.hits} hit(s), {stats.probes} probes, "

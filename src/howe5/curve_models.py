@@ -131,7 +131,7 @@ def _char_table(p: int, k: int) -> np.ndarray:
     x^3 + f_2 x^2 + f_1 x + f_0, evaluated by Horner in c0 on the slabs
     c2 = 0 and c2 = 1.  N(u x) = u^3 N(x) for u in F_p*, so slab c2 = c != 0
     is chi(c) times slab 1 read at (c0/c, c1/c)."""
-    f = build_extension(p, k).poly
+    f = build_extension(p, k)
     chi, c0 = residue_tables(p).chi, np.arange(p, dtype=np.int64)
     table = np.empty(p ** k, dtype=np.int8)
     if k == 2:

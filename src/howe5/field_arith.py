@@ -196,31 +196,16 @@ def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # cannot happen
 
 
-class ExtensionField(NamedTuple):
-    """F_{p^k} as F_p[x] modulo a fixed monic irreducible of degree k.
-
-    poly holds the low-order coefficients (c_0, .., c_{k-1}) of the modulus
-    x^k + c_{k-1} x^{k-1} + .. + c_0, chosen deterministically, so two builds
-    of the same field agree.  Elements are coefficient vectors; the direct
-    counting oracle in curve_models does no arithmetic on them, and reads
-    the quadratic character off the norm form these coefficients define.
-    """
-
-    base: PrimeModulus
-    k: int
-    poly: tuple[int, ...]
-
-    @property
-    def q(self) -> int:
-        return self.base.p ** self.k
-
-
 @functools.lru_cache(maxsize=None)
-def build_extension(p: int, k: int) -> ExtensionField:
-    """F_{p^k} for k in {2, 3}, with a deterministically chosen modulus poly.
+def build_extension(p: int, k: int) -> tuple[int, ...]:
+    """The defining polynomial of F_{p^k}, k in {2, 3}: the low-order
+    coefficients (c_0, .., c_{k-1}) of the monic irreducible modulus x^k +
+    c_{k-1} x^{k-1} + .. + c_0, chosen deterministically, so two builds of
+    the same field agree.  The direct counting oracle in curve_models reads
+    the quadratic character off the norm form these coefficients define.
     For k = 2 the modulus is always x^2 + f_0: the scan tries the x
     coefficient 0 first, and x^2 + f_0 is irreducible whenever -f_0 is a
     non-residue, which some f_0 in [1, p) is for every odd p."""
     if k not in (2, 3):
         raise ValueError(f"extension degree must be 2 or 3, got {k}")
-    return ExtensionField(prime_modulus(p), k, _find_irreducible(p, k))
+    return _find_irreducible(prime_modulus(p).p, k)

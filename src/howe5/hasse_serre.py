@@ -120,16 +120,6 @@ def _hasse_gather(p: int) -> tuple:
     return t.log, t.powers, np.arange(m + 1, dtype=np.int64), e
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE)
-def hasse_poly_coeffs(p: int) -> np.ndarray:
-    """Coefficients of sum_i binom(m, i)^2 t^i mod p, with m = (p - 1) / 2,
-    as a read-only int64 array read off the power table."""
-    _, powers, _, e = _hasse_gather(p)
-    coeffs = powers[e].astype(np.int64)
-    coeffs.flags.writeable = False
-    return coeffs
-
-
 def hasse_residues(p: int, lams) -> list[int]:
     """H_p(lam) mod p for each residue lam in [0, p), in one numpy pass: with
     lam = g^k, H_p(lam) = sum_i g^(e[i] + i k), e the coefficient
@@ -141,11 +131,6 @@ def hasse_residues(p: int, lams) -> list[int]:
     # m + 1 terms below p sum to under 2^39
     h = (np.add.reduce(powers[x], axis=-1) % p).tolist()
     return [1 if lam == 0 else v for lam, v in zip(lams, h)] if 0 in lams else h
-
-
-def hasse_poly_eval(p: int, lam: int) -> int:
-    """The Hasse polynomial evaluated at lam mod p, as a residue in [0, p)."""
-    return hasse_residues(p, [lam % p])[0]
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)
@@ -247,8 +232,3 @@ def zeta_lift(n1: int, p: int, j: int) -> int:
     if t * t > 4 * p:
         raise HasseViolation(f"count {n1} violates the Hasse bound for p={p}")
     return p ** j + 1 - lift_trace(t, p, j)
-
-
-def legendre_count_fp(curve: LegendreCurve) -> int:
-    """Brute-force count of the curve over F_p."""
-    return curve_models.count_points(curve.model(), 1).count

@@ -38,7 +38,6 @@ from .errors import (
     CrossRatioFailed,
     DecompositionMismatch,
     Degenerate,
-    NonResidue,
     NonSquareObstruction,
     ValidationError,
 )
@@ -161,13 +160,10 @@ def _split_pair(p: int, theta: int, lam: int, mu: int) -> tuple[int, int, int]:
     residues mod p.
 
     Returns (theta', lam_plus, lam_minus) where the plus branch uses the
-    canonical square root of lam (lam - mu); raises NonResidue when that is
-    not a nonzero square.
+    canonical square root of lam (lam - mu), which the caller has checked is
+    a nonzero square.
     """
-    v = lam * (lam - mu) % p
-    s = int(residue_tables(p).sqrt[v])
-    if s == 0:
-        raise NonResidue(f"{v} is not a nonzero square mod {p}")
+    s = int(residue_tables(p).sqrt[lam * (lam - mu) % p])
     tw = theta * (1 - mu) * pow(1 - lam, -1, p) % p
     pref = (1 - lam) * pow(mu - 1, -1, p)
     return tw, pref * (mu - 2 * lam + 2 * s) % p, pref * (mu - 2 * lam - 2 * s) % p
@@ -340,16 +336,16 @@ class HoweCounts(NamedTuple):
         )
 
 
-def howe_counts(split: SplitData, j: int = 1) -> HoweCounts:
-    """Counts over F_{p^j}.  The five factor counts over F_p are p + 1 - t,
-    t read off the factor's Hasse residue (exact_trace); the three quotients
-    are counted over F_p and must agree with them (DecompositionMismatch);
-    the counts over F_{p^j} are lifted from the factors' traces.  This is
-    howe_counts_many of one split."""
-    return howe_counts_many([split], j)[0]
+def howe_counts(split: SplitData) -> HoweCounts:
+    """Counts over F_p.  The five factor counts are p + 1 - t, t read off
+    the factor's Hasse residue (exact_trace); the three quotients are
+    counted and must agree with them (DecompositionMismatch).  lift(j)
+    gives the counts over F_{p^j}.  This is howe_counts_many of one
+    split."""
+    return howe_counts_many([split])[0]
 
 
-def howe_counts_many(splits, j: int = 1) -> list[HoweCounts]:
+def howe_counts_many(splits) -> list[HoweCounts]:
     """howe_counts of each split of splits, all at one prime: the quotients
     of every split are counted over F_p in one pass of the character-sum
     kernel (curve_models.count_quotients_many), and each split is checked
@@ -367,9 +363,8 @@ def howe_counts_many(splits, j: int = 1) -> list[HoweCounts]:
                 f"counts {from_factors}"
             )
         c1, c2, c3 = n_c
-        base = HoweCounts(q=p, j=1, c1=c1, c2=c2, c3=c3, e=n_e,
-                          total=c1 + c2 + c3 - 2 * p - 2)
-        out.append(base if j == 1 else base.lift(j))
+        out.append(HoweCounts(q=p, j=1, c1=c1, c2=c2, c3=c3, e=n_e,
+                              total=c1 + c2 + c3 - 2 * p - 2))
     return out
 
 
@@ -382,12 +377,6 @@ class VerdictRecord(NamedTuple):
     serre_fp3: bool | None
     count_mod4_ok: bool
     p_mod4: int
-
-
-def serre_verdicts(params: HoweParams) -> VerdictRecord:
-    """Congruence verdicts for all five factors, plus the mandatory mod-4
-    sanity of the genus-5 count over F_p."""
-    return DecompositionReport.build(params).verdicts
 
 
 class DecompositionReport(NamedTuple):
@@ -407,7 +396,7 @@ class DecompositionReport(NamedTuple):
     def build(cls, params: HoweParams, exts: tuple[int, ...] = (1,)) -> "DecompositionReport":
         vr = validate(params)
         vr.raise_if_invalid()
-        base = howe_counts(vr.split, 1)
+        base = howe_counts(vr.split)
         counts = {j: base.lift(j) for j in exts}
         verdicts = VerdictRecord(
             *(target.attained(vr.split.curves) for target in Target),

@@ -82,7 +82,7 @@ import random
 import time
 from bisect import bisect_left
 from collections import namedtuple
-from typing import Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -174,6 +174,15 @@ class SearchHit(NamedTuple):
             "counts": {str(j): n for j, n in sorted(self.counts.items())},
         }
 
+    def csv_line(self) -> str:
+        """The hit's line of a hit CSV, in the table layout under CSV_HEADER."""
+        return ",".join(str(v) for v in self.row()) + "\n"
+
+    def jsonl_line(self) -> str:
+        """The hit's line of a JSON-lines file: keys sorted, no timing
+        fields, so repeated runs write identical bytes."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
 
 class SearchStats:
     """What a search did, filled in as it runs: primes searched, (a1..a4)
@@ -240,7 +249,7 @@ def _confirm(batch: list, target: Target) -> list:
     splits = [res.split for res in howe_factory.validate_many(batch)]
     attained = [split is not None and target.attained(split.curves) for split in splits]
     counted = iter(howe_factory.howe_counts_many(
-        [split for split, ok in zip(splits, attained) if ok], 1))
+        [split for split, ok in zip(splits, attained) if ok]))
     j, out = target.degree, []
     for params, ok in zip(batch, attained):
         counts = None
@@ -448,12 +457,13 @@ def _row_funnel(p: int, target: Target, a: int) -> list:
     """The passing (b, c, d, e, twists) of a row with cross-ratio a, an a of
     _admissible_pairs: every check of a row's (b, c) that k = cr(a1, a2,
     a3, infinity) does not enter, applied once per a.  It holds the entry's
-    (b, c) with d != 1, c not in {b, d} and e not in {1, b}, d and e the
-    images of a6 and b6; twists are the (e1, e2) to emit, empty unless
-    lambda5's mask is nonzero and, but for maximal-fp2, a twist class pair
-    passes.  b, c, d and e are four distinct values, and k drops the (b, c)
-    with k among them.  Filled once per a and cached per prime
-    (_funnels)."""
+    (b, c) with c not in {b, d} and e != b, d and e the images of a6 and
+    b6; neither is 1 (a6 or b6 at a3), as that would put a Legendre
+    parameter of its pair at 1, and mask[1] = 0.  twists are the (e1, e2)
+    to emit, empty unless lambda5's mask is nonzero and, but for
+    maximal-fp2, a twist class pair passes.  b, c, d and e are four
+    distinct values, and k drops the (b, c) with k among them.  Filled once
+    per a and cached per prime (_funnels)."""
     funnels = _funnels(p, target)
     if a in funnels:
         return funnels[a]
@@ -465,12 +475,9 @@ def _row_funnel(p: int, target: Target, a: int) -> list:
     entry = [(b, bits, frame * (1 - b) % p) for b, bits in _admissible_pairs(p, target)[a]]
     passing = []
     for b, m12, d in entry:
-        # d = 1 would put a6 at a3
-        if d == 1:
-            continue
         for c, m34, e in entry:
-            # b6 must miss a5, a6 and a3 (e = d, b6 = a6, would need c = b)
-            if c == b or c == d or e == 1 or e == b:
+            # b6 must miss a5 and a6 (e = d, b6 = a6, would need c = b)
+            if c == b or c == d or e == b:
                 continue
             # lambda5 is a cross-ratio, so the frame keeps it, and the fifth
             # twist class is e1 e2 chi5, where chi5 = chi((b-e)(d-c)(1-b)(1-c))
@@ -768,7 +775,7 @@ def run_search(config: SearchConfig) -> tuple[list[SearchHit], SearchStats]:
 
 
 # ---------------------------------------------------------------------------
-# helpers shared with tests and the command line
+# isomorphism keys
 
 
 def orbit_key(params: HoweParams) -> tuple[int, ...]:
@@ -780,44 +787,3 @@ def orbit_key(params: HoweParams) -> tuple[int, ...]:
     p = params.mod.p
     return (p, split.a, split.b, split.c,
             legendre_symbol(p, split.curves[0].theta), legendre_symbol(p, split.curves[2].theta))
-
-
-def random_valid_params(
-    p: int, rng: random.Random, max_tries: int = 5000
-) -> Optional[howe_factory.SplitData]:
-    """Sample a parameter set by drawing roots and deriving the forced ones
-    in the cross-ratio frame, twists uniform nonzero scalars; returns the
-    split of the first set that validates, so its params are validated once."""
-    inv = _tables(p)[0]
-    for _ in range(max_tries):
-        a1, a2, a3, a4, a5, b5 = rng.sample(range(p), 6)
-        k = (a1 - a3) * inv[(a2 - a3) % p] % p
-        a, b, c = (k * (a2 - x) % p * inv[(a1 - x) % p] % p for x in (a4, a5, b5))
-        frame = a * inv[(1 - a) % p] % p
-        d, e = frame * (1 - b) % p, frame * (1 - c) % p
-        if d in (1, k, c) or e in (1, k, b):
-            continue
-        a6, b6 = (_from_frame(p, inv, a1, a2, k, y) for y in (d, e))
-        alpha1 = rng.randrange(1, p)
-        alpha2 = rng.randrange(1, p)
-        params = HoweParams.from_ints(p, alpha1, alpha2, (a1, a2, a3, a4, a5, a6), (b5, b6))
-        split = howe_factory.validate(params).split
-        if split is not None:
-            return split
-    return None
-
-
-def write_hits_csv(hits: list[SearchHit], fh: TextIO) -> None:
-    """Table-layout CSV into the open text file fh; content depends only on
-    the hit list."""
-    fh.write(CSV_HEADER + "\n")
-    for h in hits:
-        fh.write(",".join(str(v) for v in h.row()) + "\n")
-
-
-def write_hits_jsonl(hits: list[SearchHit], fh: TextIO) -> None:
-    """One JSON object per hit into the open text file fh; keys sorted, no
-    timing fields, so repeated runs produce identical bytes."""
-    for h in hits:
-        fh.write(json.dumps(h.to_json_dict(), sort_keys=True, separators=(",", ":")))
-        fh.write("\n")

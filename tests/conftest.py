@@ -1,4 +1,5 @@
-"""Shared fixtures and a deliberately naive point counter.
+"""Shared fixtures, a sampler of valid parameter sets and a deliberately
+naive point counter.
 
 The naive counter below shares no code with the package: it enumerates
 field elements directly and tallies square values from a dict.  Slow but
@@ -7,11 +8,15 @@ transparent, it is the reference the fast kernels get compared against.
 
 from __future__ import annotations
 
+import random
 import tempfile
+from typing import Optional
 
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from howe5.howe_factory import HoweParams, SplitData, validate
 
 # Fixed examples and no example database, so a run is reproducible; a test's
 # own @settings(max_examples=...) still holds.  What hypothesis stores even
@@ -122,6 +127,33 @@ def naive_count_ext(p: int, k: int, alpha: int, roots) -> int:
         if a == zero or _ext_pow(a, (q - 1) // 2, poly, p) == lift(1):
             total += 2
     return total
+
+
+def random_valid_params(p: int, rng: random.Random, max_tries: int = 5000) -> Optional[SplitData]:
+    """Sample a parameter set by drawing roots and deriving the forced ones
+    in the cross-ratio frame y = cr(a1, a2, a3, x), twists uniform nonzero
+    scalars; returns the split of the first set that validates, so its
+    params are validated once, or None after max_tries draws."""
+    def div(x, y):
+        return x * pow(y, -1, p) % p
+
+    for _ in range(max_tries):
+        a1, a2, a3, a4, a5, b5 = rng.sample(range(p), 6)
+        k = div(a1 - a3, a2 - a3)
+        a, b, c = (div(k * (a2 - x), a1 - x) for x in (a4, a5, b5))
+        frame = div(a, 1 - a)
+        d, e = frame * (1 - b) % p, frame * (1 - c) % p
+        if d in (1, k, c) or e in (1, k, b):
+            continue
+        # the x with cr(a1, a2, a3, x) = y
+        a6, b6 = (div(k * a2 - y * a1, k - y) for y in (d, e))
+        alpha1 = rng.randrange(1, p)
+        alpha2 = rng.randrange(1, p)
+        params = HoweParams.from_ints(p, alpha1, alpha2, (a1, a2, a3, a4, a5, a6), (b5, b6))
+        split = validate(params).split
+        if split is not None:
+            return split
+    return None
 
 
 # the bundled example rows, used across test modules

@@ -15,7 +15,7 @@ import subprocess
 import sys
 import time
 
-from conftest import ROW_P11, ROW_P37, ROW_P499
+from conftest import ROW_P11, ROW_P37, ROW_P499, random_valid_params
 import howe5
 from howe5 import tables
 from howe5.cli import main as cli_main
@@ -24,22 +24,26 @@ from howe5.field_arith import legendre_symbol
 from howe5.hasse_serre import (
     LegendreCurve,
     attains_serre_fp,
-    legendre_count_fp,
     maximal_fp2,
     serre_bound,
     zeta_lift,
 )
 from howe5.howe_factory import (
+    DecompositionReport,
     decompose_genus5,
     direct_counts,
     howe_counts,
     howe_models,
-    serre_verdicts,
     validate,
 )
-from howe5.search_engine import SearchConfig, primes_in, random_valid_params, run_search
+from howe5.search_engine import SearchConfig, primes_in, run_search
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(howe5.__file__)))
+
+
+def _count_fp(curve: LegendreCurve) -> int:
+    """The brute-force count of the curve over F_p."""
+    return count_points(curve.model(), 1).count
 
 
 def _announce(capsys, n, label, fn):
@@ -75,8 +79,8 @@ def test_acceptance_01_table1(capsys):
         for params in rows:
             p = params.mod.p
             assert validate(params).ok
-            assert serre_verdicts(params).serre_fp is True
-            hc = howe_counts(decompose_genus5(params), 1)  # quotients checked against factors
+            assert DecompositionReport.build(params).verdicts.serre_fp is True
+            hc = howe_counts(decompose_genus5(params))  # quotients checked against factors
             assert hc.total == serre_bound(p, 5)
     _announce(capsys, 1, "table-1", body)
 
@@ -87,8 +91,8 @@ def test_acceptance_02_table2(capsys):
         assert len(rows) == 19
         for params in rows:
             p = params.mod.p
-            assert serre_verdicts(params).maximal_fp2 is True
-            hc = howe_counts(decompose_genus5(params), 2)  # lifted from base-field traces
+            assert DecompositionReport.build(params).verdicts.maximal_fp2 is True
+            hc = howe_counts(decompose_genus5(params)).lift(2)  # lifted from base-field traces
             assert hc.total == p * p + 1 + 10 * p
             # the direct count over F_{p^2} (p <= 199) must agree
             assert direct_counts(params, 2)[3] == hc.total
@@ -101,12 +105,12 @@ def test_acceptance_03_table3(capsys):
         assert [r.mod.p for r in rows] == [37, 97, 193]
         for params in rows:
             p = params.mod.p
-            assert serre_verdicts(params).serre_fp3 is True
+            assert DecompositionReport.build(params).verdicts.serre_fp3 is True
             split = decompose_genus5(params)
-            lifted = sum(zeta_lift(legendre_count_fp(E), p, 3) for E in split.curves)
+            lifted = sum(zeta_lift(_count_fp(E), p, 3) for E in split.curves)
             total = lifted - 4 * p ** 3 - 4
             assert total == serre_bound(p ** 3, 5)
-            assert howe_counts(split, 3).total == total
+            assert howe_counts(split).lift(3).total == total
             if p == 37:  # the only row small enough to count directly
                 assert direct_counts(params, 3)[3] == total
     _announce(capsys, 3, "table-3", body)
@@ -139,7 +143,7 @@ def test_acceptance_04_factor_multisets(capsys):
             as_class = lambda pairs: sorted((legendre_symbol(p, t), l) for t, l in pairs)
             assert as_class(got) == as_class(want)
             counts = lambda pairs: sorted(
-                legendre_count_fp(LegendreCurve.from_ints(p, t, l)) for t, l in pairs)
+                _count_fp(LegendreCurve.from_ints(p, t, l)) for t, l in pairs)
             assert counts(got) == counts(want)
             if p == 11:
                 assert got == want  # here even the literal twists agree
@@ -153,7 +157,7 @@ def test_acceptance_05_split_identities(capsys):
         for split in sample:
             p = split.params.mod.p
             m1, m2, m3 = howe_models(split.params)
-            e = [legendre_count_fp(E) for E in split.curves]
+            e = [_count_fp(E) for E in split.curves]
             assert count_points(m1, 1).count == e[0] + e[1] - (p + 1)
             assert count_points(m2, 1).count == e[2] + e[3] - (p + 1)
             assert count_points(m3, 1).count == e[4]
@@ -164,7 +168,7 @@ def test_acceptance_06_count_formula(capsys):
     def body():
         for split in _sample_splits():
             for j in (1, 2):
-                hc = howe_counts(split, j)
+                hc = howe_counts(split).lift(j)
                 q = split.params.mod.p ** j
                 assert hc.total == hc.c1 + hc.c2 + hc.c3 - 2 * q - 2
                 assert hc.total == sum(hc.e) - 4 * q - 4
@@ -184,7 +188,7 @@ def test_acceptance_07_congruence_vs_oracle(capsys):
             for lam in range(2, p):
                 for theta in range(1, p):
                     c = LegendreCurve.from_ints(p, theta, lam)
-                    attained = legendre_count_fp(c) == bound
+                    attained = _count_fp(c) == bound
                     assert attains_serre_fp(c) == attained
                     bound_hits += attained
         assert bound_hits  # the predicate has a nonempty true side
@@ -207,10 +211,10 @@ def test_acceptance_08_mod4(capsys):
             theta = rng.randrange(1, p)
             lam = rng.randrange(2, p)
             j = rng.choice((1, 2, 3))
-            n1 = legendre_count_fp(LegendreCurve.from_ints(p, theta, lam))
+            n1 = _count_fp(LegendreCurve.from_ints(p, theta, lam))
             assert zeta_lift(n1, p, j) % 4 == 0
         for split in _sample_splits():
-            assert howe_counts(split, 1).total % 4 == 0
+            assert howe_counts(split).total % 4 == 0
     _announce(capsys, 8, "mod-4", body)
 
 

@@ -1,11 +1,16 @@
 """End-to-end checks of the command line interface through main()."""
 
+import gc
+import hashlib
 import json
+import re
+import tracemalloc
 from importlib import resources
 
 import pytest
 
 from howe5 import cli, tables
+from howe5.errors import DecompositionMismatch
 from howe5.cli import build_parser, main
 from howe5.curve_models import count_points
 from howe5.field_arith import PRIME_CAP
@@ -112,6 +117,50 @@ class TestVerifyTables:
         assert main(["verify-tables", "--data", str(rows)]) == 2
         assert "table number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,err", [
+        ("", "{path}: empty table"),
+        ("{header}\n11,4,6,5,3,10,7,6,8,9\n", "{path}:2: need 11 values per row, got 10"),
+    ], ids=["empty", "ten-values"])
+    def test_malformed_data_exits_2(self, tmp_path, capsys, text, err):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(text.format(header=",".join(tables.EXPECTED_HEADER)))
+        assert main(["verify-tables", "2", "--data", str(rows)]) == 2
+        assert capsys.readouterr().err == f"error: {err.format(path=rows)}\n"
+
+    def test_blank_data_lines_are_skipped(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        row = "11,4,6,5,3,10,7,6,8,9,2"
+        rows.write_text(",".join(tables.EXPECTED_HEADER) + f"\n{row}\n\n  \n{row}\n")
+        assert main(["verify-tables", "2", "--data", str(rows)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("table 2 (maximal-fp2): 2 rows\n")
+        assert out.count("-> PASS") == 2
+
+    def test_invalid_rows_name_their_violations(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(tables.EXPECTED_HEADER)
+                        + "\n11,1,1,0,1,2,3,5,6,8,9\n11,0,1,0,1,2,3,4,4,8,9\n")
+        assert main(["verify-tables", "2", "--data", str(rows)]) == 1
+        assert capsys.readouterr().out == (
+            "table 2 (maximal-fp2): 2 rows\n"
+            "  p=11: FAIL invalid (NonSquareObstruction; NonSquareObstruction)\n"
+            "  p=11: FAIL invalid (Degenerate; Degenerate)\n"
+            "2 row(s) FAILED\n")
+
+    def test_a_mathematical_failure_exits_1(self, monkeypatch, capsys):
+        """A Howe5Error raised while a row is counted fails that row, exit 1,
+        never the usage code 2."""
+        def mismatch(split):
+            raise DecompositionMismatch("quotient counts disagree")
+
+        monkeypatch.setattr(cli, "howe_counts", mismatch)
+        assert main(["verify-tables", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["  p=499: FAIL quotient counts disagree",
+                           "  p=599: FAIL quotient counts disagree",
+                           "  p=1187: FAIL quotient counts disagree",
+                           "3 row(s) FAILED"]
+
 
 class TestDecompose:
     ARGS = ["decompose", "--p", "11", "--alpha1", "4", "--alpha2", "6",
@@ -188,6 +237,19 @@ class TestDecompose:
         rc = main(["decompose", "--p", "11"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag,value,err", [
+        ("--a", "5,3,x,7,6,8", "--a: expected integers, got '5,3,x,7,6,8'"),
+        ("--a", "5,3,10,7,6", "--a: expected 6 values, got 5"),
+        ("--b", "9,2,1", "--b: expected 2 values, got 3"),
+    ], ids=["a-not-integers", "a-count", "b-count"])
+    def test_bad_root_list_is_usage_error(self, capsys, flag, value, err):
+        args = list(self.ARGS)
+        args[args.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: {err}\n" in capsys.readouterr().err
+
     def test_bad_ext_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(self.ARGS + ["--ext", "4"])
@@ -216,6 +278,17 @@ class TestCount:
 
     def test_no_curve_given(self):
         assert main(["count", "--p", "11"]) == 2
+
+    @pytest.mark.parametrize("curve,err", [
+        (["--theta", "8"], "count needs both --theta and --lambda"),
+        (["--lambda", "6"], "count needs both --theta and --lambda"),
+        (["--alpha", "4"], "count needs both --alpha and --roots"),
+        (["--roots", "0,1,2"], "count needs both --alpha and --roots"),
+        (["--alpha", "4", "--roots", "0,x,2"], "--roots: expected integers, got '0,x,2'"),
+    ], ids=["theta-only", "lambda-only", "alpha-only", "roots-only", "bad-roots"])
+    def test_incomplete_curve_is_usage_error(self, capsys, curve, err):
+        assert main(["count", "--p", "11", *curve]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize("curve", [["--theta", "1", "--lambda", "5"],
                                        ["--alpha", "1", "--roots", "0,1,2"]],
@@ -289,10 +362,10 @@ class TestSearchCommand:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_unwritable_output_fails_before_the_search(self, monkeypatch, capsys):
-        def unreachable(config):
+        def unreachable(config, stats):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli, "run_search", unreachable)
+        monkeypatch.setattr(cli, "enumerate_hits", unreachable)
         rc = main(["search", "--target", "maximal-fp2", "--p-min", "11", "--p-max", "11",
                    "--quiet", "--out", "/nonexistent/x.csv"])
         assert rc == 2
@@ -303,10 +376,10 @@ class TestSearchCommand:
             self, tmp_path, monkeypatch, capsys, jsonl):
         # the same file by name, by another spelling and through a symlink;
         # both writers on it used to leave a corrupt file and exit 0
-        def unreachable(config):
+        def unreachable(config, stats):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli, "run_search", unreachable)
+        monkeypatch.setattr(cli, "enumerate_hits", unreachable)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         (tmp_path / "link.csv").symlink_to(tmp_path / "hits.csv")
@@ -337,6 +410,68 @@ class TestSearchCommand:
                    "--fix", "a1=3", "--fix", "a5=14"])
         assert rc == 0
         assert "0 hit(s), 0 probes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fix,err", [
+        ("a1", "--fix takes slot=value, got 'a1'"),
+        ("a1=x", "--fix a1: bad integer 'x'"),
+    ], ids=["no-value", "not-an-integer"])
+    def test_malformed_fix_is_usage_error(self, capsys, fix, err):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--target", "maximal-fp2", "--p-min", "11", "--p-max", "11",
+                  "--fix", fix])
+        assert exc.value.code == 2
+        assert f"error: argument --fix: {err}\n" in capsys.readouterr().err
+
+    def test_readme_search_output_is_pinned(self, tmp_path, capsys, monkeypatch):
+        """The README's search: its CSV, JSON lines and stdout, the elapsed
+        time masked, are fixed bytes, written hit by hit as the search
+        finds them."""
+        monkeypatch.chdir(tmp_path)
+        rc = main(["search", "--target", "maximal-fp2", "--p-min", "3", "--p-max", "13",
+                   "--max-candidates", "1000000", "--max-hits", "20", "--seed", "7",
+                   "--out", "hits.csv", "--jsonl", "hits.jsonl"])
+        assert rc == 0
+        out = re.sub(r"[0-9]+\.[0-9]+s\n$", "Xs\n", capsys.readouterr().out)
+        assert out.endswith("search maximal-fp2 p in [3, 13]: 20 hit(s), 157352 probes, "
+                            "0 confirm failure(s), truncated, Xs\n")
+        digests = [hashlib.sha256(blob).hexdigest() for blob in (
+            (tmp_path / "hits.csv").read_bytes(), (tmp_path / "hits.jsonl").read_bytes(),
+            out.encode())]
+        assert digests == [
+            "15c76041560bccbd4af48ef750a2caf003375e67cc365321d902fd5bf0d2a444",
+            "1989a6dac9fcfdb9388521b5850e169370d312e98979121673fa48fed6c4c743",
+            "f91ceb7486be137f2b44fb1618e4392fb131fa3c3b9a410d23b5bd42bbc30914",
+        ]
+
+    def test_memory_stays_flat_as_hits_grow(self, tmp_path, capsys):
+        """Hits are written as they are found, not listed first.  maximal-fp2
+        at p = 31 with 2000 probes a chunk writes 500 hits with --max-hits
+        500, which stops it after a third of its chunks, and 1361 without:
+        listing the 861 more would take about 0.5 MB at the tracemalloc
+        peak, yet the peaks are within 0.1 MB.  An uncapped run beforehand
+        builds the per-prime tables and fills the interpreter's free lists,
+        and the collector is off while a run is traced, so that a
+        collection (which empties the free lists) lands in neither."""
+        def run(*cap, traced=True):
+            gc.disable()
+            if traced:
+                tracemalloc.start()
+            try:
+                assert main(["search", "--target", "maximal-fp2", "--p-min", "31",
+                             "--p-max", "31", "--max-candidates", "62000", "--quiet", *cap,
+                             "--out", str(tmp_path / "hits.csv"),
+                             "--jsonl", str(tmp_path / "hits.jsonl")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            return peak, len((tmp_path / "hits.jsonl").read_text().splitlines())
+
+        run(traced=False)
+        (small, few), (large, many) = run("--max-hits", "500"), run()
+        capsys.readouterr()
+        assert (few, many) == (500, 1361)
+        assert large - small < 100_000, (small, large)
 
     def test_bad_fix_slot(self):
         # rejected while parsing, before any search machinery runs

@@ -179,50 +179,51 @@ class TestResidueTables:
         assert all(math.gcd(int(t.log[h]), p - 1) > 1 for h in range(2, g))
 
 
-# Elements of F_{p^k} are coefficient tuples (c_0, .., c_{k-1}), multiplied
-# by the reference product of square_reference.
+# F_{p^k} is named by (p, f), f = build_extension(p, k) the low-order
+# coefficients of its modulus.  Elements are coefficient tuples (c_0, ..,
+# c_{k-1}), multiplied by the reference product of square_reference.
 
 
-def _fmul(F, a, b):
-    return tuple(mul(a, b, F.poly, F.base.p))
+def _fmul(p, f, a, b):
+    return tuple(mul(a, b, f, p))
 
 
-def _add(F, a, b):
-    return tuple((x + y) % F.base.p for x, y in zip(a, b))
+def _add(p, a, b):
+    return tuple((x + y) % p for x, y in zip(a, b))
 
 
-def _pow(F, a, e):
-    acc = (1,) + (0,) * (F.k - 1)
+def _pow(p, f, a, e):
+    acc = (1,) + (0,) * (len(f) - 1)
     while e:
         if e & 1:
-            acc = _fmul(F, acc, a)
-        a = _fmul(F, a, a)
+            acc = _fmul(p, f, acc, a)
+        a = _fmul(p, f, a, a)
         e >>= 1
     return acc
 
 
-def _elements(F):
-    """All q elements in the character table's index order, c_0 fastest."""
-    return [tuple(reversed(t)) for t in itertools.product(range(F.base.p), repeat=F.k)]
+def _elements(p, k):
+    """All p^k elements in the character table's index order, c_0 fastest."""
+    return [tuple(reversed(t)) for t in itertools.product(range(p), repeat=k)]
 
 
-def _index(F, a):
-    return sum(c * F.base.p ** i for i, c in enumerate(a))
+def _index(p, a):
+    return sum(c * p ** i for i, c in enumerate(a))
 
 
 class TestExtensionField:
     def test_frozen_defining_polynomials(self):
         # low-order coefficients of the monic defining polynomial
-        assert build_extension(11, 2).poly == (1, 0)      # x^2 + 1
-        assert build_extension(3, 2).poly == (1, 0)
-        assert build_extension(13, 2).poly == (2, 0)      # x^2 + 2
-        assert build_extension(11, 3).poly == (4, 1, 0)   # x^3 + x + 4
-        assert build_extension(5, 3).poly == (1, 1, 0)
-        assert build_extension(7, 3).poly == (2, 0, 0)
+        assert build_extension(11, 2) == (1, 0)      # x^2 + 1
+        assert build_extension(3, 2) == (1, 0)
+        assert build_extension(13, 2) == (2, 0)      # x^2 + 2
+        assert build_extension(11, 3) == (4, 1, 0)   # x^3 + x + 4
+        assert build_extension(5, 3) == (1, 1, 0)
+        assert build_extension(7, 3) == (2, 0, 0)
 
     @pytest.mark.parametrize("p,k", [(11, 2), (13, 2), (5, 3), (7, 3)])
     def test_defining_polynomial_has_no_root(self, p, k):
-        poly = build_extension(p, k).poly
+        poly = build_extension(p, k)
         for x in range(p):
             val = (pow(x, k, p) + sum(c * pow(x, i, p) for i, c in enumerate(poly))) % p
             assert val != 0
@@ -240,29 +241,32 @@ class TestExtensionField:
         import random
 
         rng = random.Random(5)
-        for F in (build_extension(11, 2), build_extension(11, 3)):
+        for k in (2, 3):
+            f = build_extension(11, k)
             for _ in range(40):
-                a, b, c = (tuple(rng.randrange(11) for _ in range(F.k)) for _ in range(3))
-                assert _fmul(F, a, _add(F, b, c)) == _add(F, _fmul(F, a, b), _fmul(F, a, c))
-                assert _fmul(F, _fmul(F, a, b), c) == _fmul(F, a, _fmul(F, b, c))
-                assert _fmul(F, a, b) == _fmul(F, b, a)
+                a, b, c = (tuple(rng.randrange(11) for _ in range(k)) for _ in range(3))
+                assert _fmul(11, f, a, _add(11, b, c)) == _add(
+                    11, _fmul(11, f, a, b), _fmul(11, f, a, c))
+                assert _fmul(11, f, _fmul(11, f, a, b), c) == _fmul(11, f, a, _fmul(11, f, b, c))
+                assert _fmul(11, f, a, b) == _fmul(11, f, b, a)
 
     def test_inverse_roundtrip_exhaustive_f25(self):
         """Every nonzero element has exactly one inverse: no zero divisors."""
-        F = build_extension(5, 2)
-        elems = _elements(F)
+        f = build_extension(5, 2)
+        elems = _elements(5, 2)
         one = (1, 0)
         seen = 0
         for e in elems[1:]:
-            assert sum(_fmul(F, e, f) == one for f in elems) == 1
+            assert sum(_fmul(5, f, e, x) == one for x in elems) == 1
             seen += 1
         assert seen == 24
 
     def test_frobenius_fixes_everything(self):
         """a^(p^k) == a for all a, i.e. the field really has p^k elements."""
-        for F in (build_extension(5, 2), build_extension(5, 3)):
-            for e in _elements(F):
-                assert _pow(F, e, F.q) == e
+        for k in (2, 3):
+            f = build_extension(5, k)
+            for e in _elements(5, k):
+                assert _pow(5, f, e, 5 ** k) == e
 
 
 class TestExtIsSquare:
@@ -288,10 +292,10 @@ class TestExtIsSquare:
         assert _char_table(5, 3)[0] == 0
 
     def test_agrees_with_explicit_squaring_f49(self):
-        F = build_extension(7, 2)
-        squares = {_index(F, _fmul(F, e, e)) for e in _elements(F)}
+        f = build_extension(7, 2)
+        squares = {_index(7, _fmul(7, f, e, e)) for e in _elements(7, 2)}
         chi = _char_table(7, 2)
-        for i in range(1, F.q):
+        for i in range(1, 49):
             assert (chi[i] == 1) == (i in squares)
 
     @pytest.mark.parametrize("p", [5, 7])
@@ -309,10 +313,10 @@ class TestExtIsSquare:
     def test_euler_criterion(self, p, k):
         """chi(a) = a^((q-1)/2) for every a, computed with the independent
         extension arithmetic of conftest."""
-        F = build_extension(p, k)
+        f = build_extension(p, k)
         chi = _char_table(p, k)
         one, minus_one = (1,) + (0,) * (k - 1), (p - 1,) + (0,) * (k - 1)
         want = {one: 1, minus_one: -1, (0,) * k: 0}
-        for i, e in enumerate(_elements(F)):
-            assert chi[i] == want[_ext_pow(e, (F.q - 1) // 2, F.poly, p)]
+        for i, e in enumerate(_elements(p, k)):
+            assert chi[i] == want[_ext_pow(e, (p ** k - 1) // 2, f, p)]
         assert chi.dtype == np.int8

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_ext, naive_count_fp
 from howe5 import hasse_serre, tables
+from howe5.curve_models import count_points
 from howe5.errors import HasseViolation, HypothesisViolated, InexactTraces
 from howe5.field_arith import is_prime, legendre_symbol, residue_tables
 from howe5.hasse_serre import (
@@ -17,11 +18,8 @@ from howe5.hasse_serre import (
     attains_serre_fp3,
     exact_trace,
     floor_two_sqrt,
-    hasse_poly_coeffs,
-    hasse_poly_eval,
     hasse_poly_table,
     hasse_residues,
-    legendre_count_fp,
     legendre_traces,
     lift_trace,
     maximal_fp2,
@@ -32,7 +30,19 @@ from howe5.hasse_serre import (
 
 
 def _H(p: int, v: int) -> int:
-    return hasse_poly_eval(p, v)
+    return hasse_residues(p, [v % p])[0]
+
+
+def _coeffs(p: int) -> list[int]:
+    """The coefficients binom(m, i)^2 mod p that hasse_residues sums, read
+    off its cached gather: g^e[i] for the least primitive root g."""
+    _, powers, _, e = hasse_serre._hasse_gather(p)
+    return powers[e].tolist()
+
+
+def _count_fp(curve: LegendreCurve) -> int:
+    """The brute-force count of the curve over F_p."""
+    return count_points(curve.model(), 1).count
 
 
 def _binomial_squares(p: int) -> list[int]:
@@ -60,7 +70,7 @@ def _horner(coeffs: list[int], p: int, v: int) -> int:
 class TestHassePolynomial:
     def test_coeffs_p11(self):
         # binom(5, i)^2 mod 11 for i = 0..5
-        assert hasse_poly_coeffs(11).tolist() == [1, 3, 1, 1, 3, 1]
+        assert _coeffs(11) == [1, 3, 1, 1, 3, 1]
 
     def test_eval_frozen_values(self):
         assert _H(11, 0) == 1
@@ -83,15 +93,13 @@ class TestHassePolynomial:
             assert int(tab[v]) == _H(p, v)
 
     def test_degree(self):
-        assert len(hasse_poly_coeffs(13)) == (13 - 1) // 2 + 1
+        assert len(_coeffs(13)) == (13 - 1) // 2 + 1
 
     def test_coeffs_match_the_recurrence(self):
         """At every odd prime below 3000 and at 10007, 99991 and 1048573,
         the largest prime below the cap."""
         for p in [*(p for p in range(3, 3000) if is_prime(p)), 10007, 99991, 1048573]:
-            coeffs = hasse_poly_coeffs(p)
-            assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
-            assert coeffs.tolist() == _binomial_squares(p), p
+            assert _coeffs(p) == _binomial_squares(p), p
 
     def test_residues_match_horner_at_every_lambda(self):
         for p in (p for p in range(3, 200) if is_prime(p)):
@@ -138,7 +146,7 @@ class TestLegendreTraces:
         for p in (p for p in range(3, 1000) if is_prime(p)):
             xs = np.arange(p, dtype=np.int64)
             h = np.zeros(p, dtype=np.int64)
-            for c in reversed(hasse_poly_coeffs(p)):
+            for c in reversed(_coeffs(p)):
                 h = (h * xs + c) % p
             sign = (-1) ** ((p - 1) // 2)
             assert not ((legendre_traces(p) - sign * h) % p).any(), p
@@ -250,7 +258,7 @@ def test_predicates_agree_with_trace_rule_and_count(data, j0):
         lam, theta = data.draw(st.integers(2, p - 1)), data.draw(st.integers(1, p - 1))
     curve = LegendreCurve.from_ints(p, theta, lam)
     t = legendre_symbol(p, curve.theta) * int(legendre_traces(p)[lam])
-    n1 = legendre_count_fp(curve)
+    n1 = _count_fp(curve)
     assert n1 == p + 1 - t
     for target in Target:
         j = target.degree
@@ -343,7 +351,7 @@ class TestTraceModP:
                 if theta % p == 0:
                     continue
                 c = LegendreCurve.from_ints(p, theta, lam)
-                n1 = legendre_count_fp(c)
+                n1 = _count_fp(c)
                 assert trace_mod_p(c) == (p + 1 - n1) % p
 
 
@@ -371,7 +379,7 @@ class TestLegendreCurve:
             theta = rng.randrange(1, p)
             c = LegendreCurve.from_ints(p, theta, lam)
             lifted = lam % p
-            assert legendre_count_fp(c) == naive_count_fp(p, theta, (0, 1, lifted))
+            assert _count_fp(c) == naive_count_fp(p, theta, (0, 1, lifted))
 
 
 class TestSerrePredicateFp:
@@ -391,7 +399,7 @@ class TestSerrePredicateFp:
         for lam in range(2, p):
             for theta in (1, 2, 3, p - 1):
                 c = LegendreCurve.from_ints(p, theta, lam)
-                assert attains_serre_fp(c) == (legendre_count_fp(c) == bound)
+                assert attains_serre_fp(c) == (_count_fp(c) == bound)
 
 
 class TestMaximalFp2:
@@ -416,7 +424,7 @@ class TestMaximalFp2:
         top = p * p + 1 + 2 * p
         for lam in range(2, p):
             c = LegendreCurve.from_ints(p, 1, lam)
-            n2 = zeta_lift(legendre_count_fp(c), p, 2)
+            n2 = zeta_lift(_count_fp(c), p, 2)
             assert maximal_fp2(c) == (n2 == top)
 
     def test_implies_p_3_mod_4(self):
@@ -445,7 +453,7 @@ class TestSerrePredicateFp3:
         for lam in range(2, p):
             for theta in (1, 2):
                 c = LegendreCurve.from_ints(p, theta, lam)
-                n3 = zeta_lift(legendre_count_fp(c), p, 3)
+                n3 = zeta_lift(_count_fp(c), p, 3)
                 assert attains_serre_fp3(c) == (n3 == bound)
 
 
@@ -511,6 +519,6 @@ class TestMod4:
         for _ in range(60):
             p = rng.choice([11, 13, 17, 19, 23, 29])
             c = LegendreCurve.from_ints(p, rng.randrange(1, p), rng.randrange(2, p))
-            n1 = legendre_count_fp(c)
+            n1 = _count_fp(c)
             for j in (1, 2, 3):
                 assert zeta_lift(n1, p, j) % 4 == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ROW_P11, ROW_P37, ROW_P499, naive_count_fp
+from conftest import ROW_P11, ROW_P37, ROW_P499, naive_count_fp, random_valid_params
 from howe5 import howe_factory, tables
 from howe5.curve_models import HyperellipticModel, count_points
 from howe5.errors import DecompositionMismatch, NonSquareObstruction
@@ -16,7 +16,6 @@ from howe5.hasse_serre import (
     LegendreCurve,
     attains_serre_fp,
     attains_serre_fp3,
-    legendre_count_fp,
     maximal_fp2,
     serre_bound,
 )
@@ -28,11 +27,9 @@ from howe5.howe_factory import (
     howe_counts,
     howe_counts_many,
     howe_models,
-    serre_verdicts,
     validate,
     validate_many,
 )
-from howe5.search_engine import random_valid_params
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -194,7 +191,7 @@ def test_batches_match_one_at_a_time(seed, p, kinds):
     valid ones (True in kinds) mixed with random and mostly invalid ones,
     equal validate and howe_counts of each set: the violations, the
     info, the split with its factors' stored Hasse residues, and the counts
-    over F_p, F_p^2 and F_p^3."""
+    over F_p."""
     rng = random.Random(seed)
     batch = []
     for valid in kinds:
@@ -212,8 +209,7 @@ def test_batches_match_one_at_a_time(seed, p, kinds):
             assert [E.hasse for E in got.split.curves] == [E.hasse for E in want.split.curves]
             assert all("hasse" in vars(E) for E in got.split.curves)
     splits = [res.split for res in many if res.split is not None]
-    for j in (1, 2, 3):
-        assert howe_counts_many(splits, j) == [howe_counts(split, j) for split in splits]
+    assert howe_counts_many(splits) == [howe_counts(split) for split in splits]
 
 
 def test_batches_share_one_prime():
@@ -265,12 +261,13 @@ class TestSplitGenus2:
         curves = decompose_genus5(params).curves
         for m, (e1, e2) in zip(howe_models(params)[:2], (curves[:2], curves[2:4])):
             lhs = count_points(m, 1).count
-            assert lhs == legendre_count_fp(e1) + legendre_count_fp(e2) - (p + 1)
+            n1, n2 = (count_points(E.model(), 1).count for E in (e1, e2))
+            assert lhs == n1 + n2 - (p + 1)
 
 
 class TestHoweCounts:
     def test_p11_base(self):
-        hc = howe_counts(decompose_genus5(_params(ROW_P11)), 1)
+        hc = howe_counts(decompose_genus5(_params(ROW_P11)))
         assert (hc.q, hc.j) == (11, 1)
         assert (hc.c1, hc.c2, hc.c3) == (12, 12, 12)
         assert hc.e == (12, 12, 12, 12, 12)
@@ -279,7 +276,7 @@ class TestHoweCounts:
     def test_p11_quadratic(self):
         params = _params(ROW_P11)
         split = decompose_genus5(params)
-        hc = howe_counts(split, 2)
+        hc = howe_counts(split).lift(2)
         assert hc.total == 232  # 121 + 1 + 10*11, the genus-5 cap over F_121
         assert hc.e == (144, 144, 144, 144, 144)
         # lifted counts against the direct oracle, factor by factor too
@@ -287,11 +284,11 @@ class TestHoweCounts:
         assert tuple(count_points(E.model(), 2).count for E in split.curves) == hc.e
 
     def test_p499_hits_serre_bound(self):
-        assert howe_counts(decompose_genus5(_params(ROW_P499)), 1).total == serre_bound(499, 5)
+        assert howe_counts(decompose_genus5(_params(ROW_P499))).total == serre_bound(499, 5)
 
     def test_p37_cubic_extension(self):
         params = _params(ROW_P37)
-        hc = howe_counts(decompose_genus5(params), 3)
+        hc = howe_counts(decompose_genus5(params)).lift(3)
         assert hc.total == serre_bound(37 ** 3, 5)
         assert direct_counts(params, 3) == (hc.c1, hc.c2, hc.c3, hc.total)
 
@@ -300,12 +297,12 @@ class TestHoweCounts:
         rng = random.Random(300 + p)
         for _ in range(2):
             split = random_valid_params(p, rng)
-            hc = howe_counts(split, 3)
+            hc = howe_counts(split).lift(3)
             assert direct_counts(split.params, 3) == (hc.c1, hc.c2, hc.c3, hc.total)
 
     def test_lift_needs_base_field_counts(self):
         with pytest.raises(ValueError):
-            howe_counts(decompose_genus5(_params(ROW_P11)), 2).lift(3)
+            howe_counts(decompose_genus5(_params(ROW_P11))).lift(2).lift(3)
 
     def test_quotient_mismatch_detected(self, monkeypatch):
         """A quotient count that disagrees with its factors over F_p is
@@ -320,16 +317,16 @@ class TestHoweCounts:
 
         monkeypatch.setattr(howe_factory, "howe_models", twisted_c3)
         with pytest.raises(DecompositionMismatch):
-            howe_counts(decompose_genus5(_params(ROW_P499)), 2)
+            howe_counts(decompose_genus5(_params(ROW_P499)))
 
     def test_total_consistency(self):
-        hc = howe_counts(decompose_genus5(_params(ROW_P11)), 1)
+        hc = howe_counts(decompose_genus5(_params(ROW_P11)))
         assert hc.total == hc.c1 + hc.c2 + hc.c3 - 2 * hc.q - 2
         assert hc.total == sum(hc.e) - 4 * hc.q - 4
 
     def test_against_naive_quotient_counts(self):
         params = _params(ROW_P11)
-        hc = howe_counts(decompose_genus5(params), 1)
+        hc = howe_counts(decompose_genus5(params))
         models = howe_models(params)
         for m, expect in zip(models, (hc.c1, hc.c2, hc.c3)):
             assert naive_count_fp(11, m.alpha, m.roots) == expect
@@ -356,15 +353,15 @@ def test_affine_maps_preserve_the_decomposition(data, p):
     assert ([legendre_symbol(p, E.theta) for E in split_image.curves]
             == [legendre_symbol(p, E.theta) for E in split.curves])
     for j in (1, 2, 3):
-        assert howe_counts(split_image, j).total == howe_counts(split, j).total
-    assert serre_verdicts(image) == serre_verdicts(params)
+        assert howe_counts(split_image).lift(j).total == howe_counts(split).lift(j).total
+    assert DecompositionReport.build(image).verdicts == DecompositionReport.build(params).verdicts
     if p == 23:
-        assert direct_counts(image, 2)[3] == howe_counts(split_image, 2).total
+        assert direct_counts(image, 2)[3] == howe_counts(split_image).lift(2).total
 
 
 class TestVerdicts:
     def test_p11(self):
-        v = serre_verdicts(_params(ROW_P11))
+        v = DecompositionReport.build(_params(ROW_P11)).verdicts
         assert v.serre_fp is None  # p < 17, predicate out of range
         assert v.maximal_fp2 is True
         assert v.serre_fp3 is False
@@ -373,7 +370,7 @@ class TestVerdicts:
         assert [maximal_fp2(E) for E in decompose_genus5(_params(ROW_P11)).curves] == [True] * 5
 
     def test_p499(self):
-        v = serre_verdicts(_params(ROW_P499))
+        v = DecompositionReport.build(_params(ROW_P499)).verdicts
         assert v.serre_fp is True
         assert v.maximal_fp2 is False
         assert v.serre_fp3 is False
@@ -381,7 +378,7 @@ class TestVerdicts:
         assert v.p_mod4 == 3
 
     def test_p37(self):
-        v = serre_verdicts(_params(ROW_P37))
+        v = DecompositionReport.build(_params(ROW_P37)).verdicts
         assert v.serre_fp is False
         assert v.maximal_fp2 is False
         assert v.serre_fp3 is True
@@ -394,7 +391,7 @@ class TestVerdicts:
             split = random_valid_params(p, rng)
             if split is None:
                 continue
-            v = serre_verdicts(split.params)
+            v = DecompositionReport.build(split.params).verdicts
             curves = split.curves
             assert v.serre_fp == all(attains_serre_fp(E) for E in curves)
             assert v.maximal_fp2 == all(maximal_fp2(E) for E in curves)

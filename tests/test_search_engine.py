@@ -5,7 +5,7 @@ import time
 import pytest
 
 import scalar_kernel
-from conftest import ROW_P11, ROW_P37, ROW_P499
+from conftest import ROW_P11, ROW_P37, ROW_P499, random_valid_params
 from howe5 import hasse_serre, howe_factory, search_engine, tables
 from howe5.field_arith import PRIME_CAP, TABLE_CACHE, residue_tables
 from howe5.hasse_serre import (
@@ -13,12 +13,11 @@ from howe5.hasse_serre import (
     attains_serre_fp,
     attains_serre_fp3,
     floor_two_sqrt,
-    hasse_poly_coeffs,
     legendre_traces,
     lift_trace,
     maximal_fp2,
 )
-from howe5.howe_factory import DecompositionReport, HoweParams, direct_counts, serre_verdicts, validate
+from howe5.howe_factory import DecompositionReport, HoweParams, direct_counts, validate
 from howe5.search_engine import (
     CSV_HEADER,
     _class_masks,
@@ -31,10 +30,7 @@ from howe5.search_engine import (
     enumerate_hits,
     orbit_key,
     primes_in,
-    random_valid_params,
     run_search,
-    write_hits_csv,
-    write_hits_jsonl,
 )
 
 
@@ -207,7 +203,7 @@ class TestRunSearch:
         assert stats.hits == len(hits)
         for h in hits:
             assert validate(h.params).ok
-            assert serre_verdicts(h.params).maximal_fp2 is True
+            assert DecompositionReport.build(h.params).verdicts.maximal_fp2 is True
             assert h.counts[2] == 232  # 121 + 1 + 10*11
             assert h.counts[1] == DecompositionReport.build(h.params).counts[1].total
 
@@ -339,6 +335,23 @@ def test_congruence_rules_out_only_primes_without_admissible_lambdas(target, pas
     assert passing == passing_without_pairs
 
 
+@pytest.mark.parametrize("target,entries", [
+    (Target.SERRE_FP, 1248), (Target.MAXIMAL_FP2, 212064), (Target.SERRE_FP3, 25212),
+])
+def test_no_admissible_entry_puts_a6_at_a3(target, entries):
+    """No entry (b, bits) of _admissible_pairs(p, target)[a], at any prime
+    below 1500, has d = a(1 - b)/(1 - a) = 1, the frame image of a6 = a3:
+    d = 1 would put a Legendre parameter of the pair at 1, and mask[1] = 0.
+    An entry's c gives e = a(1 - c)/(1 - a) by the same rule, so no e is 1
+    either, and _row_funnel checks neither."""
+    seen = 0
+    for p in primes_in(target.min_prime, 1499):
+        for a, row in search_engine._admissible_pairs(p, target).items():
+            assert all((a * (1 - b) - (1 - a)) % p for b, _ in row), (p, a)
+            seen += len(row)
+    assert seen == entries
+
+
 class TestRuledOutPrimes:
     """A prime without goal traces is counted (_count_chunks) before any
     per-prime table is built."""
@@ -421,8 +434,7 @@ def test_per_prime_caches_are_bounded():
     for cached in (search_engine._tables, search_engine._class_masks,
                    search_engine._funnels, search_engine._pair_tuples):
         assert cached.cache_info().currsize == 1
-    for cached in (residue_tables, legendre_traces, hasse_poly_coeffs,
-                   hasse_serre._hasse_gather):
+    for cached in (residue_tables, legendre_traces, hasse_serre._hasse_gather):
         assert cached.cache_info().maxsize == TABLE_CACHE
         assert cached.cache_info().currsize <= TABLE_CACHE
 
@@ -536,7 +548,7 @@ class TestConfirm:
                    HoweParams.from_ints(p, 1, 1, (0, 1, 2, 3, 4, 5), (5, 6))]
         rng, missing = random.Random(p), []
         while len(missing) < 2:
-            split = search_engine.random_valid_params(p, rng)
+            split = random_valid_params(p, rng)
             if not target.attained(split.curves):
                 missing.append(split.params)
         batch = [invalid[0], passing, missing[0], invalid[1], passing, missing[1]]
@@ -551,8 +563,8 @@ class TestConfirm:
 
     def test_predicate_rebound_on_hasse_serre_is_called(self, monkeypatch):
         """A wrapper bound over the module global hasse_serre.maximal_fp2, as
-        the benchmark's layer tracer binds one, is what serre_verdicts and
-        _confirm call, once per factor."""
+        the benchmark's layer tracer binds one, is what DecompositionReport
+        and _confirm call, once per factor."""
         calls = []
         real = hasse_serre.maximal_fp2
 
@@ -563,7 +575,7 @@ class TestConfirm:
         monkeypatch.setattr(hasse_serre, "maximal_fp2", counted)
         p, a1, a2, a, b = ROW_P11
         params = HoweParams.from_ints(p, a1, a2, a, b)
-        assert serre_verdicts(params).maximal_fp2 is True
+        assert DecompositionReport.build(params).verdicts.maximal_fp2 is True
         assert len(calls) == 5
         assert _confirm([params], Target.MAXIMAL_FP2) == [{1: 12, 2: 232}]
         assert len(calls) == 10
@@ -645,8 +657,7 @@ class TestWriters:
     def test_csv_roundtrip(self, tmp_path):
         hits = self._some_hits()
         out = tmp_path / "hits.csv"
-        with open(out, "w") as fh:
-            write_hits_csv(hits, fh)
+        out.write_text(CSV_HEADER + "\n" + "".join(h.csv_line() for h in hits))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(hits)
@@ -659,8 +670,7 @@ class TestWriters:
     def test_jsonl_excludes_timing(self, tmp_path):
         hits = self._some_hits()
         out = tmp_path / "hits.jsonl"
-        with open(out, "w") as fh:
-            write_hits_jsonl(hits, fh)
+        out.write_text("".join(h.jsonl_line() for h in hits))
         lines = out.read_text().strip().splitlines()
         assert len(lines) == len(hits)
         for line, h in zip(lines, hits):
@@ -676,7 +686,6 @@ class TestWriters:
         blobs = []
         for name in ("one", "two"):
             hits = self._some_hits()
-            with open(tmp_path / name, "w") as fh:
-                write_hits_jsonl(hits, fh)
+            (tmp_path / name).write_text("".join(h.jsonl_line() for h in hits))
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
