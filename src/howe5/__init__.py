@@ -55,7 +55,6 @@ from .howe_factory import (
     decompose_genus5,
     direct_counts,
     howe_counts,
-    howe_models,
     validate,
 )
 from .search_engine import (

@@ -9,12 +9,11 @@ oracle that lifted counts are checked against.
 Every count is one character sum, sum_x chi(alpha) prod_i chi(x - r_i),
 taken by one kernel (_root_sums) for any number of candidates at once, over
 an extension a block of about _BLOCK field elements per candidate at a
-time: count_points multiplies a model's rows once per root, and
-count_quotients_many counts the three quotients of fibre products from
-shared rows, so no temporary holds q entries; count_points and
-count_quotients are its case of one candidate.  The chi table of F_{p^k}
-is read off the norm form and built from two of its symmetries: over
-F_{p^2}, whose modulus
+time, so no temporary holds q entries: count_points multiplies a model's
+rows once per root, and count_quotients counts the three quotients of
+fibre products, given as the twists and root sets S, A, B of each, from
+rows shared between them.  The chi table of F_{p^k} is read off the norm
+form and built from two of its symmetries: over F_{p^2}, whose modulus
 is always x^2 + f_0, Frobenius makes rows c_1 and p - c_1 equal, so the
 sums walk rows 0..(p-1)/2 only; over F_{p^3} the norm is homogeneous of
 degree 3, so every slab of the top coefficient is slab 1 rescaled.
@@ -265,13 +264,13 @@ def _check_field(p: int, j: int) -> None:
         )
 
 
-def _brute_count(model: HyperellipticModel, j: int, root_sum: int) -> PointCount:
-    """The smooth-model count over F_{p^j} from root_sum, the sum over x of
-    prod_i chi(x - r_i): the affine count is q + chi(alpha) root_sum."""
-    p = model.mod.p
-    q, chi_alpha = p ** j, _chi_ext(p, model.alpha, j)
-    total = q + chi_alpha * root_sum + _points_at_infinity(model.degree, chi_alpha)
-    return PointCount(q=q, count=total, method=CountMethod.BRUTE_FORCE, genus=model.genus)
+def _brute_count(p: int, j: int, alpha: int, degree: int, root_sum: int) -> PointCount:
+    """The smooth-model count over F_{p^j} of y^2 = alpha * prod_i (x - r_i)
+    from root_sum, the sum over x of prod_i chi(x - r_i): the affine count is
+    q + chi(alpha) root_sum."""
+    q, chi_alpha = p ** j, _chi_ext(p, alpha, j)
+    total = q + chi_alpha * root_sum + _points_at_infinity(degree, chi_alpha)
+    return PointCount(q=q, count=total, method=CountMethod.BRUTE_FORCE, genus=(degree - 1) // 2)
 
 
 def _points_at_infinity(degree: int, chi_alpha: int) -> int:
@@ -284,44 +283,32 @@ def _points_at_infinity(degree: int, chi_alpha: int) -> int:
 
 def count_points(model: HyperellipticModel, j: int = 1) -> PointCount:
     """Brute-force smooth-model count of y^2 = f(x) over F_{p^j}, j in {1,2,3}."""
-    _check_field(model.mod.p, j)
-    return _brute_count(model, j, int(_root_sums(model.mod.p, j, [[model.roots]], [(0,)])[0, 0]))
-
-
-def count_quotients(
-    c1: HyperellipticModel, c2: HyperellipticModel, c3: HyperellipticModel, j: int = 1
-) -> tuple[PointCount, PointCount, PointCount]:
-    """Brute-force counts over F_{p^j} of three models whose roots are S + A,
-    S + B and A + B for nonempty S, A, B: S the roots C1 and C2 share, as
-    for the quotients of a fibre product.  Each block's rows are multiplied
-    over S, A and B once, and the three sums are of S A, S B and A B, so the
-    quotients take |S| + |A| + |B| root passes, not the 2 (|S| + |A| + |B|)
-    of three count_points calls.  Raises ValueError when the roots do not
-    have this shape."""
-    return count_quotients_many([(c1, c2, c3)], j)[0]
-
-
-def count_quotients_many(triples, j: int = 1) -> list[tuple[PointCount, ...]]:
-    """count_quotients of each model triple (c1, c2, c3) of triples, from
-    one pass of _root_sums over all of them.  Every triple is checked as
-    count_quotients checks it, and all must lie over one field and have
-    the same numbers of roots in S, A and B; ValueError otherwise."""
-    if not triples:
-        return []
-    p, sets = triples[0][0].mod.p, []
-    for c1, c2, c3 in triples:
-        roots1, roots2 = c1.roots, c2.roots
-        shared = [r for r in roots1 if r in roots2]
-        only1 = [r for r in roots1 if r not in roots2]
-        only2 = [r for r in roots2 if r not in roots1]
-        if (not (shared and only1 and only2) or {c1.mod.p, c2.mod.p, c3.mod.p} != {p}
-                or set(c3.roots) != {*only1, *only2}):
-            raise ValueError("the models' roots must be S + A, S + B and A + B "
-                             "for nonempty S, A, B, all over one field")
-        sets.append((shared, only1, only2))
-    if len({tuple(map(len, roots)) for roots in sets}) > 1:
-        raise ValueError("the triples must have the same numbers of roots in S, A and B")
+    p = model.mod.p
     _check_field(p, j)
-    sums = _root_sums(p, j, list(zip(*sets)), ((0, 1), (0, 2), (1, 2)))
-    return [tuple(_brute_count(m, j, n) for m, n in zip(models, col))
-            for models, col in zip(triples, sums.T.tolist())]
+    root_sum = int(_root_sums(p, j, [[model.roots]], [(0,)])[0, 0])
+    return _brute_count(p, j, model.alpha, model.degree, root_sum)
+
+
+def count_quotients(p: int, j: int, alphas, shared, only1, only2) -> list[tuple[PointCount, ...]]:
+    """Brute-force counts over F_{p^j} of the three quotients of K fibre
+    products, from one pass of _root_sums: row i of shared, only1 and only2
+    holds candidate i's roots S, A and B, residues mod p with the same
+    numbers of roots in every row, and alphas[i] its twists (alpha1,
+    alpha2, alpha3) of the quotients with roots S + A, S + B and A + B.
+    Each block's rows are multiplied over S, A and B once, and the three
+    sums are of S A, S B and A B, so the quotients take |S| + |A| + |B|
+    root passes, not the 2 (|S| + |A| + |B|) of three count_points calls.
+    ValueError for a zero twist or a root repeated among S, A and B."""
+    for twists, *roots in zip(alphas, shared, only1, only2):
+        if 0 in twists:
+            raise ValueError("alpha must be nonzero")
+        if len({r for rs in roots for r in rs}) != sum(map(len, roots)):
+            raise ValueError("roots must be pairwise distinct")
+    _check_field(p, j)
+    terms = ((0, 1), (0, 2), (1, 2))
+    sizes = (len(shared[0]), len(only1[0]), len(only2[0]))
+    degrees = [sizes[u] + sizes[v] for u, v in terms]
+    sums = _root_sums(p, j, [shared, only1, only2], terms)
+    return [tuple(_brute_count(p, j, alpha, degree, n)
+                  for alpha, degree, n in zip(twists, degrees, col))
+            for twists, col in zip(alphas, sums.T.tolist())]

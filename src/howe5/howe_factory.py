@@ -16,14 +16,15 @@ parameter set on them, reading the quadratic character and square roots
 from the residue tables, and returns the split, whose five Hasse residues
 it evaluates in one pass (hasse_residues).  howe_counts reads the five
 factor counts over F_p off the factors' Hasse residues (exact_trace) and
-checks them against the three quotients, counted together with shared
-character rows (curve_models.count_quotients), as C1 and C2 share a1..a4
-and C3 is exactly a5, a6, b5, b6; the direct_counts oracle counts so too.
+checks them against the three quotients; the direct_counts oracle counts
+these too.  Both read the layout above in _quotient_counts alone: C1 and
+C2 share S = a1..a4, and C3 is exactly A = (a5, a6) and B = (b5, b6), so
+curve_models.count_quotients counts the three from shared character rows.
 validate_many and howe_counts_many do the same for any number of parameter
 sets at one prime, each set checked on its own, with one Hasse gather for
-all their factors and one character-sum pass for all their quotients
-(curve_models.count_quotients_many); validate and howe_counts are their
-case of one set, and the search confirms its candidates through them.
+all their factors and one character-sum pass for all their quotients;
+validate and howe_counts are their case of one set, and the search
+confirms its candidates through them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import curve_models
-from .curve_models import HyperellipticModel
 from .errors import (
     CrossRatioFailed,
     DecompositionMismatch,
@@ -196,14 +196,18 @@ def validate_many(batch) -> list[ValidationResult]:
     otherwise).  Each set is checked on its own, as validate describes, and
     the Hasse residues of the five factors of every passing set come from
     one hasse_residues gather."""
-    if len({params.mod.p for params in batch}) > 1:
-        raise ValueError("the parameter sets must share one prime")
+    _one_prime(batch)
     results = [_check(params) for params in batch]
     curves = [E for res in results if res.split is not None for E in res.split.curves]
     if curves:
         for E, h in zip(curves, hasse_residues(curves[0].mod.p, [E.lam for E in curves])):
             E.hasse = h
     return results
+
+
+def _one_prime(batch) -> None:
+    if len({params.mod.p for params in batch}) > 1:
+        raise ValueError("the parameter sets must share one prime")
 
 
 def _check(params: HoweParams) -> ValidationResult:
@@ -285,25 +289,26 @@ def decompose_genus5(params: HoweParams) -> SplitData:
     return res.split
 
 
-def howe_models(params: HoweParams) -> tuple[HyperellipticModel, ...]:
-    """The three quotient models C1, C2, C3."""
-    a1, a2, a3, a4, a5, a6 = params.a
-    b5, b6 = params.b
-    c1 = HyperellipticModel(params.mod, params.alpha1, (a1, a2, a3, a4, a5, a6))
-    c2 = HyperellipticModel(params.mod, params.alpha2, (a1, a2, a3, a4, b5, b6))
-    c3 = HyperellipticModel(
-        params.mod, params.alpha1 * params.alpha2 % params.mod.p, (a5, a6, b5, b6)
-    )
-    return c1, c2, c3
+def _quotient_counts(batch, j: int) -> list[tuple[int, int, int]]:
+    """(#C1, #C2, #C3) over F_{p^j} of each parameter set of batch, all at
+    one prime, from one curve_models.count_quotients pass.  ValueError for
+    two primes, a zero twist or a repeated root."""
+    if not batch:
+        return []
+    _one_prime(batch)
+    p = batch[0].mod.p
+    counts = curve_models.count_quotients(
+        p, j, [(s.alpha1, s.alpha2, s.alpha1 * s.alpha2 % p) for s in batch],
+        [s.a[:4] for s in batch], [s.a[4:] for s in batch], [s.b for s in batch])
+    return [tuple(pc.count for pc in row) for row in counts]
 
 
 def direct_counts(params: HoweParams, j: int) -> tuple[int, int, int, int]:
     """Oracle: (#C1, #C2, #C3, #C) over F_{p^j} from brute-force counts of
-    the three quotient models, using neither the factors nor a lift.  Subject
-    to the direct-counting cap."""
-    q = params.mod.p ** j
-    c1, c2, c3 = (pc.count for pc in curve_models.count_quotients(*howe_models(params), j))
-    return c1, c2, c3, c1 + c2 + c3 - 2 * q - 2
+    the three quotients, using neither the factors nor a lift.  Subject to
+    the direct-counting cap."""
+    c1, c2, c3 = _quotient_counts([params], j)[0]
+    return c1, c2, c3, c1 + c2 + c3 - 2 * params.mod.p ** j - 2
 
 
 class HoweCounts(NamedTuple):
@@ -317,23 +322,20 @@ class HoweCounts(NamedTuple):
     e: tuple[int, int, int, int, int]
     total: int
 
+    @classmethod
+    def from_factors(cls, q: int, j: int, e: tuple[int, ...]) -> "HoweCounts":
+        """The counts over F_q, q = p^j, that the factor counts e imply: over
+        F_p, Jac C1 ~ E1 x E2, Jac C2 ~ E3 x E4 and C3 = E5."""
+        return cls(q=q, j=j, c1=e[0] + e[1] - q - 1, c2=e[2] + e[3] - q - 1, c3=e[4], e=e,
+                   total=sum(e) - 4 * q - 4)
+
     def lift(self, j: int) -> "HoweCounts":
-        """The counts over F_{p^j} implied by these counts over F_p.  The
-        Jacobian of C_i is isogenous over F_p to the product of its factors,
-        so every quotient count follows from the factors' traces."""
+        """The counts over F_{p^j} implied by these counts over F_p: every
+        quotient count follows from the factors' traces (from_factors)."""
         if self.j != 1:
             raise ValueError("only counts over F_p can be lifted")
-        q = self.q ** j
-        e = tuple(zeta_lift(n, self.q, j) for n in self.e)
-        return HoweCounts(
-            q=q,
-            j=j,
-            c1=e[0] + e[1] - q - 1,
-            c2=e[2] + e[3] - q - 1,
-            c3=e[4],
-            e=e,
-            total=sum(e) - 4 * q - 4,
-        )
+        return HoweCounts.from_factors(self.q ** j, j,
+                                       tuple(zeta_lift(n, self.q, j) for n in self.e))
 
 
 def howe_counts(split: SplitData) -> HoweCounts:
@@ -348,23 +350,17 @@ def howe_counts(split: SplitData) -> HoweCounts:
 def howe_counts_many(splits) -> list[HoweCounts]:
     """howe_counts of each split of splits, all at one prime: the quotients
     of every split are counted over F_p in one pass of the character-sum
-    kernel (curve_models.count_quotients_many), and each split is checked
-    against its factor counts in order, the first mismatch raised."""
-    quotients = curve_models.count_quotients_many([howe_models(s.params) for s in splits], 1)
+    kernel (_quotient_counts), and each split is checked against its factor
+    counts in order, the first mismatch raised."""
     out = []
-    for split, counts in zip(splits, quotients):
+    for split, counted in zip(splits, _quotient_counts([s.params for s in splits], 1)):
         p = split.params.mod.p
-        n_c = tuple(pc.count for pc in counts)
-        n_e = tuple(p + 1 - exact_trace(E) for E in split.curves)
-        from_factors = (n_e[0] + n_e[1] - p - 1, n_e[2] + n_e[3] - p - 1, n_e[4])
-        if n_c != from_factors:
-            raise DecompositionMismatch(
-                f"quotient counts {n_c} over F_{p} disagree with the factor "
-                f"counts {from_factors}"
-            )
-        c1, c2, c3 = n_c
-        out.append(HoweCounts(q=p, j=1, c1=c1, c2=c2, c3=c3, e=n_e,
-                              total=c1 + c2 + c3 - 2 * p - 2))
+        hc = HoweCounts.from_factors(p, 1, tuple(p + 1 - exact_trace(E) for E in split.curves))
+        want = hc.c1, hc.c2, hc.c3
+        if counted != want:
+            raise DecompositionMismatch(f"quotient counts {counted} over F_{p} disagree "
+                                        f"with the factor counts {want}")
+        out.append(hc)
     return out
 
 

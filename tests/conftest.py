@@ -16,6 +16,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from howe5.curve_models import HyperellipticModel
 from howe5.howe_factory import HoweParams, SplitData, validate
 
 # Fixed examples and no example database, so a run is reproducible; a test's
@@ -154,6 +155,16 @@ def random_valid_params(p: int, rng: random.Random, max_tries: int = 5000) -> Op
         if split is not None:
             return split
     return None
+
+
+def quotient_models(params: HoweParams) -> tuple[HyperellipticModel, ...]:
+    """The quotient models C1: alpha1 (x - a1)..(x - a6), C2: alpha2 (x - a1)..(x - a4)
+    (x - b5)(x - b6) and C3: alpha1 alpha2 (x - a5)(x - a6)(x - b5)(x - b6),
+    for tests that count each on its own."""
+    a, b, p = params.a, params.b, params.mod.p
+    return (HyperellipticModel(params.mod, params.alpha1, a),
+            HyperellipticModel(params.mod, params.alpha2, a[:4] + b),
+            HyperellipticModel(params.mod, params.alpha1 * params.alpha2 % p, a[4:] + b))
 
 
 # the bundled example rows, used across test modules

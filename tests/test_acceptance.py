@@ -15,7 +15,7 @@ import subprocess
 import sys
 import time
 
-from conftest import ROW_P11, ROW_P37, ROW_P499, random_valid_params
+from conftest import ROW_P11, ROW_P37, ROW_P499, quotient_models, random_valid_params
 import howe5
 from howe5 import tables
 from howe5.cli import main as cli_main
@@ -33,7 +33,6 @@ from howe5.howe_factory import (
     decompose_genus5,
     direct_counts,
     howe_counts,
-    howe_models,
     validate,
 )
 from howe5.search_engine import SearchConfig, primes_in, run_search
@@ -156,7 +155,7 @@ def test_acceptance_05_split_identities(capsys):
         assert len(sample) >= 100
         for split in sample:
             p = split.params.mod.p
-            m1, m2, m3 = howe_models(split.params)
+            m1, m2, m3 = quotient_models(split.params)
             e = [_count_fp(E) for E in split.curves]
             assert count_points(m1, 1).count == e[0] + e[1] - (p + 1)
             assert count_points(m2, 1).count == e[2] + e[3] - (p + 1)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_ext, naive_count_fp
-from howe5 import curve_models
+from howe5 import curve_models, howe_factory
 from howe5.curve_models import (
     _BLOCK,
     COUNT_CAP,
@@ -23,12 +23,12 @@ from howe5.curve_models import (
     PointCount,
     count_points,
     count_quotients,
-    count_quotients_many,
     weil_interval,
 )
 from howe5.errors import CapExceeded, HasseViolation, Howe5Error
 from howe5.field_arith import build_extension, is_prime, residue_tables
 from howe5.hasse_serre import LegendreCurve, zeta_lift
+from howe5.howe_factory import HoweParams
 from square_reference import mul
 
 
@@ -186,10 +186,9 @@ def test_quadratic_counts_match_the_full_row_sum(p):
         assert count_points(model, 2).count == _full_count(p, alpha, roots)
     if p > 3:
         s, a, b = (3, 5, 7, p - 2), (1, p - 1), (0, 11)
-        models = [HyperellipticModel.from_ints(p, alpha, rs)
-                  for alpha, rs in ((3, s + a), (5, b + s), (15, a + b))]
-        assert [pc.count for pc in count_quotients(*models, 2)] == [
-            _full_count(p, m.alpha, m.roots) for m in models]
+        counts = count_quotients(p, 2, [(3, 5, 15)], [s], [a], [b])[0]
+        assert [pc.count for pc in counts] == [
+            _full_count(p, alpha, rs) for alpha, rs in ((3, s + a), (5, b + s), (15, a + b))]
 
 
 def test_oracle_imports_only_the_field_layer():
@@ -246,7 +245,7 @@ def test_quotient_counts_match_count_points(data, field):
     alphas = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3), label="alphas")
     models = [HyperellipticModel.from_ints(p, alpha, rs)
               for alpha, rs in zip(alphas, (s + a, b + s, a + b))]
-    counts = count_quotients(*models, j)
+    counts = count_quotients(p, j, [alphas], [s], [a], [b])[0]
     assert counts == tuple(count_points(m, j) for m in models)
     for m, pc in zip(models, counts):
         if m.genus == 1:  # from the count over F_p, one row, so one block
@@ -278,24 +277,24 @@ def test_root_sums_of_a_batch_match_one_at_a_time(data, field, k):
 @pytest.mark.parametrize("p,j", [(13, 1), (101, 1), (23, 2), (11, 3)])
 def test_quotient_counts_of_a_batch_match_one_at_a_time(p, j):
     rng = random.Random(p * j)
-    triples = []
+    rows = []
     for _ in range(4):
         r = rng.sample(range(p), 8)
-        triples.append(tuple(HyperellipticModel.from_ints(p, rng.randrange(1, p), rs)
-                             for rs in (r[:6], r[:4] + r[6:], r[4:])))
-    assert count_quotients_many(triples, j) == [count_quotients(*t, j) for t in triples]
-    assert count_quotients_many([], j) == []
+        rows.append((tuple(rng.randrange(1, p) for _ in range(3)), r[:4], r[4:6], r[6:]))
+    assert count_quotients(p, j, *zip(*rows)) == [
+        count_quotients(p, j, [alphas], [s], [a], [b])[0] for alphas, s, a, b in rows]
 
 
 def test_quotient_counts_of_a_batch_share_one_field_and_shape():
-    one = [HyperellipticModel.from_ints(11, 1, rs)
-           for rs in ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 7, 8), (5, 6, 7, 8))]
-    other_shape = [HyperellipticModel.from_ints(11, 1, rs)
-                   for rs in ((1, 2, 3, 5, 6), (1, 2, 3, 7, 8), (5, 6, 7, 8))]
-    other_field = [HyperellipticModel.from_ints(13, 1, m.roots) for m in one]
-    for pair in ((one, other_shape), (one, other_field)):
-        with pytest.raises(ValueError):
-            count_quotients_many([tuple(models) for models in pair], 1)
+    """A batch is counted over the one field its p names, so the parameter
+    sets howe_factory counts together must share a prime, and the root rows
+    of a batch must have one shape."""
+    with pytest.raises(ValueError):
+        count_quotients(11, 1, [(1, 1, 1)] * 2, [(1, 2, 3, 4), (1, 2, 3)], [(5, 6)] * 2,
+                        [(7, 8)] * 2)
+    batch = [HoweParams.from_ints(p, 1, 1, (1, 2, 3, 4, 5, 6), (7, 8)) for p in (11, 13)]
+    with pytest.raises(ValueError, match="one prime"):
+        howe_factory._quotient_counts(batch, 1)
 
 
 def test_count_sums_past_int8_at_a_large_prime():
@@ -325,7 +324,7 @@ def test_quotient_count_has_no_field_sized_temporary():
     _char_table(p, 3)
     tracemalloc.start()
     try:
-        counts = count_quotients(*models, 3)
+        counts = count_quotients(p, 3, [(3, 5, 15)], [(1, 2, 3, 4)], [(5, 6)], [(7, 8)])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -335,22 +334,23 @@ def test_quotient_count_has_no_field_sized_temporary():
 
 def test_quotient_count_is_capped():
     p = 3163  # p^2 just past the cap
-    models = [HyperellipticModel.from_ints(p, 1, rs)
-              for rs in ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))]
     with pytest.raises(CapExceeded):
-        count_quotients(*models, 2)
+        count_quotients(p, 2, [(1, 1, 1)], [(1, 2)], [(3, 4)], [(5, 6)])
 
 
-@pytest.mark.parametrize("roots", [
-    ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5)),  # C3 lacks a root
-    ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 7)),  # C3 has a foreign root
-    ((1, 2, 3), (4, 5, 6), (1, 2, 3, 4, 5, 6)),  # no shared root
-    ((1, 2, 3), (1, 2, 3, 4), (4, 5, 6)),  # C1 inside C2
-], ids=["missing", "foreign", "disjoint", "nested"])
-def test_quotient_count_rejects_other_shapes(roots):
-    models = [HyperellipticModel.from_ints(11, 1, rs) for rs in roots]
-    with pytest.raises(ValueError, match="S \\+ A"):
-        count_quotients(*models, 1)
+@pytest.mark.parametrize("alphas,s,a,b,message", [
+    ((1, 0, 1), (1, 2, 3, 4), (5, 6), (7, 8), "alpha must be nonzero"),
+    ((1, 1, 1), (1, 2, 3, 4), (5, 6), (6, 8), "pairwise distinct"),
+    ((1, 1, 1), (1, 2, 3, 4), (5, 4), (7, 8), "pairwise distinct"),
+    ((1, 1, 1), (1, 2, 3, 4), (5, 6), (7, 1), "pairwise distinct"),
+    ((1, 1, 1), (1, 2, 3, 3), (5, 6), (7, 8), "pairwise distinct"),
+], ids=["zero-twist", "a-and-b", "s-and-a", "s-and-b", "within-s"])
+def test_quotient_count_rejects_degenerate_curves(alphas, s, a, b, message):
+    """A zero twist, or a root twice among S, A and B, makes some quotient
+    singular; the second candidate of the batch is the degenerate one."""
+    with pytest.raises(ValueError, match=message):
+        count_quotients(11, 1, [(1, 1, 1), alphas], [(1, 2, 3, 4), s], [(5, 6), a],
+                        [(7, 8), b])
 
 
 class TestCapAndErrors:

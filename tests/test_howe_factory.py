@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ROW_P11, ROW_P37, ROW_P499, naive_count_fp, random_valid_params
-from howe5 import howe_factory, tables
-from howe5.curve_models import HyperellipticModel, count_points
+from conftest import (
+    ROW_P11, ROW_P37, ROW_P499, naive_count_fp, quotient_models, random_valid_params,
+)
+from howe5 import curve_models, howe_factory, tables
+from howe5.curve_models import count_points
 from howe5.errors import DecompositionMismatch, NonSquareObstruction
 from howe5.field_arith import is_prime, legendre_symbol, prime_modulus
 from howe5.hasse_serre import (
@@ -26,7 +28,6 @@ from howe5.howe_factory import (
     direct_counts,
     howe_counts,
     howe_counts_many,
-    howe_models,
     validate,
     validate_many,
 )
@@ -212,6 +213,18 @@ def test_batches_match_one_at_a_time(seed, p, kinds):
     assert howe_counts_many(splits) == [howe_counts(split) for split in splits]
 
 
+@pytest.mark.parametrize("row,message", [
+    ((11, 0, 6, (5, 3, 10, 7, 6, 8), (9, 2)), "alpha must be nonzero"),
+    ((11, 4, 6, (5, 3, 10, 7, 6, 8), (9, 5)), "pairwise distinct"),  # b6 = a1, in C2
+    ((11, 4, 6, (5, 3, 10, 7, 6, 8), (6, 2)), "pairwise distinct"),  # b5 = a5, in C3
+], ids=["zero-twist", "repeated-in-c2", "repeated-in-c3"])
+def test_direct_counts_reject_degenerate_params(row, message):
+    """The oracle counts unvalidated sets too, so it rejects a zero twist or
+    a repeated root itself."""
+    with pytest.raises(ValueError, match=message):
+        direct_counts(_params(row), 1)
+
+
 def test_batches_share_one_prime():
     assert validate_many([]) == [] and howe_counts_many([]) == []
     with pytest.raises(ValueError, match="one prime"):
@@ -259,7 +272,7 @@ class TestSplitGenus2:
         p = row[0]
         params = _params(row)
         curves = decompose_genus5(params).curves
-        for m, (e1, e2) in zip(howe_models(params)[:2], (curves[:2], curves[2:4])):
+        for m, (e1, e2) in zip(quotient_models(params)[:2], (curves[:2], curves[2:4])):
             lhs = count_points(m, 1).count
             n1, n2 = (count_points(E.model(), 1).count for E in (e1, e2))
             assert lhs == n1 + n2 - (p + 1)
@@ -307,15 +320,13 @@ class TestHoweCounts:
     def test_quotient_mismatch_detected(self, monkeypatch):
         """A quotient count that disagrees with its factors over F_p is
         caught before anything is lifted."""
-        real = howe_factory.howe_models
+        real = curve_models.count_quotients
 
-        def twisted_c3(params):
-            c1, c2, c3 = real(params)
-            p = params.mod.p
+        def twisted_c3(p, j, alphas, *roots):
             nonsquare = next(v for v in range(2, p) if legendre_symbol(p, v) == -1)
-            return c1, c2, HyperellipticModel(c3.mod, c3.alpha * nonsquare % p, c3.roots)
+            return real(p, j, [(a1, a2, a3 * nonsquare % p) for a1, a2, a3 in alphas], *roots)
 
-        monkeypatch.setattr(howe_factory, "howe_models", twisted_c3)
+        monkeypatch.setattr(curve_models, "count_quotients", twisted_c3)
         with pytest.raises(DecompositionMismatch):
             howe_counts(decompose_genus5(_params(ROW_P499)))
 
@@ -327,7 +338,7 @@ class TestHoweCounts:
     def test_against_naive_quotient_counts(self):
         params = _params(ROW_P11)
         hc = howe_counts(decompose_genus5(params))
-        models = howe_models(params)
+        models = quotient_models(params)
         for m, expect in zip(models, (hc.c1, hc.c2, hc.c3)):
             assert naive_count_fp(11, m.alpha, m.roots) == expect
 
