@@ -140,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
 # verify-tables
 
 
-def _verify_row(params: HoweParams, table: int, deep: bool, out) -> bool:
+def _verify_row(params: HoweParams, table: int, deep: bool) -> bool:
     """Table 1 checks the count over F_p.  Tables 2 and 3 check the count
     lifted to F_{p^j}, and also the direct oracle count where p^j is within
     the direct-count limit."""
     p = params.mod.p
     vr = validate(params)
     if not vr.ok:
-        out(f"  p={p}: FAIL invalid ({'; '.join(v.code for v in vr.violations)})")
+        print(f"  p={p}: FAIL invalid ({'; '.join(v.code for v in vr.violations)})")
         return False
     try:
         base = howe_counts(vr.split)
@@ -155,7 +155,7 @@ def _verify_row(params: HoweParams, table: int, deep: bool, out) -> bool:
         j = target.degree
         field, label = f"F_p^{j}" if j > 1 else "F_p", "maximal" if j == 2 else "bound"
         if target.attained(vr.split.curves) is not True:
-            out(f"  p={p}: FAIL {label} predicate over {field}")
+            print(f"  p={p}: FAIL {label} predicate over {field}")
             return False
         want = serre_bound(p ** j, 5)
         count = base.lift(j).total
@@ -165,10 +165,10 @@ def _verify_row(params: HoweParams, table: int, deep: bool, out) -> bool:
             direct = direct_counts(params, j)[3]
             ok = ok and direct == want
             line += f", direct = {direct}"
-        out(f"{line}, {label} = {want} -> {'PASS' if ok else 'FAIL'}")
+        print(f"{line}, {label} = {want} -> {'PASS' if ok else 'FAIL'}")
         return ok
     except Howe5Error as exc:
-        out(f"  p={p}: FAIL {exc}")
+        print(f"  p={p}: FAIL {exc}")
         return False
 
 
@@ -185,7 +185,7 @@ def cmd_verify_tables(ns) -> int:
             rows = tables.load_table(t)
         print(f"table {t} ({tables.TABLE_TARGETS[t].value}): {len(rows)} rows")
         for params in rows:
-            if not _verify_row(params, t, ns.deep, print):
+            if not _verify_row(params, t, ns.deep):
                 failures += 1
     if failures:
         print(f"{failures} row(s) FAILED")

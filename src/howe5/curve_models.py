@@ -134,8 +134,6 @@ def _char_table(p: int, k: int) -> np.ndarray:
     chi, c0 = residue_tables(p).chi, np.arange(p, dtype=np.int64)
     table = np.empty(p ** k, dtype=np.int8)
     if k == 2:
-        if f[1]:
-            raise RuntimeError(f"the modulus of F_{p}^2 has an x term: {f}")
         rows, half, chi2 = table.reshape(p, p), (p + 1) // 2, np.concatenate((chi, chi))
         step, squares = max(1, _BLOCK // p), c0 * c0 % p
         for lo in range(0, half, step):

@@ -166,9 +166,8 @@ def lift_trace(t, p: int, j: int):
 
 
 def floor_two_sqrt(q: int) -> int:
-    """floor(2 * sqrt(q)) computed exactly, no floating point."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    """floor(2 * sqrt(q)) computed exactly, no floating point; ValueError
+    (from math.isqrt) for a negative q."""
     return math.isqrt(4 * q)
 
 

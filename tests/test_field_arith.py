@@ -7,7 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import _ext_pow
 from square_reference import mul
-from howe5.curve_models import HyperellipticModel, _char_table, _chi_ext, _points_at_infinity
+from howe5.curve_models import (
+    COUNT_CAP,
+    HyperellipticModel,
+    _char_table,
+    _chi_ext,
+    _points_at_infinity,
+)
 from howe5.errors import CapExceeded, NonResidue
 from howe5.field_arith import (
     PRIME_CAP,
@@ -227,6 +233,14 @@ class TestExtensionField:
         for x in range(p):
             val = (pow(x, k, p) + sum(c * pow(x, i, p) for i, c in enumerate(poly))) % p
             assert val != 0
+
+    def test_quadratic_modulus_has_no_x_term_within_the_count_cap(self):
+        # the F_p^2 character table relies on the modulus x^2 + f_0 at every
+        # prime whose F_p^2 the oracle may count
+        primes = [p for p in range(3, math.isqrt(COUNT_CAP) + 1) if is_prime(p)]
+        assert len(primes) == 445
+        for p in primes:
+            assert build_extension(p, 2)[1] == 0, p
 
     def test_cached(self):
         assert build_extension(11, 2) is build_extension(11, 2)

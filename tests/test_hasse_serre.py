@@ -323,6 +323,14 @@ class TestSerreBound:
         for q in range(2, 3000):
             assert floor_two_sqrt(q) == math.isqrt(4 * q)
 
+    def test_floor_two_sqrt_rejects_a_negative_q(self):
+        with pytest.raises(ValueError):
+            floor_two_sqrt(-1)
+
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            serre_bound(17, -1)
+
     def test_values(self):
         assert serre_bound(499, 5) == 720
         assert serre_bound(121, 5) == 232  # 121 + 1 + 5*22, the square case
