@@ -386,7 +386,7 @@ class TestSearchCommand:
         rc = main(["search", "--target", "maximal-fp2", "--p-min", "11", "--p-max", "11",
                    "--quiet", "--out", "hits.csv", "--jsonl", jsonl])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == "error: --out and --jsonl name the same file: hits.csv\n"
         assert not (tmp_path / "hits.csv").exists()
 
     def test_quiet_suppresses_rows(self, capsys):
