@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when a mathematical check fails or a count is
-infeasible, 2 for usage and configuration errors (argparse uses 2 as well).
+Exit codes: 0 on success, 1 on a Howe5Error (a mathematical check fails or a
+count is infeasible), 2 on a ValueError, an OSError or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -15,27 +15,12 @@ from typing import Optional, Sequence
 
 from . import tables
 from .curve_models import COUNT_CAP, CountMethod, HyperellipticModel, PointCount, count_points
-from .errors import CapExceeded, Howe5Error
+from .errors import Howe5Error
 from .hasse_serre import LegendreCurve, Target, serre_bound, zeta_lift
 from .howe_factory import DecompositionReport, HoweParams, direct_counts, howe_counts, validate
 from .search_engine import CSV_HEADER, ENUMERATED_SLOTS, SearchConfig, SearchStats, enumerate_hits
 
 SHALLOW_DIRECT_LIMIT = 100_000
-
-
-class SystemExit2(Exception):
-    """Usage error discovered after argparse."""
-
-
-@contextlib.contextmanager
-def _prime_cap_is_usage():
-    """A prime at or past the cap while the parameters are read is a usage
-    error, exit 2, as in search --p-max and verify-tables --data; a count
-    past the element cap stays a failure, exit 1."""
-    try:
-        yield
-    except CapExceeded as exc:
-        raise SystemExit2(str(exc)) from None
 
 
 def _ints_csv(n: int, what: str):
@@ -174,7 +159,7 @@ def _verify_row(params: HoweParams, table: int, deep: bool) -> bool:
 
 def cmd_verify_tables(ns) -> int:
     if ns.data and ns.table is None:
-        raise SystemExit2("verify-tables --data needs the table number the rows claim")
+        raise ValueError("verify-tables --data needs the table number the rows claim")
     wanted = [ns.table] if ns.table else [1, 2, 3]
     failures = 0
     for t in wanted:
@@ -200,7 +185,7 @@ def cmd_verify_tables(ns) -> int:
 
 def _params_from_ns(ns) -> HoweParams:
     if ns.from_json:
-        with open(ns.from_json) as fh, _prime_cap_is_usage():
+        with open(ns.from_json) as fh:
             return HoweParams.from_json_dict(json.load(fh))
     missing = [
         name
@@ -209,9 +194,8 @@ def _params_from_ns(ns) -> HoweParams:
         if v is None
     ]
     if missing:
-        raise SystemExit2(f"decompose needs {', '.join(missing)} (or --from-json)")
-    with _prime_cap_is_usage():
-        return HoweParams.from_ints(ns.p, ns.alpha1, ns.alpha2, ns.a, ns.b)
+        raise ValueError(f"decompose needs {', '.join(missing)} (or --from-json)")
+    return HoweParams.from_ints(ns.p, ns.alpha1, ns.alpha2, ns.a, ns.b)
 
 
 def cmd_decompose(ns) -> int:
@@ -252,28 +236,26 @@ def cmd_count(ns) -> int:
     legendre_style = ns.theta is not None or ns.lam is not None
     general_style = ns.alpha is not None or ns.roots is not None
     if legendre_style == general_style:
-        raise SystemExit2("count needs either --theta/--lambda or --alpha/--roots")
+        raise ValueError("count needs either --theta/--lambda or --alpha/--roots")
     if legendre_style:
         if ns.theta is None or ns.lam is None:
-            raise SystemExit2("count needs both --theta and --lambda")
-        with _prime_cap_is_usage():
-            model = LegendreCurve.from_ints(ns.p, ns.theta, ns.lam).model()
+            raise ValueError("count needs both --theta and --lambda")
+        model = LegendreCurve.from_ints(ns.p, ns.theta, ns.lam).model()
     else:
         if ns.alpha is None or ns.roots is None:
-            raise SystemExit2("count needs both --alpha and --roots")
+            raise ValueError("count needs both --alpha and --roots")
         try:
             roots = tuple(int(t) for t in ns.roots.split(","))
         except ValueError:
-            raise SystemExit2(f"--roots: expected integers, got {ns.roots!r}")
-        with _prime_cap_is_usage():
-            model = HyperellipticModel.from_ints(ns.p, ns.alpha, roots)
+            raise ValueError(f"--roots: expected integers, got {ns.roots!r}")
+        model = HyperellipticModel.from_ints(ns.p, ns.alpha, roots)
     j = ns.ext
     if model.genus == 1 and j > 1:
         n1 = count_points(model, 1).count
         pc = PointCount(ns.p ** j, zeta_lift(n1, ns.p, j), CountMethod.ZETA_LIFT, genus=1)
         how = ", recovered from the F_p trace"
     else:
-        # past the cap count_points raises CapExceeded, which main turns into exit 1
+        # past COUNT_CAP count_points raises a Howe5Error, which main turns into exit 1
         pc, how = count_points(model, j), ""
     print(f"#C(F_{ns.p}^{j}) = {pc.count}  (genus {model.genus}, trace {pc.trace}{how})")
     return 0
@@ -300,8 +282,7 @@ def cmd_search(ns) -> int:
         return 2
     # two writers on one file would interleave their lines
     if ns.out and ns.jsonl and os.path.realpath(ns.out) == os.path.realpath(ns.jsonl):
-        print(f"error: --out and --jsonl name the same file: {ns.out}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--out and --jsonl name the same file: {ns.out}")
     stats = SearchStats()
     with contextlib.ExitStack() as stack:
         # opened before the search, so an unwritable path fails at once
@@ -389,7 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Howe5Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SystemExit2, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ class Howe5Error(Exception):
 
 
 class CapExceeded(Howe5Error):
-    """Requested work lies beyond a documented desk-scale cap."""
+    """A direct count would visit more than curve_models.COUNT_CAP elements."""
 
 
 class NonResidue(Howe5Error):

@@ -7,7 +7,7 @@ Residues are plain ints in [0, p), the records that hold them check that
 range (require_residues), and all arithmetic on them is exact integer
 arithmetic.  Moduli are capped at 2**20 so that every intermediate value
 used by the bulk counting kernels stays far below 2**63; a modulus beyond
-the cap raises CapExceeded instead of being accepted.
+the cap raises ValueError instead of being accepted.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceeded, NonResidue
+from .errors import NonResidue
 
 PRIME_CAP = 1 << 20
 # Primes whose per-prime tables stay cached; the bundled tables span 25.
@@ -60,7 +60,7 @@ class PrimeModulus(CheckedRecord, namedtuple("PrimeModulus", "p")):
 
     def __new__(cls, p: int) -> "PrimeModulus":
         if p >= PRIME_CAP:
-            raise CapExceeded(f"modulus {p} exceeds the cap {PRIME_CAP}")
+            raise ValueError(f"modulus {p} exceeds the cap {PRIME_CAP}")
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
         return tuple.__new__(cls, (p,))

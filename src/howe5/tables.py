@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .errors import CapExceeded
 from .hasse_serre import Target
 from .howe_factory import HoweParams
 
@@ -38,7 +37,7 @@ def parse_rows(text: str, source: str = "<data>") -> list[HoweParams]:
         parts = line.split(",")
         try:
             rows.append(HoweParams.from_row(parts))
-        except (ValueError, TypeError, CapExceeded) as exc:
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"{source}:{ln}: {exc}") from exc
     return rows
 
