@@ -285,28 +285,18 @@ def _visit_orders(p: int, cfg: SearchConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
-class _ScanArrays(NamedTuple):
-    """A search's per-prime scan state: visit, the visit orders; at, with
-    at[s][v] the position of residue v in the order of slot s of
-    ENUMERATED_SLOTS (its length where absent); and pairs, the admissible
-    pairs (_admissible_pairs)."""
-
-    visit: tuple
-    at: list
-    pairs: dict
-
-
 @functools.lru_cache(maxsize=1)
-def _scan_arrays(p: int, cfg: SearchConfig) -> _ScanArrays:
-    """Cached for the current prime only, like the orders."""
-    visit = _visit_orders(p, cfg)
+def _positions(p: int, cfg: SearchConfig) -> list:
+    """at[s][v], the position of residue v in the visit order of slot s of
+    ENUMERATED_SLOTS (its length where absent).  Cached for the current
+    prime only, like the orders."""
     at = []
-    for o in visit:
+    for o in _visit_orders(p, cfg):
         pos = [len(o)] * p
         for i, v in enumerate(o):
             pos[v] = i
         at.append(pos)
-    return _ScanArrays(visit, at, _admissible_pairs(p, cfg.target))
+    return at
 
 
 @functools.lru_cache(maxsize=1)
@@ -367,7 +357,7 @@ def _fill(p: int, pins: tuple, free: int, taken: int = 0) -> int:
     return math.perm(max(p - taken - len(pins), 0), free)
 
 
-def _cut_rows(p: int, arrays: _ScanArrays, slots: list, a5: int, a1: np.ndarray,
+def _cut_rows(p: int, cfg: SearchConfig, slots: list, a5: int, a1: np.ndarray,
               quota: int) -> np.ndarray:
     """For each chunk of the array a1: its rows through the one that holds
     probe quota + 1, for a5 pinned, where a row has one probe unless it
@@ -384,7 +374,7 @@ def _cut_rows(p: int, arrays: _ScanArrays, slots: list, a5: int, a1: np.ndarray,
         # a1, the values fixed above level s and its own value are taken, and
         # none of them is a pin of the later slots
         each_rows, each_probes = (_fill(p, later, free, s + 1) for later in (pins, (*pins, a5)))
-        pos, order = np.array(arrays.at[s]), np.array(arrays.visit[s])
+        pos, order = np.array(_positions(p, cfg)[s]), np.array(_visit_orders(p, cfg)[s])
         k = (left - 1) // each_probes + 1
         left = left - (k - 1) * each_probes
         t = k - 1
@@ -426,7 +416,7 @@ def _count_chunks(p: int, cfg: SearchConfig, a1s: Union[range, tuple],
         prefixes += members * (quota // (p - 4) + 1)
     else:
         a1 = np.array([u for u in a1s if u not in pinned])
-        prefixes += int(_cut_rows(p, _scan_arrays(p, cfg), slots, a5, a1, quota).sum())
+        prefixes += int(_cut_rows(p, cfg, slots, a5, a1, quota).sum())
     return prefixes, probes, 0, 0, True
 
 
@@ -516,18 +506,18 @@ def _pair_tuples(p: int, target: Target) -> Optional[tuple[int, ...]]:
     return tuple(total + v for v in t)
 
 
-def _pair_rows(p: int, arrays: _ScanArrays, a1: int, a2: int, a3: int, k: int,
-               reach: int) -> list:
-    """(row, a4, a) for each of the first reach rows of the pair (a2, a3) of
-    chunk a1 whose cross-ratio a = cr(a1, a2, a3, a4) has admissible pairs,
-    in row order; k = (a1-a3)/(a2-a3).  The rows are the a4 of the a4 order
-    not in {a1, a2, a3}, row i the i-th of them.  The shorter side is
+def _pair_rows(p: int, pairs: dict, order: tuple, pos: list, a1: int, a2: int, a3: int,
+               k: int, reach: int) -> list:
+    """(row, a4, a) for each of the first reach rows of pair (a2, a3) of chunk
+    a1 whose a = cr(a1, a2, a3, a4) has an entry in pairs, in row order;
+    k = (a1-a3)/(a2-a3).  The rows are the a4 of order (the a4 order, pos
+    its positions) not in {a1, a2, a3}, row i the i-th.  The shorter side is
     listed: when reach is below the table's number of a values the rows are
     walked and each a is looked up, else each table a != k is mapped back
     to its a4 (_from_frame) and those in the order are sorted by position.
     No a4 in {a1, a2, a3} comes back: the table holds no a in {0, 1}, the
     images of a2 and a3, and a1 would need a = infinity."""
-    inv, pairs, order, pos = _tables(p)[0], arrays.pairs, arrays.visit[3], arrays.at[3]
+    inv = _tables(p)[0]
     if reach < len(pairs):
         rows = (x for x in order if x != a1 and x != a2 and x != a3)
         walked = ((r, x, k * (a2 - x) % p * inv[(a1 - x) % p] % p)
@@ -574,9 +564,9 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
     """
     inv, chi, nonres = _tables(p)
     maximal = cfg.target is Target.MAXIMAL_FP2
-    arrays = _scan_arrays(p, cfg)
-    _, a2s, a3s, a4s, a5s, b5s = arrays.visit
-    pos4, pos5, pos_b5 = arrays.at[3:]
+    pairs = _admissible_pairs(p, cfg.target)
+    _, a2s, a3s, a4s, a5s, b5s = _visit_orders(p, cfg)
+    pos4, pos5, pos_b5 = _positions(p, cfg)[3:]
     n4, n5, nb5 = len(a4s), len(a5s), len(b5s)
     # the tuples of a whole pair per k (_pair_tuples), when a4, a5 and b5
     # are free, so every pair holds (p - 3)(p - 4) probes, and the quota
@@ -655,7 +645,8 @@ def _scan_chunk(p: int, cfg: SearchConfig, a1: int, quota: Optional[int],
                 # the a5 positions skipped by index: those of a1..a3, and a4's per row
                 skip = sorted((pos5[a1], pos5[a2], pos5[a3]))
                 # a pair without probes holds no survivor
-                for r, a4, a in _pair_rows(p, arrays, a1, a2, a3, k, reach) if pair_probes else ():
+                for r, a4, a in (_pair_rows(p, pairs, a4s, pos4, a1, a2, a3, k, reach)
+                                 if pair_probes else ()):
                     start = probes + r * per - (hole < r)
                     # the passing (b, c) that k leaves, at their roots in the a5
                     # and b5 orders, in scan order; each b and c is mapped to its

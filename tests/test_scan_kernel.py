@@ -557,9 +557,10 @@ def test_pair_masks_match_scalar_filters(target, p):
         cfg = SearchConfig(p, p, Target.MAXIMAL_FP2, fixed=(("a2", a2), ("a3", a3), ("a4", a4)))
         table = search_engine._admissible_pairs(p, Target.MAXIMAL_FP2)
         listed = [(0, a4, want_a)] if want_a in table else []
-        arrays = search_engine._scan_arrays(p, cfg)
+        order, pos = _visit_orders(p, cfg)[3], search_engine._positions(p, cfg)[3]
         for reach in (1, max(1, len(table))):
-            assert search_engine._pair_rows(p, arrays, a1, a2, a3, want_k, reach) == listed
+            assert search_engine._pair_rows(p, table, order, pos, a1, a2, a3, want_k,
+                                            reach) == listed
 
 
 def _forward_pairs(p, target):

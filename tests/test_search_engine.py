@@ -365,7 +365,7 @@ class TestRuledOutPrimes:
             for name in ("legendre_traces", "residue_tables"):
                 monkeypatch.setattr(module, name, refuse)
         for cached in (search_engine._tables, search_engine._class_masks,
-                       search_engine._admissible_pairs, search_engine._scan_arrays):
+                       search_engine._admissible_pairs, search_engine._positions):
             cached.cache_clear()
 
     # hunt's primes p = 1 mod 4, scan's 179 and 191, and every prime of
@@ -414,7 +414,7 @@ def test_primes_below_eleven_build_no_table(monkeypatch, p):
                     for name in ("legendre_traces", "residue_tables"):
                         patched.setattr(module, name, refuse)
                 for cached in (search_engine._tables, search_engine._class_masks,
-                               search_engine._admissible_pairs, search_engine._scan_arrays):
+                               search_engine._admissible_pairs, search_engine._positions):
                     cached.cache_clear()
                 assert search_engine._admissible_pairs(p, target) == {}
                 (_, hits, stats), = search_engine._chunks(p, cfg, quota, None)
