@@ -14,6 +14,7 @@ src/howe5/__init__.py binds is read off the package (``howe5.<name>`` or
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -94,3 +95,28 @@ def test_every_package_level_name_is_read():
     assert "__version__" in bound  # the walk found the package
     unread = bound - _package_reads()
     assert not unread, sorted(unread)
+
+
+def test_exception_classes_live_in_errors():
+    """Every class of src/howe5 that derives from an exception, a builtin
+    one or one of the package's own, is defined in errors.py, so that the
+    exception type alone, read in one module, decides the command line's
+    exit code."""
+    classes = [(path.name, node.name,
+                {b.id if isinstance(b, ast.Name) else b.attr
+                 for b in node.bases if isinstance(b, (ast.Name, ast.Attribute))})
+               for path in sorted((ROOT / "src" / "howe5").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    found: set = set()
+    while True:
+        new = {(module, name) for module, name, bases in classes if bases & exceptions} - found
+        if not new:
+            break
+        found |= new
+        exceptions |= {name for _, name in new}
+    assert ("errors.py", "Howe5Error") in found  # the walk found the package's errors
+    misplaced = sorted(f"{module}:{name}" for module, name in found if module != "errors.py")
+    assert not misplaced, misplaced
