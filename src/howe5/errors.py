@@ -23,7 +23,9 @@ class HasseViolation(Howe5Error):
 
 
 class InexactTraces(Howe5Error):
-    """A floating-point trace table failed its rounding or Hasse check."""
+    """A floating-point trace table failed its rounding or Hasse check.  Only
+    the FFT's sums can fail to round: the direct sums of small primes are
+    exact."""
 
 
 class ValidationError(Howe5Error):

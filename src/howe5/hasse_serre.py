@@ -7,8 +7,9 @@ with lambda = g^k and binom(m, i)^2 = g^e[i], it is the sum of g^(e[i] + ik)
 over i (hasse_residues), one numpy gather for any number of lambdas.
 Each LegendreCurve holds its value once (its hasse property; validate
 evaluates a split's five together); exact_trace reads its trace t off that
-residue, and legendre_traces, the FFT table of t(lambda) for every lambda,
-serves only the search.  Each bound target, over F_{p^j}, is one rule:
+residue, and legendre_traces, the table of t(lambda) for every lambda (a
+direct correlation for small p, an FFT for large), serves only the search.
+Each bound target, over F_{p^j}, is one rule:
 lift_trace(t, p, j) = -floor(2 sqrt(p^j)).  The predicates, the paper's
 per-curve criteria, decide the same from congruences mod p on H_p(lambda);
 Target is the one definition of each target, its degree j, the least prime
@@ -76,6 +77,12 @@ class Target(Enum):
 
 _DEGREES = {target: j for j, target in enumerate(Target, 1)}
 
+# legendre_traces sums directly below this prime and by FFT from it on.  On a
+# 2-core host the two cost the same near p = 650 (direct 62 against FFT 70 us
+# at p = 599, 78 against 70 us at p = 701), and a search wholly below it never
+# imports numpy.fft, about 1 ms of first use.
+DIRECT_TRACES_BELOW = 600
+
 
 class LegendreCurve(CheckedRecord, namedtuple("LegendreCurve", "mod theta lam")):
     """y^2 = theta * x (x - 1) (x - lam) with residues theta != 0 and lam not
@@ -137,15 +144,22 @@ def hasse_residues(p: int, lams) -> list[int]:
 def legendre_traces(p: int) -> np.ndarray:
     """Read-only int64 array t[v] = -sum_x chi(x (x - 1)) chi(x - v), v in
     [0, p), the trace of y^2 = x (x - 1) (x - v) for v not in {0, 1}: one
-    cyclic cross-correlation of two +-1 vectors by a real FFT pair of
-    power-of-two length, rounded.  Raises InexactTraces when a sum lies 1/4
-    or more from an integer or a trace breaks the Hasse bound."""
+    cyclic cross-correlation of two +-1 vectors, summed directly in float64
+    below DIRECT_TRACES_BELOW (O(p^2), exact) and from there on by a real
+    FFT pair of power-of-two length (O(p log p)), then rounded.  Raises
+    InexactTraces when a sum lies 1/4 or more from an integer or a trace
+    breaks the Hasse bound."""
     chi = residue_tables(p).chi
     # s[v] = sum_x g[x] chi[x - v] with g[x] = chi[x] chi[x - 1]; x - v + p
     # lies in [1, 2p), so s[v] is lag p - v of g against chi repeated twice
-    n = 1 << (2 * p - 1).bit_length()
-    g_hat = np.fft.rfft(chi * np.roll(chi, 1), n)
-    s = np.fft.irfft(np.conj(g_hat) * np.fft.rfft(np.concatenate((chi, chi)), n), n)[p:0:-1]
+    if p < DIRECT_TRACES_BELOW:
+        chi = chi.astype(np.float64)
+        s = np.correlate(np.concatenate((chi, chi)), chi * np.roll(chi, 1))
+    else:
+        n = 1 << (2 * p - 1).bit_length()
+        g_hat = np.fft.rfft(chi * np.roll(chi, 1), n)
+        s = np.fft.irfft(np.conj(g_hat) * np.fft.rfft(np.concatenate((chi, chi)), n), n)
+    s = s[p:0:-1]
     t = -np.rint(s).astype(np.int64)
     if np.abs(s + t).max() >= 0.25 or (t * t).max() > 4 * p:
         raise InexactTraces(f"the trace table at p={p} is not exact")

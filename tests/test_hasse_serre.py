@@ -135,7 +135,9 @@ def _direct_trace(p: int, chi: np.ndarray, v: int) -> int:
 
 class TestLegendreTraces:
     def test_matches_direct_character_sum(self):
-        for p in (p for p in range(3, 400) if is_prime(p)):
+        """Every prime below DIRECT_TRACES_BELOW, summed directly, and the
+        first few from it on, by FFT."""
+        for p in (p for p in range(3, hasse_serre.DIRECT_TRACES_BELOW + 20) if is_prime(p)):
             chi = _chi_by_squares(p)
             x = np.arange(p, dtype=np.int64)
             # row v of the matrix holds chi(x - v) for every x
@@ -164,7 +166,9 @@ class TestLegendreTraces:
     def test_matches_direct_trace_across_padded_lengths(self, p):
         """Primes on both sides of a step in the power-of-two transform
         length (1024, 2048, 4096, 8192): the end lags v = 0, 1, p - 1 and
-        a sample of the others."""
+        a sample of the others.  509 and 521 lie below DIRECT_TRACES_BELOW
+        and are summed directly; 1021/1031 and 2039/2053 keep the FFT's
+        length steps covered."""
         chi = _chi_by_squares(p)
         t = legendre_traces(p)
         for v in (0, 1, p - 1, *random.Random(p).sample(range(2, p - 1), 12)):
@@ -177,8 +181,19 @@ class TestLegendreTraces:
     @pytest.mark.parametrize("skew", [lambda s: s + 0.3, lambda s: 3 * s],
                              ids=["rounding", "hasse"])
     def test_inexact_table_raises(self, monkeypatch, skew):
+        """At 1009, from DIRECT_TRACES_BELOW on, the FFT's sums are checked."""
+        assert 1009 >= hasse_serre.DIRECT_TRACES_BELOW
         irfft = np.fft.irfft
         monkeypatch.setattr(hasse_serre.np.fft, "irfft", lambda *a, **k: skew(irfft(*a, **k)))
+        with pytest.raises(InexactTraces):
+            legendre_traces.__wrapped__(1009)
+
+    def test_direct_table_breaking_hasse_raises(self, monkeypatch):
+        """At 101, below DIRECT_TRACES_BELOW, the direct sums go through the
+        same Hasse check."""
+        assert 101 < hasse_serre.DIRECT_TRACES_BELOW
+        correlate = np.correlate
+        monkeypatch.setattr(hasse_serre.np, "correlate", lambda *a, **k: 3 * correlate(*a, **k))
         with pytest.raises(InexactTraces):
             legendre_traces.__wrapped__(101)
 

@@ -1,6 +1,9 @@
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,9 @@ from howe5.search_engine import (
     primes_in,
     run_search,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSearchConfig:
@@ -437,6 +443,35 @@ def test_per_prime_caches_are_bounded():
     for cached in (residue_tables, legendre_traces, hasse_serre._hasse_gather):
         assert cached.cache_info().maxsize == TABLE_CACHE
         assert cached.cache_info().currsize <= TABLE_CACHE
+
+
+def test_search_below_the_direct_bound_leaves_numpy_fft_unimported(tmp_path):
+    """Below hasse_serre.DIRECT_TRACES_BELOW the trace table is a direct
+    correlation, so the serre-fp search over [173, 191] and README's
+    maximal-fp2 search over [3, 13] build their tables without numpy.fft,
+    which numpy loads on first use."""
+    searches = [
+        ["search", "--target", "serre-fp", "--p-min", "173", "--p-max", "191",
+         "--max-candidates", "300000", "--seed", "1", "--quiet"],
+        ["search", "--target", "maximal-fp2", "--p-min", "3", "--p-max", "13",
+         "--max-candidates", "1000000", "--max-hits", "20", "--seed", "7",
+         "--out", str(tmp_path / "hits.csv"), "--jsonl", str(tmp_path / "hits.jsonl")],
+    ]
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import contextlib, io\n"
+        "from howe5 import cli, hasse_serre\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = [cli.main(argv) for argv in {searches!r}]\n"
+        "print(*status, hasse_serre.legendre_traces.cache_info().currsize,\n"
+        "      'numpy.fft' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # tables at 173 and 181 for serre-fp, at 11 for maximal-fp2
+    assert proc.stdout.split() == ["0", "0", "3", "False"]
+    assert max(primes_in(3, 191)) < hasse_serre.DIRECT_TRACES_BELOW
 
 
 class TestDriver:
